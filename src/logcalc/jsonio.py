@@ -234,7 +234,10 @@ _KIND_LOADERS = {
 
 
 def load_text(text: str):
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"malformed JSON: {exc}", "/") from exc
     _expect(isinstance(data, dict), "top level must be an object", "/")
     kind = data.get("kind")
     _expect(kind in _KIND_LOADERS, f"unknown kind {kind!r}", "/kind")

@@ -95,7 +95,11 @@ def _parse_int(tk: _Tokens) -> int:
 def _parse_rational(tk: _Tokens) -> Fraction:
     num = _parse_int(tk)
     if tk.accept_op("/"):
+        t = tk.peek()
+        pos = t[2] if t else len(tk.text)
         den = _parse_int(tk)
+        if den == 0:
+            raise ParseError("zero denominator", pos, tk.text)
         return Fraction(num, den)
     return Fraction(num)
 

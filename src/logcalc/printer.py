@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import CyclotomicElem, ExactScalar, Exponent
+from .scalars import ExactScalar, Exponent
 from .series import LogSeries, Monomial
 
 
@@ -28,33 +28,27 @@ def exponent_str(e: Exponent) -> str:
     return f"{rational_str(e.re)}-{rational_str(-e.im)}*i"
 
 
-def _cyclotomic_factors(c: CyclotomicElem) -> list[str]:
-    """Summands of a cyclotomic element as strings: r or r*e(q), q = k/L."""
-    L = c.order // 2
-    out = []
-    for k, coeff in enumerate(c.coeffs):
-        if coeff == 0:
-            continue
-        if k == 0:
-            out.append(rational_str(coeff))
-        else:
-            root = f"e({rational_str(Fraction(k, L))})"
-            if coeff == 1:
-                out.append(root)
-            elif coeff == -1:
-                out.append(f"-{root}")
-            else:
-                out.append(f"{rational_str(coeff)}*{root}")
-    return out
+def _zeta_summand(k: int, coeff: Fraction, L: int) -> str:
+    """One summand r or r*e(q), q = k/L, of a cyclotomic coefficient."""
+    if k == 0:
+        return rational_str(coeff)
+    root = f"e({rational_str(Fraction(k, L))})"
+    if coeff == 1:
+        return root
+    if coeff == -1:
+        return f"-{root}"
+    return f"{rational_str(coeff)}*{root}"
 
 
 def scalar_str(s: ExactScalar) -> str:
     if s.is_zero():
         return "0"
+    L = s.order // 2
+    groups: dict[int, list[str]] = {}
+    for (k, j), coeff in sorted(s.terms.items()):
+        groups.setdefault(k, []).append(_zeta_summand(j, coeff, L))
     parts: list[str] = []
-    for k in sorted(s.terms):
-        c = s.terms[k]
-        factors = _cyclotomic_factors(c)
+    for k, factors in groups.items():
         if k == 0:
             body = " + ".join(factors) if len(factors) > 1 else factors[0]
             if len(factors) > 1:

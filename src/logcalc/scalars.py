@@ -1,13 +1,14 @@
 """Exact scalar arithmetic for the whole library.
 
-Three layers, each exact:
-
-* rationals (``fractions.Fraction``, re-exported as ``Rat``),
-* the cyclotomic field Q(zeta_2L) in canonical reduced form, where L is the
-  global lattice bound (default 12, so zeta_24 and its powers cover halves,
-  thirds and quarters),
-* Laurent polynomials in a transcendental symbol Pi (standing for the
-  constant pi*i) with cyclotomic coefficients: :class:`ExactScalar`.
+Every scalar is an :class:`ExactScalar`: a Laurent polynomial in a
+transcendental symbol Pi (standing for the constant pi*i) with coefficients
+in the cyclotomic field Q(zeta_2L), where L is the global lattice bound
+(default 12, so zeta_24 and its powers cover halves, thirds and quarters).
+It is stored flat, as one dict from ``(Pi power, zeta index)`` to a nonzero
+``fractions.Fraction`` (re-exported as ``Rat``); zeta indices lie below
+phi(2L), the canonical reduced basis of the field.  A rational q is the
+single entry ``(0, 0): q``, so a product with a rational only scales the
+entries of the other factor.
 
 Exponents of formal variables live on the Gaussian lattice (1/L)Z[i] and are
 modelled by :class:`Exponent`.
@@ -23,7 +24,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Rat = Fraction
 
@@ -61,25 +62,18 @@ def _check_lattice(q: Fraction, what: str = "exponent") -> Fraction:
     return q
 
 
+def _fraction(q: Fraction | int) -> Fraction:
+    return q if q.__class__ is Fraction else Fraction(q)
+
+
 # ---------------------------------------------------------------------------
-# dense rational polynomials (coefficient lists, low degree first)
+# the cyclotomic field: reduction of zeta powers to the canonical basis
+
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -110,173 +104,73 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_cache(order: int) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
-    """phi(order) and the reduced representatives of zeta^k for k < 2*order."""
-    phi_poly = cyclotomic_polynomial(order)
-    deg = len(phi_poly) - 1
+def _reduction_cache(order: int) -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...]]:
+    """phi(order) and, for k < 2*order, zeta^k in the canonical basis as
+    sparse ``(basis index, nonzero Fraction)`` pairs."""
+    phi_poly = list(cyclotomic_polynomial(order))
     reps = []
     for k in range(2 * order):
-        p = [Fraction(0)] * k + [Fraction(1)]
-        _, r = _poly_divmod(p, list(phi_poly))
-        r = r + [Fraction(0)] * (deg - len(r))
-        reps.append(tuple(r))
-    return deg, tuple(reps)
+        _, r = _poly_divmod([Fraction(0)] * k + [Fraction(1)], phi_poly)
+        reps.append(tuple((j, c) for j, c in enumerate(r) if c))
+    return len(phi_poly) - 1, tuple(reps)
 
 
-class CyclotomicElem:
-    """An element of Q(zeta_order) in canonical reduced form.
-
-    ``coeffs`` has fixed length phi(order) and represents a polynomial in
-    zeta_order of degree < phi(order), reduced modulo the order-th cyclotomic
-    polynomial.
-    """
-
-    __slots__ = ("order", "coeffs", "_hash")
-
-    def __init__(self, order: int, coeffs: Iterable[Fraction]):
-        deg, _ = _reduction_cache(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"need {deg} coefficients for Q(zeta_{order}), got {len(coeffs)}")
-        self.order = order
-        self.coeffs = coeffs
-        self._hash: int | None = None
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_rational(q: Fraction | int, order: int | None = None) -> CyclotomicElem:
-        order = order if order is not None else 2 * _lattice
-        deg, _ = _reduction_cache(order)
-        return CyclotomicElem(order, (Fraction(q),) + (Fraction(0),) * (deg - 1))
-
-    @staticmethod
-    def zeta_power(k: int, order: int | None = None) -> CyclotomicElem:
-        order = order if order is not None else 2 * _lattice
-        _, reps = _reduction_cache(order)
-        return CyclotomicElem(order, reps[k % order])
-
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
-    def _require_same_field(self, other: CyclotomicElem) -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"mixing elements of Q(zeta_{self.order}) and Q(zeta_{other.order})"
-            )
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: CyclotomicElem) -> CyclotomicElem:
-        self._require_same_field(other)
-        return CyclotomicElem(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: CyclotomicElem) -> CyclotomicElem:
-        self._require_same_field(other)
-        return CyclotomicElem(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> CyclotomicElem:
-        return CyclotomicElem(self.order, tuple(-a for a in self.coeffs))
-
-    def scale(self, q: Fraction | int) -> CyclotomicElem:
-        q = Fraction(q)
-        return CyclotomicElem(self.order, tuple(a * q for a in self.coeffs))
-
-    def __mul__(self, other: CyclotomicElem) -> CyclotomicElem:
-        self._require_same_field(other)
-        # rational fast path: almost all coefficients in practice are rational
-        if self.is_rational():
-            return other.scale(self.coeffs[0])
-        if other.is_rational():
-            return self.scale(other.coeffs[0])
-        deg, _ = _reduction_cache(self.order)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        _, r = _poly_divmod(prod, list(cyclotomic_polynomial(self.order)))
-        r = r + [Fraction(0)] * (deg - len(r))
-        return CyclotomicElem(self.order, r)
-
-    def inverse(self) -> CyclotomicElem:
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.is_rational():
-            return CyclotomicElem.from_rational(1 / self.coeffs[0], self.order)
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial
-        deg, _ = _reduction_cache(self.order)
-        r0, r1 = list(cyclotomic_polynomial(self.order)), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            n = max(len(s0), len(qs1))
-            s = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0)) - (qs1[i] if i < len(qs1) else Fraction(0))
-                    for i in range(n)
-                ]
-            )
-            r0, r1, s0, s1 = r1, r, s1, s
-        if not r1:
-            raise ZeroDivisionError("element not invertible (unexpected for a field)")
-        c = r1[0]
-        inv = [a / c for a in s1]
-        inv = inv + [Fraction(0)] * (deg - len(inv))
-        return CyclotomicElem(self.order, inv[:deg])
-
-    # -- comparisons / hashing ----------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclotomicElem):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
-        return self._hash
-
-    def complex_value(self) -> complex:
-        z = cmath.exp(2j * math.pi / self.order)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicElem(zeta_{self.order}; {list(self.coeffs)})"
+def _accumulate(out: dict, key: tuple[int, int], c: Fraction) -> None:
+    prev = out.get(key)
+    out[key] = c if prev is None else prev + c
 
 
-ScalarLike = Union["ExactScalar", CyclotomicElem, Fraction, int]
+def _nonzero(out: dict) -> dict:
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul_terms(a: dict, b: dict, order: int) -> dict:
+    """Product of two flat term maps, reduced through the zeta^k table."""
+    phi, reps = _reduction_cache(order)
+    out: dict = {}
+    for (p1, k1), c1 in a.items():
+        for (p2, k2), c2 in b.items():
+            c = c1 * c2
+            p, k = p1 + p2, k1 + k2
+            if k < phi:
+                _accumulate(out, (p, k), c)
+            else:
+                for j, r in reps[k]:
+                    _accumulate(out, (p, j), c * r)
+    return _nonzero(out)
+
+
+def _conjugate_terms(a: dict, j: int, order: int) -> dict:
+    """The Galois conjugate zeta -> zeta^j of a flat term map."""
+    _, reps = _reduction_cache(order)
+    out: dict = {}
+    for (p, k), c in a.items():
+        for i, r in reps[j * k % order]:
+            _accumulate(out, (p, i), c * r)
+    return _nonzero(out)
+
+
+ScalarLike = Union["ExactScalar", Fraction, int]
+
+_RATIONAL = (0, 0)  # the key of q in the rational scalar q: Pi^0 * zeta^0
 
 
 class ExactScalar:
-    """Laurent polynomial in Pi (= pi*i) over Q(zeta_2L), in canonical form.
+    """Laurent polynomial in Pi (= pi*i) over Q(zeta_order), in canonical form.
 
-    ``terms`` maps the integer power of Pi to a nonzero cyclotomic
-    coefficient.  Pi is transcendental by construction: no operation ever
-    merges distinct Pi-powers.
+    ``terms`` maps ``(Pi power, zeta index)`` to a nonzero Fraction, with
+    0 <= zeta index < phi(order); ``order`` is 2L for the lattice bound L in
+    force when the value was made.  The constructor trusts its arguments to
+    be canonical in this sense and keeps the dict it is given; treat
+    instances as immutable.  Pi is transcendental by construction: no
+    operation ever merges distinct Pi-powers.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "order", "_hash")
 
-    def __init__(self, terms: Mapping[int, CyclotomicElem] | None = None):
-        clean: dict[int, CyclotomicElem] = {}
-        if terms:
-            order = None
-            for k, c in terms.items():
-                if order is None:
-                    order = c.order
-                elif c.order != order:
-                    raise ValueError("mixed cyclotomic orders in one scalar")
-                if not c.is_zero():
-                    clean[int(k)] = c
-        self.terms = clean
+    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None, order: int | None = None):
+        self.terms = terms if terms is not None else {}
+        self.order = order or 2 * _lattice
         self._hash: int | None = None
 
     # -- constructors --------------------------------------------------------
@@ -287,26 +181,18 @@ class ExactScalar:
 
     @staticmethod
     def from_rational(q: Fraction | int) -> ExactScalar:
-        q = Fraction(q)
-        if q == 0:
-            return ExactScalar()
-        return ExactScalar({0: CyclotomicElem.from_rational(q)})
-
-    @staticmethod
-    def from_cyclotomic(c: CyclotomicElem) -> ExactScalar:
-        return ExactScalar({0: c})
+        q = _fraction(q)
+        return ExactScalar({_RATIONAL: q} if q else {})
 
     @staticmethod
     def pi_power(k: int, coeff: Fraction | int = 1) -> ExactScalar:
-        c = CyclotomicElem.from_rational(coeff)
-        return ExactScalar({k: c})
+        coeff = _fraction(coeff)
+        return ExactScalar({(k, 0): coeff} if coeff else {})
 
     @staticmethod
     def coerce(v: ScalarLike) -> ExactScalar:
         if isinstance(v, ExactScalar):
             return v
-        if isinstance(v, CyclotomicElem):
-            return ExactScalar.from_cyclotomic(v)
         if isinstance(v, (int, Fraction)):
             return ExactScalar.from_rational(v)
         raise TypeError(f"cannot coerce {v!r} to ExactScalar")
@@ -317,49 +203,51 @@ class ExactScalar:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return not self.terms or (set(self.terms) == {0} and self.terms[0].is_rational())
+        t = self.terms
+        return not t or (len(t) == 1 and _RATIONAL in t)
 
     def rational_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.terms[0].rational_value()
+        return self.terms.get(_RATIONAL, Fraction(0))
 
     def is_monomial(self) -> bool:
         """Exactly one Pi-power with an (automatically invertible) nonzero coefficient."""
-        return len(self.terms) == 1
+        return len({p for p, _ in self.terms}) == 1
 
-    def monomial_parts(self) -> tuple[int, CyclotomicElem]:
-        if not self.is_monomial():
-            raise UnsupportedDivision(f"{self} is not a Pi-monomial")
-        [(k, c)] = self.terms.items()
-        return k, c
+    def _same_order(self, other: ExactScalar) -> int:
+        if self.order != other.order:
+            raise ValueError(f"mixing elements of Q(zeta_{self.order}) and Q(zeta_{other.order})")
+        return self.order
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> ExactScalar:
-        other = ExactScalar.coerce(other)
-        if not self.terms:
+        if not isinstance(other, ExactScalar):
+            other = ExactScalar.coerce(other)
+        a, b = self.terms, other.terms
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in out:
-                s = out[k] + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
+        order = self._same_order(other)
+        out = dict(a)
+        for key, c in b.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c
             else:
-                out[k] = c
-        return ExactScalar(out)
+                s = prev + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return ExactScalar(out, order)
 
     __radd__ = __add__
 
     def __neg__(self) -> ExactScalar:
-        return ExactScalar({k: -c for k, c in self.terms.items()})
+        return ExactScalar({key: -c for key, c in self.terms.items()}, self.order)
 
     def __sub__(self, other: ScalarLike) -> ExactScalar:
         return self + (-ExactScalar.coerce(other))
@@ -368,32 +256,27 @@ class ExactScalar:
         return ExactScalar.coerce(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> ExactScalar:
-        other = ExactScalar.coerce(other)
-        if not self.terms or not other.terms:
-            return ExactScalar()
-        out: dict[int, CyclotomicElem] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                p = c1 * c2
-                if k in out:
-                    s = out[k] + p
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-                elif not p.is_zero():
-                    out[k] = p
-        return ExactScalar(out)
+        if not isinstance(other, ExactScalar):
+            other = ExactScalar.coerce(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ExactScalar({}, self.order)
+        order = self._same_order(other)
+        # rational fast path: scale the nonzero entries of the other factor
+        if len(a) == 1 and _RATIONAL in a:
+            q = a[_RATIONAL]
+            return ExactScalar({key: c * q for key, c in b.items()}, order)
+        if len(b) == 1 and _RATIONAL in b:
+            q = b[_RATIONAL]
+            return ExactScalar({key: c * q for key, c in a.items()}, order)
+        return ExactScalar(_mul_terms(a, b, order), order)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> ExactScalar:
         if n < 0:
-            k, c = self.monomial_parts()
-            base = ExactScalar({-k: c.inverse()})
-            return base ** (-n)
-        out = ExactScalar.from_rational(1)
+            return self.inverse() ** (-n)
+        out = ExactScalar({_RATIONAL: Fraction(1)}, self.order)
         base = self
         while n:
             if n & 1:
@@ -403,32 +286,49 @@ class ExactScalar:
                 base = base * base
         return out
 
+    def inverse(self) -> ExactScalar:
+        """1/self for an invertible Pi-monomial c*Pi^k (c a nonzero cyclotomic)."""
+        t, order = self.terms, self.order
+        if not t:
+            raise UnsupportedDivision("division by zero")
+        powers = {p for p, _ in t}
+        if len(powers) != 1:
+            raise UnsupportedDivision(f"{self} is not a Pi-monomial")
+        [k] = powers
+        if len(t) == 1 and (k, 0) in t:
+            return ExactScalar({(-k, 0): 1 / t[(k, 0)]}, order)
+        # c times the product of its other Galois conjugates is the rational norm N(c)
+        c = {(0, i): v for (_, i), v in t.items()}
+        rest = {_RATIONAL: Fraction(1)}
+        for j in range(2, order):
+            if math.gcd(j, order) == 1:
+                rest = _mul_terms(rest, _conjugate_terms(c, j, order), order)
+        norm = _mul_terms(c, rest, order)[_RATIONAL]
+        return ExactScalar({(-k, i): v / norm for (_, i), v in rest.items()}, order)
+
     def div_monomial(self, other: ScalarLike) -> ExactScalar:
         """Exact division by a Pi-monomial c*Pi^k (or a plain nonzero constant)."""
-        other = ExactScalar.coerce(other)
-        if other.is_zero():
-            raise UnsupportedDivision("division by zero")
-        k, c = other.monomial_parts()
-        cinv = c.inverse()
-        return ExactScalar({p - k: coeff * cinv for p, coeff in self.terms.items()})
+        return self * ExactScalar.coerce(other).inverse()
 
     def divided_by_rational(self, q: Fraction | int) -> ExactScalar:
-        q = Fraction(q)
+        q = _fraction(q)
         if q == 0:
             raise UnsupportedDivision("division by zero")
-        return ExactScalar({k: c.scale(1 / q) for k, c in self.terms.items()})
+        return ExactScalar({key: c / q for key, c in self.terms.items()}, self.order)
 
     # -- comparisons / misc -----------------------------------------------------
 
     def canonical_key(self) -> tuple:
-        return tuple(sorted((k, c.order, c.coeffs) for k, c in self.terms.items()))
+        if not self.terms:
+            return ()
+        return (self.order, tuple(sorted(self.terms.items())))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactScalar.from_rational(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == other.terms and (self.order == other.order or not self.terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -437,7 +337,8 @@ class ExactScalar:
 
     def complex_value(self) -> complex:
         """Floating evaluation with Pi -> pi*i; smoke-test backend only."""
-        return sum(c.complex_value() * (1j * math.pi) ** k for k, c in self.terms.items())
+        z = cmath.exp(2j * math.pi / self.order)
+        return sum(float(c) * z**k * (1j * math.pi) ** p for (p, k), c in self.terms.items())
 
     def __repr__(self) -> str:
         from .printer import scalar_str  # local import: printer depends on scalars
@@ -445,7 +346,18 @@ class ExactScalar:
         return f"ExactScalar({scalar_str(self)})"
 
 
-ZERO = ExactScalar.zero()
+class CyclotomicElem:
+    """Constructors of the elements of Q(zeta_2L): the Pi-free ExactScalars."""
+
+    from_rational = staticmethod(ExactScalar.from_rational)
+
+    @staticmethod
+    def zeta_power(k: int) -> ExactScalar:
+        order = 2 * _lattice
+        _, reps = _reduction_cache(order)
+        return ExactScalar({(0, j): c for j, c in reps[k % order]}, order)
+
+
 ONE = ExactScalar.from_rational(1)
 
 
@@ -456,10 +368,10 @@ def pi_scalar(coeff: Fraction | int = 1) -> ExactScalar:
 
 def root_of_unity(q: Fraction | int) -> ExactScalar:
     """Exact e^(pi i q) = zeta_2L^(qL); q must lie on the (1/L)Z lattice."""
-    q = _check_lattice(Fraction(q), "root-of-unity argument")
+    q = _check_lattice(_fraction(q), "root-of-unity argument")
     k = q * _lattice
     assert k.denominator == 1
-    return ExactScalar.from_cyclotomic(CyclotomicElem.zeta_power(int(k)))
+    return CyclotomicElem.zeta_power(int(k))
 
 
 def imaginary_unit() -> ExactScalar:
@@ -485,15 +397,15 @@ class Exponent:
     __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        self.re = _check_lattice(Fraction(re))
-        self.im = _check_lattice(Fraction(im))
+        self.re = _check_lattice(_fraction(re))
+        self.im = _check_lattice(_fraction(im))
         self._hash: int | None = None
 
     @staticmethod
     def coerce(v: "Exponent | Fraction | int") -> Exponent:
         if isinstance(v, Exponent):
             return v
-        return Exponent(Fraction(v))
+        return Exponent(v)
 
     def __add__(self, other: "Exponent | Fraction | int") -> Exponent:
         other = Exponent.coerce(other)

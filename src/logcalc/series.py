@@ -85,6 +85,15 @@ class CoeffVector:
         self._hash: int | None = None
 
     @staticmethod
+    def _trusted(space: CoeffSpace, components: dict[int, ExactScalar]) -> CoeffVector:
+        """A vector from in-range, nonzero ExactScalar components (kept, not copied)."""
+        vec = object.__new__(CoeffVector)
+        vec.space = space
+        vec.components = components
+        vec._hash = None
+        return vec
+
+    @staticmethod
     def zero(space: CoeffSpace) -> CoeffVector:
         return CoeffVector(space)
 
@@ -118,10 +127,10 @@ class CoeffVector:
                 out.pop(i, None)
             else:
                 out[i] = s
-        return CoeffVector(self.space, out)
+        return CoeffVector._trusted(self.space, out)
 
     def __neg__(self) -> CoeffVector:
-        return CoeffVector(self.space, {i: -v for i, v in self.components.items()})
+        return CoeffVector._trusted(self.space, {i: -v for i, v in self.components.items()})
 
     def __sub__(self, other: CoeffVector) -> CoeffVector:
         return self + (-other)
@@ -130,7 +139,8 @@ class CoeffVector:
         s = ExactScalar.coerce(s)
         if s.is_zero():
             return CoeffVector(self.space)
-        return CoeffVector(self.space, {i: v * s for i, v in self.components.items()})
+        # the scalar ring has no zero divisors: products of nonzero entries stay nonzero
+        return CoeffVector._trusted(self.space, {i: v * s for i, v in self.components.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffVector):
@@ -171,6 +181,14 @@ class Monomial:
     UNIT: "Monomial"
 
     @staticmethod
+    def _trusted(entries: tuple[tuple[VarId, Exponent, int], ...]) -> Monomial:
+        """A monomial from entries already in canonical form."""
+        m = object.__new__(Monomial)
+        m.entries = entries
+        m._hash = None
+        return m
+
+    @staticmethod
     def var(v: VarId, exponent: Exponent | Fraction | int = 1, log_power: int = 0) -> Monomial:
         return Monomial({v: (Exponent.coerce(exponent), log_power)})
 
@@ -185,7 +203,7 @@ class Monomial:
         for name, e, _ in self.entries:
             if name == v:
                 return e
-        return Exponent(0)
+        return _EXPONENT_ZERO
 
     def log_power(self, v: VarId) -> int:
         for name, _, k in self.entries:
@@ -200,6 +218,10 @@ class Monomial:
         return Monomial({name: (e, k) for name, e, k in self.entries if name != v})
 
     def __mul__(self, other: Monomial) -> Monomial:
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         d = self.as_dict()
         for v, e, k in other.entries:
             if v in d:
@@ -207,7 +229,7 @@ class Monomial:
                 d[v] = (e0 + e, k0 + k)
             else:
                 d[v] = (e, k)
-        return Monomial(d)
+        return Monomial._trusted(tuple((v, e, k) for v, (e, k) in sorted(d.items()) if k or not e.is_zero()))
 
     def sort_key(self) -> tuple:
         return tuple((v, e.sort_key(), k) for v, e, k in self.entries)
@@ -229,6 +251,7 @@ class Monomial:
 
 
 Monomial.UNIT = Monomial()
+_EXPONENT_ZERO = Exponent(0)
 
 
 TruncMap = Mapping[VarId, int]
@@ -239,6 +262,19 @@ def _merge_trunc(a: TruncMap, b: TruncMap) -> dict[VarId, int]:
     for v, n in b.items():
         out[v] = min(out[v], n) if v in out else n
     return out
+
+
+def _trunc_levels(
+    left: Iterable[Monomial], right: Iterable[Monomial], trunc: TruncMap
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """The real exponents of each monomial in the truncated variables, and
+    the bounds, all times one common denominator: exact integer levels."""
+    res = [[[m.exponent(v).re for v in trunc] for m in side] for side in (left, right)]
+    d = math.lcm(1, *(q.denominator for side in res for row in side for q in row))
+    lv_left, lv_right = (
+        [tuple(q.numerator * (d // q.denominator) for q in row) for row in side] for side in res
+    )
+    return lv_left, lv_right, [n * d for n in trunc.values()]
 
 
 class LogSeries:
@@ -266,6 +302,16 @@ class LogSeries:
                     continue
                 clean[m] = vec
         self.terms = clean
+
+    @staticmethod
+    def _trusted(space: CoeffSpace, terms: dict[Monomial, CoeffVector], trunc: dict[VarId, int]) -> LogSeries:
+        """A series from nonzero vectors over ``space`` already pruned to ``trunc``
+        (both dicts are kept, not copied)."""
+        f = object.__new__(LogSeries)
+        f.space = space
+        f.terms = terms
+        f.trunc = trunc
+        return f
 
     # -- constructors ---------------------------------------------------------
 
@@ -326,10 +372,6 @@ class LogSeries:
     def with_trunc(self, trunc: TruncMap) -> LogSeries:
         return LogSeries(self.space, self.terms, _merge_trunc(self.trunc, trunc))
 
-    def drop_trunc(self, v: VarId) -> LogSeries:
-        t = {k: n for k, n in self.trunc.items() if k != v}
-        return LogSeries(self.space, self.terms, t)
-
     def items(self) -> Iterable[tuple[Monomial, CoeffVector]]:
         return self.terms.items()
 
@@ -349,17 +391,21 @@ class LogSeries:
                 out.pop(m, None)
             else:
                 out[m] = s
+        if self.trunc == other.trunc:
+            return LogSeries._trusted(self.space, out, dict(self.trunc))
         return LogSeries(self.space, out, _merge_trunc(self.trunc, other.trunc))
 
     def __neg__(self) -> LogSeries:
-        return LogSeries(self.space, {m: -v for m, v in self.terms.items()}, self.trunc)
+        return LogSeries._trusted(self.space, {m: -v for m, v in self.terms.items()}, dict(self.trunc))
 
     def __sub__(self, other: LogSeries) -> LogSeries:
         return self + (-other)
 
     def scale(self, s: ScalarLike) -> LogSeries:
         s = ExactScalar.coerce(s)
-        return LogSeries(self.space, {m: v.scale(s) for m, v in self.terms.items()}, self.trunc)
+        if s.is_zero():
+            return LogSeries.zero(self.space, self.trunc)
+        return LogSeries._trusted(self.space, {m: v.scale(s) for m, v in self.terms.items()}, dict(self.trunc))
 
     def scale_vector(self, vec: CoeffVector) -> LogSeries:
         """Replace scalar coefficients by their multiples of a fixed vector."""
@@ -383,27 +429,35 @@ class LogSeries:
         else:
             scal, vec = other, self
         trunc = _merge_trunc(self.trunc, other.trunc)
-        out: dict[Monomial, CoeffVector] = {}
-        space = vec.space
-        for m1, c1 in scal.terms.items():
+        # a pair beyond the truncation is dropped before its monomial product is formed
+        lv_left, lv_right, caps = _trunc_levels(scal.terms, vec.terms, trunc)
+        right = [(m2, c2.components, lv2) for (m2, c2), lv2 in zip(vec.terms.items(), lv_right)]
+        acc: dict[Monomial, dict[int, ExactScalar]] = {}
+        for (m1, c1), lv1 in zip(scal.terms.items(), lv_left):
             s1 = c1.scalar_value()
-            for m2, c2 in vec.terms.items():
-                m = m1 * m2
-                skip = False
-                for v, bound in trunc.items():
-                    if m.exponent(v).re > bound:
-                        skip = True
-                        break
-                if skip:
+            for m2, comps2, lv2 in right:
+                if any(a + b > cap for a, b, cap in zip(lv1, lv2, caps)):
                     continue
-                p = c2.scale(s1)
-                cur = out.get(m)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return LogSeries(space, out, trunc)
+                m = m1 * m2
+                comps = acc.get(m)
+                if comps is None:
+                    acc[m] = {i: v * s1 for i, v in comps2.items()}
+                    continue
+                for i, v in comps2.items():
+                    p = v * s1
+                    cur = comps.get(i)
+                    if cur is None:
+                        comps[i] = p
+                    else:
+                        p = cur + p
+                        if p.is_zero():
+                            del comps[i]
+                        else:
+                            comps[i] = p
+                if not comps:
+                    del acc[m]
+        out = {m: CoeffVector._trusted(vec.space, comps) for m, comps in acc.items()}
+        return LogSeries._trusted(vec.space, out, trunc)
 
     def __pow__(self, n: int) -> LogSeries:
         if n < 0:
@@ -438,7 +492,8 @@ class LogSeries:
         trunc = dict(self.trunc)
         if v in trunc:
             trunc[v] -= 1
-        return LogSeries(self.space, out, trunc)
+        # every v-exponent drops by one, so the terms stay inside the lowered bound
+        return LogSeries._trusted(self.space, out, trunc)
 
     def apply_diffop(self, p: LogSeries, v: VarId) -> LogSeries:
         """Apply T = p(v) d/dv for a scalar Laurent polynomial p in v alone."""

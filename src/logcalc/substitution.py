@@ -129,11 +129,10 @@ def subst_xy(f: LogSeries, x: VarId, y: VarId) -> LogSeries:
 
 def pi_monomial_coefficient(zeta: ExactScalar) -> Fraction:
     """The rational q with zeta = q*Pi; rejects anything else."""
-    if zeta.is_zero():
-        return Fraction(0)
-    if set(zeta.terms) != {1} or not zeta.terms[1].is_rational():
+    q = zeta * ExactScalar.pi_power(-1)
+    if not q.is_rational():
         raise UnsupportedDivision(f"substitution scale must be a rational multiple of Pi, got {zeta}")
-    return zeta.terms[1].rational_value()
+    return q.rational_value()
 
 
 def subst_scaled_exp(f: LogSeries, x: VarId, zeta: ExactScalar) -> LogSeries:

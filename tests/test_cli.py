@@ -39,6 +39,11 @@ class TestExpressionVerbs:
         code, _, err = run_cli("eval", "x^(1/7)")
         assert code == 2 and "denominator" in err
 
+    def test_zero_denominator_exits_2(self):
+        for text in ("e(1/0)", "x^(1/0)"):
+            code, _, err = run_cli("eval", text)
+            assert code == 2 and "zero denominator" in err and "Traceback" not in err
+
     def test_json_format(self):
         code, out, _ = run_cli("--format", "json", "eval", "x")
         assert code == 0 and json.loads(out) == {"series": "x"}

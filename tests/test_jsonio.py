@@ -42,6 +42,11 @@ class TestModuleFiles:
             module_from_json(data)
         assert "/L0/0/0" in str(err.value)
 
+    def test_malformed_json_is_a_schema_error(self):
+        with pytest.raises(SchemaError) as err:
+            load_text('{"format": ')
+        assert err.value.pointer == "/" and "line 1 column 12" in str(err.value)
+
     def test_missing_schema_rejected(self):
         with pytest.raises(SchemaError):
             load_text(json.dumps({"kind": "module"}))

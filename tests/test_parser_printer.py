@@ -32,6 +32,12 @@ class TestParseExamples:
             parse_expr("x^")
         assert "column" in str(err.value)
 
+    @pytest.mark.parametrize("text, column", [("e(1/0)", 5), ("x^(1/0)", 6), ("x^(1/2+3/0*i)", 10)])
+    def test_zero_denominator_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert "zero denominator" in str(err.value) and err.value.position == column - 1
+
     def test_scalar_literals(self):
         assert parse_scalar("3/4") == ExactScalar.from_rational(Fraction(3, 4))
         assert parse_scalar("i") == imaginary_unit()

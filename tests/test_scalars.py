@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcalc.parser import parse_expr
+from logcalc.printer import scalar_str
 from logcalc.scalars import (
     CyclotomicElem,
     ExactScalar,
@@ -15,7 +17,9 @@ from logcalc.scalars import (
     lattice_bound,
     pi_scalar,
     root_of_unity,
+    set_lattice_bound,
 )
+from logcalc.series import LogSeries
 
 ONE = ExactScalar.from_rational(1)
 
@@ -151,6 +155,72 @@ class TestExactScalarRing:
             - ExactScalar.from_rational(Fraction(2, 9))
         )
         assert parse_scalar(scalar_str(s)) == s
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# q * e(k/12) * Pi^p: a rational, a root of unity and a Pi-power in one summand
+SUMMANDS = st.builds(
+    lambda q, k, p: ExactScalar.pi_power(p, q) * root_of_unity(Fraction(k, 12)),
+    RATIONALS,
+    st.integers(0, 23),
+    st.integers(-2, 2),
+)
+MIXED = st.one_of(
+    RATIONALS.map(ExactScalar.from_rational),
+    st.lists(SUMMANDS, max_size=3).map(lambda xs: sum(xs, ExactScalar.zero())),
+)
+
+
+def _same_value(a, b):
+    assert a == b
+    assert hash(a) == hash(b) and a.canonical_key() == b.canonical_key()
+    assert scalar_str(a) == scalar_str(b)
+
+
+class TestScalarProperties:
+    @given(MIXED, MIXED, MIXED)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_axioms(self, a, b, c):
+        _same_value(a + b, b + a)
+        _same_value(a * b, b * a)
+        _same_value((a + b) + c, a + (b + c))
+        _same_value((a * b) * c, a * (b * c))
+        _same_value(a * (b + c), a * b + a * c)
+        _same_value(a + ExactScalar.zero(), a)
+        _same_value(a * ONE, a)
+        assert (a - a).is_zero() and (a * ExactScalar.zero()).is_zero()
+
+    @given(SUMMANDS.filter(lambda s: not s.is_zero()), MIXED)
+    @settings(max_examples=100, deadline=None)
+    def test_monomial_division_inverts_multiplication(self, m, a):
+        _same_value(m * m.inverse(), ONE)
+        _same_value((a * m).div_monomial(m), a)
+
+    @given(st.integers(-12, 12), RATIONALS)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_by_cyclotomic_route_is_canonical(self, k, q):
+        direct = ExactScalar.from_rational(q)
+        routed = root_of_unity(Fraction(k, 12)) * root_of_unity(Fraction(-k, 12)) * q
+        _same_value(routed, direct)
+        assert routed.is_rational() and routed.rational_value() == q
+        _same_value(root_of_unity(Fraction(1, 2)) * root_of_unity(Fraction(1, 2)), ExactScalar.from_rational(-1))
+
+    @given(MIXED)
+    @settings(max_examples=150, deadline=None)
+    def test_print_parse_roundtrip(self, s):
+        assert parse_expr(scalar_str(s)) == LogSeries.constant(s)
+
+    def test_mixed_lattice_bounds_raise(self):
+        a = root_of_unity(Fraction(1, 3))
+        set_lattice_bound(6)
+        try:
+            b = root_of_unity(Fraction(1, 3))
+        finally:
+            set_lattice_bound(12)
+        assert b.order != a.order
+        for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a):
+            with pytest.raises(ValueError, match="mixing"):
+                op()
 
 
 class TestExponent:
