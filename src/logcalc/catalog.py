@@ -21,7 +21,7 @@ from fractions import Fraction
 from .matrix import ExactMatrix
 from .mobius import GradedSpace, GradingGroup, MobiusModule, Sl2Action, TRIVIAL_GROUP
 from .scalars import Exponent, lattice_bound
-from .series import CoeffVector, LogSeries, Monomial, VarId
+from .series import LogSeries, Monomial, VarId
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +112,6 @@ def conjugate_basis(module: MobiusModule, rng: random.Random) -> MobiusModule:
                     m[i][j] = Fraction(rng.randint(-2, 2))
         return ExactMatrix(m)
 
-    def unipotent_inverse(u: ExactMatrix) -> ExactMatrix:
-        return u.inverse()
-
     q = unipotent(True) @ unipotent(False)
     qinv = q.inverse()
     action = Sl2Action(
@@ -171,10 +168,3 @@ def random_log_series(
     if out.is_zero():
         out = LogSeries.variable(var)
     return out
-
-
-def random_vector(rng: random.Random, module: MobiusModule,
-                  pool: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)) -> CoeffVector:
-    comps = {i: Fraction(rng.choice(pool)) for i in range(module.dim)}
-    v = CoeffVector(module.coeff_space, comps)
-    return v if not v.is_zero() else module.basis_vector(0)

@@ -254,11 +254,6 @@ def validate_sl2(module: MobiusModule) -> Report:
 INFORMATIONAL_CHECKS = frozenset({"bracket-L1-Lm1"})
 
 
-def mobius_bracket_holds(module: MobiusModule) -> bool:
-    a = module.action
-    return a.L1.commutator(a.Lm1) == a.L0.scale(2)
-
-
 def module_valid(report: Report) -> bool:
     """Hard validity: every check except the informational pairing bracket."""
     return all(c.passed for c in report.checks if c.check_id not in INFORMATIONAL_CHECKS)
@@ -360,10 +355,6 @@ def series_matrix_scale(a: SeriesMatrix, f: LogSeries) -> SeriesMatrix:
 
 def series_matrix_add(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def series_matrix_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 def series_matrix_eq(a: SeriesMatrix, b: SeriesMatrix) -> tuple[bool, str | None]:

@@ -33,12 +33,6 @@ class Report:
     def add(self, check_id: str, passed: bool, witness: str | None = None) -> None:
         self.checks.append(CheckResult(check_id, passed, None if passed else witness))
 
-    def require(self, check_id: str, passed: bool, witness: str | None = None) -> None:
-        """Record and raise on failure; for preconditions of other checks."""
-        self.add(check_id, passed, witness)
-        if not passed:
-            raise CheckFailed(self, check_id)
-
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
 
@@ -68,10 +62,3 @@ class Report:
             indent=2,
             sort_keys=True,
         )
-
-
-class CheckFailed(AssertionError):
-    def __init__(self, report: Report, check_id: str):
-        super().__init__(f"check {check_id!r} failed in suite {report.suite!r}")
-        self.report = report
-        self.check_id = check_id

@@ -358,9 +358,6 @@ class CyclotomicElem:
         return ExactScalar({(0, j): c for j, c in reps[k % order]}, order)
 
 
-ONE = ExactScalar.from_rational(1)
-
-
 def pi_scalar(coeff: Fraction | int = 1) -> ExactScalar:
     """coeff * Pi, i.e. coeff * (pi i)."""
     return ExactScalar.pi_power(1, coeff)
@@ -385,7 +382,7 @@ def binom_general(m: ScalarLike, k: int) -> ExactScalar:
     if k < 0:
         raise ValueError("binomial lower index must be nonnegative")
     m = ExactScalar.coerce(m)
-    out = ONE
+    out = ExactScalar.from_rational(1)
     for t in range(k):
         out = out * (m - ExactScalar.from_rational(t))
     return out.divided_by_rational(math.factorial(k))

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .scalars import (
-    ONE,
     ExactScalar,
     Exponent,
     Rat,
@@ -99,7 +98,7 @@ class CoeffVector:
 
     @staticmethod
     def basis(space: CoeffSpace, i: int) -> CoeffVector:
-        return CoeffVector(space, {i: ONE})
+        return CoeffVector(space, {i: ExactScalar.from_rational(1)})
 
     @staticmethod
     def scalar(value: ScalarLike) -> CoeffVector:
@@ -321,7 +320,7 @@ class LogSeries:
 
     @staticmethod
     def one() -> LogSeries:
-        return LogSeries(SCALAR, {Monomial.UNIT: CoeffVector.scalar(ONE)})
+        return LogSeries(SCALAR, {Monomial.UNIT: CoeffVector.scalar(1)})
 
     @staticmethod
     def monomial(m: Monomial, coeff: ScalarLike = 1, trunc: TruncMap | None = None) -> LogSeries:

@@ -96,14 +96,24 @@ class TestJacobi:
                     rep = jacobi_check_window(table, vt, v, table.w1.basis_vector(i), table.w2.basis_vector(j))
                     assert rep.passed, (v, i, j)
 
-    def test_perturbed_mode_detected_with_witness(self, epsilon_pair):
+    # Y(w1, x2) contributes x2^(-n-1): a mode at n = 1/3 or -1/4 is reached
+    # only at x2 exponents of the conjugate class, 2/3 or 1/4 mod Z
+    @pytest.mark.parametrize(
+        "n", [-1, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)], ids=["-1", "1/2", "1/3", "-1/4"]
+    )
+    def test_perturbed_mode_detected_with_witness(self, epsilon_pair, n):
         table, vt = epsilon_pair
         modes = dict(table.modes)
-        modes[(1, 1, Exponent(-1), 0)] = table.w3.basis_vector(0)
+        modes[(1, 1, Exponent(n), 0)] = table.w3.basis_vector(0)
         bad = IntertwinerTable(table.w1, table.w2, table.w3, modes)
         rep = jacobi_check_window(bad, vt, 1, table.w1.basis_vector(1), table.w2.basis_vector(0))
         assert not rep.passed
         assert rep.failures[0].witness and "x0^" in rep.failures[0].witness
+        if n == -1:
+            assert rep.failures[0].witness == (
+                "25/2592 coefficients differ; first: x0^-5 x1^0 x2^(Exponent(4)) lg^0: "
+                "CoeffVector(A, {0: ExactScalar(-1)})"
+            )
 
     def test_window_too_small_rejected(self, epsilon_pair):
         table, vt = epsilon_pair
@@ -150,6 +160,20 @@ class TestSolver:
         dim_12 = len(solve_fusion_space(t.w1, t.w2, t.w3, constraints=("euler",)))
         dim_21 = len(solve_fusion_space(t.w2, t.w1, t.w3, constraints=("euler",)))
         assert dim_12 == dim_21
+
+    def test_jacobi_solutions_on_fractional_window(self, epsilon_pair):
+        table, vt = epsilon_pair
+        sols = solve_fusion_space(
+            table.w1, table.w2, table.w3, constraints=("jacobi",), vertex=vt,
+            window=[-1, Fraction(1, 3)], max_log=1, enforce_weights=False,
+        )
+        assert len(sols) == 4
+        for t in sols:
+            for v in (0, 1):
+                for i in range(t.w1.dim):
+                    for j in range(t.w2.dim):
+                        rep = jacobi_check_window(t, vt, v, t.w1.basis_vector(i), t.w2.basis_vector(j))
+                        assert rep.passed, (v, i, j, rep.to_text())
 
     def test_honest_covariant_dimension(self, honest_table):
         assert honest_table.max_log_power() == 0

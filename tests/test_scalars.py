@@ -19,7 +19,7 @@ from logcalc.scalars import (
     root_of_unity,
     set_lattice_bound,
 )
-from logcalc.series import LogSeries
+from logcalc.series import SCALAR, CoeffVector, LogSeries
 
 ONE = ExactScalar.from_rational(1)
 
@@ -221,6 +221,16 @@ class TestScalarProperties:
         for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a):
             with pytest.raises(ValueError, match="mixing"):
                 op()
+
+    def test_units_follow_the_current_lattice_bound(self):
+        set_lattice_bound(6)
+        try:
+            z = root_of_unity(Fraction(1, 3))
+            assert binom_general(z, 2) == (z * (z - 1)).divided_by_rational(2)
+            assert CoeffVector.basis(SCALAR, 0).scale(z) == CoeffVector.scalar(z)
+            assert LogSeries.one().scale(z) == LogSeries.constant(z)
+        finally:
+            set_lattice_bound(12)
 
 
 class TestExponent:
