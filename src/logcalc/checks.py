@@ -18,7 +18,6 @@ from .intertwiner import (
     VertexTable,
     a_r,
     axiom_check,
-    conj_formulas_check,
     decompose,
     delta_relation_check,
     euler_minus_a,

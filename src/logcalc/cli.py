@@ -193,19 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact logarithmic formal calculus and intertwining-operator checks.",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
+    # every verb also takes --format after it; unset there, the value above stands
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("eval", help="parse an expression and print its canonical form")
+    p = sub.add_parser("eval", parents=[fmt], help="parse an expression and print its canonical form")
     p.add_argument("expr")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("diff", help="formal derivative of an expression")
+    p = sub.add_parser("diff", parents=[fmt], help="formal derivative of an expression")
     p.add_argument("expr")
     p.add_argument("--var", default="x")
     p.add_argument("--order", type=int, default=1)
     p.set_defaults(fn=cmd_diff)
 
-    p = sub.add_parser("subst", help="substitution conventions")
+    p = sub.add_parser("subst", parents=[fmt], help="substitution conventions")
     p.add_argument("expr")
     p.add_argument("--kind", choices=("shift", "exp", "product", "inverse", "scale"), required=True)
     p.add_argument("--var", default="x")
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="2", help="scale kind: zeta = q*Pi")
     p.set_defaults(fn=cmd_subst)
 
-    p = sub.add_parser("check", help="run a named identity suite")
+    p = sub.add_parser("check", parents=[fmt], help="run a named identity suite")
     p.add_argument(
         "what",
         choices=(
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="smaller sample counts")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("derive", help="derive a new table from an intertwiner file")
+    p = sub.add_parser("derive", parents=[fmt], help="derive a new table from an intertwiner file")
     p.add_argument("op", choices=("omega", "ar", "xt", "shift"))
     p.add_argument("file", help="intertwiner JSON file, or - for stdin")
     p.add_argument("--r", type=int, default=0)
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s3", type=int, default=0)
     p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("solve", help="solve for a basis of the constrained table space")
+    p = sub.add_parser("solve", parents=[fmt], help="solve for a basis of the constrained table space")
     p.add_argument("what", choices=("fusion",))
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
     p.add_argument("--axioms", default="euler", help="comma-separated constraint names")
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("roundtrip", help="byte round-trip a data file, or fuzz the parser")
+    p = sub.add_parser("roundtrip", parents=[fmt], help="byte round-trip a data file, or fuzz the parser")
     p.add_argument("file", nargs="?")
     p.add_argument("--fuzz", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)

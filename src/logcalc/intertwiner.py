@@ -708,7 +708,7 @@ def _exp_poly(mod: MobiusModule, shift: ExactScalar, vec: CoeffVector, yvar: Var
 
 
 def _check_rt(rep: Report, t: IntertwinerTable, t_bound: int) -> None:
-    keys = set(t.modes) | {(i, j, n, 0) for (i, j, n, _k) in t.modes}
+    keys = dict.fromkeys([*t.modes, *((i, j, n, 0) for (i, j, n, _k) in t.modes)])  # ordered, unlike a set
     for (i, j, n, k) in keys:
         a = t.w1.weight(i)
         b = t.w2.weight(j)
@@ -746,7 +746,7 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
     witness = None
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            for n in {key[2] for key in t.modes if key[0] == i and key[1] == j}:
+            for n in dict.fromkeys(key[2] for key in t.modes if key[0] == i and key[1] == j):
                 shift = t.w1.weight(i) + t.w2.weight(j) - n - 1
                 m_max = 0
                 for ii in range(k1):
@@ -1209,13 +1209,83 @@ def ode_structure_check(f: LogSeries, var: VarId, a: Exponent, m: int) -> Report
 # ---------------------------------------------------------------------------
 # fusion-space solver
 
-AXIOM_DEFECTS: dict[str, Callable[[IntertwinerTable, int, int], LogSeries]] = {
-    "lminus1": lminus1_defect,
-    "euler": euler_defect,
-    "sl2_m1": lambda t, i, j: sl2_defect(t, -1, i, j),
-    "sl2_0": lambda t, i, j: sl2_defect(t, 0, i, j),
-    "sl2_1": lambda t, i, j: sl2_defect(t, 1, i, j),
-}
+_SL2_CONSTRAINTS = {"sl2_m1": -1, "sl2_0": 0, "sl2_1": 1}
+
+
+def _mode_defect(
+    w1: MobiusModule,
+    w2: MobiusModule,
+    w3: MobiusModule,
+    name: str,
+    i0: int,
+    j0: int,
+    n: Exponent,
+    k: int,
+    b: int,
+    monomials: dict[tuple[Exponent, int, int], Monomial],
+) -> dict[tuple[int, int, Monomial, int], ExactScalar]:
+    """Nonzero coefficients of the ``name`` defect (``lminus1``, ``euler``,
+    ``sl2_m1``, ``sl2_0`` or ``sl2_1``) of the table whose only mode is
+    (i0, j0, n, k) -> e_b, keyed by (i, j, monomial in x, component in w3).
+
+    Each defect is linear in the table, and this mode reaches it through
+    row i0 of w1's L(j), row j0 of w2's L(j), column b of w3's L(j), and the
+    two-term derivative of x^m lg(x)^k with m = -n-1.  The result is the
+    coefficient table of :func:`lminus1_defect`, :func:`euler_defect` and
+    :func:`sl2_defect` on that one-mode table, summed over (i, j).
+    ``monomials`` memoises x^(-n-1+shift) lg(x)^k across the calls of one
+    solve, which share their exponent objects.
+    """
+    out: dict[tuple[int, int, Monomial, int], ExactScalar] = {}
+
+    def put(i: int, j: int, shift: int, drop: int, bb: int, c: ExactScalar) -> None:
+        # the coefficient of e_bb x^(-n-1+shift) lg(x)^(k-drop) in the (i, j) defect
+        mono = monomials.get((n, shift, k - drop))
+        if mono is None:
+            mono = monomials[(n, shift, k - drop)] = Monomial.var("x", -n - 1 + shift, k - drop)
+        key = (i, j, mono, bb)
+        cur = out.get(key)
+        out[key] = c if cur is None else cur + c
+
+    def w1_terms(jb: int, shift: int, coeff: int) -> None:  # coeff x^shift Y(L(jb) e_i, x) e_j0
+        for i, c in enumerate(w1.L(jb).entries[i0]):
+            if not c.is_zero():
+                put(i, j0, shift, 0, b, c * coeff)
+
+    def w2_terms(jb: int) -> None:  # -Y(e_i0, x) L(jb) e_j
+        for j, c in enumerate(w2.L(jb).entries[j0]):
+            if not c.is_zero():
+                put(i0, j, 0, 0, b, -c)
+
+    def w3_terms(jb: int) -> None:  # L(jb) Y(e_i0, x) e_j0
+        for bb, row in enumerate(w3.L(jb).entries):
+            if not row[b].is_zero():
+                put(i0, j0, 0, 0, bb, row[b])
+
+    def derivative(shift: int) -> None:  # -x^shift d/dx Y(e_i0, x) e_j0
+        minus_m = (n + 1).as_scalar()
+        if not minus_m.is_zero():
+            put(i0, j0, shift - 1, 0, b, minus_m)
+        if k:
+            put(i0, j0, shift - 1, 1, b, ExactScalar.from_rational(-k))
+
+    if name == "lminus1":
+        w1_terms(-1, 0, 1)
+        derivative(0)
+    elif name == "euler":
+        w3_terms(0)
+        w2_terms(0)
+        derivative(1)
+        w1_terms(0, 0, -1)
+    elif name in _SL2_CONSTRAINTS:
+        jb = _SL2_CONSTRAINTS[name]
+        w3_terms(jb)
+        w2_terms(jb)
+        for idx in range(jb + 2):
+            w1_terms(jb - idx, idx, -math.comb(jb + 1, idx))
+    else:
+        raise ValueError(f"unknown constraint {name!r}")
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def candidate_exponents(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule,
@@ -1247,6 +1317,9 @@ def solve_fusion_space(
 ) -> list[IntertwinerTable]:
     """Exact nullspace of the selected axiom constraints over unknown modes.
 
+    Each unknown mode contributes its own coefficient equations: those of
+    ``lminus1``, ``euler`` and ``sl2_*`` come from :func:`_mode_defect`, those
+    of ``jacobi`` from :func:`_jacobi_defect` on the one-mode table.
     Returns a basis of the solution space on the given window; the dimension
     is window-relative and is not claimed to equal any intrinsic fusion rule.
     """
@@ -1273,10 +1346,6 @@ def solve_fusion_space(
                         unknowns.append((i, j, n, k, b))  # type: ignore[arg-type]
     if not unknowns:
         return []
-    unit_tables = [
-        IntertwinerTable(w1, w2, w3, {(i, j, n, k): CoeffVector.basis(w3.coeff_space, b)})
-        for (i, j, n, k, b) in unknowns  # type: ignore[misc]
-    ]
     if "jacobi" in constraints:
         if vertex is None:
             raise ValueError("jacobi constraints need a vertex table")
@@ -1290,42 +1359,27 @@ def solve_fusion_space(
             },
         )
         jw = jacobi_window or default_jacobi_window(envelope, vertex, 0)
-    rows: list[list[ExactScalar]] = []
-    row_index: dict[tuple, int] = {}
-
-    def add_coeff(row_key: tuple, col: int, value: ExactScalar) -> None:
-        if value.is_zero():
-            return
-        idx = row_index.get(row_key)
-        if idx is None:
-            idx = len(rows)
-            row_index[row_key] = idx
-            rows.append([ExactScalar.zero()] * len(unknowns))
-        rows[idx][col] = rows[idx][col] + value
-
-    for col, table in enumerate(unit_tables):
+    # row key -> {column: coefficient}, rows in first-seen order; an unknown
+    # reaches each row key of a constraint at most once
+    rows: dict[tuple, dict[int, ExactScalar]] = {}
+    monomials: dict[tuple[Exponent, int, int], Monomial] = {}
+    for col, (i0, j0, n, k, b) in enumerate(unknowns):  # type: ignore[misc]
         for name in constraints:
             if name in ("grading", "weights", "ltc"):
                 continue  # structural: already encoded in the unknown set
             if name == "jacobi":
+                table = IntertwinerTable(w1, w2, w3, {(i0, j0, n, k): CoeffVector.basis(w3.coeff_space, b)})
                 for v in vertex_vectors or range(len(vertex.vector_weights)):
                     for i in range(w1.dim):
                         for j in range(w2.dim):
                             d = _jacobi_defect(table, vertex, v, w1.basis_vector(i), w2.basis_vector(j), jw)
                             for point, vec in d.items():
-                                for b, c in vec.components.items():
-                                    add_coeff(("jacobi", v, i, j, *point, b), col, c)
+                                for bb, c in vec.components.items():
+                                    rows.setdefault(("jacobi", v, i, j, *point, bb), {})[col] = c
                 continue
-            defect_fn = AXIOM_DEFECTS.get(name)
-            if defect_fn is None:
-                raise ValueError(f"unknown constraint {name!r}")
-            for i in range(w1.dim):
-                for j in range(w2.dim):
-                    d = defect_fn(table, i, j)
-                    for mono, vec in d.items():
-                        for b, c in vec.components.items():
-                            add_coeff((name, i, j, mono, b), col, c)
-    basis = nullspace(rows, len(unknowns)) if rows else [
+            for (i, j, mono, bb), c in _mode_defect(w1, w2, w3, name, i0, j0, n, k, b, monomials).items():
+                rows.setdefault((name, i, j, mono, bb), {})[col] = c
+    basis = nullspace(list(rows.values()), len(unknowns)) if rows else [
         [ExactScalar.coerce(1 if p == q else 0) for p in range(len(unknowns))]
         for q in range(len(unknowns))
     ]

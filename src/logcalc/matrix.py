@@ -1,4 +1,5 @@
-"""Exact dense matrices over the scalar ring, with fraction-free elimination.
+"""Exact dense matrices over the scalar ring, with fraction-free elimination,
+and a sparse Gauss-Jordan nullspace.
 
 The ring Q(zeta)[Pi, Pi^-1] is not a field, so elimination divides only by
 invertible Pi-monomials.  Bareiss-style fraction-free elimination keeps all
@@ -10,7 +11,7 @@ minors that are nonzero monomials.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .scalars import ExactScalar, ScalarLike, UnsupportedDivision
 
@@ -169,49 +170,75 @@ class ExactMatrix:
         return ExactMatrix(out)
 
 
-def nullspace(rows: Sequence[Sequence[ScalarLike]], ncols: int) -> list[list[ExactScalar]]:
+def nullspace(
+    rows: Sequence[Sequence[ScalarLike] | Mapping[int, ScalarLike]], ncols: int
+) -> list[list[ExactScalar]]:
     """Exact nullspace basis of a linear system given by coefficient rows.
 
-    Gauss-Jordan with pivot search restricted to invertible (Pi-monomial)
-    entries; raises :class:`UnsupportedDivision` if a nonzero row has no
-    invertible pivot candidate (cannot happen for rational systems).
+    A row is a dense sequence of ``ncols`` scalars or a sparse mapping from
+    column to scalar.  Gauss-Jordan on sparse rows, with pivot search (column
+    by column, first remaining row) restricted to invertible (Pi-monomial)
+    entries; one inverse per pivot.  Raises :class:`UnsupportedDivision` if
+    a column has nonzero entries but no invertible pivot candidate (cannot
+    happen for rational systems).
     """
-    a = [_coerce_row(r) for r in rows if any(not ExactScalar.coerce(v).is_zero() for v in r)]
+    a: list[dict[int, ExactScalar]] = []
+    for r in rows:
+        row = {}
+        for c, v in (r.items() if isinstance(r, Mapping) else enumerate(r)):
+            v = ExactScalar.coerce(v)
+            if not v.is_zero():
+                row[c] = v
+        if row:
+            a.append(row)
     pivots: dict[int, int] = {}  # column -> row
     r = 0
     for c in range(ncols):
+        if r == len(a):
+            break
         # find a row at index >= r with an invertible entry in column c
         pick = None
         for i in range(r, len(a)):
-            if a[i][c].is_monomial():
+            v = a[i].get(c)
+            if v is not None and v.is_monomial():
                 pick = i
                 break
         if pick is None:
-            if any(not a[i][c].is_zero() for i in range(r, len(a))):
+            if any(c in a[i] for i in range(r, len(a))):
                 raise UnsupportedDivision(
                     "no invertible pivot available in the remaining system; "
                     "coefficients left the monomial-invertible fragment"
                 )
             continue
         a[r], a[pick] = a[pick], a[r]
-        inv_pivot = a[r][c]
-        a[r] = [v.div_monomial(inv_pivot) for v in a[r]]
-        for i in range(len(a)):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        inv = a[r][c].inverse()
+        prow = {col: v * inv for col, v in a[r].items()}
+        a[r] = prow
+        for i, row in enumerate(a):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            neg_f = -f
+            for col, vr in prow.items():
+                s = neg_f * vr
+                cur = row.get(col)
+                if cur is not None:
+                    s = cur + s
+                    if s.is_zero():
+                        del row[col]
+                        continue
+                row[col] = s
         pivots[c] = r
         r += 1
-        if r == len(a):
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [ExactScalar.zero()] * ncols
         vec[fc] = ExactScalar.coerce(1)
         for c, pr in pivots.items():
-            v = a[pr][fc]
-            if not v.is_zero():
+            v = a[pr].get(fc)
+            if v is not None:
                 vec[c] = -v
         basis.append(vec)
     return basis

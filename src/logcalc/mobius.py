@@ -29,7 +29,6 @@ from .scalars import (
     ExactScalar,
     Exponent,
     LatticeViolation,
-    binom_general,
     root_of_unity,
 )
 from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId

@@ -33,6 +33,11 @@ _TOKEN = re.compile(
 
 _RESERVED = {"Pi", "i", "e", "lg"}
 
+# Bound on |N| in an integer power (expr)^N of anything but a bare variable or
+# lg(variable): the power costs |N| series products, each up to as long as
+# the result, so an unbounded N lets one expression run without end.
+MAX_INT_POWER = 64
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int, text: str):
@@ -213,7 +218,11 @@ class _Parser:
             if k < 0:
                 raise ParseError("log powers must be nonnegative", 0, self.tk.text)
             return LogSeries.log_variable(log, k)
+        t = self.tk.peek()
+        pos = t[2] if t else len(self.tk.text)
         n = _parse_int_power(self.tk)
+        if abs(n) > MAX_INT_POWER:
+            raise ParseError(f"integer power {n} exceeds the bound |N| <= {MAX_INT_POWER}", pos, self.tk.text)
         if n >= 0:
             return base**n
         if len(base.terms) == 1:

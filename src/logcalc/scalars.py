@@ -331,8 +331,9 @@ class ExactScalar:
         return self.terms == other.terms and (self.order == other.order or not self.terms)
 
     def __hash__(self) -> int:
+        # a rational (or zero) equals its Fraction, so it hashes like one
         if self._hash is None:
-            self._hash = hash(self.canonical_key())
+            self._hash = hash(self.rational_value()) if self.is_rational() else hash(self.canonical_key())
         return self._hash
 
     def complex_value(self) -> complex:
@@ -449,8 +450,9 @@ class Exponent:
         return self.sort_key() < other.sort_key()
 
     def __hash__(self) -> int:
+        # a real exponent equals its Fraction, so it hashes like one
         if self._hash is None:
-            self._hash = hash((self.re, self.im))
+            self._hash = hash((self.re, self.im)) if self.im else hash(self.re)
         return self._hash
 
     def __repr__(self) -> str:

@@ -20,13 +20,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .scalars import (
-    ExactScalar,
-    Exponent,
-    Rat,
-    ScalarLike,
-    binom_general,
-)
+from .scalars import ExactScalar, Exponent, ScalarLike
 
 VarId = str
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from logcalc import catalog
 from logcalc.cli import main
 from logcalc.jsonio import dump_object
@@ -48,6 +50,11 @@ class TestExpressionVerbs:
         code, out, _ = run_cli("--format", "json", "eval", "x")
         assert code == 0 and json.loads(out) == {"series": "x"}
 
+    def test_power_bound_exits_2(self):
+        code, out, err = run_cli("eval", "(x+1)^100000")
+        assert code == 2 and not out
+        assert "exceeds the bound" in err and "column 7" in err and "Traceback" not in err
+
 
 class TestCheckVerbs:
     def test_check_comb(self):
@@ -66,6 +73,17 @@ class TestCheckVerbs:
         code, out, _ = run_cli("--format", "json", "check", "comb", "--kmax", "3")
         data = json.loads(out)
         assert code == 0 and data["passed"] is True
+
+    @pytest.mark.parametrize(
+        "verb",
+        [("check", "jacobi", "--seed", "0"), ("eval", "x^(1/2)*lg(x) + Pi"), ("diff", "lg(x)^2", "--order", "2")],
+    )
+    def test_format_before_or_after_verb(self, verb):
+        before = run_cli("--format", "json", *verb)
+        after = run_cli(*verb, "--format", "json")
+        assert before[0] == 0 and json.loads(before[1])
+        assert after == before
+        assert run_cli("--format", "json", *verb, "--format", "text") == run_cli(*verb)
 
     def test_verb_is_thin_shell_over_library(self):
         # the CLI report must be exactly the library's report

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcalc.combinatorics import (
     comb_identity_sides,
@@ -10,7 +12,7 @@ from logcalc.combinatorics import (
     vandermonde_pair,
 )
 from logcalc.matrix import ExactMatrix, nullspace
-from logcalc.scalars import ExactScalar, UnsupportedDivision, pi_scalar
+from logcalc.scalars import ExactScalar, UnsupportedDivision, pi_scalar, root_of_unity
 
 
 class TestCombIdentity:
@@ -144,3 +146,92 @@ class TestNullspace:
         stuck = pi_scalar(1) + ExactScalar.from_rational(1)
         with pytest.raises(UnsupportedDivision):
             nullspace([[stuck]], 1)
+
+
+def _dense_nullspace(rows, ncols):
+    """Reference: dense Gauss-Jordan with the same pivot scan, dividing every
+    entry of the pivot row by the pivot."""
+    a = [[ExactScalar.coerce(v) for v in r] for r in rows if any(not ExactScalar.coerce(v).is_zero() for v in r)]
+    pivots = {}
+    r = 0
+    for c in range(ncols):
+        pick = None
+        for i in range(r, len(a)):
+            if a[i][c].is_monomial():
+                pick = i
+                break
+        if pick is None:
+            if any(not a[i][c].is_zero() for i in range(r, len(a))):
+                raise UnsupportedDivision("no invertible pivot")
+            continue
+        a[r], a[pick] = a[pick], a[r]
+        inv_pivot = a[r][c]
+        a[r] = [v.div_monomial(inv_pivot) for v in a[r]]
+        for i in range(len(a)):
+            if i != r and not a[i][c].is_zero():
+                f = a[i][c]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        pivots[c] = r
+        r += 1
+        if r == len(a):
+            break
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [ExactScalar.zero()] * ncols
+        vec[fc] = ExactScalar.coerce(1)
+        for c, pr in pivots.items():
+            if not a[pr][fc].is_zero():
+                vec[c] = -a[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+SMALL = st.integers(-3, 3).map(ExactScalar.from_rational)
+# q * e(k/12) * Pi^p: invertible monomials, cyclotomic or with Pi
+MONOMIAL_ENTRIES = st.builds(
+    lambda q, k, p: ExactScalar.pi_power(p, q) * root_of_unity(Fraction(k, 12)),
+    st.integers(-3, 3),
+    st.integers(0, 23),
+    st.integers(-1, 1),
+)
+# 1 + Pi and friends: nonzero but not invertible
+NON_MONOMIAL_ENTRIES = st.builds(lambda q: pi_scalar(q) + 1, st.integers(1, 2))
+
+
+def _systems(entries):
+    return st.integers(1, 5).flatmap(
+        lambda ncols: st.tuples(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5), st.just(ncols))
+    )
+
+
+def _outcome(fn, rows, ncols):
+    try:
+        return fn(rows, ncols)
+    except UnsupportedDivision:
+        return UnsupportedDivision
+
+
+class TestSparseNullspace:
+    """The sparse nullspace returns the dense reference's basis exactly, and
+    raises where it raises."""
+
+    @given(_systems(SMALL))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_systems(self, system):
+        rows, ncols = system
+        assert nullspace(rows, ncols) == _dense_nullspace(rows, ncols)
+
+    @given(_systems(st.one_of(SMALL, MONOMIAL_ENTRIES)))
+    @settings(max_examples=100, deadline=None)
+    def test_pi_and_cyclotomic_systems(self, system):
+        rows, ncols = system
+        want = _outcome(_dense_nullspace, rows, ncols)
+        assert _outcome(nullspace, rows, ncols) == want
+        sparse_rows = [{c: v for c, v in enumerate(r) if not v.is_zero()} for r in rows]
+        assert _outcome(nullspace, sparse_rows, ncols) == want
+
+    @given(_systems(st.one_of(SMALL, MONOMIAL_ENTRIES, NON_MONOMIAL_ENTRIES)))
+    @settings(max_examples=100, deadline=None)
+    def test_non_monomial_pivots(self, system):
+        rows, ncols = system
+        assert _outcome(nullspace, rows, ncols) == _outcome(_dense_nullspace, rows, ncols)

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcalc import catalog
 from logcalc.intertwiner import (
@@ -13,16 +16,20 @@ from logcalc.intertwiner import (
     compose_with_homs,
     conj_formulas_check,
     decompose,
+    _mode_defect,
     delta_relation_check,
+    euler_defect,
     euler_minus_a,
     identity_vertex_table,
     jacobi_check_window,
+    lminus1_defect,
     logpower_slice_defect,
     logpower_slice_euler_defect,
     ode_structure_check,
     omega_r,
     recover_modes,
     shift_s1s2s3,
+    sl2_defect,
     solve_fusion_space,
     subst_table_scaled,
     weight_formulas_check,
@@ -30,7 +37,7 @@ from logcalc.intertwiner import (
 )
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import GradingGroup
-from logcalc.scalars import Exponent, pi_scalar
+from logcalc.scalars import ExactScalar, Exponent, pi_scalar, root_of_unity
 from logcalc.series import CoeffVector, LogSeries, Monomial
 
 
@@ -178,6 +185,84 @@ class TestSolver:
     def test_honest_covariant_dimension(self, honest_table):
         assert honest_table.max_log_power() == 0
         assert axiom_check(honest_table, "all").passed
+
+
+# module triples (W1, W2, W3): Jordan blocks (L(+-1) = 0), honest sl(2)
+# (all three L(j) nonzero) and a mix of both
+MODE_DEFECT_MODULES = {
+    "jordan": (
+        catalog.jordan_module("W1", Fraction(1, 2), size=2, blocks=2),
+        catalog.jordan_module("W2", Fraction(-1, 3), size=2),
+        catalog.jordan_module("W3", 0, size=3, blocks=2),
+    ),
+    "honest": (catalog.sl2_irreducible("U", 2), catalog.sl2_irreducible("W", 3), catalog.sl2_irreducible("M", 2)),
+    "mixed": (
+        catalog.sl2_irreducible("U", 3),
+        catalog.jordan_module("W2", Fraction(1, 4), size=2, blocks=2),
+        catalog.jordan_module("W3", Fraction(1, 2), size=2),
+    ),
+}
+MODE_DEFECT_REFERENCE = {
+    "lminus1": lminus1_defect,
+    "euler": euler_defect,
+    "sl2_m1": lambda t, i, j: sl2_defect(t, -1, i, j),
+    "sl2_0": lambda t, i, j: sl2_defect(t, 0, i, j),
+    "sl2_1": lambda t, i, j: sl2_defect(t, 1, i, j),
+}
+MODE_EXPONENTS = (Exponent(-1), Exponent(0), Exponent(2), Exponent(Fraction(1, 2)), Exponent(Fraction(-1, 3), 1))
+
+
+def _random_table(w1, w2, w3, rng: random.Random) -> IntertwinerTable:
+    def scalar():
+        q = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return ExactScalar.from_rational(q)
+        if kind == 1:
+            return root_of_unity(Fraction(rng.randint(1, 23), 12)) * q
+        return pi_scalar(q) + 1
+
+    modes = {}
+    for _ in range(rng.randint(1, 6)):
+        key = (rng.randrange(w1.dim), rng.randrange(w2.dim), rng.choice(MODE_EXPONENTS), rng.randint(0, 2))
+        modes[key] = CoeffVector(w3.coeff_space, {b: scalar() for b in range(w3.dim) if rng.random() < 0.6})
+    return IntertwinerTable(w1, w2, w3, modes)
+
+
+class TestModeDefect:
+    """The solver's per-mode rows, summed over a table's modes, are the
+    coefficient tables of the LogSeries defect functions."""
+
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(MODE_DEFECT_MODULES)))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_sum_to_defect(self, seed, kind):
+        w1, w2, w3 = MODE_DEFECT_MODULES[kind]
+        t = _random_table(w1, w2, w3, random.Random(seed))
+        for name, defect in MODE_DEFECT_REFERENCE.items():
+            want = {
+                (i, j, mono, b): c
+                for i in range(w1.dim)
+                for j in range(w2.dim)
+                for mono, vec in defect(t, i, j).items()
+                for b, c in vec.components.items()
+            }
+            got: dict = {}
+            for (i0, j0, n, k), vec in t.modes.items():
+                for b, c in vec.components.items():
+                    for key, v in _mode_defect(w1, w2, w3, name, i0, j0, n, k, b, {}).items():
+                        got[key] = got.get(key, ExactScalar.zero()) + c * v
+            assert {key: v for key, v in got.items() if not v.is_zero()} == want, name
+
+    def test_single_mode_rows_are_nonzero(self):
+        w1, w2, w3 = MODE_DEFECT_MODULES["honest"]
+        for name in MODE_DEFECT_REFERENCE:
+            rows = _mode_defect(w1, w2, w3, name, 1, 0, Exponent(Fraction(1, 2)), 1, 0, {})
+            assert rows and all(not c.is_zero() for c in rows.values())
+
+    def test_unknown_constraint_rejected(self):
+        v = catalog.trivial_module("V")
+        with pytest.raises(ValueError, match="unknown constraint 'sl2_2'"):
+            solve_fusion_space(v, v, v, constraints=("euler", "sl2_2"))
 
 
 class TestDerivedOperators:

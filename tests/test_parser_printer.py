@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcalc import catalog
-from logcalc.parser import ParseError, parse_expr, parse_exponent, parse_scalar
+from logcalc.parser import MAX_INT_POWER, ParseError, parse_expr, parse_exponent, parse_scalar
 from logcalc.printer import exponent_str, scalar_str, series_str
 from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, imaginary_unit, pi_scalar, root_of_unity
 from logcalc.series import LogSeries, Monomial
@@ -62,6 +62,23 @@ class TestParseExamples:
         assert parse_expr("(x*y)^-2") == LogSeries.monomial(
             Monomial.var("x", -2) * Monomial.var("y", -2)
         )
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("(x+1)^100000", 7), ("(x + y)^(65)", 9), ("(x*y)^-65", 7), ("Pi^-100", 4), ("(2*x)^1000", 7)],
+    )
+    def test_integer_power_bound(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert "exceeds the bound" in str(err.value) and err.value.position == column - 1
+
+    def test_integer_power_at_the_bound(self):
+        n = MAX_INT_POWER
+        assert len(parse_expr(f"(x+1)^{n}").terms) == n + 1
+        assert parse_expr(f"(x*y)^-{n}") == LogSeries.monomial(Monomial.var("x", -n) * Monomial.var("y", -n))
+        # powers of a bare variable or lg(variable) are single terms: not bounded
+        assert parse_expr("x^100000") == LogSeries.variable("x", 100000)
+        assert parse_expr("lg(x)^100") == LogSeries.log_variable("x", 100)
 
 
 class TestRoundTrip:

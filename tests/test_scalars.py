@@ -210,6 +210,22 @@ class TestScalarProperties:
     def test_print_parse_roundtrip(self, s):
         assert parse_expr(scalar_str(s)) == LogSeries.constant(s)
 
+    @given(st.one_of(RATIONALS, st.integers(-10**6, 10**6)))
+    @settings(max_examples=100, deadline=None)
+    def test_rationals_hash_like_their_fraction(self, q):
+        s = ExactScalar.from_rational(q)
+        assert s == q and hash(s) == hash(q) == hash(Fraction(q))
+        assert q in {s} and s in {q} and {q: 1}[s] == 1
+        assert ExactScalar.zero() in {0} and hash(ExactScalar.zero()) == hash(0)
+
+    @given(RATIONALS, MIXED)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_implies_equal_hash_across_types(self, q, a):
+        s = ExactScalar.from_rational(q)
+        # a rational reached through arithmetic hashes like the plain number
+        _same_value((s + a) - a, s)
+        assert hash((s + a) - a) == hash(q)
+
     def test_mixed_lattice_bounds_raise(self):
         a = root_of_unity(Fraction(1, 3))
         set_lattice_bound(6)
@@ -249,6 +265,16 @@ class TestExponent:
         s = e.as_scalar()
         expected = ExactScalar.from_rational(Fraction(1, 2)) + imaginary_unit() * Fraction(1, 4)
         assert s == expected
+
+    @given(RATIONALS.filter(lambda q: 12 % q.denominator == 0), st.integers(-4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_real_exponents_hash_like_their_fraction(self, q, im):
+        e = Exponent(q)
+        assert e == q and hash(e) == hash(q)
+        assert q in {e} and e in {q} and {q: 1}[e] == 1
+        g = Exponent(q, im)
+        assert (g == Exponent(q, im)) and hash(g) == hash(Exponent(q, im))
+        assert (g == q) == (im == 0)
 
     def test_ordering_total_on_samples(self):
         vals = [Exponent(0), Exponent(1), Exponent(Fraction(1, 2)), Exponent(0, 1)]
