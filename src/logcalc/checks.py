@@ -27,6 +27,7 @@ from .intertwiner import (
     ode_structure_check,
     omega_r,
     recover_modes,
+    shift_s1s2s3,
     solve_fusion_space,
     subst_table_scaled,
     weight_formulas_check,
@@ -336,7 +337,7 @@ def check_fusion_suite(seed: int = 0) -> Report:
                 )
                 rep.add(
                     f"dual-composition-{idx}(r={r},s={s})",
-                    a_r(a_r(t, r), s) == _shift(t, 0, r + s + 1, 0),
+                    a_r(a_r(t, r), s) == shift_s1s2s3(t, 0, r + s + 1, 0),
                 )
         ok = True
         for i in range(t.w1.dim):
@@ -376,25 +377,23 @@ def check_fusion_suite(seed: int = 0) -> Report:
     t = max(tables, key=lambda tt: tt.max_log_power())
     rep.add("xt-zero-beyond-depth", x_t(t, t.max_log_power() + 1).is_zero())
     rep.add("xt-identity-at-zero", x_t(t, 0) == t)
-    smax = 4
-    v, vinv = vandermonde_pair(smax)
-    shifted = [subst_table_scaled(t, pi_scalar(2 * p)) for p in range(smax + 1)]
-    ok = True
-    for tt in range(smax + 1):
-        acc = None
-        for p in range(smax + 1):
-            term = shifted[p].scale(vinv.entries[tt][p])
-            acc = term if acc is None else acc + term
-        if acc != x_t(t, tt):
-            ok = False
-    rep.add("xt-vandermonde-route(S=4)", ok)
+    rep.add("xt-vandermonde-route(S=4)", all(xt == x_t(t, tt) for tt, xt in enumerate(xt_by_vandermonde(t, 4))))
     return rep
 
 
-def _shift(t: IntertwinerTable, s1: int, s2: int, s3: int) -> IntertwinerTable:
-    from .intertwiner import shift_s1s2s3
-
-    return shift_s1s2s3(t, s1, s2, s3)
+def xt_by_vandermonde(t: IntertwinerTable, smax: int) -> list[IntertwinerTable]:
+    """X_t(Y) for t = 0..smax from the scaled tables Y(., e^(2p Pi) x),
+    p = 0..smax, combined with row t of the inverse Vandermonde matrix on the
+    nodes 2p*Pi; X_t is :func:`x_t` when smax is at least the log depth."""
+    _, vinv = vandermonde_pair(smax)
+    shifted = [subst_table_scaled(t, pi_scalar(2 * p)) for p in range(smax + 1)]
+    out = []
+    for row in vinv.entries:
+        acc = shifted[0].scale(row[0])
+        for p in range(1, smax + 1):
+            acc = acc + shifted[p].scale(row[p])
+        out.append(acc)
+    return out
 
 
 def _congruent_powers(t: IntertwinerTable) -> bool:

@@ -15,8 +15,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .scalars import ExactScalar, ScalarLike, UnsupportedDivision
 
-Entry = ExactScalar
-
 
 def _coerce_row(row: Iterable[ScalarLike]) -> list[ExactScalar]:
     return [ExactScalar.coerce(v) for v in row]

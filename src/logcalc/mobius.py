@@ -32,6 +32,7 @@ from .scalars import (
     root_of_unity,
 )
 from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId
+from .substitution import pi_monomial_coefficient, series_exp, series_log1p
 
 
 class GradingGroup:
@@ -165,12 +166,7 @@ class MobiusModule:
     def nilpotency_index(self) -> int:
         """Least K with (L(0) - L(0)_s)^K = 0 (the log-depth bound of the module)."""
         n = self.nilpotent_part()
-        p = ExactMatrix.identity(self.dim)
-        for k in range(self.dim + 1):
-            if p.is_zero():
-                return k
-            p = p @ n
-        raise ValueError("nilpotent part is not nilpotent")
+        return max(len(exp_nilpotent_terms(self, n, self.basis_vector(j))) for j in range(self.dim))
 
     def basis_vector(self, i: int) -> CoeffVector:
         return CoeffVector.basis(self.coeff_space, i)
@@ -261,6 +257,25 @@ def module_valid(report: Report) -> bool:
 # ---------------------------------------------------------------------------
 # operator series
 
+def exp_nilpotent_terms(module: MobiusModule, m: ExactMatrix, vec: CoeffVector) -> list[CoeffVector]:
+    """The y^p coefficients [vec, m vec, m^2 vec / 2!, ...] of e^(y m) vec, up
+    to the last nonzero one.
+
+    This is the one terminating exponential of the library: each caller
+    attaches its own coefficient (y^p, lg(x)^p, a^p or (-1)^p) to the p-th
+    term.  Raises ``ValueError`` when m^dim vec != 0, i.e. when m is not
+    nilpotent on vec.
+    """
+    terms: list[CoeffVector] = []
+    cur = vec
+    while not cur.is_zero():
+        if len(terms) == module.dim:
+            raise ValueError("exponential does not terminate: the operator is not nilpotent on the vector")
+        terms.append(cur)
+        cur = module.apply_matrix(m, cur).scale(Fraction(1, len(terms)))
+    return terms
+
+
 def x_pm_L0(module: MobiusModule, vec: CoeffVector, sign: int, var: VarId = "x") -> LogSeries:
     """x^(±L(0)) applied to a vector: x^(±n) e^(±lg(x)(L(0)-n)) per weight part.
 
@@ -272,47 +287,30 @@ def x_pm_L0(module: MobiusModule, vec: CoeffVector, sign: int, var: VarId = "x")
     out = LogSeries.zero(module.coeff_space)
     n_mat = module.nilpotent_part()
     for w, part in module.weight_components(vec).items():
-        cur = part
-        k = 0
-        while not cur.is_zero():
-            exp = w if sign > 0 else -w
-            mono = Monomial.var(var, exp, k)
-            out = out + LogSeries.vector(cur, mono)
-            cur = module.apply_matrix(n_mat, cur).scale(Fraction(sign, k + 1))
-            k += 1
-            if k > module.dim + 1:
-                raise AssertionError("x^L(0) series failed to terminate")
+        exp = w if sign > 0 else -w
+        for k, term in enumerate(exp_nilpotent_terms(module, n_mat, part)):
+            if sign < 0 and k % 2:
+                term = -term
+            out = out + LogSeries.vector(term, Monomial.var(var, exp, k))
     return out
-
-
-def _exp_nilpotent(module: MobiusModule, m: ExactMatrix, vec: CoeffVector, factor: ExactScalar) -> CoeffVector:
-    """e^(factor * m) vec for nilpotent m (terminating sum)."""
-    out = vec
-    cur = vec
-    k = 1
-    while True:
-        cur = module.apply_matrix(m, cur).scale(factor.divided_by_rational(k))
-        if cur.is_zero():
-            return out
-        out = out + cur
-        k += 1
-        if k > module.dim + 1:
-            raise AssertionError("exponential of a non-nilpotent operator needs a truncation order")
 
 
 def e_aL0(module: MobiusModule, vec: CoeffVector, a: ExactScalar) -> CoeffVector:
     """e^(a L(0)) vec for a = q*Pi: e^(qh*Pi) is an exact root of unity on each
     generalized-weight-h part and the nilpotent factor terminates."""
-    from .substitution import pi_monomial_coefficient
-
     q = pi_monomial_coefficient(a)
     out = CoeffVector.zero(module.coeff_space)
     n_mat = module.nilpotent_part()
     for w, part in module.weight_components(vec).items():
         if not w.is_real():
             raise LatticeViolation("e^(aL(0)) needs real weights for exact root-of-unity values")
-        phase = root_of_unity(q * w.re)
-        out = out + _exp_nilpotent(module, n_mat, part, a).scale(phase)
+        terms = exp_nilpotent_terms(module, n_mat, part)
+        acc = terms[0]
+        apow = a
+        for term in terms[1:]:
+            acc = acc + term.scale(apow)
+            apow = apow * a
+        out = out + acc.scale(root_of_unity(q * w.re))
     return out
 
 
@@ -428,16 +426,20 @@ def exp_L_series_matrix(
     return out
 
 
+def matrix_binomials(m: ExactMatrix, order: int) -> list[ExactMatrix]:
+    """C(m, k) = m (m-1) ... (m-k+1) / k! for k = 0..order."""
+    out = [ExactMatrix.identity(m.rows)]
+    for k in range(1, order + 1):
+        shift = m - ExactMatrix.identity(m.rows).scale(k - 1)
+        out.append((out[-1] @ shift).map(lambda s: s.divided_by_rational(k)))
+    return out
+
+
 def one_minus_x_L0_binomial(module: MobiusModule, var: VarId, order: int) -> SeriesMatrix:
     """(1-x)^(L(0)) = sum_k C(L(0), k) (-x)^k with matrix binomials, truncated."""
-    dim = module.dim
-    out = series_matrix_identity(dim)
+    out = series_matrix_identity(module.dim)
     out = [[e.with_trunc({var: order}) for e in row] for row in out]
-    binom = ExactMatrix.identity(dim)
-    l0 = module.action.L0
-    for k in range(1, order + 1):
-        shift = l0 - ExactMatrix.identity(dim).scale(k - 1)
-        binom = (binom @ shift).map(lambda s: s.divided_by_rational(k))
+    for k, binom in enumerate(matrix_binomials(module.action.L0, order)[1:], 1):
         term = series_matrix_scale(series_matrix_from(binom), LogSeries.monomial(Monomial.var(var, k), Fraction((-1) ** k)))
         term = [[e.with_trunc({var: order}) for e in row] for row in term]
         out = series_matrix_add(out, term)
@@ -503,8 +505,8 @@ def conj_identity_check(
             1: [[_c(1), x.scale(2), x * x], [_c(0), _c(1), x], [_c(0), _c(0), _c(1)]],
         }[jj]
         if jj == 0:
-            ex = _exp_scalar_series(x, order, var)
-            emx = _exp_scalar_series(-x, order, var)
+            ex = series_exp(x, var, order)
+            emx = series_exp(-x, var, order)
             table = [[ex, _c(0), _c(0)], [_c(0), _c(1), _c(0)], [_c(0), _c(0), emx]]
         for row_idx, jjj in enumerate((-1, 0, 1)):
             lhs = series_matrix_mul(left, series_matrix_mul(series_matrix_from(module.L(jjj)), right))
@@ -521,10 +523,8 @@ def conj_identity_check(
         if order is None:
             raise ValueError("one_minus_x needs a truncation order")
         direct = one_minus_x_L0_binomial(module, var, order)
-        from .substitution import series_log1p
-
         log_part = series_log1p(LogSeries.variable(var, 1).scale(-1), var, order)
-        via_exp = _exp_series_matrix_general(module, log_part, var, order)
+        via_exp = exp_L_series_matrix(module, 0, log_part, order, var)
         ok, wit = series_matrix_eq(direct, via_exp)
         rep.add("one-minus-x-two-routes", ok, wit)
     elif which == "inverse_rel":
@@ -552,25 +552,6 @@ def conj_identity_check(
 
 def _c(q: int) -> LogSeries:
     return LogSeries.constant(Fraction(q))
-
-
-def _exp_scalar_series(f: LogSeries, order: int, var: VarId) -> LogSeries:
-    from .substitution import series_exp
-
-    return series_exp(f, var, order)
-
-
-def _exp_series_matrix_general(module: MobiusModule, coeff: LogSeries, var: VarId, order: int) -> SeriesMatrix:
-    """e^(coeff * L(0)) truncated at var-order; coeff must have positive valuation."""
-    dim = module.dim
-    out = [[e.with_trunc({var: order}) for e in row] for row in series_matrix_identity(dim)]
-    l0 = series_matrix_from(module.action.L0)
-    cur = [[e.with_trunc({var: order}) for e in row] for row in series_matrix_identity(dim)]
-    for k in range(1, order + 1):
-        cur = series_matrix_mul(l0, cur)
-        cur = [[(coeff * e).scale(Fraction(1, k)).with_trunc({var: order}) for e in row] for row in cur]
-        out = series_matrix_add(out, cur)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,14 @@ class _Parser:
         if var is not None:
             e = _parse_power_exponent(self.tk)
             return LogSeries.variable(var, e)
+        t = self.tk.peek()
+        pos = t[2] if t else len(self.tk.text)
         log = _single_log(base)
         if log is not None:
             k = _parse_int_power(self.tk)
             if k < 0:
-                raise ParseError("log powers must be nonnegative", 0, self.tk.text)
+                raise ParseError("log powers must be nonnegative", pos, self.tk.text)
             return LogSeries.log_variable(log, k)
-        t = self.tk.peek()
-        pos = t[2] if t else len(self.tk.text)
         n = _parse_int_power(self.tk)
         if abs(n) > MAX_INT_POWER:
             raise ParseError(f"integer power {n} exceeds the bound |N| <= {MAX_INT_POWER}", pos, self.tk.text)
@@ -233,7 +233,7 @@ class _Parser:
             if all(k == 0 for _, _, k in m.entries) and c == ExactScalar.from_rational(1):
                 inv = Monomial({v: (-e, 0) for v, e, _ in m.entries})
                 return LogSeries.monomial(inv) ** (-n)
-        raise ParseError("negative powers are only defined for invertible monomials", 0, self.tk.text)
+        raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
 
     def atom(self) -> LogSeries:
         if self.tk.accept_op("("):

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from logcalc import catalog, checks
-from logcalc.combinatorics import vandermonde_pair
 from logcalc.intertwiner import (
     IntertwinerTable,
     a_r,
@@ -115,16 +114,8 @@ def test_criterion_08_weight_formulas(jordan_tables):
 
 def test_criterion_09_vandermonde_route(jordan_tables):
     t = max(jordan_tables, key=lambda tt: tt.max_log_power())
-    smax = 4
-    _, vinv = vandermonde_pair(smax)
-    shifted = [subst_table_scaled(t, pi_scalar(2 * p)) for p in range(smax + 1)]
-    ok = True
-    for tt in range(smax + 1):
-        acc = None
-        for p in range(smax + 1):
-            term = shifted[p].scale(vinv.entries[tt][p])
-            acc = term if acc is None else acc + term
-        ok = ok and acc == x_t(t, tt)
+    routes = checks.xt_by_vandermonde(t, 4)
+    ok = len(routes) == 5 and all(xt == x_t(t, tt) for tt, xt in enumerate(routes))
     _criterion("09-vandermonde-route-S4", ok)
 
 

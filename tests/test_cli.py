@@ -56,6 +56,12 @@ class TestExpressionVerbs:
         assert "exceeds the bound" in err and "column 7" in err and "Traceback" not in err
 
 
+    def test_bad_power_error_names_the_exponent_column(self):
+        for text in ("x + lg(x)^-2", "x + (x+1)^-2"):
+            code, out, err = run_cli("eval", text)
+            assert code == 2 and not out
+            assert "at column 11" in err and "Traceback" not in err
+
 class TestCheckVerbs:
     def test_check_comb(self):
         code, out, _ = run_cli("check", "comb", "--kmax", "6")

@@ -12,6 +12,7 @@ from logcalc.mobius import (
     conj_identity_check,
     contragredient,
     e_aL0,
+    exp_nilpotent_terms,
     module_valid,
     pairing_series,
     validate_sl2,
@@ -63,6 +64,21 @@ class TestValidation:
         for seed in range(5):
             mod = catalog.seeded_semisimple_module(f"T{seed}", seed)
             assert validate_sl2(mod).passed
+
+
+class TestExpNilpotentTerms:
+    def test_jordan_block_terms(self):
+        m = catalog.jordan_module("J", Fraction(1, 2), size=3)
+        n = m.nilpotent_part()
+        v = m.basis_vector(2)
+        assert exp_nilpotent_terms(m, n, v) == [v, m.basis_vector(1), m.basis_vector(0).scale(Fraction(1, 2))]
+        assert exp_nilpotent_terms(m, n, CoeffVector.zero(m.coeff_space)) == []
+        assert m.nilpotency_index() == 3
+
+    def test_operator_not_nilpotent_on_the_vector_raises(self):
+        m = catalog.jordan_module("J", 1, size=3)
+        with pytest.raises(ValueError, match="not nilpotent"):
+            exp_nilpotent_terms(m, m.action.L0, m.basis_vector(0))
 
 
 class TestXPowerL0:

@@ -72,6 +72,20 @@ class TestParseExamples:
             parse_expr(text)
         assert "exceeds the bound" in str(err.value) and err.value.position == column - 1
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("x + lg(x)^-2", "log powers must be nonnegative", 11),
+            ("x + lg(x)^(-2)", "log powers must be nonnegative", 11),
+            ("x + (x+1)^-2", "negative powers are only defined for invertible monomials", 11),
+            ("(2*x + 1)^(-1)", "negative powers are only defined for invertible monomials", 11),
+        ],
+    )
+    def test_bad_power_reports_the_exponent_column(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert message in str(err.value) and err.value.position == column - 1
+
     def test_integer_power_at_the_bound(self):
         n = MAX_INT_POWER
         assert len(parse_expr(f"(x+1)^{n}").terms) == n + 1
