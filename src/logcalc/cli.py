@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -72,7 +73,7 @@ def cmd_subst(args: argparse.Namespace) -> int:
     elif kind == "inverse":
         out = subst_x_inverse(f, args.var)
     elif kind == "scale":
-        out = subst_scaled_exp(f, args.var, pi_scalar(Fraction(args.q)))
+        out = subst_scaled_exp(f, args.var, pi_scalar(args.q))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     return _emit_series(out, args.format)
@@ -173,7 +174,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    if args.fuzz:
+    if args.fuzz is not None:
         rep = checks.check_roundtrip_fuzz(args.fuzz, args.seed)
         return _emit_report(rep, args.format)
     if not args.file:
@@ -185,6 +186,48 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     rep = Report("file-roundtrip")
     rep.add(f"byte-identical({args.file})", text == again)
     return _emit_report(rep, args.format)
+
+
+# Every numeric flag has a sign and an upper cap that bounds the work of one
+# command (a check at its cap finishes in minutes, not hours); every default,
+# and every value that `check all` uses, lies inside its range.
+SEED_MAX = 2**32 - 1
+Q_MAX = 10**6
+_Q_LITERAL = re.compile(r"-?[0-9]{1,12}(?:/[0-9]{1,12}|\.[0-9]{1,12})?")
+
+
+def _int_in(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"{n} is outside {lo}..{hi}")
+        return n
+
+    return parse
+
+
+def _scale_q(text: str) -> Fraction:
+    """argparse type: a rational p, p/d or decimal with |q| <= Q_MAX."""
+    if not _Q_LITERAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational p, p/d or decimal")
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+    if abs(q) > Q_MAX:
+        raise argparse.ArgumentTypeError(f"{text} is outside -{Q_MAX}..{Q_MAX}")
+    return q
+
+
+def _int_flag(p: argparse.ArgumentParser, flag: str, default: int | None, lo: int, hi: int, what: str) -> None:
+    p.add_argument(
+        flag, type=_int_in(lo, hi), default=default, metavar="N", help=f"{what}; {lo} <= N <= {hi}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", parents=[fmt], help="formal derivative of an expression")
     p.add_argument("expr")
     p.add_argument("--var", default="x")
-    p.add_argument("--order", type=int, default=1)
+    _int_flag(p, "--order", 1, 0, 256, "number of derivatives (default 1)")
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("subst", parents=[fmt], help="substitution conventions")
@@ -213,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("shift", "exp", "product", "inverse", "scale"), required=True)
     p.add_argument("--var", default="x")
     p.add_argument("--with-var", default="y")
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--q", default="2", help="scale kind: zeta = q*Pi")
+    _int_flag(p, "--order", 6, 0, 64, "truncation order in the new variable (default 6)")
+    p.add_argument(
+        "--q", type=_scale_q, default="2", help=f"scale kind: zeta = q*Pi, q rational, |q| <= {Q_MAX} (default 2)"
+    )
     p.set_defaults(fn=cmd_subst)
 
     p = sub.add_parser("check", parents=[fmt], help="run a named identity suite")
@@ -226,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("file", nargs="?", help="intertwiner file for `check intertwiner`")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--jmax", type=int, default=4)
-    p.add_argument("--count", type=int, default=5)
+    _int_flag(p, "--order", 8, 0, 64, "truncation order of taylor, scaling and sl2 (default 8)")
+    _int_flag(p, "--samples", 200, 1, 10_000, "random samples of taylor, scaling and ode (default 200)")
+    _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed (default 0)")
+    _int_flag(p, "--kmax", 10, 0, 16, "largest k of comb (default 10)")
+    _int_flag(p, "--nmax", 6, 1, 8, "largest N of lubell (default 6)")
+    _int_flag(p, "--jmax", 4, 1, 6, "largest j of lubell (default 4)")
+    _int_flag(p, "--count", 5, 1, 100, "modules of sl2 (default 5)")
     p.add_argument("--axioms", default="all")
     p.add_argument("--quick", action="store_true", help="smaller sample counts")
     p.set_defaults(fn=cmd_check)
@@ -240,25 +285,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", parents=[fmt], help="derive a new table from an intertwiner file")
     p.add_argument("op", choices=("omega", "ar", "xt", "shift"))
     p.add_argument("file", help="intertwiner JSON file, or - for stdin")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--s1", type=int, default=0)
-    p.add_argument("--s2", type=int, default=0)
-    p.add_argument("--s3", type=int, default=0)
+    _int_flag(p, "--r", 0, -10**6, 10**6, "omega and ar: r (default 0)")
+    _int_flag(p, "--t", 0, 0, 10**6, "xt: log powers lowered (default 0)")
+    for flag in ("--s1", "--s2", "--s3"):
+        _int_flag(p, flag, 0, -10**6, 10**6, "shift: e^(2 pi i s L(0)) on one slot (default 0)")
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("solve", parents=[fmt], help="solve for a basis of the constrained table space")
     p.add_argument("what", choices=("fusion",))
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
     p.add_argument("--axioms", default="euler", help="comma-separated constraint names")
-    p.add_argument("--max-log", type=int, default=None)
+    _int_flag(p, "--max-log", None, 0, 16, "largest log power solved for (default: from the dimensions)")
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("roundtrip", parents=[fmt], help="byte round-trip a data file, or fuzz the parser")
     p.add_argument("file", nargs="?")
-    p.add_argument("--fuzz", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _int_flag(p, "--fuzz", None, 1, 100_000, "fuzz the parser on this many generated expressions")
+    _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed of --fuzz (default 0)")
     p.set_defaults(fn=cmd_roundtrip)
 
     return ap

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .matrix import ExactMatrix
-from .scalars import ExactScalar
+from .scalars import ExactScalar, lattice_bound
 
 
 def comb_identity_sides(k: int, j: int) -> tuple[Fraction, Fraction]:
@@ -107,10 +108,19 @@ def vandermonde_pair(S: int) -> tuple[ExactMatrix, ExactMatrix]:
 
     V[p][t] = (2p*Pi)^t.  The nodes are distinct and all node differences are
     Pi-monomials, so fraction-free elimination inverts V exactly over the
-    Laurent ring; V @ Vinv is checked to be the identity.
+    Laurent ring; V @ Vinv is checked to be the identity.  The pair is
+    computed once per S and lattice bound; each call gets its own matrices.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
+    v, vinv = _vandermonde_rows(S, lattice_bound())
+    return ExactMatrix(v), ExactMatrix(vinv)
+
+
+@lru_cache(maxsize=16)
+def _vandermonde_rows(S: int, L: int) -> tuple[tuple[tuple[ExactScalar, ...], ...], ...]:
+    """The rows of vandermonde_pair(S); L keys the cache, since scalars carry
+    the field Q(zeta_2L) they were made in."""
     rows = []
     for p in range(S + 1):
         node = ExactScalar.pi_power(1, 2 * p)
@@ -119,4 +129,4 @@ def vandermonde_pair(S: int) -> tuple[ExactMatrix, ExactMatrix]:
     vinv = v.inverse()
     if (v @ vinv) != ExactMatrix.identity(S + 1):
         raise AssertionError("Vandermonde inverse failed its identity check")
-    return v, vinv
+    return tuple(tuple(tuple(row) for row in m.entries) for m in (v, vinv))

@@ -416,9 +416,11 @@ def exp_L_series_matrix(
         out = [[e.with_trunc(trunc) for e in row] for row in out]
     mat_series = series_matrix_from(m)
     cur = series_matrix_identity(module.dim)
+    power = LogSeries.one().with_trunc(coeff.trunc)  # coeff**k, one product per step
     for k in range(1, bound + 1):
         cur = series_matrix_mul(mat_series, cur)
-        term = series_matrix_scale(cur, coeff**k)
+        power = power * coeff
+        term = series_matrix_scale(cur, power)
         term = [[e.scale(Fraction(1, math.factorial(k))).with_trunc(trunc) for e in row] for row in term]
         out = series_matrix_add(out, term)
         if nilpotent and all(e.is_zero() for row in cur for e in row):

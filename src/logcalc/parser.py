@@ -3,7 +3,7 @@
 Grammar (EBNF; whitespace free between tokens):
 
     expr      = term { ("+" | "-") term } ;
-    term      = factor { "*" factor } ;
+    term      = factor { ("*" | "/") factor } ;
     factor    = ["-"] atom [ "^" power ] ;
     atom      = INT | "Pi" | "i" | "e" "(" rational ")"
               | NAME                          (* a formal variable *)
@@ -13,23 +13,35 @@ Grammar (EBNF; whitespace free between tokens):
     rational  = INT [ "/" INT ] ;
     gaussian  = rational | [rational ("+"|"-")] rational "*" "i" | "i" ;
 
-Division is only allowed inside rational literals (``1/2``), keeping the
-language total: every well-formed expression denotes a LogSeries.  Variable
-exponents must lie on the (1/L)Z[i] lattice and may only be non-integral or
-carry log factors on variables (scalars take integer powers).
+Division is only by a nonzero constant Pi-monomial times a log-free
+monomial (``1/2``, ``x/Pi``), keeping the language total: every well-formed
+expression denotes a LogSeries.  Variable exponents must lie on the
+(1/L)Z[i] lattice and may only be non-integral or carry log factors on
+variables (scalars take integer powers).
+
+Evaluation happens during the parse, in one pass.  A factor's value is
+either one nonzero term, held as a ``(coefficient, monomial)`` pair, or a
+``monomial -> coefficient`` dict of any other length.  A term folds a run of
+one-term factors into one pair; only a factor of several terms costs a real
+product.  A sum accumulates into one dict, and the parse builds a single
+LogSeries from it at the end.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Union
 
-from .scalars import ExactScalar, Exponent, imaginary_unit, pi_scalar, root_of_unity
-from .series import LogSeries, Monomial
+from .scalars import ExactScalar, Exponent, UnsupportedDivision, imaginary_unit, pi_scalar, root_of_unity
+from .series import SCALAR, CoeffVector, LogSeries, Monomial
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()+\-*/^]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()+\-*/^])|(?P<bad>\S))"
 )
+
+# a plain rational literal, which parse_scalar reads without the grammar
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]{1,100}(?:/[1-9][0-9]{0,99})?")
 
 _RESERVED = {"Pi", "i", "e", "lg"}
 
@@ -37,6 +49,18 @@ _RESERVED = {"Pi", "i", "e", "lg"}
 # lg(variable): the power costs |N| series products, each up to as long as
 # the result, so an unbounded N lets one expression run without end.
 MAX_INT_POWER = 64
+
+# Bound on nested parentheses: each level costs a few stack frames of the
+# recursive descent, so deeper input would end in a RecursionError.
+MAX_NESTING = 100
+
+# 0 and 1 lie on every lattice, so these stay valid under any lattice bound
+_EXPONENT_ZERO = Exponent(0)
+_EXPONENT_ONE = Exponent(1)
+_FRACTION_ONE = Fraction(1)
+
+Terms = dict[Monomial, ExactScalar]
+Value = Union[tuple[ExactScalar, Monomial], Terms]
 
 
 class ParseError(ValueError):
@@ -46,45 +70,54 @@ class ParseError(ValueError):
 
 
 class _Tokens:
+    """The tokens of a text as (kind, text, column), ended by an "end" token
+    at the text's length whose empty text matches no operator."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == m.start():
-                if text[pos:].strip():
-                    raise ParseError("unexpected character", pos, text)
-                break
-            for kind in ("int", "name", "op"):
-                if m.group(kind) is not None:
-                    self.toks.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                # reported where the previous token ends, before the whitespace
+                raise ParseError("unexpected character", m.start(), text)
+            value = m[kind]
+            self.toks.append((kind, value, m.end() - len(value)))
+        self.toks.append(("end", "", len(text)))
         self.idx = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.toks[self.idx] if self.idx < len(self.toks) else None
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.idx]
+
+    def at_end(self) -> bool:
+        return self.toks[self.idx][0] == "end"
 
     def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.text), self.text)
+        t = self.toks[self.idx]
+        if t[0] == "end":
+            raise ParseError("unexpected end of input", t[2], self.text)
         self.idx += 1
         return t
 
     def accept_op(self, op: str) -> bool:
-        t = self.peek()
-        if t and t[0] == "op" and t[1] == op:
+        # only operator tokens are one of ()+-*/^
+        if self.toks[self.idx][1] == op:
             self.idx += 1
             return True
         return False
 
     def expect_op(self, op: str) -> None:
-        t = self.peek()
-        if not (t and t[0] == "op" and t[1] == op):
-            pos = t[2] if t else len(self.text)
-            raise ParseError(f"expected {op!r}", pos, self.text)
+        t = self.toks[self.idx]
+        if t[1] != op:
+            raise ParseError(f"expected {op!r}", t[2], self.text)
         self.idx += 1
+
+
+def _int_value(t: tuple[str, str, int], text: str) -> int:
+    try:
+        return int(t[1])
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError("integer literal too long", t[2], text) from None
 
 
 def _parse_int(tk: _Tokens) -> int:
@@ -94,14 +127,13 @@ def _parse_int(tk: _Tokens) -> int:
     t = tk.next()
     if t[0] != "int":
         raise ParseError("expected an integer", t[2], tk.text)
-    return sign * int(t[1])
+    return sign * _int_value(t, tk.text)
 
 
 def _parse_rational(tk: _Tokens) -> Fraction:
     num = _parse_int(tk)
     if tk.accept_op("/"):
-        t = tk.peek()
-        pos = t[2] if t else len(tk.text)
+        pos = tk.peek()[2]
         den = _parse_int(tk)
         if den == 0:
             raise ParseError("zero denominator", pos, tk.text)
@@ -114,34 +146,27 @@ def _parse_gaussian(tk: _Tokens) -> Exponent:
 
     def part() -> tuple[Fraction, bool]:
         t = tk.peek()
-        if t and t[0] == "name" and t[1] == "i":
+        if t[0] == "name" and t[1] == "i":
             tk.next()
             return Fraction(1), True
         q = _parse_rational(tk)
-        t = tk.peek()
-        if t and t[0] == "op" and t[1] == "*":
-            nxt = tk.toks[tk.idx + 1] if tk.idx + 1 < len(tk.toks) else None
-            if nxt and nxt[0] == "name" and nxt[1] == "i":
+        if tk.peek()[1] == "*":
+            nxt = tk.toks[tk.idx + 1]
+            if nxt[0] == "name" and nxt[1] == "i":
                 tk.next()
                 tk.next()
                 return q, True
         return q, False
 
-    re_part = Fraction(0)
-    im_part = Fraction(0)
     q, imag = part()
-    if imag:
-        im_part += q
-    else:
-        re_part += q
+    re_part, im_part = (0, q) if imag else (q, 0)
     t = tk.peek()
-    if t and t[0] == "op" and t[1] in "+-":
-        sign = 1 if t[1] == "+" else -1
+    if t[1] == "+" or t[1] == "-":
         tk.next()
         q, imag = part()
         if not imag:
             raise ParseError("second summand of a Gaussian literal must be imaginary", t[2], tk.text)
-        im_part += sign * q
+        im_part = im_part + q if t[1] == "+" else im_part - q
     return Exponent(re_part, im_part)
 
 
@@ -164,154 +189,227 @@ def _parse_int_power(tk: _Tokens) -> int:
 class _Parser:
     def __init__(self, text: str):
         self.tk = _Tokens(text)
+        self.depth = 0
 
-    def parse(self) -> LogSeries:
+    def parse(self) -> Terms:
         out = self.expr()
-        t = self.tk.peek()
-        if t is not None:
-            raise ParseError("trailing input", t[2], self.tk.text)
+        if not self.tk.at_end():
+            raise ParseError("trailing input", self.tk.peek()[2], self.tk.text)
         return out
 
-    def expr(self) -> LogSeries:
-        acc = self.term()
+    def expr(self) -> Terms:
+        acc: Terms = {}
+        _add_into(acc, self.term(), False)
         while True:
             if self.tk.accept_op("+"):
-                acc = acc + self.term()
+                _add_into(acc, self.term(), False)
             elif self.tk.accept_op("-"):
-                acc = acc - self.term()
+                _add_into(acc, self.term(), True)
             else:
                 return acc
 
-    def term(self) -> LogSeries:
+    def term(self) -> Value:
         acc = self.factor()
         while True:
             t = self.tk.peek()
-            if t and t[0] == "op" and t[1] == "*":
+            if t[1] == "*":
                 self.tk.next()
-                acc = acc * self.factor()
-            elif t and t[0] == "op" and t[1] == "/":
+                acc = _product(acc, self.factor())
+            elif t[1] == "/":
                 self.tk.next()
                 den = self.factor()
-                acc = _divide_series(acc, den, t[2], self.tk.text)
+                acc = _product(acc, _reciprocal(den, t[2], self.tk.text))
             else:
                 return acc
 
-    def factor(self) -> LogSeries:
+    def factor(self) -> Value:
         sign = 1
         while self.tk.accept_op("-"):
             sign = -sign
         f = self.atom()
-        t = self.tk.peek()
-        if t and t[0] == "op" and t[1] == "^":
-            self.tk.next()
+        if self.tk.accept_op("^"):
             f = self._power(f)
-        return f if sign > 0 else -f
+        if sign > 0:
+            return f
+        if f.__class__ is tuple:
+            return -f[0], f[1]
+        return {m: -c for m, c in f.items()}
 
-    def _power(self, base: LogSeries) -> LogSeries:
-        var = _single_variable(base)
+    def _power(self, base: Value) -> Value:
+        var = _single_factor(base, 1, 0)
         if var is not None:
             e = _parse_power_exponent(self.tk)
-            return LogSeries.variable(var, e)
-        t = self.tk.peek()
-        pos = t[2] if t else len(self.tk.text)
-        log = _single_log(base)
+            return _one(), Monomial.var(var, e)
+        pos = self.tk.peek()[2]
+        log = _single_factor(base, 0, 1)
         if log is not None:
             k = _parse_int_power(self.tk)
             if k < 0:
                 raise ParseError("log powers must be nonnegative", pos, self.tk.text)
-            return LogSeries.log_variable(log, k)
+            return _one(), Monomial.log(log, k)
         n = _parse_int_power(self.tk)
         if abs(n) > MAX_INT_POWER:
             raise ParseError(f"integer power {n} exceeds the bound |N| <= {MAX_INT_POWER}", pos, self.tk.text)
-        if n >= 0:
-            return base**n
-        if len(base.terms) == 1:
-            [(m, vec)] = base.terms.items()
-            c = vec.scalar_value()
-            if m == Monomial.UNIT:
-                return LogSeries.constant(c**n)
-            if all(k == 0 for _, _, k in m.entries) and c == ExactScalar.from_rational(1):
-                inv = Monomial({v: (-e, 0) for v, e, _ in m.entries})
-                return LogSeries.monomial(inv) ** (-n)
-        raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
+        if base.__class__ is not tuple:
+            if n < 0:
+                raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
+            out: Terms = {Monomial.UNIT: _one()}
+            for _ in range(n):
+                out = _mul_terms(out, base)
+            return _as_value(out)
+        c, m = base
+        if n < 0 and m != Monomial.UNIT:
+            # a monomial inverts only with coefficient 1 and no log factors
+            if not _is_one(c) or any(k for _, _, k in m.entries):
+                raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
+        try:
+            c = c**n
+        except UnsupportedDivision as exc:
+            raise ParseError(f"cannot invert: {exc}", pos, self.tk.text) from exc
+        return c, _monomial_power(m, n)
 
-    def atom(self) -> LogSeries:
-        if self.tk.accept_op("("):
+    def atom(self) -> Value:
+        t = self.tk.next()
+        kind, text, pos = t
+        if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos, self.tk.text)
+            self.depth += 1
             e = self.expr()
             self.tk.expect_op(")")
-            return e
-        kind, text, pos = self.tk.next()
+            self.depth -= 1
+            return _as_value(e)
         if kind == "int":
-            return LogSeries.constant(Fraction(text))
+            n = _int_value(t, self.tk.text)
+            return (ExactScalar.from_rational(n), Monomial.UNIT) if n else {}
         if kind == "name":
             if text == "Pi":
-                return LogSeries.constant(pi_scalar())
+                return pi_scalar(), Monomial.UNIT
             if text == "i":
-                return LogSeries.constant(imaginary_unit())
+                return imaginary_unit(), Monomial.UNIT
             if text == "e":
                 self.tk.expect_op("(")
                 q = _parse_rational(self.tk)
                 self.tk.expect_op(")")
-                return LogSeries.constant(root_of_unity(q))
+                return root_of_unity(q), Monomial.UNIT
             if text == "lg":
                 self.tk.expect_op("(")
                 t = self.tk.next()
                 if t[0] != "name" or t[1] in _RESERVED:
                     raise ParseError("lg(...) needs a variable name", t[2], self.tk.text)
                 self.tk.expect_op(")")
-                return LogSeries.log_variable(t[1])
-            return LogSeries.variable(text)
+                return _one(), Monomial._trusted(((t[1], _EXPONENT_ZERO, 1),))
+            return _one(), Monomial._trusted(((text, _EXPONENT_ONE, 0),))
         raise ParseError("unexpected token", pos, self.tk.text)
 
 
-def _single_variable(f: LogSeries) -> str | None:
-    if len(f.terms) != 1:
+def _as_value(terms: Terms) -> Value:
+    """A sum of exactly one term as its (coefficient, monomial) pair."""
+    if len(terms) != 1:
+        return terms
+    [(m, c)] = terms.items()
+    return c, m
+
+
+def _terms(value: Value) -> Terms:
+    return {value[1]: value[0]} if value.__class__ is tuple else value
+
+
+def _one() -> ExactScalar:
+    return ExactScalar.from_rational(_FRACTION_ONE)
+
+
+def _is_one(c: ExactScalar) -> bool:
+    return c.is_rational() and c.rational_value() == 1
+
+
+def _single_factor(f: Value, exponent: int, log_power: int) -> str | None:
+    """The variable v if f is exactly v^exponent * lg(v)^log_power, else None."""
+    if f.__class__ is not tuple:
         return None
-    [(m, vec)] = f.terms.items()
-    if vec.scalar_value() != ExactScalar.from_rational(1) or len(m.entries) != 1:
+    c, m = f
+    if len(m.entries) != 1 or not _is_one(c):
         return None
     v, e, k = m.entries[0]
-    return v if e == 1 and k == 0 else None
+    return v if e.re == exponent and e.im == 0 and k == log_power else None
 
 
-def _single_log(f: LogSeries) -> str | None:
-    if len(f.terms) != 1:
-        return None
-    [(m, vec)] = f.terms.items()
-    if vec.scalar_value() != ExactScalar.from_rational(1) or len(m.entries) != 1:
-        return None
-    v, e, k = m.entries[0]
-    return v if e.is_zero() and k == 1 else None
+def _monomial_power(m: Monomial, n: int) -> Monomial:
+    if n == 0:
+        return Monomial.UNIT
+    return Monomial._trusted(tuple((v, Exponent(e.re * n, e.im * n), k * n) for v, e, k in m.entries))
 
 
-def _divide_series(num: LogSeries, den: LogSeries, pos: int, text: str) -> LogSeries:
-    if len(den.terms) != 1:
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """The product of two sums, term by term in the order of LogSeries.__mul__."""
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 * m2
+            p = c1 * c2
+            cur = out.get(m)
+            if cur is None:
+                out[m] = p
+            else:
+                p = cur + p
+                if p.is_zero():
+                    del out[m]
+                else:
+                    out[m] = p
+    return out
+
+
+def _product(a: Value, b: Value) -> Value:
+    if a.__class__ is tuple and b.__class__ is tuple:
+        # the scalar ring has no zero divisors: the product stays one nonzero term
+        return a[0] * b[0], a[1] * b[1]
+    return _as_value(_mul_terms(_terms(a), _terms(b)))
+
+
+def _reciprocal(den: Value, pos: int, text: str) -> tuple[ExactScalar, Monomial]:
+    if den.__class__ is not tuple:
         raise ParseError("division only by constants or monomials", pos, text)
-    [(m, vec)] = den.terms.items()
-    c = vec.scalar_value()
+    c, m = den
     try:
-        inv = ExactScalar.from_rational(1).div_monomial(c)
-    except Exception as exc:
+        inv = c.inverse()
+    except UnsupportedDivision as exc:
         raise ParseError(f"cannot divide: {exc}", pos, text) from exc
-    minv = Monomial({v: (-e, -k) for v, e, k in m.entries}) if all(k == 0 for _, _, k in m.entries) else None
-    if minv is None:
+    if any(k for _, _, k in m.entries):
         raise ParseError("cannot divide by log factors", pos, text)
-    return num * LogSeries.monomial(minv, inv)
+    return inv, _monomial_power(m, -1)
+
+
+def _add_into(acc: Terms, value: Value, negate: bool) -> None:
+    for m, c in _terms(value).items():
+        if negate:
+            c = -c
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = c
+        else:
+            c = cur + c
+            if c.is_zero():
+                del acc[m]
+            else:
+                acc[m] = c
 
 
 def parse_expr(text: str) -> LogSeries:
     """Parse an expression into a canonical scalar LogSeries."""
-    return _Parser(text).parse()
+    terms = _Parser(text).parse()
+    return LogSeries._trusted(SCALAR, {m: CoeffVector._trusted(SCALAR, {0: c}) for m, c in terms.items()}, {})
 
 
 def parse_scalar(text: str) -> ExactScalar:
     """Parse a scalar literal (no formal variables allowed)."""
-    f = parse_expr(text)
-    if f.is_zero():
+    if _RATIONAL_LITERAL.fullmatch(text):
+        return ExactScalar.from_rational(Fraction(text))
+    terms = _Parser(text).parse()
+    if not terms:
         return ExactScalar.zero()
-    if set(f.terms) != {Monomial.UNIT}:
+    if set(terms) != {Monomial.UNIT}:
         raise ParseError("expected a scalar, found formal variables", 0, text)
-    return f.scalar_coeff(Monomial.UNIT)
+    return terms[Monomial.UNIT]
 
 
 def parse_exponent(text: str) -> Exponent:
@@ -321,6 +419,6 @@ def parse_exponent(text: str) -> Exponent:
 def _parse_gaussian_text(text: str) -> Exponent:
     tk = _Tokens(text)
     e = _parse_gaussian(tk)
-    if tk.peek() is not None:
+    if not tk.at_end():
         raise ParseError("trailing input in exponent", tk.peek()[2], text)
     return e

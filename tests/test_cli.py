@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -61,6 +62,38 @@ class TestExpressionVerbs:
             code, out, err = run_cli("eval", text)
             assert code == 2 and not out
             assert "at column 11" in err and "Traceback" not in err
+
+    def test_negative_power_of_a_non_invertible_constant_exits_2(self):
+        code, out, err = run_cli("eval", "(1+Pi)^-1")
+        assert code == 2 and not out
+        assert "cannot invert" in err and "at column 8" in err and "Traceback" not in err
+
+
+class TestHostileFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("diff", "x", "--order", "-2"), "--order"),
+            (("check", "comb", "--kmax", "-3"), "--kmax"),
+            (("check", "ode", "--samples", "-1"), "--samples"),
+            (("roundtrip", "--fuzz", "-5"), "--fuzz"),
+            (("check", "taylor", "--samples", "2", "--order", "100000"), "--order"),
+            (("subst", "x", "--kind", "scale", "--q", "1e99999999"), "--q"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2_fast(self, argv, flag):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "logcalc.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2 and not proc.stdout
+        assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_help_states_each_range(self):
+        code, out, _ = run_cli("check", "--help")
+        assert code == 0
+        assert "0 <= N <= 16" in out and "1 <= N <= 10000" in out
 
 class TestCheckVerbs:
     def test_check_comb(self):

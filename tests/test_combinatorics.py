@@ -92,6 +92,14 @@ class TestVandermonde:
         # nodes are 0 and 2*Pi: rows (1, 0) and (1, 2*Pi)
         assert v == ExactMatrix([[1, 0], [1, pi_scalar(2)]])
 
+    def test_each_call_gets_its_own_matrices(self):
+        v, vinv = vandermonde_pair(3)
+        v.entries[0][0] = ExactScalar.from_rational(5)
+        vinv.entries[1] = []
+        again, again_inv = vandermonde_pair(3)
+        assert again[0, 0] == ExactScalar.from_rational(1) and len(again_inv.entries[1]) == 4
+        assert (again @ again_inv) == ExactMatrix.identity(4)
+
     @pytest.mark.parametrize("s", range(0, 6))
     def test_row_recombination_delta(self, s):
         v, vinv = vandermonde_pair(s)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,21 @@ from logcalc.mobius import (
     conj_identity_check,
     contragredient,
     e_aL0,
+    exp_L_series_matrix,
     exp_nilpotent_terms,
     module_valid,
     pairing_series,
+    series_matrix_add,
+    series_matrix_from,
+    series_matrix_identity,
+    series_matrix_mul,
+    series_matrix_scale,
     validate_sl2,
     x_pm_L0,
 )
 from logcalc.scalars import ExactScalar, LatticeViolation, imaginary_unit, pi_scalar
 from logcalc.series import CoeffVector, LogSeries, Monomial
+from logcalc.substitution import series_log1p
 
 
 class TestGradingGroup:
@@ -79,6 +87,37 @@ class TestExpNilpotentTerms:
         m = catalog.jordan_module("J", 1, size=3)
         with pytest.raises(ValueError, match="not nilpotent"):
             exp_nilpotent_terms(m, m.action.L0, m.basis_vector(0))
+
+
+def _exp_power_by_power(module, j, coeff, order, var):
+    """sum_k L(j)^k coeff^k / k!, each coeff^k computed anew as a power."""
+    m = module.L(j)
+    bound = module.dim if m.is_nilpotent() else order
+    trunc = {var: order} if order is not None else {}
+    out = [[e.with_trunc(trunc) for e in row] for row in series_matrix_identity(module.dim)]
+    cur = series_matrix_identity(module.dim)
+    for k in range(1, bound + 1):
+        cur = series_matrix_mul(series_matrix_from(m), cur)
+        term = series_matrix_scale(cur, coeff**k)
+        out = series_matrix_add(out, [[e.scale(Fraction(1, math.factorial(k))).with_trunc(trunc) for e in row] for row in term])
+    return out
+
+
+class TestExpLSeriesMatrix:
+    def test_running_power_matches_power_by_power(self, irreducible3, jordan2):
+        x = LogSeries.variable("x")
+        log_part = series_log1p(x.scale(-1), "x", 6)
+        cases = [
+            (irreducible3, 0, log_part, 6, "x"),
+            (jordan2, 0, log_part, 5, "x"),
+            (irreducible3, -1, x * LogSeries.variable("y"), None, None),
+            (irreducible3, 1, x.scale(-1), None, None),
+        ]
+        for mod, j, coeff, order, var in cases:
+            got = exp_L_series_matrix(mod, j, coeff, order, var)
+            want = _exp_power_by_power(mod, j, coeff, order, var)
+            assert got == want
+            assert [[list(e.terms) for e in row] for row in got] == [[list(e.terms) for e in row] for row in want]
 
 
 class TestXPowerL0:

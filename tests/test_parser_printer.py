@@ -79,6 +79,8 @@ class TestParseExamples:
             ("x + lg(x)^(-2)", "log powers must be nonnegative", 11),
             ("x + (x+1)^-2", "negative powers are only defined for invertible monomials", 11),
             ("(2*x + 1)^(-1)", "negative powers are only defined for invertible monomials", 11),
+            ("(1+Pi)^-1", "cannot invert", 8),
+            ("x + (Pi - 1)^(-2)", "cannot invert", 14),
         ],
     )
     def test_bad_power_reports_the_exponent_column(self, text, message, column):
