@@ -81,10 +81,12 @@ def cmd_subst(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     what = args.what
+    # unset, --order is each suite's order in `check all`
+    order = args.order if args.order is not None else (10 if what == "sl2" else 8)
     if what == "taylor":
-        rep = checks.check_taylor(args.samples, args.order, args.seed)
+        rep = checks.check_taylor(args.samples, order, args.seed)
     elif what == "scaling":
-        rep = checks.check_scaling(args.samples, args.order, args.seed)
+        rep = checks.check_scaling(args.samples, order, args.seed)
     elif what == "comb":
         rep = checks.check_comb(args.kmax)
     elif what == "lubell":
@@ -94,7 +96,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     elif what == "ode":
         rep = checks.check_ode(args.samples, args.seed)
     elif what == "sl2":
-        rep = checks.check_sl2(args.count, args.seed, args.order)
+        rep = checks.check_sl2(args.count, args.seed, order)
     elif what == "scalars":
         rep = checks.check_scalars(args.seed)
     elif what == "series":
@@ -271,14 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("file", nargs="?", help="intertwiner file for `check intertwiner`")
-    _int_flag(p, "--order", 8, 0, 64, "truncation order of taylor, scaling and sl2 (default 8)")
+    _int_flag(p, "--order", None, 0, 64, "truncation order (default 8 for taylor and scaling, 10 for sl2)")
     _int_flag(p, "--samples", 200, 1, 10_000, "random samples of taylor, scaling and ode (default 200)")
     _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed (default 0)")
     _int_flag(p, "--kmax", 10, 0, 16, "largest k of comb (default 10)")
     _int_flag(p, "--nmax", 6, 1, 8, "largest N of lubell (default 6)")
     _int_flag(p, "--jmax", 4, 1, 6, "largest j of lubell (default 4)")
     _int_flag(p, "--count", 5, 1, 100, "modules of sl2 (default 5)")
-    p.add_argument("--axioms", default="all")
+    axioms = "all, ltc, lminus1, sl2, sl2_alt, euler, grading or weights"
+    p.add_argument("--axioms", default="all", help=f"axioms of `check intertwiner`: {axioms} (default all)")
     p.add_argument("--quick", action="store_true", help="smaller sample counts")
     p.set_defaults(fn=cmd_check)
 
@@ -294,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[fmt], help="solve for a basis of the constrained table space")
     p.add_argument("what", choices=("fusion",))
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
-    p.add_argument("--axioms", default="euler", help="comma-separated constraint names")
+    constraints = "lminus1, euler, sl2_m1, sl2_0, sl2_1, sl2_alt_m1, sl2_alt_0, sl2_alt_1"
+    p.add_argument("--axioms", default="euler", help=f"comma-separated, from {constraints} (default euler)")
     _int_flag(p, "--max-log", None, 0, 16, "largest log power solved for (default: from the dimensions)")
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.set_defaults(fn=cmd_solve)

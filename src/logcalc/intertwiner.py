@@ -11,12 +11,17 @@ equations.  Axiom identifiers:
 * ``ltc``      structural finiteness/lower-truncation bookkeeping,
 * ``lminus1``  Y(L(-1)w1, x) = d/dx Y(w1, x),
 * ``sl2``      [L(j), Y(w1,x)] = sum_i C(j+1,i) x^i Y(L(j-i)w1, x),
-* ``sl2_alt``  the inverted-matrix form of the same brackets,
+* ``sl2_alt``  the inverted form of the same brackets,
+               Y(L(j)w1, x) = sum_i (-1)^i C(j+1,i) x^i [L(j-i), Y(w1,x)],
 * ``euler``    the combined L(0)/derivative identity
                L(0) Y(w1,x) w2 = Y(w1,x) L(0) w2 + x d/dx Y(w1,x) w2
                + Y(L(0)w1, x) w2,
 * ``grading``  modes of degree-homogeneous pairs land in the sum degree,
 * ``weights``  modes are generalized-weight-pure of weight n1 + n2 - n - 1.
+
+The brackets run over j = -1, 0, 1.  Checker and solver evaluate the same
+per-mode rows (:func:`_mode_defect`): :func:`axiom_check` sums them over a
+table's modes, :func:`solve_fusion_space` solves them for the modes.
 
 ``euler`` is exactly the identity the log-weight lemmas run on.  On a
 finite-dimensional W1 the full ``lminus1`` axiom forces Y(e_i, x)e_j into
@@ -32,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .matrix import ExactMatrix, nullspace
 from .mobius import (
@@ -251,56 +256,22 @@ def identity_vertex_table(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule) 
 # ---------------------------------------------------------------------------
 # axiom checking
 
-def _apply_module_matrix(mod: MobiusModule, m: ExactMatrix, f: LogSeries) -> LogSeries:
-    return f.map_coeffs(lambda vec: mod.apply_matrix(m, vec))
+# constraint name suffix -> j of the bracket rows sl2_* and sl2_alt_*
+_BRACKETS = {"m1": -1, "0": 0, "1": 1}
+# axiom_check kind -> (constraint, check id prefix) of each row family
+_AXIOM_FAMILIES = {
+    "lminus1": (("lminus1", "L(-1)-derivative("),),
+    "sl2": tuple((f"sl2_{s}", f"sl2-bracket(j={jb};") for s, jb in _BRACKETS.items()),
+    "sl2_alt": tuple((f"sl2_alt_{s}", f"sl2-bracket-alt(j={jb};") for s, jb in _BRACKETS.items()),
+    "euler": (("euler", "euler-identity("),),
+}
 
 
-def lminus1_defect(t: IntertwinerTable, i: int, j: int, var: VarId = "x") -> LogSeries:
-    lhs = t.series_args(t.w1.apply_L(-1, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
-    return lhs - t.series(i, j, var).d_dx(var)
-
-
-def sl2_defect(t: IntertwinerTable, jb: int, i: int, j: int, var: VarId = "x") -> LogSeries:
-    s = t.series(i, j, var)
-    lhs = _apply_module_matrix(t.w3, t.w3.L(jb), s) - t.series_args(
-        t.w1.basis_vector(i), t.w2.apply_L(jb, t.w2.basis_vector(j)), var
-    )
-    rhs = LogSeries.zero(t.w3.coeff_space)
-    for idx in range(jb + 2):
-        arg = t.w1.apply_L(jb - idx, t.w1.basis_vector(i))
-        term = t.series_args(arg, t.w2.basis_vector(j), var)
-        rhs = rhs + (LogSeries.monomial(Monomial.var(var, idx), math.comb(jb + 1, idx)) * term)
-    return lhs - rhs
-
-
-def sl2_alt_defect(t: IntertwinerTable, jb: int, i: int, j: int, var: VarId = "x") -> LogSeries:
-    lhs = t.series_args(t.w1.apply_L(jb, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
-    rhs = LogSeries.zero(t.w3.coeff_space)
-    for idx in range(jb + 2):
-        s = t.series(i, j, var)
-        brk = _apply_module_matrix(t.w3, t.w3.L(jb - idx), s) - t.series_args(
-            t.w1.basis_vector(i), t.w2.apply_L(jb - idx, t.w2.basis_vector(j)), var
-        )
-        coeff = LogSeries.monomial(Monomial.var(var, idx), Fraction((-1) ** idx * math.comb(jb + 1, idx)))
-        rhs = rhs + coeff * brk
-    return lhs - rhs
-
-
-def euler_defect(t: IntertwinerTable, i: int, j: int, var: VarId = "x") -> LogSeries:
-    s = t.series(i, j, var)
-    lhs = _apply_module_matrix(t.w3, t.w3.L(0), s)
-    rhs = (
-        t.series_args(t.w1.basis_vector(i), t.w2.apply_L(0, t.w2.basis_vector(j)), var)
-        + (LogSeries.variable(var) * s.d_dx(var))
-        + t.series_args(t.w1.apply_L(0, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
-    )
-    return lhs - rhs
-
-
-def axiom_check(t: IntertwinerTable, which: str = "all", js: Iterable[int] = (-1, 0, 1)) -> Report:
+def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
     """Check the selected axiom family on every basis pair, exactly."""
     rep = Report(f"intertwiner-axioms{t.type_signature()}:{which}")
     kinds = ("ltc", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
+    zero = LogSeries.zero(t.w3.coeff_space)
     for kind in kinds:
         if kind == "ltc":
             # Both rows hold for every table: it has finitely many modes, so
@@ -308,55 +279,60 @@ def axiom_check(t: IntertwinerTable, which: str = "all", js: Iterable[int] = (-1
             # constructor rejects a log power k < 0.
             rep.add("lower-truncation", True)
             rep.add("natural-log-powers", True)
-        elif kind == "lminus1":
-            for i in range(t.w1.dim):
-                for j in range(t.w2.dim):
-                    d = lminus1_defect(t, i, j)
-                    rep.add(f"L(-1)-derivative({i},{j})", d.is_zero(), _witness(d))
-        elif kind == "sl2":
-            for jb in js:
+        elif kind in _AXIOM_FAMILIES:
+            for name, prefix in _AXIOM_FAMILIES[kind]:
+                defects = _table_defects(t, name)
                 for i in range(t.w1.dim):
                     for j in range(t.w2.dim):
-                        d = sl2_defect(t, jb, i, j)
-                        rep.add(f"sl2-bracket(j={jb};{i},{j})", d.is_zero(), _witness(d))
-        elif kind == "sl2_alt":
-            for jb in js:
-                for i in range(t.w1.dim):
-                    for j in range(t.w2.dim):
-                        d = sl2_alt_defect(t, jb, i, j)
-                        rep.add(f"sl2-bracket-alt(j={jb};{i},{j})", d.is_zero(), _witness(d))
-        elif kind == "euler":
-            for i in range(t.w1.dim):
-                for j in range(t.w2.dim):
-                    d = euler_defect(t, i, j)
-                    rep.add(f"euler-identity({i},{j})", d.is_zero(), _witness(d))
+                        d = defects.get((i, j), zero)
+                        rep.add(f"{prefix}{i},{j})", d.is_zero(), _witness(d))
         elif kind == "grading":
             group = t.w3.space.group
             if not (t.w1.space.group == group == t.w2.space.group):
                 rep.add("grading-compatibility", False, "modules are graded over different groups")
                 continue
-            ok = True
             witness = None
-            for (i, j, n, k), vec in t.modes.items():
+            for (i, j, n, k), vec in t.canonical_items():
                 want = group.add(t.w1.degree(i), t.w2.degree(j))
-                for b in vec.components:
-                    if t.w3.degree(b) != want:
-                        ok = False
-                        witness = f"mode({i},{j},{n!r},{k}) has a component of degree {t.w3.degree(b)}"
-            rep.add("grading-compatibility", ok, witness)
+                bad = [b for b in sorted(vec.components) if t.w3.degree(b) != want]
+                if bad:
+                    witness = f"mode({i},{j},{n!r},{k}) has a component of degree {t.w3.degree(bad[0])}"
+                    break
+            rep.add("grading-compatibility", witness is None, witness)
         elif kind == "weights":
-            ok = True
             witness = None
-            for (i, j, n, k), vec in t.modes.items():
+            for (i, j, n, k), vec in t.canonical_items():
                 want = t.w1.weight(i) + t.w2.weight(j) - n - 1
-                for b in vec.components:
-                    if t.w3.weight(b) != want:
-                        ok = False
-                        witness = f"mode({i},{j},{n!r},{k}) has weight {t.w3.weight(b)!r}, want {want!r}"
-            rep.add("generalized-weight-purity", ok, witness)
+                bad = [b for b in sorted(vec.components) if t.w3.weight(b) != want]
+                if bad:
+                    witness = f"mode({i},{j},{n!r},{k}) has weight {t.w3.weight(bad[0])!r}, want {want!r}"
+                    break
+            rep.add("generalized-weight-purity", witness is None, witness)
         else:
             raise ValueError(f"unknown axiom {kind!r}")
     return rep
+
+
+def _table_defects(t: IntertwinerTable, name: str) -> dict[tuple[int, int], LogSeries]:
+    """The nonzero ``name`` defects of the whole table, keyed by basis pair
+    (i, j): each mode's :func:`_mode_defect` rows, weighted by its components
+    and summed.  Coefficient vectors list their components in ascending order."""
+    sums: dict[tuple[int, int, Monomial, int], ExactScalar] = {}
+    monomials: dict[tuple[Exponent, int, int], Monomial] = {}
+    for (i0, j0, n, k), vec in t.modes.items():
+        for b, c in vec.components.items():
+            for key, r in _mode_defect(t.w1, t.w2, t.w3, name, i0, j0, n, k, b, monomials).items():
+                cur = sums.get(key)
+                sums[key] = c * r if cur is None else cur + c * r
+    grouped: dict[tuple[int, int], dict[Monomial, dict[int, ExactScalar]]] = {}
+    for (i, j, mono, bb), c in sorted(sums.items(), key=lambda kv: kv[0][3]):
+        if not c.is_zero():
+            grouped.setdefault((i, j), {}).setdefault(mono, {})[bb] = c
+    space = t.w3.coeff_space
+    return {
+        ij: LogSeries(space, {mono: CoeffVector(space, comps) for mono, comps in terms.items()})
+        for ij, terms in grouped.items()
+    }
 
 
 def _witness(d: LogSeries) -> str | None:
@@ -553,16 +529,9 @@ def _series_apply_operator(t: IntertwinerTable, f: LogSeries, shift: ExactScalar
 def euler_precondition(t: IntertwinerTable) -> bool:
     """Lemma hypotheses: either the L(-1)-derivative and j=0 bracket hold, or
     their combined Euler identity does (the only option with genuine logs)."""
-    direct = all(
-        lminus1_defect(t, i, j).is_zero() and sl2_defect(t, 0, i, j).is_zero()
-        for i in range(t.w1.dim)
-        for j in range(t.w2.dim)
-    )
-    if direct:
+    if not _table_defects(t, "lminus1") and not _table_defects(t, "sl2_0"):
         return True
-    return all(
-        euler_defect(t, i, j).is_zero() for i in range(t.w1.dim) for j in range(t.w2.dim)
-    )
+    return not _table_defects(t, "euler")
 
 
 def weight_formulas_check(t: IntertwinerTable, which: str = "all", var: VarId = "x") -> Report:
@@ -804,31 +773,24 @@ def decompose(t: IntertwinerTable, which: str) -> list[IntertwinerTable]:
     raise ValueError(f"unknown decomposition {which!r}")
 
 
-def logpower_slice_defect(t: IntertwinerTable, k: int, i: int, j: int, var: VarId = "x") -> LogSeries:
+def logpower_slice_defect(t: IntertwinerTable, k: int, i: int, j: int) -> LogSeries:
     """The modified derivative rule for the k-th log-power slice:
     Y_k(L(-1)w1, x) = d/dx Y_k(w1, x) + (k+1)/x Y_{k+1}(w1, x)."""
-    slices = decompose(t, "by_logpower")
-    yk = slices[k] if k < len(slices) else IntertwinerTable(t.w1, t.w2, t.w3, {})
-    yk1 = slices[k + 1] if k + 1 < len(slices) else IntertwinerTable(t.w1, t.w2, t.w3, {})
-    lhs = yk.series_args(t.w1.apply_L(-1, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
-    corr = LogSeries.monomial(Monomial.var(var, -1), k + 1) * yk1.series(i, j, var)
-    return lhs - yk.series(i, j, var).d_dx(var) - corr
+    return _slice_defect(t, "lminus1", k, i, j, Monomial.var("x", -1))
 
 
-def logpower_slice_euler_defect(t: IntertwinerTable, k: int, i: int, j: int, var: VarId = "x") -> LogSeries:
+def logpower_slice_euler_defect(t: IntertwinerTable, k: int, i: int, j: int) -> LogSeries:
     """Euler identity for the k-th slice picks up the same (k+1)-st correction."""
+    return _slice_defect(t, "euler", k, i, j, Monomial.UNIT)
+
+
+def _slice_defect(t: IntertwinerTable, name: str, k: int, i: int, j: int, shift: Monomial) -> LogSeries:
+    """The ``name`` defect of the k-th log-power slice at the pair (i, j),
+    less (k+1) ``shift`` times the (k+1)-st slice."""
     slices = decompose(t, "by_logpower")
-    yk = slices[k] if k < len(slices) else IntertwinerTable(t.w1, t.w2, t.w3, {})
-    yk1 = slices[k + 1] if k + 1 < len(slices) else IntertwinerTable(t.w1, t.w2, t.w3, {})
-    s = yk.series(i, j, var)
-    lhs = _apply_module_matrix(t.w3, t.w3.L(0), s)
-    rhs = (
-        yk.series_args(t.w1.basis_vector(i), t.w2.apply_L(0, t.w2.basis_vector(j)), var)
-        + (LogSeries.variable(var) * s.d_dx(var))
-        + yk.series_args(t.w1.apply_L(0, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
-        + yk1.series(i, j, var).scale(k + 1)
-    )
-    return lhs - rhs
+    yk, yk1 = (slices[m] if m < len(slices) else IntertwinerTable(t.w1, t.w2, t.w3, {}) for m in (k, k + 1))
+    d = _table_defects(yk, name).get((i, j), LogSeries.zero(t.w3.coeff_space))
+    return d - LogSeries.monomial(shift, k + 1) * yk1.series(i, j)
 
 
 def x_t(t: IntertwinerTable, tt: int) -> IntertwinerTable:
@@ -1137,9 +1099,6 @@ def ode_structure_check(f: LogSeries, var: VarId, a: Exponent, m: int) -> Report
 # ---------------------------------------------------------------------------
 # fusion-space solver
 
-_SL2_CONSTRAINTS = {"sl2_m1": -1, "sl2_0": 0, "sl2_1": 1}
-
-
 def _mode_defect(
     w1: MobiusModule,
     w2: MobiusModule,
@@ -1152,17 +1111,18 @@ def _mode_defect(
     b: int,
     monomials: dict[tuple[Exponent, int, int], Monomial],
 ) -> dict[tuple[int, int, Monomial, int], ExactScalar]:
-    """Nonzero coefficients of the ``name`` defect (``lminus1``, ``euler``,
-    ``sl2_m1``, ``sl2_0`` or ``sl2_1``) of the table whose only mode is
-    (i0, j0, n, k) -> e_b, keyed by (i, j, monomial in x, component in w3).
+    """Nonzero coefficients of the ``name`` defect of the table whose only
+    mode is (i0, j0, n, k) -> e_b, keyed by (i, j, monomial in x, component
+    in w3).  A defect is the left side minus the right side of an identity in
+    the module docstring: ``lminus1``, ``euler``, ``sl2_m1``/``sl2_0``/
+    ``sl2_1`` (the bracket at j = -1, 0, 1) or ``sl2_alt_m1``/``sl2_alt_0``/
+    ``sl2_alt_1`` (its inverted form).
 
     Each defect is linear in the table, and this mode reaches it through
     row i0 of w1's L(j), row j0 of w2's L(j), column b of w3's L(j), and the
-    two-term derivative of x^m lg(x)^k with m = -n-1.  The result is the
-    coefficient table of :func:`lminus1_defect`, :func:`euler_defect` and
-    :func:`sl2_defect` on that one-mode table, summed over (i, j).
-    ``monomials`` memoises x^(-n-1+shift) lg(x)^k across the calls of one
-    solve, which share their exponent objects.
+    two-term derivative of x^m lg(x)^k with m = -n-1.
+    ``monomials`` memoises x^(-n-1+shift) lg(x)^k across the calls for one
+    table or solve, which share their exponent objects.
     """
     out: dict[tuple[int, int, Monomial, int], ExactScalar] = {}
 
@@ -1180,15 +1140,15 @@ def _mode_defect(
             if not c.is_zero():
                 put(i, j0, shift, 0, b, c * coeff)
 
-    def w2_terms(jb: int) -> None:  # -Y(e_i0, x) L(jb) e_j
+    def w2_terms(jb: int, shift: int, coeff: int) -> None:  # coeff x^shift Y(e_i0, x) L(jb) e_j
         for j, c in enumerate(w2.L(jb).entries[j0]):
             if not c.is_zero():
-                put(i0, j, 0, 0, b, -c)
+                put(i0, j, shift, 0, b, c * coeff)
 
-    def w3_terms(jb: int) -> None:  # L(jb) Y(e_i0, x) e_j0
+    def w3_terms(jb: int, shift: int, coeff: int) -> None:  # coeff x^shift L(jb) Y(e_i0, x) e_j0
         for bb, row in enumerate(w3.L(jb).entries):
             if not row[b].is_zero():
-                put(i0, j0, 0, 0, bb, row[b])
+                put(i0, j0, shift, 0, bb, row[b] * coeff)
 
     def derivative(shift: int) -> None:  # -x^shift d/dx Y(e_i0, x) e_j0
         minus_m = (n + 1).as_scalar()
@@ -1197,20 +1157,27 @@ def _mode_defect(
         if k:
             put(i0, j0, shift - 1, 1, b, ExactScalar.from_rational(-k))
 
+    family, _, suffix = name.rpartition("_")
+    jb = _BRACKETS.get(suffix)
     if name == "lminus1":
         w1_terms(-1, 0, 1)
         derivative(0)
     elif name == "euler":
-        w3_terms(0)
-        w2_terms(0)
+        w3_terms(0, 0, 1)
+        w2_terms(0, 0, -1)
         derivative(1)
         w1_terms(0, 0, -1)
-    elif name in _SL2_CONSTRAINTS:
-        jb = _SL2_CONSTRAINTS[name]
-        w3_terms(jb)
-        w2_terms(jb)
+    elif family == "sl2" and jb is not None:
+        w3_terms(jb, 0, 1)
+        w2_terms(jb, 0, -1)
         for idx in range(jb + 2):
             w1_terms(jb - idx, idx, -math.comb(jb + 1, idx))
+    elif family == "sl2_alt" and jb is not None:
+        w1_terms(jb, 0, 1)
+        for idx in range(jb + 2):
+            c = (-1) ** idx * math.comb(jb + 1, idx)
+            w3_terms(jb - idx, idx, -c)
+            w2_terms(jb - idx, idx, c)
     else:
         raise ValueError(f"unknown constraint {name!r}")
     return {key: c for key, c in out.items() if not c.is_zero()}
@@ -1246,8 +1213,9 @@ def solve_fusion_space(
     """Exact nullspace of the selected axiom constraints over unknown modes.
 
     Each unknown mode contributes its own coefficient equations: those of
-    ``lminus1``, ``euler`` and ``sl2_*`` come from :func:`_mode_defect`, those
-    of ``jacobi`` from :func:`_jacobi_defect` on the one-mode table.
+    ``lminus1``, ``euler``, ``sl2_*`` and ``sl2_alt_*`` come from
+    :func:`_mode_defect`, those of ``jacobi`` from :func:`_jacobi_defect` on
+    the one-mode table.
     Returns a basis of the solution space on the given window; the dimension
     is window-relative and is not claimed to equal any intrinsic fusion rule.
     """

@@ -56,8 +56,15 @@ def matrix_from_json(data: Any, pointer: str) -> ExactMatrix:
     rows = []
     for i, row in enumerate(data):
         _expect(isinstance(row, list), "matrix row must be an array", f"{pointer}/{i}")
+        _expect(len(row) == len(data[0]), "matrix rows must have equal lengths", f"{pointer}/{i}")
         rows.append([_scalar_from(cell, f"{pointer}/{i}/{j}") for j, cell in enumerate(row)])
     return ExactMatrix(rows)
+
+
+def _array(data: Any, pointer: str, item: type = object) -> list:
+    ok = isinstance(data, list) and all(isinstance(x, item) for x in data)
+    _expect(ok, "must be an array" + ("" if item is object else f" of {item.__name__}s"), pointer)
+    return data
 
 
 def _scalar_from(cell: Any, pointer: str) -> ExactScalar:
@@ -100,19 +107,25 @@ def module_from_json(data: Any, pointer: str = "", validate: bool = True) -> Mob
     _expect(data.get("kind") == "module", "kind must be 'module'", f"{pointer}/kind")
     name = data.get("name")
     _expect(isinstance(name, str) and name, "name must be a nonempty string", f"{pointer}/name")
-    gdata = data.get("group", {"free_rank": 0, "torsion": []})
-    group = GradingGroup(gdata.get("free_rank", 0), gdata.get("torsion", []))
-    weights = [_exponent_from(w, f"{pointer}/weights/{i}") for i, w in enumerate(data.get("weights", []))]
+    gdata = data.get("group", {})
+    _expect(isinstance(gdata, dict), "group must be an object", f"{pointer}/group")
+    free_rank = gdata.get("free_rank", 0)
+    # the default degree is a zero tuple of free_rank coordinates: bound it
+    ok = isinstance(free_rank, int) and 0 <= free_rank <= 64
+    _expect(ok, "free_rank must be an integer in 0..64", f"{pointer}/group/free_rank")
+    torsion = _array(gdata.get("torsion", []), f"{pointer}/group/torsion", int)
+    weights = [
+        _exponent_from(w, f"{pointer}/weights/{i}")
+        for i, w in enumerate(_array(data.get("weights", []), f"{pointer}/weights"))
+    ]
     _expect(len(weights) == data.get("dim"), "dim must match the number of weights", f"{pointer}/dim")
     degrees = data.get("degrees")
-    space = GradedSpace(name, weights, degrees, group)
-    action = Sl2Action(
-        matrix_from_json(data.get("Lm1"), f"{pointer}/Lm1"),
-        matrix_from_json(data.get("L0"), f"{pointer}/L0"),
-        matrix_from_json(data.get("L1"), f"{pointer}/L1"),
-    )
+    for i, d in enumerate([] if degrees is None else _array(degrees, f"{pointer}/degrees")):
+        _array(d, f"{pointer}/degrees/{i}", int)
+    matrices = [matrix_from_json(data.get(key), f"{pointer}/{key}") for key in ("Lm1", "L0", "L1")]
     try:
-        module = MobiusModule(space, action)
+        space = GradedSpace(name, weights, degrees, GradingGroup(free_rank, torsion))
+        module = MobiusModule(space, Sl2Action(*matrices))
     except ValueError as exc:
         raise SchemaError(str(exc), pointer or "/") from exc
     if validate:
@@ -160,7 +173,7 @@ def table_from_json(data: Any, pointer: str = "") -> IntertwinerTable:
     w2 = module_from_json(tdata.get("w2"), f"{pointer}/type/w2")
     w3 = module_from_json(tdata.get("w3"), f"{pointer}/type/w3")
     modes: dict = {}
-    for idx, m in enumerate(data.get("modes", [])):
+    for idx, m in enumerate(_array(data.get("modes", []), f"{pointer}/modes")):
         p = f"{pointer}/modes/{idx}"
         _expect(isinstance(m, dict), "mode must be an object", p)
         i, j, k = m.get("i"), m.get("j"), m.get("k")
@@ -210,11 +223,12 @@ def vertex_from_json(data: Any, pointer: str = "") -> VertexTable:
     w3 = module_from_json(mods.get("w3"), f"{pointer}/modules/w3")
     weights = [
         _exponent_from(w, f"{pointer}/vector_weights/{i}")
-        for i, w in enumerate(data.get("vector_weights", []))
+        for i, w in enumerate(_array(data.get("vector_weights", []), f"{pointer}/vector_weights"))
     ]
     modes: dict = {}
-    for idx, m in enumerate(data.get("modes", [])):
+    for idx, m in enumerate(_array(data.get("modes", []), f"{pointer}/modes")):
         p = f"{pointer}/modes/{idx}"
+        _expect(isinstance(m, dict), "mode must be an object", p)
         slot, v, n = m.get("slot"), m.get("v"), m.get("n")
         _expect(slot in (1, 2, 3), "slot must be 1, 2 or 3", f"{p}/slot")
         _expect(isinstance(v, int) and 0 <= v < len(weights), "bad vector index", f"{p}/v")
@@ -236,11 +250,11 @@ _KIND_LOADERS = {
 def load_text(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}", "/") from exc
     _expect(isinstance(data, dict), "top level must be an object", "/")
     kind = data.get("kind")
-    _expect(kind in _KIND_LOADERS, f"unknown kind {kind!r}", "/kind")
+    _expect(isinstance(kind, str) and kind in _KIND_LOADERS, f"unknown kind {kind!r}", "/kind")
     return _KIND_LOADERS[kind](data)
 
 

@@ -124,6 +124,31 @@ class TestCheckVerbs:
         assert after == before
         assert run_cli("--format", "json", *verb, "--format", "text") == run_cli(*verb)
 
+    @pytest.mark.parametrize("argv, order", [((), 10), (("--order", "4"), 4)])
+    def test_check_sl2_order_defaults_to_that_of_check_all(self, monkeypatch, argv, order):
+        # the reports at orders 8 and 10 are byte-identical: record the order instead
+        from logcalc import checks
+        from logcalc.reports import Report
+
+        seen = []
+
+        def record(count, seed, order):
+            seen.append(order)
+            return Report("sl2")
+
+        monkeypatch.setattr(checks, "check_sl2", record)
+        assert main(["check", "sl2", "--count", "1", *argv]) == 0
+        assert seen == [order]
+
+    def test_intertwiner_file_with_bad_modes_exits_2(self, tmp_path, honest_table):
+        data = json.loads(dump_object(honest_table))
+        data["modes"] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli("check", "intertwiner", str(path))
+        assert code == 2 and not out
+        assert "(at /modes)" in err and "Traceback" not in err
+
     def test_verb_is_thin_shell_over_library(self):
         # the CLI report must be exactly the library's report
         from logcalc.checks import check_comb

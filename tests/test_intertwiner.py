@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,20 +17,20 @@ from logcalc.intertwiner import (
     compose_with_homs,
     conj_formulas_check,
     decompose,
+    euler_precondition,
     _mode_defect,
+    _table_defects,
+    _witness,
     delta_relation_check,
-    euler_defect,
     euler_minus_a,
     identity_vertex_table,
     jacobi_check_window,
-    lminus1_defect,
     logpower_slice_defect,
     logpower_slice_euler_defect,
     ode_structure_check,
     omega_r,
     recover_modes,
     shift_s1s2s3,
-    sl2_defect,
     solve_fusion_space,
     subst_table_scaled,
     weight_formulas_check,
@@ -39,6 +40,102 @@ from logcalc.matrix import ExactMatrix
 from logcalc.mobius import GradingGroup
 from logcalc.scalars import ExactScalar, Exponent, pi_scalar, root_of_unity
 from logcalc.series import CoeffVector, LogSeries, Monomial
+
+# ---------------------------------------------------------------------------
+# reference oracle: each axiom defect computed on whole series, the way the
+# axioms read, independent of the per-mode rows of `_mode_defect`
+
+
+def _apply_module_matrix(mod, m, f: LogSeries) -> LogSeries:
+    return f.map_coeffs(lambda vec: mod.apply_matrix(m, vec))
+
+
+def lminus1_defect(t: IntertwinerTable, i: int, j: int, var="x") -> LogSeries:
+    lhs = t.series_args(t.w1.apply_L(-1, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
+    return lhs - t.series(i, j, var).d_dx(var)
+
+
+def sl2_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> LogSeries:
+    s = t.series(i, j, var)
+    lhs = _apply_module_matrix(t.w3, t.w3.L(jb), s) - t.series_args(
+        t.w1.basis_vector(i), t.w2.apply_L(jb, t.w2.basis_vector(j)), var
+    )
+    rhs = LogSeries.zero(t.w3.coeff_space)
+    for idx in range(jb + 2):
+        arg = t.w1.apply_L(jb - idx, t.w1.basis_vector(i))
+        term = t.series_args(arg, t.w2.basis_vector(j), var)
+        rhs = rhs + (LogSeries.monomial(Monomial.var(var, idx), math.comb(jb + 1, idx)) * term)
+    return lhs - rhs
+
+
+def sl2_alt_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> LogSeries:
+    lhs = t.series_args(t.w1.apply_L(jb, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
+    rhs = LogSeries.zero(t.w3.coeff_space)
+    for idx in range(jb + 2):
+        s = t.series(i, j, var)
+        brk = _apply_module_matrix(t.w3, t.w3.L(jb - idx), s) - t.series_args(
+            t.w1.basis_vector(i), t.w2.apply_L(jb - idx, t.w2.basis_vector(j)), var
+        )
+        coeff = LogSeries.monomial(Monomial.var(var, idx), Fraction((-1) ** idx * math.comb(jb + 1, idx)))
+        rhs = rhs + coeff * brk
+    return lhs - rhs
+
+
+def euler_defect(t: IntertwinerTable, i: int, j: int, var="x") -> LogSeries:
+    s = t.series(i, j, var)
+    lhs = _apply_module_matrix(t.w3, t.w3.L(0), s)
+    rhs = (
+        t.series_args(t.w1.basis_vector(i), t.w2.apply_L(0, t.w2.basis_vector(j)), var)
+        + (LogSeries.variable(var) * s.d_dx(var))
+        + t.series_args(t.w1.apply_L(0, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
+    )
+    return lhs - rhs
+
+
+def oracle_euler_precondition(t: IntertwinerTable) -> bool:
+    pairs = [(i, j) for i in range(t.w1.dim) for j in range(t.w2.dim)]
+    if all(lminus1_defect(t, i, j).is_zero() and sl2_defect(t, 0, i, j).is_zero() for i, j in pairs):
+        return True
+    return all(euler_defect(t, i, j).is_zero() for i, j in pairs)
+
+
+# constraint name of `_mode_defect` -> the oracle's defect of the pair (i, j)
+MODE_DEFECT_REFERENCE = {
+    "lminus1": lminus1_defect,
+    "euler": euler_defect,
+    "sl2_m1": lambda t, i, j: sl2_defect(t, -1, i, j),
+    "sl2_0": lambda t, i, j: sl2_defect(t, 0, i, j),
+    "sl2_1": lambda t, i, j: sl2_defect(t, 1, i, j),
+    "sl2_alt_m1": lambda t, i, j: sl2_alt_defect(t, -1, i, j),
+    "sl2_alt_0": lambda t, i, j: sl2_alt_defect(t, 0, i, j),
+    "sl2_alt_1": lambda t, i, j: sl2_alt_defect(t, 1, i, j),
+}
+# axiom_check kind -> (check id, constraint name) per row family; the
+# brackets run over j = -1, 0, 1
+BRACKETS = ((-1, "m1"), (0, "0"), (1, "1"))
+ORACLE_FAMILIES = {
+    "lminus1": [("L(-1)-derivative({i},{j})", "lminus1")],
+    "sl2": [(f"sl2-bracket(j={jb};{{i}},{{j}})", f"sl2_{s}") for jb, s in BRACKETS],
+    "sl2_alt": [(f"sl2-bracket-alt(j={jb};{{i}},{{j}})", f"sl2_alt_{s}") for jb, s in BRACKETS],
+    "euler": [("euler-identity({i},{j})", "euler")],
+}
+
+
+def oracle_axiom_rows(t: IntertwinerTable, which: str) -> list[tuple[str, LogSeries | None]]:
+    """(check id, defect) per row of ``axiom_check(t, which)``; the defect is
+    None on the structural rows (ltc, grading, weights), which the oracle does
+    not recompute."""
+    kinds = ("ltc", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
+    rows = []
+    for kind in kinds:
+        if kind not in ORACLE_FAMILIES:
+            rows += [(c.check_id, None) for c in axiom_check(t, kind).checks]
+            continue
+        for check_id, name in ORACLE_FAMILIES[kind]:
+            for i in range(t.w1.dim):
+                for j in range(t.w2.dim):
+                    rows.append((check_id.format(i=i, j=j), MODE_DEFECT_REFERENCE[name](t, i, j)))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +299,6 @@ MODE_DEFECT_MODULES = {
         catalog.jordan_module("W3", Fraction(1, 2), size=2),
     ),
 }
-MODE_DEFECT_REFERENCE = {
-    "lminus1": lminus1_defect,
-    "euler": euler_defect,
-    "sl2_m1": lambda t, i, j: sl2_defect(t, -1, i, j),
-    "sl2_0": lambda t, i, j: sl2_defect(t, 0, i, j),
-    "sl2_1": lambda t, i, j: sl2_defect(t, 1, i, j),
-}
 MODE_EXPONENTS = (Exponent(-1), Exponent(0), Exponent(2), Exponent(Fraction(1, 2)), Exponent(Fraction(-1, 3), 1))
 
 
@@ -252,6 +342,15 @@ class TestModeDefect:
                     for key, v in _mode_defect(w1, w2, w3, name, i0, j0, n, k, b, {}).items():
                         got[key] = got.get(key, ExactScalar.zero()) + c * v
             assert {key: v for key, v in got.items() if not v.is_zero()} == want, name
+            # the same sums as axiom_check groups them, components ascending
+            engine = _table_defects(t, name)
+            assert {
+                (i, j, mono, b): c
+                for (i, j), d in engine.items()
+                for mono, vec in d.items()
+                for b, c in vec.components.items()
+            } == want, name
+            assert all(list(vec.components) == sorted(vec.components) for d in engine.values() for _, vec in d.items())
 
     def test_single_mode_rows_are_nonzero(self):
         w1, w2, w3 = MODE_DEFECT_MODULES["honest"]
@@ -263,6 +362,92 @@ class TestModeDefect:
         v = catalog.trivial_module("V")
         with pytest.raises(ValueError, match="unknown constraint 'sl2_2'"):
             solve_fusion_space(v, v, v, constraints=("euler", "sl2_2"))
+
+
+AXIOM_KINDS = ("all", "ltc", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights")
+
+
+class TestAxiomEngine:
+    """axiom_check and euler_precondition sum the per-mode rows; the oracle
+    computes each defect on whole series."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(sorted(MODE_DEFECT_MODULES)),
+        which=st.sampled_from(AXIOM_KINDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_report_matches_oracle(self, seed, kind, which):
+        t = _random_table(*MODE_DEFECT_MODULES[kind], random.Random(seed))
+        got = axiom_check(t, which)
+        want = oracle_axiom_rows(t, which)
+        assert [c.check_id for c in got.checks] == [check_id for check_id, _ in want]
+        for check, (_, d) in zip(got.checks, want):
+            if d is None:
+                continue
+            assert check.passed == d.is_zero(), check.check_id
+            if check.passed:
+                assert check.witness is None
+                continue
+            # the oracle's first coefficient, its components listed in
+            # ascending order: the oracle's own text whenever it lists them so
+            mono, vec = d.sorted_items()[0]
+            ascending = CoeffVector(vec.space, dict(sorted(vec.components.items())))
+            assert check.witness == f"first nonzero coefficient at {mono!r}: {ascending!r}"[:200]
+            if list(vec.components) == sorted(vec.components):
+                assert check.witness == _witness(d)
+
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(MODE_DEFECT_MODULES)))
+    @settings(max_examples=20, deadline=None)
+    def test_slice_defects_match_oracle(self, seed, kind):
+        w1, w2, w3 = MODE_DEFECT_MODULES[kind]
+        t = _random_table(w1, w2, w3, random.Random(seed))
+        slices = decompose(t, "by_logpower") + [IntertwinerTable(w1, w2, w3, {})]
+        for k in range(t.max_log_power() + 1):
+            for i in range(w1.dim):
+                for j in range(w2.dim):
+                    upper = slices[k + 1].series(i, j)
+                    corr = LogSeries.monomial(Monomial.var("x", -1), k + 1) * upper
+                    assert logpower_slice_defect(t, k, i, j) == lminus1_defect(slices[k], i, j) - corr
+                    assert logpower_slice_euler_defect(t, k, i, j) == euler_defect(slices[k], i, j) - upper.scale(k + 1)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        base=st.sampled_from(("random", "jordan0", "jordan1", "jordan2", "honest")),
+        perturb=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_euler_precondition_matches_oracle(self, jordan_tables, honest_table, seed, base, perturb):
+        rng = random.Random(seed)
+        if base == "random":
+            t = _random_table(*MODE_DEFECT_MODULES[rng.choice(sorted(MODE_DEFECT_MODULES))], rng)
+        else:
+            t = honest_table if base == "honest" else jordan_tables[int(base[-1])]
+        if perturb:
+            t = t + _random_table(t.w1, t.w2, t.w3, rng)
+        assert euler_precondition(t) == oracle_euler_precondition(t)
+
+    def test_both_precondition_routes_hold(self, jordan_tables, honest_table):
+        # the honest table satisfies L(-1) and the j=0 bracket; a logarithmic
+        # Jordan table only their Euler combination
+        assert not _table_defects(honest_table, "lminus1") and not _table_defects(honest_table, "sl2_0")
+        t = jordan_tables[1]
+        assert _table_defects(t, "lminus1") and not _table_defects(t, "euler")
+        assert euler_precondition(t) and euler_precondition(honest_table)
+
+    def test_structural_witness_names_first_bad_mode(self):
+        g = GradingGroup(1)
+        w = catalog.jordan_module("G", Fraction(1, 2), size=2, degrees=[[0], [1]], group=g)
+        v = catalog.jordan_module("V", 0, size=1, degrees=[[0]], group=g)
+        # both modes break both rules; the second in canonical order is inserted last
+        modes = {
+            (0, 0, Exponent(-3), 0): w.basis_vector(1),
+            (0, 1, Exponent(-2), 0): w.basis_vector(0),
+        }
+        rep = axiom_check(IntertwinerTable(v, w, w, modes), "all")
+        witnesses = {c.check_id: c.witness for c in rep.failures}
+        assert witnesses["grading-compatibility"] == "mode(0,0,Exponent(-3),0) has a component of degree (1,)"
+        assert witnesses["generalized-weight-purity"].startswith("mode(0,0,Exponent(-3),0) has weight")
 
 
 class TestDerivedOperators:

@@ -1,8 +1,13 @@
+import copy
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcalc import catalog
+from logcalc.intertwiner import IntertwinerTable
 from logcalc.jsonio import (
     SchemaError,
     canonical_dumps,
@@ -88,3 +93,87 @@ def test_canonical_dump_is_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": 2})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+# values that a mutation puts in place of a node of a valid document
+HOSTILE_VALUES = (None, True, 0, 1, -1, 7, 10**30, 2.5, "", "x", "1/0", "1/2", [], [0], [[]], [["1"]], {}, {"k": 1})
+
+
+def mutate(doc, rng: random.Random):
+    """One random edit at a random node of a JSON document: replace it with a
+    hostile value, delete it, wrap it in an array or object, or duplicate it."""
+    path = []
+    node = doc
+    while isinstance(node, (dict, list)) and node and rng.random() < 0.85:
+        key = rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+        path.append((node, key))
+        node = node[key]
+    if not path:
+        return copy.deepcopy(rng.choice(HOSTILE_VALUES))
+    parent, key = path[-1]
+    op = rng.randrange(4)
+    if op == 0:
+        parent[key] = copy.deepcopy(rng.choice(HOSTILE_VALUES))
+    elif op == 1:
+        del parent[key]
+    elif op == 2:
+        parent[key] = rng.choice(([node], {"k": node}))
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    else:
+        parent[key + "_"] = copy.deepcopy(node)
+    return doc
+
+
+def valid_documents() -> list[dict]:
+    from logcalc.checks import epsilon_instance
+
+    v = catalog.trivial_module("V")
+    w = catalog.jordan_module("W", 0, size=2, blocks=1)
+    table = IntertwinerTable(v, w, w, {(0, j, 0, 0): w.basis_vector(j) for j in range(2)})
+    return [
+        module_to_json(catalog.sl2_irreducible("U", 2)),
+        module_to_json(w),
+        table_to_json(table),
+        vertex_to_json(epsilon_instance()[1]),
+    ]
+
+
+class TestHostileDocuments:
+    DOCUMENTS = valid_documents()
+
+    @given(seed=st.integers(0, 2**32), edits=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_mutations_raise_only_schema_errors_with_a_pointer(self, seed, edits):
+        rng = random.Random(seed)
+        doc = copy.deepcopy(rng.choice(self.DOCUMENTS))
+        for _ in range(edits):
+            doc = mutate(doc, rng)
+        try:
+            load_text(json.dumps(doc))
+        except SchemaError as exc:
+            assert exc.pointer.startswith("/") and str(exc).endswith(f"(at {exc.pointer})")
+
+    @pytest.mark.parametrize(
+        "edit, pointer",
+        [
+            (lambda d: d.update(modes=1), "/modes"),
+            (lambda d: d.update(kind=["intertwiner"]), "/kind"),
+            (lambda d: d["type"]["w3"]["L0"][1].pop(), "/type/w3/L0/1"),
+            (lambda d: d["type"]["w2"].update(Lm1=[["0"]]), "/type/w2"),
+            (lambda d: d["type"]["w2"].update(degrees=[[0]]), "/type/w2"),
+            (lambda d: d["type"]["w1"].update(group=[]), "/type/w1/group"),
+            (lambda d: d["type"]["w1"]["group"].update(torsion=[1]), "/type/w1"),
+            (lambda d: d["type"]["w1"]["group"].update(free_rank=10**9), "/type/w1/group/free_rank"),
+        ],
+    )
+    def test_constructor_errors_name_the_object(self, edit, pointer):
+        doc = copy.deepcopy(self.DOCUMENTS[2])
+        edit(doc)
+        with pytest.raises(SchemaError) as err:
+            load_text(json.dumps(doc))
+        assert err.value.pointer == pointer
+
+    def test_deep_nesting_is_a_schema_error(self):
+        with pytest.raises(SchemaError):
+            load_text("[" * 100_000 + "]" * 100_000)
