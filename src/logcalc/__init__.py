@@ -1,24 +1,22 @@
 """Exact logarithmic formal calculus and logarithmic intertwining operators.
 
-The library works over the ring Q(zeta_2L)[Pi, Pi^-1] (Pi standing for the
-constant pi*i), with formal-variable exponents on the lattice (1/L)Z[i], so
-every identity is checked by exact equality rather than within a tolerance.
+The library works over the ring Q(zeta_24)[Pi, Pi^-1] (Pi standing for the
+constant pi*i), with formal-variable exponents on the lattice (1/L)Z[i] for
+the fixed bound L = ``LATTICE`` = 12, so every identity is checked by exact
+equality rather than within a tolerance.
 """
 
 from .scalars import (
-    DEFAULT_LATTICE,
-    CyclotomicElem,
+    LATTICE,
     ExactScalar,
     Exponent,
     LatticeViolation,
-    Rat,
     UnsupportedDivision,
     binom_general,
     imaginary_unit,
-    lattice_bound,
     pi_scalar,
     root_of_unity,
-    set_lattice_bound,
+    zeta_power,
 )
 from .series import (
     SCALAR,

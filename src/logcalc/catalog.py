@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .matrix import ExactMatrix
 from .mobius import GradedSpace, GradingGroup, MobiusModule, Sl2Action, TRIVIAL_GROUP
-from .scalars import Exponent, lattice_bound
+from .scalars import Exponent
 from .series import LogSeries, Monomial, VarId
 
 
@@ -144,8 +144,6 @@ def seeded_semisimple_module(name: str, seed: int, max_dim: int = 4) -> MobiusMo
 def random_exponent(rng: random.Random, denominators: tuple[int, ...] = (1, 2, 3, 4, 6, 12),
                     lo: int = -4, hi: int = 4) -> Exponent:
     d = rng.choice(denominators)
-    if lattice_bound() % d != 0:
-        d = 1
     return Exponent(Fraction(rng.randint(lo, hi), d))
 
 

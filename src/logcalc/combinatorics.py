@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .matrix import ExactMatrix
-from .scalars import ExactScalar, lattice_bound
+from .scalars import ExactScalar
 
 
 def comb_identity_sides(k: int, j: int) -> tuple[Fraction, Fraction]:
@@ -109,18 +109,17 @@ def vandermonde_pair(S: int) -> tuple[ExactMatrix, ExactMatrix]:
     V[p][t] = (2p*Pi)^t.  The nodes are distinct and all node differences are
     Pi-monomials, so fraction-free elimination inverts V exactly over the
     Laurent ring; V @ Vinv is checked to be the identity.  The pair is
-    computed once per S and lattice bound; each call gets its own matrices.
+    computed once per S; each call gets its own matrices.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
-    v, vinv = _vandermonde_rows(S, lattice_bound())
+    v, vinv = _vandermonde_rows(S)
     return ExactMatrix(v), ExactMatrix(vinv)
 
 
 @lru_cache(maxsize=16)
-def _vandermonde_rows(S: int, L: int) -> tuple[tuple[tuple[ExactScalar, ...], ...], ...]:
-    """The rows of vandermonde_pair(S); L keys the cache, since scalars carry
-    the field Q(zeta_2L) they were made in."""
+def _vandermonde_rows(S: int) -> tuple[tuple[tuple[ExactScalar, ...], ...], ...]:
+    """The rows of vandermonde_pair(S)."""
     rows = []
     for p in range(S + 1):
         node = ExactScalar.pi_power(1, 2 * p)

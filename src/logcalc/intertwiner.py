@@ -213,6 +213,9 @@ class VertexTable:
         for (slot, v, n), m in modes.items():
             if slot not in (1, 2, 3) or not 0 <= v < len(self.vector_weights):
                 raise ValueError(f"bad vertex mode key {(slot, v, n)}")
+            dim = self.modules[slot].dim
+            if (m.rows, m.cols) != (dim, dim):
+                raise ValueError(f"mode {(slot, v, n)} is {m.rows}x{m.cols}, its module has dimension {dim}")
             if not m.is_zero():
                 self.modes[(slot, int(v), int(n))] = m
 
@@ -230,16 +233,10 @@ class VertexTable:
         rep = Report("vertex-table-weights")
         for (slot, v, n), m in self.modes.items():
             mod = self.modules[slot]
-            ok = True
-            witness = None
-            for col in range(mod.dim):
-                for row in range(mod.dim):
-                    if not m.entries[row][col].is_zero():
-                        want = self.vector_weights[v] + mod.weight(col) - n - 1
-                        if mod.weight(row) != want:
-                            ok = False
-                            witness = f"mode (slot={slot}, v={v}, n={n}) entry [{row}][{col}]"
-            rep.add(f"weight-shift(slot={slot},v={v},n={n})", ok, witness)
+            shift = self.vector_weights[v] - n - 1
+            bad = [(row, col) for row, col in m.nonzero_positions() if mod.weight(row) != mod.weight(col) + shift]
+            witness = f"mode (slot={slot}, v={v}, n={n}) entry [{bad[0][0]}][{bad[0][1]}]" if bad else None
+            rep.add(f"weight-shift(slot={slot},v={v},n={n})", not bad, witness)
         return rep
 
 

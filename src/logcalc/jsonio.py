@@ -233,7 +233,10 @@ def vertex_from_json(data: Any, pointer: str = "") -> VertexTable:
         _expect(slot in (1, 2, 3), "slot must be 1, 2 or 3", f"{p}/slot")
         _expect(isinstance(v, int) and 0 <= v < len(weights), "bad vector index", f"{p}/v")
         _expect(isinstance(n, int), "vertex modes have integral n", f"{p}/n")
-        modes[(slot, v, n)] = matrix_from_json(m.get("matrix"), f"{p}/matrix")
+        mat = matrix_from_json(m.get("matrix"), f"{p}/matrix")
+        dim = (w1, w2, w3)[slot - 1].dim
+        _expect((mat.rows, mat.cols) == (dim, dim), f"matrix must be {dim}x{dim}, the slot's dimension", f"{p}/matrix")
+        modes[(slot, v, n)] = mat
     return VertexTable(w1, w2, w3, weights, modes)
 
 

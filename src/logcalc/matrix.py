@@ -102,6 +102,10 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.entries for a in r)
 
+    def nonzero_positions(self) -> list[tuple[int, int]]:
+        """(row, col) of every nonzero entry, column by column."""
+        return [(i, j) for j in range(self.cols) for i in range(self.rows) if not self.entries[i][j].is_zero()]
+
     def is_nilpotent(self) -> bool:
         p = self
         for _ in range(self.rows):

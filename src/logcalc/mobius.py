@@ -221,28 +221,20 @@ def validate_sl2(module: MobiusModule) -> Report:
     n = module.nilpotent_part()
     d = module.weight_diagonal()
     r.add("nilpotent-part", n.is_nilpotent() and (n @ d) == (d @ n))
+    # each witness names the first bad entry, scanning column by column
     for j in (-1, 1):
-        ok = True
         witness = None
-        m = module.L(j)
-        for col in range(module.dim):
-            for row in range(module.dim):
-                if not m.entries[row][col].is_zero():
-                    if module.weight(row) != module.weight(col) - j:
-                        ok = False
-                        witness = f"L({j})[{row}][{col}] shifts weight {module.weight(col)!r} badly"
-                    if module.degree(row) != module.degree(col):
-                        ok = False
-                        witness = f"L({j})[{row}][{col}] changes group degree"
-        r.add(f"weight-shift-L({j})", ok, witness)
-    ok = True
-    witness = None
-    for col in range(module.dim):
-        for row in range(module.dim):
-            if not a.L0.entries[row][col].is_zero() and module.degree(row) != module.degree(col):
-                ok = False
-                witness = f"L(0)[{row}][{col}] changes group degree"
-    r.add("degree-preservation-L(0)", ok, witness)
+        for row, col in module.L(j).nonzero_positions():
+            if module.weight(row) != module.weight(col) - j:
+                witness = f"L({j})[{row}][{col}] shifts weight {module.weight(col)!r} badly"
+            elif module.degree(row) != module.degree(col):
+                witness = f"L({j})[{row}][{col}] changes group degree"
+            if witness:
+                break
+        r.add(f"weight-shift-L({j})", witness is None, witness)
+    bad = [(row, col) for row, col in a.L0.nonzero_positions() if module.degree(row) != module.degree(col)]
+    witness = f"L(0)[{bad[0][0]}][{bad[0][1]}] changes group degree" if bad else None
+    r.add("degree-preservation-L(0)", witness is None, witness)
     return r
 
 

@@ -54,7 +54,6 @@ MAX_INT_POWER = 64
 # recursive descent, so deeper input would end in a RecursionError.
 MAX_NESTING = 100
 
-# 0 and 1 lie on every lattice, so these stay valid under any lattice bound
 _EXPONENT_ZERO = Exponent(0)
 _EXPONENT_ONE = Exponent(1)
 _FRACTION_ONE = Fraction(1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ExactScalar, Exponent
+from .scalars import LATTICE, ExactScalar, Exponent
 from .series import LogSeries, Monomial
 
 
@@ -28,11 +28,11 @@ def exponent_str(e: Exponent) -> str:
     return f"{rational_str(e.re)}-{rational_str(-e.im)}*i"
 
 
-def _zeta_summand(k: int, coeff: Fraction, L: int) -> str:
+def _zeta_summand(k: int, coeff: Fraction) -> str:
     """One summand r or r*e(q), q = k/L, of a cyclotomic coefficient."""
     if k == 0:
         return rational_str(coeff)
-    root = f"e({rational_str(Fraction(k, L))})"
+    root = f"e({rational_str(Fraction(k, LATTICE))})"
     if coeff == 1:
         return root
     if coeff == -1:
@@ -43,10 +43,9 @@ def _zeta_summand(k: int, coeff: Fraction, L: int) -> str:
 def scalar_str(s: ExactScalar) -> str:
     if s.is_zero():
         return "0"
-    L = s.order // 2
     groups: dict[int, list[str]] = {}
     for (k, j), coeff in sorted(s.terms.items()):
-        groups.setdefault(k, []).append(_zeta_summand(j, coeff, L))
+        groups.setdefault(k, []).append(_zeta_summand(j, coeff))
     parts: list[str] = []
     for k, factors in groups.items():
         if k == 0:

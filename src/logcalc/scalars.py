@@ -2,13 +2,13 @@
 
 Every scalar is an :class:`ExactScalar`: a Laurent polynomial in a
 transcendental symbol Pi (standing for the constant pi*i) with coefficients
-in the cyclotomic field Q(zeta_2L), where L is the global lattice bound
-(default 12, so zeta_24 and its powers cover halves, thirds and quarters).
-It is stored flat, as one dict from ``(Pi power, zeta index)`` to a nonzero
-``fractions.Fraction`` (re-exported as ``Rat``); zeta indices lie below
-phi(2L), the canonical reduced basis of the field.  A rational q is the
-single entry ``(0, 0): q``, so a product with a rational only scales the
-entries of the other factor.
+in the cyclotomic field Q(zeta_24).  The lattice bound L = 12 is fixed
+(``LATTICE``), and zeta = zeta_2L = e(1/12) with its powers covers halves,
+thirds and quarters.  A scalar is stored flat, as one dict from
+``(Pi power, zeta index)`` to a nonzero ``fractions.Fraction``; zeta indices
+lie below phi(24) = 8, the canonical reduced basis of the field.  A rational
+q is the single entry ``(0, 0): q``, so a product with a rational only
+scales the entries of the other factor.
 
 Exponents of formal variables live on the Gaussian lattice (1/L)Z[i] and are
 modelled by :class:`Exponent`.
@@ -26,38 +26,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-Rat = Fraction
-
-DEFAULT_LATTICE = 12
-_lattice = DEFAULT_LATTICE
+LATTICE = 12  # the lattice bound L: exponents live in (1/L)Z[i]
+_ORDER = 2 * LATTICE  # the order of zeta
 
 
 class LatticeViolation(ValueError):
-    """A rational fell off the (1/L)Z lattice, or roots of unity left Q(zeta_2L)."""
+    """A rational fell off the (1/L)Z lattice, or roots of unity left Q(zeta_24)."""
 
 
 class UnsupportedDivision(ZeroDivisionError):
     """Division by a scalar that is not an invertible Pi-monomial."""
 
 
-def lattice_bound() -> int:
-    """The global denominator bound L: exponents live in (1/L)Z[i]."""
-    return _lattice
-
-
-def set_lattice_bound(value: int) -> None:
-    """Reconfigure L (clears nothing retroactively: values from a previous L
-    refuse to mix with new ones)."""
-    global _lattice
-    if value < 1:
-        raise ValueError("lattice bound must be a positive integer")
-    _lattice = value
-
-
 def _check_lattice(q: Fraction, what: str = "exponent") -> Fraction:
-    if _lattice % q.denominator != 0:
+    if LATTICE % q.denominator != 0:
         raise LatticeViolation(
-            f"{what} {q} has denominator {q.denominator}, which does not divide L={_lattice}"
+            f"{what} {q} has denominator {q.denominator}, which does not divide L={LATTICE}"
         )
     return q
 
@@ -103,16 +87,18 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(p)
 
 
-@lru_cache(maxsize=None)
-def _reduction_cache(order: int) -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...]]:
-    """phi(order) and, for k < 2*order, zeta^k in the canonical basis as
-    sparse ``(basis index, nonzero Fraction)`` pairs."""
-    phi_poly = list(cyclotomic_polynomial(order))
+def _reduction_table() -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...]]:
+    """phi(24) and, for k < 48, zeta^k in the canonical basis as sparse
+    ``(basis index, nonzero Fraction)`` pairs."""
+    phi_poly = list(cyclotomic_polynomial(_ORDER))
     reps = []
-    for k in range(2 * order):
+    for k in range(2 * _ORDER):
         _, r = _poly_divmod([Fraction(0)] * k + [Fraction(1)], phi_poly)
         reps.append(tuple((j, c) for j, c in enumerate(r) if c))
     return len(phi_poly) - 1, tuple(reps)
+
+
+_PHI, _REPS = _reduction_table()
 
 
 def _accumulate(out: dict, key: tuple[int, int], c: Fraction) -> None:
@@ -124,9 +110,9 @@ def _nonzero(out: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _mul_terms(a: dict, b: dict, order: int) -> dict:
+def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two flat term maps, reduced through the zeta^k table."""
-    phi, reps = _reduction_cache(order)
+    phi, reps = _PHI, _REPS
     out: dict = {}
     for (p1, k1), c1 in a.items():
         for (p2, k2), c2 in b.items():
@@ -140,12 +126,11 @@ def _mul_terms(a: dict, b: dict, order: int) -> dict:
     return _nonzero(out)
 
 
-def _conjugate_terms(a: dict, j: int, order: int) -> dict:
+def _conjugate_terms(a: dict, j: int) -> dict:
     """The Galois conjugate zeta -> zeta^j of a flat term map."""
-    _, reps = _reduction_cache(order)
     out: dict = {}
     for (p, k), c in a.items():
-        for i, r in reps[j * k % order]:
+        for i, r in _REPS[j * k % _ORDER]:
             _accumulate(out, (p, i), c * r)
     return _nonzero(out)
 
@@ -156,21 +141,19 @@ _RATIONAL = (0, 0)  # the key of q in the rational scalar q: Pi^0 * zeta^0
 
 
 class ExactScalar:
-    """Laurent polynomial in Pi (= pi*i) over Q(zeta_order), in canonical form.
+    """Laurent polynomial in Pi (= pi*i) over Q(zeta_24), in canonical form.
 
     ``terms`` maps ``(Pi power, zeta index)`` to a nonzero Fraction, with
-    0 <= zeta index < phi(order); ``order`` is 2L for the lattice bound L in
-    force when the value was made.  The constructor trusts its arguments to
-    be canonical in this sense and keeps the dict it is given; treat
-    instances as immutable.  Pi is transcendental by construction: no
+    0 <= zeta index < phi(24).  The constructor trusts its argument to be
+    canonical in this sense and keeps the dict it is given; treat instances
+    as immutable.  Pi is transcendental by construction: no
     operation ever merges distinct Pi-powers.
     """
 
-    __slots__ = ("terms", "order", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None, order: int | None = None):
+    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         self.terms = terms if terms is not None else {}
-        self.order = order or 2 * _lattice
         self._hash: int | None = None
 
     # -- constructors --------------------------------------------------------
@@ -215,11 +198,6 @@ class ExactScalar:
         """Exactly one Pi-power with an (automatically invertible) nonzero coefficient."""
         return len({p for p, _ in self.terms}) == 1
 
-    def _same_order(self, other: ExactScalar) -> int:
-        if self.order != other.order:
-            raise ValueError(f"mixing elements of Q(zeta_{self.order}) and Q(zeta_{other.order})")
-        return self.order
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> ExactScalar:
@@ -230,7 +208,6 @@ class ExactScalar:
             return other
         if not b:
             return self
-        order = self._same_order(other)
         out = dict(a)
         for key, c in b.items():
             prev = out.get(key)
@@ -242,12 +219,12 @@ class ExactScalar:
                     out[key] = s
                 else:
                     del out[key]
-        return ExactScalar(out, order)
+        return ExactScalar(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> ExactScalar:
-        return ExactScalar({key: -c for key, c in self.terms.items()}, self.order)
+        return ExactScalar({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: ScalarLike) -> ExactScalar:
         return self + (-ExactScalar.coerce(other))
@@ -260,23 +237,22 @@ class ExactScalar:
             other = ExactScalar.coerce(other)
         a, b = self.terms, other.terms
         if not a or not b:
-            return ExactScalar({}, self.order)
-        order = self._same_order(other)
+            return ExactScalar({})
         # rational fast path: scale the nonzero entries of the other factor
         if len(a) == 1 and _RATIONAL in a:
             q = a[_RATIONAL]
-            return ExactScalar({key: c * q for key, c in b.items()}, order)
+            return ExactScalar({key: c * q for key, c in b.items()})
         if len(b) == 1 and _RATIONAL in b:
             q = b[_RATIONAL]
-            return ExactScalar({key: c * q for key, c in a.items()}, order)
-        return ExactScalar(_mul_terms(a, b, order), order)
+            return ExactScalar({key: c * q for key, c in a.items()})
+        return ExactScalar(_mul_terms(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> ExactScalar:
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExactScalar({_RATIONAL: Fraction(1)}, self.order)
+        out = ExactScalar({_RATIONAL: Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -288,7 +264,7 @@ class ExactScalar:
 
     def inverse(self) -> ExactScalar:
         """1/self for an invertible Pi-monomial c*Pi^k (c a nonzero cyclotomic)."""
-        t, order = self.terms, self.order
+        t = self.terms
         if not t:
             raise UnsupportedDivision("division by zero")
         powers = {p for p, _ in t}
@@ -296,15 +272,15 @@ class ExactScalar:
             raise UnsupportedDivision(f"{self} is not a Pi-monomial")
         [k] = powers
         if len(t) == 1 and (k, 0) in t:
-            return ExactScalar({(-k, 0): 1 / t[(k, 0)]}, order)
+            return ExactScalar({(-k, 0): 1 / t[(k, 0)]})
         # c times the product of its other Galois conjugates is the rational norm N(c)
         c = {(0, i): v for (_, i), v in t.items()}
         rest = {_RATIONAL: Fraction(1)}
-        for j in range(2, order):
-            if math.gcd(j, order) == 1:
-                rest = _mul_terms(rest, _conjugate_terms(c, j, order), order)
-        norm = _mul_terms(c, rest, order)[_RATIONAL]
-        return ExactScalar({(-k, i): v / norm for (_, i), v in rest.items()}, order)
+        for j in range(2, _ORDER):
+            if math.gcd(j, _ORDER) == 1:
+                rest = _mul_terms(rest, _conjugate_terms(c, j))
+        norm = _mul_terms(c, rest)[_RATIONAL]
+        return ExactScalar({(-k, i): v / norm for (_, i), v in rest.items()})
 
     def div_monomial(self, other: ScalarLike) -> ExactScalar:
         """Exact division by a Pi-monomial c*Pi^k (or a plain nonzero constant)."""
@@ -314,21 +290,19 @@ class ExactScalar:
         q = _fraction(q)
         if q == 0:
             raise UnsupportedDivision("division by zero")
-        return ExactScalar({key: c / q for key, c in self.terms.items()}, self.order)
+        return ExactScalar({key: c / q for key, c in self.terms.items()})
 
     # -- comparisons / misc -----------------------------------------------------
 
     def canonical_key(self) -> tuple:
-        if not self.terms:
-            return ()
-        return (self.order, tuple(sorted(self.terms.items())))
+        return tuple(sorted(self.terms.items()))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactScalar.from_rational(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.terms == other.terms and (self.order == other.order or not self.terms)
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         # a rational (or zero) equals its Fraction, so it hashes like one
@@ -338,7 +312,7 @@ class ExactScalar:
 
     def complex_value(self) -> complex:
         """Floating evaluation with Pi -> pi*i; smoke-test backend only."""
-        z = cmath.exp(2j * math.pi / self.order)
+        z = cmath.exp(2j * math.pi / _ORDER)
         return sum(float(c) * z**k * (1j * math.pi) ** p for (p, k), c in self.terms.items())
 
     def __repr__(self) -> str:
@@ -347,16 +321,9 @@ class ExactScalar:
         return f"ExactScalar({scalar_str(self)})"
 
 
-class CyclotomicElem:
-    """Constructors of the elements of Q(zeta_2L): the Pi-free ExactScalars."""
-
-    from_rational = staticmethod(ExactScalar.from_rational)
-
-    @staticmethod
-    def zeta_power(k: int) -> ExactScalar:
-        order = 2 * _lattice
-        _, reps = _reduction_cache(order)
-        return ExactScalar({(0, j): c for j, c in reps[k % order]}, order)
+def zeta_power(k: int) -> ExactScalar:
+    """zeta^k = e(k/L), the k-th power of zeta = zeta_2L."""
+    return ExactScalar({(0, j): c for j, c in _REPS[k % _ORDER]})
 
 
 def pi_scalar(coeff: Fraction | int = 1) -> ExactScalar:
@@ -367,14 +334,10 @@ def pi_scalar(coeff: Fraction | int = 1) -> ExactScalar:
 def root_of_unity(q: Fraction | int) -> ExactScalar:
     """Exact e^(pi i q) = zeta_2L^(qL); q must lie on the (1/L)Z lattice."""
     q = _check_lattice(_fraction(q), "root-of-unity argument")
-    k = q * _lattice
-    assert k.denominator == 1
-    return CyclotomicElem.zeta_power(int(k))
+    return zeta_power(int(q * LATTICE))
 
 
 def imaginary_unit() -> ExactScalar:
-    if _lattice % 2 != 0:
-        raise LatticeViolation("i = e(1/2) needs an even lattice bound L")
     return root_of_unity(Fraction(1, 2))
 
 
@@ -441,7 +404,7 @@ class Exponent:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Exponent(Fraction(other))
+            return self.im == 0 and self.re == other
         if not isinstance(other, Exponent):
             return NotImplemented
         return self.re == other.re and self.im == other.im

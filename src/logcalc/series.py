@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .scalars import ExactScalar, Exponent, ScalarLike
+from .scalars import LATTICE, ExactScalar, Exponent, ScalarLike
 
 VarId = str
 
@@ -261,13 +261,13 @@ def _trunc_levels(
     left: Iterable[Monomial], right: Iterable[Monomial], trunc: TruncMap
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """The real exponents of each monomial in the truncated variables, and
-    the bounds, all times one common denominator: exact integer levels."""
+    the bounds, all times L: exact integer levels, since real exponents lie
+    in (1/L)Z."""
     res = [[[m.exponent(v).re for v in trunc] for m in side] for side in (left, right)]
-    d = math.lcm(1, *(q.denominator for side in res for row in side for q in row))
     lv_left, lv_right = (
-        [tuple(q.numerator * (d // q.denominator) for q in row) for row in side] for side in res
+        [tuple(q.numerator * (LATTICE // q.denominator) for q in row) for row in side] for side in res
     )
-    return lv_left, lv_right, [n * d for n in trunc.values()]
+    return lv_left, lv_right, [n * LATTICE for n in trunc.values()]
 
 
 class LogSeries:

@@ -37,7 +37,7 @@ from logcalc.intertwiner import (
     x_t,
 )
 from logcalc.matrix import ExactMatrix
-from logcalc.mobius import GradingGroup
+from logcalc.mobius import GradedSpace, GradingGroup, MobiusModule, Sl2Action
 from logcalc.scalars import ExactScalar, Exponent, pi_scalar, root_of_unity
 from logcalc.series import CoeffVector, LogSeries, Monomial
 
@@ -190,6 +190,21 @@ class TestJacobi:
         table, vt = vertex_as_intertwiner
         rep = jacobi_check_window(table, vt, 0, table.w1.basis_vector(0), table.w2.basis_vector(1))
         assert rep.passed
+
+    def test_weight_report_names_the_first_bad_entry(self):
+        zero = ExactMatrix.zeros(3, 3)
+        b = MobiusModule(GradedSpace("B", [0, 1, 1]), Sl2Action(zero, zero, zero))
+        # the (-1)-mode of a weight-0 vector keeps weights: [0][0] is fine,
+        # [1][0] and [2][0] are not
+        m = ExactMatrix([[1, 0, 0], [1, 0, 0], [1, 0, 0]])
+        vt = VertexTable(b, b, b, [Exponent(0)], {(1, 0, -1): m})
+        [row] = vt.weight_report().failures
+        assert row.witness == "mode (slot=1, v=0, n=-1) entry [1][0]"
+
+    def test_mode_matrices_must_match_their_slot(self, epsilon_pair):
+        _, vt = epsilon_pair
+        with pytest.raises(ValueError, match="dimension 2"):
+            VertexTable(*vt.modules.values(), vt.vector_weights, {(2, 0, -1): ExactMatrix([[1]])})
 
     def test_epsilon_instance(self, epsilon_pair):
         table, vt = epsilon_pair

@@ -88,6 +88,14 @@ class TestVertexFiles:
             vertex_from_json(data)
         assert "slot" in str(err.value)
 
+    def test_matrix_shape_guard(self, epsilon_pair):
+        _, vt = epsilon_pair
+        data = vertex_to_json(vt)
+        data["modes"][0]["matrix"] = [["1"]]
+        with pytest.raises(SchemaError) as err:
+            load_text(canonical_dumps(data))
+        assert err.value.pointer == "/modes/0/matrix"
+
 
 def test_canonical_dump_is_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": 2})

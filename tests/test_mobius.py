@@ -68,6 +68,22 @@ class TestValidation:
         report = validate_sl2(bad)
         assert not module_valid(report)
 
+    def test_witnesses_name_the_first_bad_entry(self):
+        zero = ExactMatrix.zeros(3, 3)
+        # column by column: [1][0] shifts correctly, [2][1] and [1][2] do not
+        lm1 = ExactMatrix([[0, 0, 0], [1, 0, 1], [0, 1, 0]])
+        bad = MobiusModule(GradedSpace("B", [0, 1, 1]), Sl2Action(lm1, zero, zero))
+        witness = {c.check_id: c.witness for c in validate_sl2(bad).failures}
+        assert witness["weight-shift-L(-1)"].startswith("L(-1)[2][1] shifts weight")
+        # one entry with a bad weight and a bad degree: the weight is named
+        space = GradedSpace("D", [0, 0], [(0,), (1,)], GradingGroup(1))
+        l0 = ExactMatrix([[0, 1], [1, 0]])
+        lm1 = ExactMatrix([[0, 0], [1, 0]])
+        bad = MobiusModule(space, Sl2Action(lm1, l0, ExactMatrix.zeros(2, 2)))
+        witness = {c.check_id: c.witness for c in validate_sl2(bad).failures}
+        assert witness["weight-shift-L(-1)"].startswith("L(-1)[1][0] shifts weight")
+        assert witness["degree-preservation-L(0)"] == "L(0)[1][0] changes group degree"
+
     def test_seeded_modules_validate(self):
         for seed in range(5):
             mod = catalog.seeded_semisimple_module(f"T{seed}", seed)
