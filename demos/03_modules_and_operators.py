@@ -38,9 +38,7 @@ print("== x^L(0) on a Jordan pair produces a log ==")
 w = jordan.basis_vector(1)
 s = x_pm_L0(jordan, w, +1)
 print("x^L(0) w =", series_str(s))
-back = LogSeries.zero(jordan.coeff_space)
-for mono, vec in s.items():
-    back = back + (x_pm_L0(jordan, vec, -1) * LogSeries.monomial(mono))
+back = s.apply_op(lambda vec: x_pm_L0(jordan, vec, -1), jordan.coeff_space)
 print("x^-L(0) x^L(0) w = w:", back == LogSeries.vector(w))
 
 print()

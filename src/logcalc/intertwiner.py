@@ -44,8 +44,9 @@ from .mobius import (
     MobiusModule,
     contragredient,
     e_aL0,
+    exp_L,
     exp_nilpotent_terms,
-    matrix_binomials,
+    one_minus_u_power,
     pairing_value,
     x_pm_L0,
 )
@@ -865,10 +866,7 @@ def a_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
         # (x^{-L(0)})^2 then e^{(2r+1)Pi L(0)} then e^{xL(1)}, as a W1-valued series
         s = LogSeries.vector(t.w1.basis_vector(i))
         for _ in range(2):
-            acc = LogSeries.zero(t.w1.coeff_space)
-            for mono, vec in s.items():
-                acc = acc + (x_pm_L0(t.w1, vec, -1, var) * LogSeries.monomial(mono))
-            s = acc
+            s = s.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1, var), t.w1.coeff_space)
         s = s.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar))
         return _exp_poly(t.w1, t.w1.L(1), s, var)
 
@@ -951,11 +949,7 @@ def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | 
 # conjugation formulas at the table level
 
 def conj_formulas_check(
-    t: IntertwinerTable,
-    which: str,
-    order: int | None = None,
-    var: VarId = "x",
-    a_coeff: Fraction | int = 1,
+    t: IntertwinerTable, which: str, order: int | None = None, a_coeff: Fraction | int = 1
 ) -> Report:
     """Table-level conjugation identities.
 
@@ -966,21 +960,18 @@ def conj_formulas_check(
     ``aL0`` e^(aL(0)) Y(w1,x) e^(-aL(0)) = Y(e^(aL(0))w1, e^a x)    (exact)
     """
     rep = Report(f"conjugation-formulas{t.type_signature()}:{which}")
-    y = "y"
+    var, y = "x", "y"
+    w3 = t.w3.coeff_space
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
             w1v = t.w1.basis_vector(i)
             w2v = t.w2.basis_vector(j)
             if which == "p1":
                 inner = _exp_poly(t.w2, -t.w2.L(-1), LogSeries.vector(w2v), y)
-                mid = LogSeries.zero(t.w3.coeff_space)
-                for mono, vec in inner.items():
-                    mid = mid + (t.series_args(w1v, vec, var) * LogSeries.monomial(mono))
+                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
                 lhs = _exp_poly(t.w3, t.w3.L(-1), mid, y)
                 arg = _exp_poly(t.w1, t.w1.L(-1), LogSeries.vector(w1v), y)
-                mid2 = LogSeries.zero(t.w3.coeff_space)
-                for mono, vec in arg.items():
-                    mid2 = mid2 + (t.series_args(vec, w2v, var) * LogSeries.monomial(mono))
+                mid2 = arg.apply_op(lambda vec: t.series_args(vec, w2v, var), w3)
                 ok1 = (lhs - mid2).is_zero()
                 rep.add(f"translate-conjugation({i},{j})", ok1, _witness(lhs - mid2))
                 if order is not None:
@@ -988,27 +979,17 @@ def conj_formulas_check(
                     diff = rhs - mid2.with_trunc({y: order})
                     rep.add(f"translate-substitution({i},{j})", diff.is_zero(), _witness(diff))
             elif which == "p2":
-                inner = x_pm_L0(t.w2, w2v, -1, y)
-                mid = LogSeries.zero(t.w3.coeff_space)
-                for mono, vec in inner.items():
-                    mid = mid + (t.series_args(w1v, vec, var) * LogSeries.monomial(mono))
-                lhs = LogSeries.zero(t.w3.coeff_space)
-                for mono, vec in mid.items():
-                    lhs = lhs + (x_pm_L0(t.w3, vec, +1, y) * LogSeries.monomial(mono))
+                mid = x_pm_L0(t.w2, w2v, -1, y).apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
+                lhs = mid.apply_op(lambda vec: x_pm_L0(t.w3, vec, +1, y), w3)
                 argu = x_pm_L0(t.w1, w1v, +1, y)
-                rhs = LogSeries.zero(t.w3.coeff_space)
-                for mono, vec in argu.items():
-                    sub = subst_xy(t.series_args(vec, w2v, var), var, y)
-                    rhs = rhs + (sub * LogSeries.monomial(mono))
+                rhs = argu.apply_op(lambda vec: subst_xy(t.series_args(vec, w2v, var), var, y), w3)
                 ok = (lhs - rhs).is_zero()
                 rep.add(f"scale-conjugation({i},{j})", ok, _witness(lhs - rhs))
             elif which == "p3":
                 if order is None:
                     raise ValueError("p3 is series-valued; supply a y-truncation order")
                 inner = _exp_poly(t.w2, -t.w2.L(1), LogSeries.vector(w2v), y)
-                mid = LogSeries.zero(t.w3.coeff_space)
-                for mono, vec in inner.items():
-                    mid = mid + (t.series_args(w1v, vec, var) * LogSeries.monomial(mono))
+                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
                 lhs = _exp_poly(t.w3, t.w3.L(1), mid, y).with_trunc({y: order})
                 rhs = _p3_rhs(t, w1v, w2v, var, y, order)
                 diff = lhs - rhs
@@ -1026,27 +1007,14 @@ def conj_formulas_check(
 
 
 def _p3_rhs(t: IntertwinerTable, w1v: CoeffVector, w2v: CoeffVector, var: VarId, y: VarId, order: int) -> LogSeries:
-    u = LogSeries.variable(y) * LogSeries.variable(var)  # yx
-    # (1 - yx)^(-2L(0)) w1: binomial sum_k C(-2L(0), k) (-yx)^k, truncated
-    acc = LogSeries.vector(w1v).with_trunc({y: order})
-    upow = LogSeries.one().with_trunc({y: order})
-    for k, binom in enumerate(matrix_binomials(t.w1.action.L0.scale(-2), order)[1:], 1):
-        upow = upow * u
-        acc = acc + upow.scale(Fraction((-1) ** k)).scale_vector(t.w1.apply_matrix(binom, w1v))
-    # e^(y(1-yx) L(1)) applied coefficientwise: c = y - y^2 x
-    c_series = (LogSeries.variable(y) - (LogSeries.variable(y, 2) * LogSeries.variable(var))).with_trunc({y: order})
-    dressed = LogSeries.zero(t.w1.coeff_space)
-    for mono, vec in acc.items():
-        cpow = LogSeries.one()
-        for term in exp_nilpotent_terms(t.w1, t.w1.L(1), vec):
-            dressed = dressed + (cpow * LogSeries.monomial(mono)).scale_vector(term)
-            cpow = cpow * c_series
+    yx = LogSeries.variable(y) * LogSeries.variable(var)
+    # (1 - yx)^(-2L(0)) w1, then e^(y(1-yx) L(1)), both truncated at y-order
+    arg = one_minus_u_power(t.w1, t.w1.action.L0.scale(-2), yx, LogSeries.vector(w1v), order, y)
+    arg = exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
     # substitute the table at x(1-yx)^(-1)
-    out = LogSeries.zero(t.w3.coeff_space)
-    for mono, vec in dressed.items():
-        base = t.series_args(vec, w2v, var)
-        sub = _subst_mobius_argument(base, var, y, order)
-        out = out + (sub * LogSeries.monomial(mono))
+    out = arg.apply_op(
+        lambda vec: _subst_mobius_argument(t.series_args(vec, w2v, var), var, y, order), t.w3.coeff_space
+    )
     return out.with_trunc({y: order})
 
 

@@ -15,15 +15,20 @@ L(-1), L(0), L(1)).  Validation reports each structural relation separately:
 Checkers that genuinely need the full bracket (the exponentiated conjugation
 identities) are therefore run on honest semisimple actions, while the
 logarithmic machinery runs on Jordan-block actions.
+
+Every operator here acts on a vector or on a W-valued series: x^(+-L(0)),
+e^(aL(0)), e^(c L(j)) for a series coefficient c, and (1-u)^m.  The
+conjugation identities compare their two sides as such operators on every
+basis vector.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .matrix import ExactMatrix
+from .printer import series_str
 from .reports import Report
 from .scalars import (
     ExactScalar,
@@ -313,145 +318,75 @@ def e_aL0_matrix(module: MobiusModule, a: ExactScalar) -> ExactMatrix:
     )
 
 
-# ---------------------------------------------------------------------------
-# matrices of scalar series (for conjugation identities)
+def exp_L(
+    module: MobiusModule, j: int, coeff: LogSeries, f: LogSeries, order: int | None = None, var: VarId = "x"
+) -> LogSeries:
+    """e^(coeff L(j)) f = sum_k coeff^k L(j)^k f / k! for a W-valued series f.
 
-SeriesMatrix = list  # list[list[LogSeries]] with scalar entries
-
-
-def series_matrix_from(m: ExactMatrix) -> SeriesMatrix:
-    return [[LogSeries.constant(a) for a in row] for row in m.entries]
-
-
-def series_matrix_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    n, mid, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(cols):
-            acc = LogSeries.zero(SCALAR)
-            for k in range(mid):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def series_matrix_scale(a: SeriesMatrix, f: LogSeries) -> SeriesMatrix:
-    return [[f * entry for entry in row] for row in a]
-
-
-def series_matrix_add(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def series_matrix_eq(a: SeriesMatrix, b: SeriesMatrix) -> tuple[bool, str | None]:
-    for i, (r1, r2) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(r1, r2)):
-            if not (x - y).is_zero():
-                from .printer import series_str
-
-                return False, f"entry [{i}][{j}]: {series_str(x)} != {series_str(y)}"
-    return True, None
-
-
-def series_matrix_identity(n: int) -> SeriesMatrix:
-    return [[LogSeries.one() if i == j else LogSeries.zero(SCALAR) for j in range(n)] for i in range(n)]
-
-
-def x_L0_series_matrix(module: MobiusModule, sign: int, var: VarId = "x", power: int = 1) -> SeriesMatrix:
-    """Matrix of x^(±L(0)) (applied ``power`` times) as scalar series entries."""
-    cols = []
-    for j in range(module.dim):
-        v = module.basis_vector(j)
-        series = LogSeries.vector(v)
-        for _ in range(power):
-            # apply x^{sign L0} to a vector-valued series coefficientwise
-            acc = LogSeries.zero(module.coeff_space)
-            for mono, vec in series.items():
-                acc = acc + (x_pm_L0(module, vec, sign, var) * LogSeries.monomial(mono))
-            series = acc
-        cols.append(series)
-    return [
-        [
-            LogSeries(
-                SCALAR,
-                {m: CoeffVector.scalar(vec.get(i)) for m, vec in cols[j].items()},
-            )
-            for j in range(module.dim)
-        ]
-        for i in range(module.dim)
-    ]
-
-
-def exp_L_series_matrix(
-    module: MobiusModule,
-    j: int,
-    coeff: LogSeries,
-    order: int | None = None,
-    order_var: VarId | None = None,
-) -> SeriesMatrix:
-    """e^(coeff * L(j)) as a matrix of scalar series.
-
-    Terminates when L(j) is nilpotent; otherwise a truncation order in
-    ``order_var`` must be supplied.
+    Exact when the matrix L(j) is nilpotent.  Otherwise the sum is cut after
+    k = ``order``, which must then be given.  With an ``order`` the result is
+    known modulo ``var``-exponents above it.
     """
     m = module.L(j)
     nilpotent = m.is_nilpotent()
     if not nilpotent and order is None:
         raise ValueError("exponential of a non-nilpotent operator needs a truncation order")
-    bound = module.dim if nilpotent else order
-    trunc = {order_var: order} if (order is not None and order_var is not None) else {}
-    out = series_matrix_identity(module.dim)
-    if trunc:
-        out = [[e.with_trunc(trunc) for e in row] for row in out]
-    mat_series = series_matrix_from(m)
-    cur = series_matrix_identity(module.dim)
-    power = LogSeries.one().with_trunc(coeff.trunc)  # coeff**k, one product per step
-    for k in range(1, bound + 1):
-        cur = series_matrix_mul(mat_series, cur)
-        power = power * coeff
-        term = series_matrix_scale(cur, power)
-        term = [[e.scale(Fraction(1, math.factorial(k))).with_trunc(trunc) for e in row] for row in term]
-        out = series_matrix_add(out, term)
-        if nilpotent and all(e.is_zero() for row in cur for e in row):
+    out = f.with_trunc({var: order}) if order is not None else f
+    power = LogSeries.one()  # coeff**k, one product per step
+    for k in range(1, (module.dim if nilpotent else order) + 1):
+        f = f.map_coeffs(lambda vec: module.apply_matrix(m, vec).scale(Fraction(1, k)))
+        if f.is_zero():
             break
+        power = power * coeff
+        out = out + power * f
     return out
 
 
-def matrix_binomials(m: ExactMatrix, order: int) -> list[ExactMatrix]:
-    """C(m, k) = m (m-1) ... (m-k+1) / k! for k = 0..order."""
-    out = [ExactMatrix.identity(m.rows)]
+def one_minus_u_power(
+    module: MobiusModule, m: ExactMatrix, u: LogSeries, f: LogSeries, order: int, var: VarId
+) -> LogSeries:
+    """(1-u)^m f = sum_k C(m, k) (-u)^k f over k <= order, for a W-valued
+    series f and u of positive ``var``-valuation; known modulo
+    ``var``-exponents above ``order``.  C(m, k) f is (m - k + 1) C(m, k-1) f / k."""
+    out = f.with_trunc({var: order})
+    power = LogSeries.one()
     for k in range(1, order + 1):
-        shift = m - ExactMatrix.identity(m.rows).scale(k - 1)
-        out.append((out[-1] @ shift).map(lambda s: s.divided_by_rational(k)))
-    return out
-
-
-def one_minus_x_L0_binomial(module: MobiusModule, var: VarId, order: int) -> SeriesMatrix:
-    """(1-x)^(L(0)) = sum_k C(L(0), k) (-x)^k with matrix binomials, truncated."""
-    out = series_matrix_identity(module.dim)
-    out = [[e.with_trunc({var: order}) for e in row] for row in out]
-    for k, binom in enumerate(matrix_binomials(module.action.L0, order)[1:], 1):
-        term = series_matrix_scale(series_matrix_from(binom), LogSeries.monomial(Monomial.var(var, k), Fraction((-1) ** k)))
-        term = [[e.with_trunc({var: order}) for e in row] for row in term]
-        out = series_matrix_add(out, term)
+        f = f.map_coeffs(lambda vec: (module.apply_matrix(m, vec) - vec.scale(k - 1)).scale(Fraction(1, k)))
+        power = power * -u
+        out = out + power * f
     return out
 
 
 # ---------------------------------------------------------------------------
 # conjugation identity checks
 
-def conj_identity_check(
-    module: MobiusModule,
-    which: str,
-    j: int | None = None,
-    r: int = 0,
-    order: int | None = None,
-    var: VarId = "x",
-) -> Report:
+Operator = Callable[[CoeffVector], LogSeries]
+
+
+def _compare_operators(rep: Report, check_id: str, module: MobiusModule, lhs: Operator, rhs: Operator) -> None:
+    """Add one row: lhs and rhs agree on every basis vector.  A failure names
+    the first differing matrix entry [i][j], component i of the image of e_j,
+    in row-major order."""
+    basis = [module.basis_vector(j) for j in range(module.dim)]
+    left = [lhs(v) for v in basis]
+    right = [rhs(v) for v in basis]
+    for i in range(module.dim):
+        def entry(f: LogSeries) -> LogSeries:
+            return f.map_coeffs(lambda vec: CoeffVector.scalar(vec.get(i)), SCALAR)
+
+        for j in range(module.dim):
+            a, b = entry(left[j]), entry(right[j])
+            if not (a - b).is_zero():
+                rep.add(check_id, False, f"entry [{i}][{j}]: {series_str(a)} != {series_str(b)}")
+                return
+    rep.add(check_id, True)
+
+
+def conj_identity_check(module: MobiusModule, which: str, r: int = 0, order: int | None = None) -> Report:
     """Check one of the exponentiated sl(2) conjugation identities on a module.
+
+    Both sides act as operators on W-valued series in x (and y) and are
+    compared on every basis vector.
 
     which:
       * ``xL0_Lj``    x^L(0) L(j) x^-L(0) = x^-j L(j)                  (exact)
@@ -461,91 +396,103 @@ def conj_identity_check(
       * ``inverse_rel``  the x -> -1/x relation and its exponentiated form
     """
     rep = Report(f"conjugation({module.name}:{which})")
-    dim = module.dim
+    space = module.coeff_space
+    x = LogSeries.variable("x")
+
+    def x_L0(sign: int, f: LogSeries) -> LogSeries:
+        return f.apply_op(lambda v: x_pm_L0(module, v, sign), space)
+
+    def L(j: int, f: LogSeries) -> LogSeries:
+        return f.map_coeffs(lambda v: module.apply_L(j, v))
+
     if which == "xL0_Lj":
-        js = [j] if j is not None else [-1, 0, 1]
-        for jj in js:
-            lhs = series_matrix_mul(
-                x_L0_series_matrix(module, 1, var),
-                series_matrix_mul(series_matrix_from(module.L(jj)), x_L0_series_matrix(module, -1, var)),
+        for jj in (-1, 0, 1):
+            _compare_operators(
+                rep,
+                f"xL0-conjugate-L({jj})",
+                module,
+                lambda v: x_L0(1, L(jj, x_pm_L0(module, v, -1))),
+                lambda v: LogSeries.vector(module.apply_L(jj, v), Monomial.var("x", -jj)),
             )
-            rhs = series_matrix_scale(series_matrix_from(module.L(jj)), LogSeries.variable(var, -jj))
-            ok, wit = series_matrix_eq(lhs, rhs)
-            rep.add(f"xL0-conjugate-L({jj})", ok, wit)
     elif which == "xL0_expLj":
-        js = [j] if j is not None else [-1, 1]
-        for jj in js:
-            y = "y"
-            needs_order = not module.L(jj).is_nilpotent()
-            e_inner = exp_L_series_matrix(module, jj, LogSeries.variable(y), order if needs_order else None, y)
-            lhs = series_matrix_mul(
-                x_L0_series_matrix(module, 1, var),
-                series_matrix_mul(e_inner, x_L0_series_matrix(module, -1, var)),
+        y = LogSeries.variable("y")
+        for jj in (-1, 1):
+            cut = None if module.L(jj).is_nilpotent() else order
+            _compare_operators(
+                rep,
+                f"xL0-conjugate-exp-L({jj})",
+                module,
+                lambda v: x_L0(1, exp_L(module, jj, y, x_pm_L0(module, v, -1), cut, "y")),
+                lambda v: exp_L(module, jj, y * LogSeries.variable("x", -jj), LogSeries.vector(v), cut, "y"),
             )
-            coeff = LogSeries.variable(y) * LogSeries.variable(var, -jj)
-            rhs = exp_L_series_matrix(module, jj, coeff, order if needs_order else None, y)
-            ok, wit = series_matrix_eq(lhs, rhs)
-            rep.add(f"xL0-conjugate-exp-L({jj})", ok, wit)
     elif which in ("expLm1", "expL0", "expL1"):
         jj = {"expLm1": -1, "expL0": 0, "expL1": 1}[which]
-        if jj == 0 and order is None:
+        one, zero = LogSeries.one(), LogSeries.zero()
+        if jj == -1:
+            table = [[one, zero, zero], [-x, one, zero], [x * x, x.scale(-2), one]]
+        elif jj == 1:
+            table = [[one, x.scale(2), x * x], [zero, one, x], [zero, zero, one]]
+        elif order is None:
             raise ValueError("expL0 conjugation is series-valued; supply a truncation order")
-        x = LogSeries.variable(var)
-        left = exp_L_series_matrix(module, jj, x, order, var)
-        right = exp_L_series_matrix(module, jj, -x, order, var)
-        table = {
-            -1: [[_c(1), _c(0), _c(0)], [-x, _c(1), _c(0)], [x * x, x.scale(-2), _c(1)]],
-            0: None,
-            1: [[_c(1), x.scale(2), x * x], [_c(0), _c(1), x], [_c(0), _c(0), _c(1)]],
-        }[jj]
-        if jj == 0:
-            ex = series_exp(x, var, order)
-            emx = series_exp(-x, var, order)
-            table = [[ex, _c(0), _c(0)], [_c(0), _c(1), _c(0)], [_c(0), _c(0), emx]]
-        for row_idx, jjj in enumerate((-1, 0, 1)):
-            lhs = series_matrix_mul(left, series_matrix_mul(series_matrix_from(module.L(jjj)), right))
-            rhs_acc = None
-            for col_idx, jcol in enumerate((-1, 0, 1)):
-                term = series_matrix_scale(series_matrix_from(module.L(jcol)), table[row_idx][col_idx])
-                rhs_acc = term if rhs_acc is None else series_matrix_add(rhs_acc, term)
-            if order is not None:
-                lhs = [[e.with_trunc({var: order}) for e in rrow] for rrow in lhs]
-                rhs_acc = [[e.with_trunc({var: order}) for e in rrow] for rrow in rhs_acc]
-            ok, wit = series_matrix_eq(lhs, rhs_acc)
-            rep.add(f"{which}-row-L({jjj})", ok, wit)
+        else:
+            ex, emx = series_exp(x, "x", order), series_exp(-x, "x", order)
+            table = [[ex, zero, zero], [zero, one, zero], [zero, zero, emx]]
+        trunc = {"x": order} if order is not None else {}
+
+        for row, jrow in zip(table, (-1, 0, 1)):
+
+            def conjugated(v: CoeffVector) -> LogSeries:
+                inner = exp_L(module, jj, -x, LogSeries.vector(v), order)
+                return exp_L(module, jj, x, L(jrow, inner), order).with_trunc(trunc)
+
+            def combination(v: CoeffVector) -> LogSeries:
+                out = LogSeries.zero(space)
+                for c, jcol in zip(row, (-1, 0, 1)):
+                    out = out + c * LogSeries.vector(module.apply_L(jcol, v))
+                return out.with_trunc(trunc)
+
+            _compare_operators(rep, f"{which}-row-L({jrow})", module, conjugated, combination)
     elif which == "one_minus_x":
         if order is None:
             raise ValueError("one_minus_x needs a truncation order")
-        direct = one_minus_x_L0_binomial(module, var, order)
-        log_part = series_log1p(LogSeries.variable(var, 1).scale(-1), var, order)
-        via_exp = exp_L_series_matrix(module, 0, log_part, order, var)
-        ok, wit = series_matrix_eq(direct, via_exp)
-        rep.add("one-minus-x-two-routes", ok, wit)
+        log_part = series_log1p(x.scale(-1), "x", order)
+        _compare_operators(
+            rep,
+            "one-minus-x-two-routes",
+            module,
+            lambda v: one_minus_u_power(module, module.action.L0, x, LogSeries.vector(v), order, "x"),
+            lambda v: exp_L(module, 0, log_part, LogSeries.vector(v), order),
+        )
     elif which == "inverse_rel":
         # e^((2r+1)Pi L(0)) (x^L0)^2 [xL(1)] (x^-L0)^2 e^-((2r+1)Pi L(0)) = -x^-1 L(1)
         a = ExactScalar.pi_power(1, 2 * r + 1)
-        phase = series_matrix_from(e_aL0_matrix(module, a))
-        phase_inv = series_matrix_from(e_aL0_matrix(module, -a))
-        x2 = x_L0_series_matrix(module, 1, var, power=2)
-        x2inv = x_L0_series_matrix(module, -1, var, power=2)
-        core = series_matrix_scale(series_matrix_from(module.L(1)), LogSeries.variable(var))
-        lhs = series_matrix_mul(phase, series_matrix_mul(x2, series_matrix_mul(core, series_matrix_mul(x2inv, phase_inv))))
-        rhs = series_matrix_scale(series_matrix_from(module.L(1)), LogSeries.variable(var, -1).scale(-1))
-        ok, wit = series_matrix_eq(lhs, rhs)
-        rep.add(f"x-to-minus-inverse-x(r={r})", ok, wit)
+        minus_x_inv = LogSeries.variable("x", -1).scale(-1)
+
+        def conjugate(core: Callable[[LogSeries], LogSeries]) -> Operator:
+            def op(v: CoeffVector) -> LogSeries:
+                f = x_L0(-1, x_pm_L0(module, e_aL0(module, v, -a), -1))
+                return x_L0(1, x_L0(1, core(f))).map_coeffs(lambda w: e_aL0(module, w, a))
+
+            return op
+
+        _compare_operators(
+            rep,
+            f"x-to-minus-inverse-x(r={r})",
+            module,
+            conjugate(lambda f: L(1, f) * x),
+            lambda v: LogSeries.vector(module.apply_L(1, v)) * minus_x_inv,
+        )
         # exponentiated form: conjugate of e^(xL(1)) equals e^(-x^-1 L(1))
-        exl1 = exp_L_series_matrix(module, 1, LogSeries.variable(var))
-        lhs2 = series_matrix_mul(phase, series_matrix_mul(x2, series_matrix_mul(exl1, series_matrix_mul(x2inv, phase_inv))))
-        rhs2 = exp_L_series_matrix(module, 1, LogSeries.variable(var, -1).scale(-1))
-        ok2, wit2 = series_matrix_eq(lhs2, rhs2)
-        rep.add(f"exp-conjugation(r={r})", ok2, wit2)
+        _compare_operators(
+            rep,
+            f"exp-conjugation(r={r})",
+            module,
+            conjugate(lambda f: exp_L(module, 1, x, f)),
+            lambda v: exp_L(module, 1, minus_x_inv, LogSeries.vector(v)),
+        )
     else:
         raise ValueError(f"unknown conjugation identity {which!r}")
     return rep
-
-
-def _c(q: int) -> LogSeries:
-    return LogSeries.constant(Fraction(q))
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,14 @@ class LogSeries:
                 out[m] = w if cur is None else cur + w
         return LogSeries(space, out, self.trunc)
 
+    def apply_op(self, op: Callable[[CoeffVector], LogSeries], space: CoeffSpace) -> LogSeries:
+        """Apply a series-valued operator coefficientwise: the sum of op(vec) * m
+        over the terms vec * m, a series over ``space``."""
+        out = LogSeries.zero(space, self.trunc)
+        for m, vec in self.terms.items():
+            out = out + op(vec) * LogSeries.monomial(m)
+        return out
+
     def complex_value(self, point: Mapping[VarId, complex], log_point: Mapping[VarId, complex] | None = None) -> complex:
         """Float smoke-test evaluation of a scalar series; lg(v) defaults to log(point[v])."""
         import cmath

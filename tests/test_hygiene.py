@@ -1,0 +1,62 @@
+"""Source hygiene: no unused imports and no orphaned top-level definitions in
+``src/logcalc``, found by scanning the syntax trees of the repository's code."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "logcalc").glob("*.py"))
+ALL_CODE = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Names read in the code, including those inside string annotations."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        for ann in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                out |= _used_names(ast.parse(ann.value, mode="eval"))
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in PACKAGE:
+        if path.name == "__init__.py":  # re-exports
+            continue
+        tree = _tree(path)
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused
+
+
+def test_every_top_level_definition_is_referenced():
+    defined = {}
+    for path in PACKAGE:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+    referenced: set[str] = set()
+    for path in ALL_CODE:
+        for node in _tree(path).body:
+            names = _used_names(node)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # recursion is not a use
+            referenced |= names
+    orphans = sorted(where + " " + name for name, where in defined.items() if name not in referenced)
+    assert not orphans, orphans

@@ -703,6 +703,29 @@ class TestConjFormulas:
             for a in (1, 2):
                 assert conj_formulas_check(t, "aL0", a_coeff=a).passed
 
+    @pytest.mark.parametrize(
+        "which, order, failing, witness",
+        [
+            ("p1", 3, ["translate-conjugation(0,0)", "translate-substitution(0,0)"],
+             "at Monomial(x*y): CoeffVector(M, {1: ExactScalar(1)})"),
+            ("p2", None, ["scale-conjugation(0,0)"],
+             "at Monomial(x*y^(-1/2)): CoeffVector(M, {0: ExactScalar(1)})"),
+            ("p3", 3, ["special-conjugation(0,1)", "special-conjugation(1,0)"],
+             "at Monomial(x*y): CoeffVector(M, {0: ExactScalar(1)})"),
+            ("aL0", None, ["exp-l0-conjugation(0,0)"],
+             "at Monomial(x): CoeffVector(M, {0: ExactScalar(-2*e(1/2))})"),
+        ],
+    )
+    def test_broken_table_fails(self, honest_table, which, order, failing, witness):
+        # e_0 added to the first mode of the honest covariant
+        i, j, n, _k = next(iter(honest_table.modes))
+        bump = IntertwinerTable(
+            honest_table.w1, honest_table.w2, honest_table.w3, {(i, j, n, 0): honest_table.w3.basis_vector(0)}
+        )
+        rep = conj_formulas_check(honest_table + bump, which, order=order)
+        assert [c.check_id for c in rep.failures] == failing
+        assert rep.failures[0].witness == "first nonzero coefficient " + witness
+
 
 class TestOdeLemma:
     def test_x_l0_series_solves(self):

@@ -1,4 +1,4 @@
-import math
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,21 +13,16 @@ from logcalc.mobius import (
     conj_identity_check,
     contragredient,
     e_aL0,
-    exp_L_series_matrix,
+    exp_L,
     exp_nilpotent_terms,
     module_valid,
     pairing_series,
-    series_matrix_add,
-    series_matrix_from,
-    series_matrix_identity,
-    series_matrix_mul,
-    series_matrix_scale,
     validate_sl2,
     x_pm_L0,
 )
 from logcalc.scalars import ExactScalar, LatticeViolation, imaginary_unit, pi_scalar
 from logcalc.series import CoeffVector, LogSeries, Monomial
-from logcalc.substitution import series_log1p
+from logcalc.substitution import series_exp
 
 
 class TestGradingGroup:
@@ -105,35 +100,30 @@ class TestExpNilpotentTerms:
             exp_nilpotent_terms(m, m.action.L0, m.basis_vector(0))
 
 
-def _exp_power_by_power(module, j, coeff, order, var):
-    """sum_k L(j)^k coeff^k / k!, each coeff^k computed anew as a power."""
-    m = module.L(j)
-    bound = module.dim if m.is_nilpotent() else order
-    trunc = {var: order} if order is not None else {}
-    out = [[e.with_trunc(trunc) for e in row] for row in series_matrix_identity(module.dim)]
-    cur = series_matrix_identity(module.dim)
-    for k in range(1, bound + 1):
-        cur = series_matrix_mul(series_matrix_from(m), cur)
-        term = series_matrix_scale(cur, coeff**k)
-        out = series_matrix_add(out, [[e.scale(Fraction(1, math.factorial(k))).with_trunc(trunc) for e in row] for row in term])
-    return out
-
-
-class TestExpLSeriesMatrix:
-    def test_running_power_matches_power_by_power(self, irreducible3, jordan2):
+class TestExpL:
+    def test_diagonal_exponential_is_series_exp(self, irreducible3):
         x = LogSeries.variable("x")
-        log_part = series_log1p(x.scale(-1), "x", 6)
-        cases = [
-            (irreducible3, 0, log_part, 6, "x"),
-            (jordan2, 0, log_part, 5, "x"),
-            (irreducible3, -1, x * LogSeries.variable("y"), None, None),
-            (irreducible3, 1, x.scale(-1), None, None),
-        ]
-        for mod, j, coeff, order, var in cases:
-            got = exp_L_series_matrix(mod, j, coeff, order, var)
-            want = _exp_power_by_power(mod, j, coeff, order, var)
-            assert got == want
-            assert [[list(e.terms) for e in row] for row in got] == [[list(e.terms) for e in row] for row in want]
+        for i in range(irreducible3.dim):
+            e = irreducible3.basis_vector(i)
+            h = irreducible3.weight(i).as_scalar()
+            got = exp_L(irreducible3, 0, x, LogSeries.vector(e), order=8)
+            assert got == series_exp(x.scale(h), "x", 8).scale_vector(e)
+
+    def test_nilpotent_exponential_terminates(self, irreducible3):
+        y = LogSeries.variable("y")
+        for j in (-1, 1):
+            for i in range(irreducible3.dim):
+                e = irreducible3.basis_vector(i)
+                want = LogSeries.zero(irreducible3.coeff_space)
+                for p, term in enumerate(exp_nilpotent_terms(irreducible3, irreducible3.L(j), e)):
+                    want = want + LogSeries.vector(term, Monomial.var("y", p))
+                assert exp_L(irreducible3, j, y, LogSeries.vector(e)) == want
+
+    def test_non_nilpotent_operator_needs_an_order(self, irreducible3):
+        # e_1 has weight 0, so L(0) kills it; nilpotence is a property of the matrix
+        e = LogSeries.vector(irreducible3.basis_vector(1))
+        with pytest.raises(ValueError, match="non-nilpotent operator needs a truncation order"):
+            exp_L(irreducible3, 0, LogSeries.variable("x"), e)
 
 
 class TestXPowerL0:
@@ -207,6 +197,34 @@ class TestExpAL0:
                 assert (n @ mod.L(j)) == (mod.L(j) @ n)
 
 
+# conjugation reports on the honest 3-dim module with 1 added to entry
+# (row, col) of L(j): the first 16 hex digits of the sha256 of the report JSON
+# (witnesses included) and the failing rows, or the ValueError raised
+BROKEN_MODULE_REPORTS = {
+    ((-1, 0, 1), "xL0_Lj"): ("50c04cae46b07449", ["xL0-conjugate-L(-1)"]),
+    ((-1, 0, 1), "xL0_expLj"): "exponential of a non-nilpotent operator needs a truncation order",
+    ((-1, 0, 1), "expLm1"): ("50fd35d3bb897f0d", ["expLm1-row-L(0)", "expLm1-row-L(1)"]),
+    ((-1, 0, 1), "expL0"): ("4aea187a53b4738c", ["expL0-row-L(-1)"]),
+    ((-1, 0, 1), "one_minus_x"): ("04fb58cd169fb7b0", []),
+    ((-1, 0, 1), "expL1"): ("fa2bd776e2c29417", ["expL1-row-L(-1)"]),
+    ((-1, 0, 1), "inverse_rel"): ("74a6dc0877846e7d", []),
+    ((0, 0, 1), "xL0_Lj"): ("ae6374ecf400c756", ["xL0-conjugate-L(-1)", "xL0-conjugate-L(0)", "xL0-conjugate-L(1)"]),
+    ((0, 0, 1), "xL0_expLj"): ("4c4917fef9020ca6", ["xL0-conjugate-exp-L(-1)", "xL0-conjugate-exp-L(1)"]),
+    ((0, 0, 1), "expLm1"): ("6f8ec872aa2e1be4", ["expLm1-row-L(0)", "expLm1-row-L(1)"]),
+    ((0, 0, 1), "expL0"): ("88e086073d2aaab6", ["expL0-row-L(-1)", "expL0-row-L(1)"]),
+    ((0, 0, 1), "one_minus_x"): ("04fb58cd169fb7b0", []),
+    ((0, 0, 1), "expL1"): ("0ce801c0680fcb38", ["expL1-row-L(-1)", "expL1-row-L(0)"]),
+    ((0, 0, 1), "inverse_rel"): ("e58077d1a18dd229", ["x-to-minus-inverse-x(r=0)", "exp-conjugation(r=0)"]),
+    ((1, 2, 1), "xL0_Lj"): ("fe242693f84f9479", ["xL0-conjugate-L(1)"]),
+    ((1, 2, 1), "xL0_expLj"): "exponential of a non-nilpotent operator needs a truncation order",
+    ((1, 2, 1), "expLm1"): ("b36f1132c4eac54f", ["expLm1-row-L(1)"]),
+    ((1, 2, 1), "expL0"): ("e6d97ebd0b09981d", ["expL0-row-L(1)"]),
+    ((1, 2, 1), "one_minus_x"): ("04fb58cd169fb7b0", []),
+    ((1, 2, 1), "expL1"): "exponential of a non-nilpotent operator needs a truncation order",
+    ((1, 2, 1), "inverse_rel"): "exponential of a non-nilpotent operator needs a truncation order",
+}
+
+
 class TestConjugationIdentities:
     @pytest.mark.parametrize("which", ["xL0_Lj", "xL0_expLj", "expLm1", "expL1"])
     def test_exact_identities(self, irreducible3, which):
@@ -230,6 +248,22 @@ class TestConjugationIdentities:
     def test_trivial_on_jordan(self, jordan2):
         # xL0_Lj only needs the triangular brackets, so Jordan actions pass it
         assert conj_identity_check(jordan2, "xL0_Lj").passed
+
+    @pytest.mark.parametrize("j, row, col, which", [(*entry, which) for entry, which in BROKEN_MODULE_REPORTS])
+    def test_broken_module_reports(self, irreducible3, j, row, col, which):
+        # one entry of one L(j) is off by 1, the declared weights are not
+        mats = {k: [list(r) for r in irreducible3.L(k).entries] for k in (-1, 0, 1)}
+        mats[j][row][col] = mats[j][row][col] + 1
+        broken = MobiusModule(irreducible3.space, Sl2Action(*(ExactMatrix(mats[k]) for k in (-1, 0, 1))))
+        order = 10 if which in ("expLm1", "expL0", "one_minus_x") else None
+        want = BROKEN_MODULE_REPORTS[(j, row, col), which]
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                conj_identity_check(broken, which, order=order)
+            return
+        rep = conj_identity_check(broken, which, order=order)
+        assert [c.check_id for c in rep.failures] == want[1]
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == want[0]
 
 
 class TestContragredient:
