@@ -33,6 +33,7 @@ from .substitution import (
     mobius_arg_powers,
     series_exp,
     series_log1p,
+    subst_mobius_arg,
     subst_scaled_exp,
     subst_x_exp_y,
     subst_x_inverse,

@@ -314,7 +314,7 @@ def epsilon_instance() -> tuple[IntertwinerTable, VertexTable]:
     return table, vt
 
 
-def check_fusion_suite(seed: int = 0) -> Report:
+def check_fusion_suite() -> Report:
     """Solver-produced tables: axioms, involutions, composition laws, mode
     recovery, the log-power lowering family by all three routes."""
     rep = Report("fusion-suite")
@@ -406,7 +406,7 @@ def _congruent_powers(t: IntertwinerTable) -> bool:
     return all(((h3 - h1 - h2) + n + 1).is_integer() for n in t.exponents())
 
 
-def check_jacobi(seed: int = 0) -> Report:
+def check_jacobi() -> Report:
     rep = Report("jacobi-window")
     rep.extend(delta_relation_check(5))
     # trivial-V instance on a Jordan module
@@ -643,8 +643,8 @@ def check_all(seed: int = 0, quick: bool = False) -> Report:
         check_multinomial(seed),
         check_ode(30 if quick else 100, seed),
         check_sl2(3 if quick else 5, seed),
-        check_fusion_suite(seed),
-        check_jacobi(seed),
+        check_fusion_suite(),
+        check_jacobi(),
         check_roundtrip_fuzz(fuzz, seed),
         check_file_roundtrip(seed),
     ):

@@ -102,9 +102,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     elif what == "series":
         rep = checks.check_logseries(args.seed)
     elif what == "fusion":
-        rep = checks.check_fusion_suite(args.seed)
+        rep = checks.check_fusion_suite()
     elif what == "jacobi":
-        rep = checks.check_jacobi(args.seed)
+        rep = checks.check_jacobi()
     elif what == "intertwiner":
         if not args.file:
             print("check intertwiner needs a FILE", file=sys.stderr)

@@ -54,7 +54,7 @@ from .reports import Report
 from .scalars import ExactScalar, Exponent, pi_scalar
 from .series import SCALAR, CoeffVector, LogSeries, Monomial, VarId
 from .substitution import (
-    mobius_arg_powers,
+    subst_mobius_arg,
     subst_scaled_exp,
     subst_x_inverse,
     subst_x_plus_y,
@@ -1012,29 +1012,8 @@ def _p3_rhs(t: IntertwinerTable, w1v: CoeffVector, w2v: CoeffVector, var: VarId,
     arg = one_minus_u_power(t.w1, t.w1.action.L0.scale(-2), yx, LogSeries.vector(w1v), order, y)
     arg = exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
     # substitute the table at x(1-yx)^(-1)
-    out = arg.apply_op(
-        lambda vec: _subst_mobius_argument(t.series_args(vec, w2v, var), var, y, order), t.w3.coeff_space
-    )
+    out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v, var), var, y, order), t.w3.coeff_space)
     return out.with_trunc({y: order})
-
-
-def _subst_mobius_argument(f: LogSeries, var: VarId, y: VarId, order: int) -> LogSeries:
-    """Substitute x -> x(1-yx)^(-1) in a log series, truncated at y-order."""
-    out = LogSeries.zero(f.space, {y: order})
-    logpart_cache: dict[int, LogSeries] = {}
-    for mono, vec in f.items():
-        n = mono.exponent(var)
-        k = mono.log_power(var)
-        rest = mono.without(var)
-        power, logpart = mobius_arg_powers(n, y, var, order)
-        lp = logpart_cache.get(k)
-        if lp is None:
-            lp = LogSeries.one().with_trunc({y: order})
-            for _ in range(k):
-                lp = lp * logpart
-            logpart_cache[k] = lp
-        out = out + (power * lp * LogSeries.monomial(rest)).scale_vector(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------

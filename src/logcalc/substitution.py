@@ -1,26 +1,32 @@
 """Substitution conventions for logarithmic formal series.
 
-Each convention treats lg(x) as an independent variable and expands by the
-binomial expansion convention (nonnegative integral powers of the second
-summand):
+A convention is fixed by the images of x^n and of lg(x), an independent
+variable; the rest of a series follows as a ring homomorphism that fixes
+every other variable, with powers of a sum expanded by the binomial expansion
+convention.  The result keeps the input's truncation and adds its own:
 
-* ``subst_x_plus_y``:  x^n -> (x+y)^n,  lg(x) -> lg(x) + log(1 + y/x),
-* ``subst_x_exp_y``:   x^n -> x^n e^(ny),  lg(x) -> lg(x) + y,
-* ``subst_xy``:        x^n -> x^n y^n,  lg(x) -> lg(x) + lg(y),
-* ``subst_scaled_exp``: x^n -> e^(zeta n) x^n,  lg(x) -> zeta + lg(x)
-  for zeta a rational multiple of Pi (so e^(zeta n) is an exact root of
-  unity); the output depends on zeta itself, not only on e^zeta,
-* ``subst_x_inverse``: x^n lg(x)^m -> x^(-n) (-lg(x))^m.
+==================== ================ ==================== ==================
+convention           x^n              lg(x)                truncation
+==================== ================ ==================== ==================
+``subst_x_plus_y``   (x+y)^n          lg(x) + log(1 + y/x) y-order; none in x
+``subst_x_exp_y``    x^n e^(ny)       lg(x) + y            y-order
+``subst_xy``         x^n y^n          lg(x) + lg(y)        --
+``subst_scaled_exp`` e^(zeta n) x^n   lg(x) + zeta         --
+``subst_mobius_arg`` x^n (1-yx)^(-n)  lg(x) - log(1-yx)    y-order
+``subst_x_inverse``  x^(-n)           -lg(x)               none in x
+==================== ================ ==================== ==================
 
-The first is implemented directly from the binomial/log-series expansion and
-never via e^(y d/dx); the formal Taylor theorem is then a genuine cross-check
-between two independent code paths (see the tests).
+"None in x": these two move the unknown terms beyond a bound in x below it,
+so the input may not carry one.  The inverse is a termwise relabelling; the
+others share one kernel.  ``subst_x_plus_y`` never goes through e^(y d/dx),
+so the formal Taylor theorem cross-checks two independent code paths.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .scalars import (
     ExactScalar,
@@ -30,7 +36,7 @@ from .scalars import (
     binom_general,
     root_of_unity,
 )
-from .series import CoeffVector, LogSeries, Monomial, VarId, VariableCollision
+from .series import SCALAR, CoeffVector, LogSeries, Monomial, TruncMap, VarId, VariableCollision, _merge_trunc
 
 
 def _require_fresh(f: LogSeries, y: VarId) -> None:
@@ -38,37 +44,47 @@ def _require_fresh(f: LogSeries, y: VarId) -> None:
         raise VariableCollision(f"substitution variable {y!r} already occurs in the series")
 
 
+def _substitute(
+    f: LogSeries, x: VarId, power: Callable[[Exponent], LogSeries], log: LogSeries, trunc: TruncMap
+) -> LogSeries:
+    """The image of f under x^n -> power(n), lg(x) -> log: each term
+    c x^n lg(x)^m rest goes to c power(n) log^m rest, truncated at f.trunc
+    merged with ``trunc``.  The terms are gathered by m first, so that log^m
+    multiplies the sum of their c power(n) rest in one product."""
+    trunc = _merge_trunc(f.trunc, trunc)
+    powers: dict[Exponent, LogSeries] = {}
+    parts: dict[int, dict[Monomial, CoeffVector]] = {}
+    for mono, vec in f.items():
+        n = mono.exponent(x)
+        if n not in powers:
+            powers[n] = power(n)
+        rest = mono.without(x)
+        part = parts.setdefault(mono.log_power(x), {})
+        for pm, pc in powers[n].items():
+            target, w = pm * rest, vec.scale(pc.scalar_value())
+            part[target] = part[target] + w if target in part else w
+    out = LogSeries(f.space, parts.pop(0, {}), trunc)
+    logs = [log]  # logs[i] = log^(i+1)
+    for m, part in parts.items():
+        while len(logs) < m:
+            logs.append(logs[-1] * log)
+        out = out + logs[m - 1] * LogSeries(f.space, part, trunc)
+    return out
+
+
 def binomial_power_series(n: Exponent, x: VarId, y: VarId, order: int) -> LogSeries:
     """(x+y)^n = sum_k C(n,k) x^(n-k) y^k, truncated at y-order ``order``."""
     terms = {}
     for k in range(order + 1):
-        c = binom_general(n.as_scalar(), k)
-        if not c.is_zero():
-            terms[Monomial.var(x, n - k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
-    return LogSeries(LogSeries.one().space, terms, {y: order})
+        terms[Monomial.var(x, n - k) * Monomial.var(y, k)] = CoeffVector.scalar(binom_general(n.as_scalar(), k))
+    return LogSeries(SCALAR, terms, {y: order})
 
 
 def log_shift_series(x: VarId, y: VarId, order: int) -> LogSeries:
     """log(1 + y/x) = sum_{i>=1} (-1)^(i-1)/i (y/x)^i, truncated at y-order ``order``."""
-    terms = {}
-    for i in range(1, order + 1):
-        terms[Monomial.var(x, -i) * Monomial.var(y, i)] = CoeffVector.scalar(
-            Fraction((-1) ** (i - 1), i)
-        )
-    return LogSeries(LogSeries.one().space, terms, {y: order})
-
-
-def _log_power_sum(base_log: VarId, shift: LogSeries, m: int, order_var: VarId, order: int) -> LogSeries:
-    """(lg(base) + shift)^m for natural m, truncated in order_var."""
-    lg = LogSeries.log_variable(base_log)
-    out = LogSeries.zero(trunc={order_var: order})
-    shift_pow = LogSeries.one().with_trunc({order_var: order})
-    for j in range(m + 1):
-        c = Fraction(math.comb(m, j))
-        out = out + (LogSeries.monomial(Monomial.log(base_log, m - j), c) * shift_pow)
-        if j < m:
-            shift_pow = shift_pow * shift
-    return out
+    terms = {Monomial.var(x, -i) * Monomial.var(y, i): CoeffVector.scalar(Fraction((-1) ** (i - 1), i))
+             for i in range(1, order + 1)}
+    return LogSeries(SCALAR, terms, {y: order})
 
 
 def subst_x_plus_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
@@ -76,15 +92,10 @@ def subst_x_plus_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     _require_fresh(f, y)
-    shift = log_shift_series(x, y, order)
-    out = LogSeries.zero(f.space, {y: order})
-    for mono, vec in f.items():
-        n = mono.exponent(x)
-        m = mono.log_power(x)
-        rest = mono.without(x)
-        part = binomial_power_series(n, x, y, order) * _log_power_sum(x, shift, m, y, order)
-        out = out + (part * LogSeries.monomial(rest)).scale_vector(vec)
-    return out
+    if x in f.trunc:
+        raise ValueError(f"substituting {x}+{y} needs a series not truncated in {x!r}")
+    log = LogSeries.log_variable(x) + log_shift_series(x, y, order)
+    return _substitute(f, x, lambda n: binomial_power_series(n, x, y, order), log, {y: order})
 
 
 def subst_x_exp_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
@@ -92,39 +103,23 @@ def subst_x_exp_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     _require_fresh(f, y)
-    out = LogSeries.zero(f.space, {y: order})
-    for mono, vec in f.items():
-        n = mono.exponent(x)
-        m = mono.log_power(x)
-        rest = mono.without(x)
+
+    def power(n: Exponent) -> LogSeries:
         ny = n.as_scalar()
-        exp_terms = {}
+        terms = {}
         for k in range(order + 1):
-            c = ny**k
-            if not c.is_zero():
-                exp_terms[Monomial.var(y, k)] = CoeffVector.scalar(c.divided_by_rational(math.factorial(k)))
-        exp_ny = LogSeries(LogSeries.one().space, exp_terms, {y: order})
-        part = exp_ny * _log_power_sum(x, LogSeries.variable(y), m, y, order)
-        part = part * LogSeries.monomial(Monomial.var(x, n) * rest)
-        out = out + part.scale_vector(vec)
-    return out
+            c = (ny**k).divided_by_rational(math.factorial(k))
+            terms[Monomial.var(x, n) * Monomial.var(y, k)] = CoeffVector.scalar(c)
+        return LogSeries(SCALAR, terms, {y: order})
+
+    return _substitute(f, x, power, LogSeries.log_variable(x) + LogSeries.variable(y), {y: order})
 
 
 def subst_xy(f: LogSeries, x: VarId, y: VarId) -> LogSeries:
     """f(xy): x^n -> x^n y^n, lg(x) -> lg(x) + lg(y); exact, no truncation."""
     _require_fresh(f, y)
-    out = LogSeries.zero(f.space)
-    for mono, vec in f.items():
-        n = mono.exponent(x)
-        m = mono.log_power(x)
-        rest = mono.without(x)
-        acc = LogSeries.zero(LogSeries.one().space)
-        for j in range(m + 1):
-            acc = acc + LogSeries.monomial(
-                Monomial.var(x, n, m - j) * Monomial.var(y, n, j), Fraction(math.comb(m, j))
-            )
-        out = out + (acc * LogSeries.monomial(rest)).scale_vector(vec)
-    return out
+    log = LogSeries.log_variable(x) + LogSeries.log_variable(y)
+    return _substitute(f, x, lambda n: LogSeries.monomial(Monomial.var(x, n) * Monomial.var(y, n)), log, {})
 
 
 def pi_monomial_coefficient(zeta: ExactScalar) -> Fraction:
@@ -142,27 +137,28 @@ def subst_scaled_exp(f: LogSeries, x: VarId, zeta: ExactScalar) -> LogSeries:
     shift.  Requires real exponents with q*n on the lattice.
     """
     q = pi_monomial_coefficient(zeta)
-    out = LogSeries.zero(f.space, f.trunc)
-    for mono, vec in f.items():
-        n = mono.exponent(x)
+
+    def power(n: Exponent) -> LogSeries:
         if not n.is_real():
             raise LatticeViolation(
                 f"substituting e^zeta x needs real exponents; {x}^({n.re}+{n.im}i) would leave the ring"
             )
-        m = mono.log_power(x)
-        rest = mono.without(x)
-        factor = root_of_unity(q * n.re)
-        acc = LogSeries.zero(LogSeries.one().space)
-        for j in range(m + 1):
-            c = (zeta ** (m - j)) * Fraction(math.comb(m, j))
-            if not c.is_zero():
-                acc = acc + LogSeries.monomial(Monomial.var(x, n, j) * rest, c * factor)
-        out = out + acc.scale_vector(vec)
-    return out
+        return LogSeries.monomial(Monomial.var(x, n), root_of_unity(q * n.re))
+
+    return _substitute(f, x, power, LogSeries.log_variable(x) + LogSeries.constant(zeta), {})
+
+
+def subst_mobius_arg(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
+    """f(x(1-yx)^(-1)), truncated at y-order ``order``."""
+    log = mobius_arg_powers(Exponent(0), y, x, order)[1]
+    _require_fresh(f, y)
+    return _substitute(f, x, lambda n: mobius_arg_powers(n, y, x, order)[0], log, {y: order})
 
 
 def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
     """x^n lg(x)^m -> x^(-n) (-lg(x))^m, termwise (an involution)."""
+    if x in f.trunc:
+        raise ValueError(f"substituting 1/{x} needs a series not truncated in {x!r}")
     out: dict[Monomial, CoeffVector] = {}
     for mono, vec in f.items():
         n = mono.exponent(x)
@@ -189,13 +185,12 @@ def mobius_arg_powers(n: Exponent, y: VarId, x: VarId, order: int) -> tuple[LogS
     pow_terms = {}
     for k in range(order + 1):
         c = binom_general((-n).as_scalar(), k) * Fraction((-1) ** k)
-        if not c.is_zero():
-            pow_terms[Monomial.var(x, n + k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
-    power = LogSeries(LogSeries.one().space, pow_terms, {y: order})
+        pow_terms[Monomial.var(x, n + k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
+    power = LogSeries(SCALAR, pow_terms, {y: order})
     log_terms = {Monomial.log(x): CoeffVector.scalar(1)}
     for k in range(1, order + 1):
         log_terms[Monomial.var(x, k) * Monomial.var(y, k)] = CoeffVector.scalar(Fraction(1, k))
-    logpart = LogSeries(LogSeries.one().space, log_terms, {y: order})
+    logpart = LogSeries(SCALAR, log_terms, {y: order})
     return power, logpart
 
 

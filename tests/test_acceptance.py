@@ -125,7 +125,7 @@ def test_criterion_10_sl2_conjugation():
 
 
 def test_criterion_11_windowed_jacobi():
-    rep = checks.check_jacobi(seed=0)
+    rep = checks.check_jacobi()
     _criterion("11-windowed-jacobi", rep.passed)
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports and no orphaned top-level definitions in
-``src/logcalc``, found by scanning the syntax trees of the repository's code."""
+"""Source hygiene: no unused imports, no orphaned top-level definitions and no
+unread parameters in ``src/logcalc``, found by scanning the syntax trees of
+the repository's code."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,19 @@ def test_every_top_level_definition_is_referenced():
             referenced |= names
     orphans = sorted(where + " " + name for name, where in defined.items() if name not in referenced)
     assert not orphans, orphans
+
+
+def test_every_parameter_is_read():
+    """A parameter that the body of its function or lambda never reads is an
+    option no caller can use."""
+    unread = []
+    for path in PACKAGE:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [p for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {sub.id for stmt in body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+                name = getattr(node, "name", "lambda")
+                unread += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg not in read]
+    assert not unread, unread

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from logcalc import catalog
-from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, pi_scalar
+from logcalc.parser import parse_expr
+from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, UnsupportedDivision, pi_scalar
 from logcalc.series import LogSeries, Monomial
 from logcalc.substitution import (
     mobius_arg_powers,
     series_exp,
     series_log1p,
+    subst_mobius_arg,
     subst_scaled_exp,
     subst_x_exp_y,
     subst_x_inverse,
@@ -143,7 +145,7 @@ class TestScaledExponentialSubstitution:
 
     def test_non_pi_monomial_rejected(self):
         f = LogSeries.variable("x")
-        with pytest.raises(Exception):
+        with pytest.raises(UnsupportedDivision):
             subst_scaled_exp(f, "x", pi_scalar(1) + ExactScalar.from_rational(1))
 
     def test_group_law(self):
@@ -206,6 +208,45 @@ class TestHomomorphy:
             assert subst_x_exp_y(f * g, "x", "y", n) == subst_x_exp_y(f, "x", "y", n) * subst_x_exp_y(g, "x", "y", n)
             assert subst_xy(f * g, "x", "y") == subst_xy(f, "x", "y") * subst_xy(g, "x", "y")
             assert subst_x_inverse(f * g, "x") == subst_x_inverse(f, "x") * subst_x_inverse(g, "x")
+
+
+class TestTruncation:
+    """A substitution keeps the input's truncation in the other variables."""
+
+    F = parse_expr("x^(1/2)*lg(x)^2 + z*x").with_trunc({"z": 1})
+
+    def test_taylor_theorem_keeps_it(self):
+        out = subst_x_plus_y(self.F, "x", "y", 3)
+        assert out.trunc == {"z": 1, "y": 3}
+        assert self.F.exp_diffop("y", LogSeries.one(), "x", 3) == out
+
+    def test_scaling_theorem_keeps_it(self):
+        out = subst_x_exp_y(self.F, "x", "y", 3)
+        assert out.trunc == {"z": 1, "y": 3}
+        assert self.F.exp_diffop("y", LogSeries.variable("x"), "x", 3) == out
+
+    def test_product_keeps_it(self):
+        out = subst_xy(self.F, "x", "y")
+        assert out.trunc == {"z": 1}
+        assert out.equal_terms(subst_xy(parse_expr("x^(1/2)*lg(x)^2 + z*x"), "x", "y"))
+
+    def test_mobius_argument_keeps_a_bound_in_x(self):
+        # x -> x(1-yx)^(-1) only raises x-exponents, so the bound in x stays
+        # and prunes the image
+        f = parse_expr("x + x^2*lg(x)").with_trunc({"x": 2})
+        out = subst_mobius_arg(f, "x", "y", 3)
+        assert out.trunc == {"x": 2, "y": 3}
+        full = subst_mobius_arg(parse_expr("x + x^2*lg(x)"), "x", "y", 3)
+        assert out.equal_terms(full.with_trunc({"x": 2}))
+
+    @pytest.mark.parametrize(
+        "subst", [lambda f: subst_x_plus_y(f, "x", "y", 2), lambda f: subst_x_inverse(f, "x")], ids=["x+y", "1/x"]
+    )
+    def test_bound_in_x_is_rejected_where_it_would_move(self, subst):
+        # under x -> x+y and x -> 1/x, terms beyond an x-bound land below it
+        f = parse_expr("x + lg(x)").with_trunc({"x": 3})
+        with pytest.raises(ValueError, match="truncated in 'x'"):
+            subst(f)
 
 
 class TestFormalLogExp:

@@ -1,0 +1,266 @@
+"""The substitution kernel against the per-convention loops it replaced.
+
+The reference below keeps one monomial loop per convention: each term's
+image is built as a product of full series (binomial or exponential series,
+the log power sum, the remaining monomial) and added to a rebuilt
+accumulator.  Every convention must agree with it in terms and truncation,
+and must raise the same error types with the same messages.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from logcalc.scalars import (
+    ExactScalar,
+    Exponent,
+    LatticeViolation,
+    UnsupportedDivision,
+    pi_scalar,
+    root_of_unity,
+)
+from logcalc.series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VariableCollision
+from logcalc.substitution import (
+    _require_fresh,
+    binomial_power_series,
+    log_shift_series,
+    mobius_arg_powers,
+    pi_monomial_coefficient,
+    subst_mobius_arg,
+    subst_scaled_exp,
+    subst_x_exp_y,
+    subst_x_plus_y,
+    subst_xy,
+)
+
+# ---------------------------------------------------------------------------
+# reference: one loop per convention
+
+
+def _log_power_sum(base_log, shift, m, order_var, order):
+    """(lg(base) + shift)^m for natural m, truncated in order_var."""
+    out = LogSeries.zero(trunc={order_var: order})
+    shift_pow = LogSeries.one().with_trunc({order_var: order})
+    for j in range(m + 1):
+        c = Fraction(math.comb(m, j))
+        out = out + (LogSeries.monomial(Monomial.log(base_log, m - j), c) * shift_pow)
+        if j < m:
+            shift_pow = shift_pow * shift
+    return out
+
+
+def ref_x_plus_y(f, x, y, order):
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    _require_fresh(f, y)
+    shift = log_shift_series(x, y, order)
+    out = LogSeries.zero(f.space, {y: order})
+    for mono, vec in f.items():
+        n = mono.exponent(x)
+        m = mono.log_power(x)
+        rest = mono.without(x)
+        part = binomial_power_series(n, x, y, order) * _log_power_sum(x, shift, m, y, order)
+        out = out + (part * LogSeries.monomial(rest)).scale_vector(vec)
+    return out
+
+
+def ref_x_exp_y(f, x, y, order):
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    _require_fresh(f, y)
+    out = LogSeries.zero(f.space, {y: order})
+    for mono, vec in f.items():
+        n = mono.exponent(x)
+        m = mono.log_power(x)
+        rest = mono.without(x)
+        ny = n.as_scalar()
+        exp_terms = {}
+        for k in range(order + 1):
+            c = ny**k
+            if not c.is_zero():
+                exp_terms[Monomial.var(y, k)] = CoeffVector.scalar(c.divided_by_rational(math.factorial(k)))
+        exp_ny = LogSeries(SCALAR, exp_terms, {y: order})
+        part = exp_ny * _log_power_sum(x, LogSeries.variable(y), m, y, order)
+        part = part * LogSeries.monomial(Monomial.var(x, n) * rest)
+        out = out + part.scale_vector(vec)
+    return out
+
+
+def ref_xy(f, x, y):
+    _require_fresh(f, y)
+    out = LogSeries.zero(f.space)
+    for mono, vec in f.items():
+        n = mono.exponent(x)
+        m = mono.log_power(x)
+        rest = mono.without(x)
+        acc = LogSeries.zero(SCALAR)
+        for j in range(m + 1):
+            acc = acc + LogSeries.monomial(
+                Monomial.var(x, n, m - j) * Monomial.var(y, n, j), Fraction(math.comb(m, j))
+            )
+        out = out + (acc * LogSeries.monomial(rest)).scale_vector(vec)
+    return out
+
+
+def ref_scaled_exp(f, x, zeta):
+    q = pi_monomial_coefficient(zeta)
+    out = LogSeries.zero(f.space, f.trunc)
+    for mono, vec in f.items():
+        n = mono.exponent(x)
+        if not n.is_real():
+            raise LatticeViolation(
+                f"substituting e^zeta x needs real exponents; {x}^({n.re}+{n.im}i) would leave the ring"
+            )
+        m = mono.log_power(x)
+        rest = mono.without(x)
+        factor = root_of_unity(q * n.re)
+        acc = LogSeries.zero(SCALAR)
+        for j in range(m + 1):
+            c = (zeta ** (m - j)) * Fraction(math.comb(m, j))
+            if not c.is_zero():
+                acc = acc + LogSeries.monomial(Monomial.var(x, n, j) * rest, c * factor)
+        out = out + acc.scale_vector(vec)
+    return out
+
+
+def ref_mobius_arg(f, x, y, order):
+    out = LogSeries.zero(f.space, {y: order})
+    logpart_cache = {}
+    for mono, vec in f.items():
+        n = mono.exponent(x)
+        k = mono.log_power(x)
+        rest = mono.without(x)
+        power, logpart = mobius_arg_powers(n, y, x, order)
+        lp = logpart_cache.get(k)
+        if lp is None:
+            lp = LogSeries.one().with_trunc({y: order})
+            for _ in range(k):
+                lp = lp * logpart
+            logpart_cache[k] = lp
+        out = out + (power * lp * LogSeries.monomial(rest)).scale_vector(vec)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+LATTICE = [Fraction(p, q) for q in (1, 2, 3, 4, 6, 12) for p in range(-2 * q, 2 * q + 1)]
+W = CoeffSpace("W", 3)
+
+
+@st.composite
+def scalars(draw):
+    q = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return ExactScalar.from_rational(q)
+    if kind == 1:
+        return root_of_unity(draw(st.sampled_from(LATTICE))) * q
+    if kind == 2:
+        return pi_scalar(q)
+    return pi_scalar(q) + ExactScalar.from_rational(1)
+
+
+@st.composite
+def monomials(draw):
+    entries = {}
+    re = draw(st.sampled_from(LATTICE))
+    im = draw(st.sampled_from(LATTICE)) if draw(st.integers(0, 7)) == 0 else 0
+    entries["x"] = (Exponent(re, im), draw(st.integers(0, 3)))
+    for v in draw(st.sets(st.sampled_from(("w", "z")), max_size=2)):
+        entries[v] = (Exponent(draw(st.sampled_from(LATTICE))), draw(st.integers(0, 2)))
+    return Monomial(entries)
+
+
+@st.composite
+def series(draw):
+    """A nonzero series without truncation, over the scalars or over W."""
+    space = draw(st.sampled_from((SCALAR, W)))
+    terms = {}
+    for mono in draw(st.lists(monomials(), min_size=1, max_size=5, unique=True)):
+        if space == SCALAR:
+            terms[mono] = CoeffVector.scalar(draw(scalars()))
+        else:
+            idx = draw(st.sets(st.integers(0, W.dim - 1), min_size=1))
+            terms[mono] = CoeffVector(W, {i: draw(scalars()) for i in idx})
+    return LogSeries(space, terms)
+
+
+# a fresh second variable, or one of the extra variables of `series`
+SECOND = st.sampled_from(("y", "y", "y", "z"))
+ZETAS = st.one_of(
+    st.sampled_from(LATTICE).map(pi_scalar),
+    st.sampled_from((ExactScalar.from_rational(1), pi_scalar(1) + ExactScalar.from_rational(1))),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return out.space, out.terms, out.trunc
+
+
+# inputs that reach each error: a collision with z, a non-real and an
+# off-lattice scaled exponent, a scale that is not a multiple of Pi
+COLLIDING = LogSeries(SCALAR, {Monomial({"x": (Exponent(1), 1), "z": (Exponent(2), 0)}): CoeffVector.scalar(3)})
+NON_REAL = LogSeries(W, {Monomial.var("x", Exponent(Fraction(1, 2), 1)): CoeffVector.basis(W, 1)})
+TWELFTH = LogSeries.variable("x", Fraction(1, 12)) + LogSeries.log_variable("x")
+NOT_PI = pi_scalar(1) + ExactScalar.from_rational(1)
+
+
+class TestAgainstReference:
+    @given(series(), SECOND, st.integers(-1, 4))
+    @example(COLLIDING, "z", 2)
+    @example(COLLIDING, "y", -1)
+    @settings(max_examples=150, deadline=None)
+    def test_x_plus_y(self, f, y, order):
+        assert _outcome(subst_x_plus_y, f, "x", y, order) == _outcome(ref_x_plus_y, f, "x", y, order)
+
+    @given(series(), SECOND, st.integers(-1, 4))
+    @example(COLLIDING, "z", 2)
+    @example(COLLIDING, "y", -1)
+    @settings(max_examples=150, deadline=None)
+    def test_x_exp_y(self, f, y, order):
+        assert _outcome(subst_x_exp_y, f, "x", y, order) == _outcome(ref_x_exp_y, f, "x", y, order)
+
+    @given(series(), SECOND)
+    @example(COLLIDING, "z")
+    @settings(max_examples=150, deadline=None)
+    def test_xy(self, f, y):
+        assert _outcome(subst_xy, f, "x", y) == _outcome(ref_xy, f, "x", y)
+
+    @given(series(), ZETAS)
+    @example(NON_REAL, pi_scalar(1))
+    @example(TWELFTH, pi_scalar(Fraction(1, 12)))
+    @example(TWELFTH, NOT_PI)
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_exp(self, f, zeta):
+        assert _outcome(subst_scaled_exp, f, "x", zeta) == _outcome(ref_scaled_exp, f, "x", zeta)
+
+    @given(series(), st.integers(-1, 4))
+    @example(COLLIDING, -1)
+    @settings(max_examples=150, deadline=None)
+    def test_mobius_arg(self, f, order):
+        assert _outcome(subst_mobius_arg, f, "x", "y", order) == _outcome(ref_mobius_arg, f, "x", "y", order)
+
+    def test_error_examples_raise(self):
+        """The examples above reach each error kind, not only agree."""
+        assert _outcome(subst_x_plus_y, COLLIDING, "x", "z", 2)[0] is VariableCollision
+        assert _outcome(subst_x_exp_y, COLLIDING, "x", "y", -1)[0] is ValueError
+        assert _outcome(subst_mobius_arg, COLLIDING, "x", "y", -1)[0] is ValueError
+        assert _outcome(subst_scaled_exp, NON_REAL, "x", pi_scalar(1))[0] is LatticeViolation
+        assert _outcome(subst_scaled_exp, TWELFTH, "x", pi_scalar(Fraction(1, 12)))[0] is LatticeViolation
+        assert _outcome(subst_scaled_exp, TWELFTH, "x", NOT_PI)[0] is UnsupportedDivision
+
+    def test_mobius_arg_needs_a_fresh_variable(self):
+        # the reference loop has no such check
+        assert _outcome(subst_mobius_arg, COLLIDING, "x", "z", 2) == (
+            VariableCollision,
+            "substitution variable 'z' already occurs in the series",
+        )
