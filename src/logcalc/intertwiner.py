@@ -351,14 +351,12 @@ class JacobiWindow:
     log_max: int
 
 
-def default_jacobi_window(
-    t: IntertwinerTable, vt: VertexTable, v: int, margin: int = 2
-) -> JacobiWindow:
+def default_jacobi_window(t: IntertwinerTable, vt: VertexTable, v: int) -> JacobiWindow:
     """Window covering the full interaction support of the three terms up to
-    binomial index m bounded by the supports' spread plus ``margin``."""
+    binomial index m bounded by the supports' spread plus 2."""
     exps = [int(n.re) if n.re.denominator == 1 else 0 for n in t.exponents()] or [0]
     p_all = (vt.support(1, v) or [0]) + (vt.support(2, v) or [0]) + (vt.support(3, v) or [0])
-    spread = max(p_all) - min(p_all) + max(exps) - min(exps) + margin + 2
+    spread = max(p_all) - min(p_all) + max(exps) - min(exps) + 4
     a = (-spread - max(p_all) - 2, spread + 2)
     b = (-spread - 2, spread + max(p_all) + 2)
     return JacobiWindow(a, b, (-spread, spread), t.max_log_power() + 1)
@@ -505,23 +503,40 @@ def delta_relation_check(bounds: int = 6) -> Report:
 
 # ---------------------------------------------------------------------------
 # weight formulas (the log-weight lemma family)
+#
+# By ``euler``, L(0) - (a+b-n-1) on W3 acts on the modes mode(i, j, n, k) of
+# weights a = wt e_i and b = wt e_j as the sum of three commuting operators:
+# L(0) - a on the first argument, L(0) - b on the second, and the log shift
+# mode(n, k) -> (k+1) mode(n, k+1).  Every formula below is a coefficient of
+# e^(yN) or of its inverse, read off the orbits of :func:`_orbit`: E1 of e_i,
+# E2 of e_j, and one on the W3 side.
 
-def _nilpotency_on(mod: MobiusModule, shift: Exponent, vec: CoeffVector) -> int:
-    """Least m with (L(0) - shift)^m vec = 0; ``ValueError`` if it never vanishes."""
-    return len(exp_nilpotent_terms(mod, _l0_shift_power(mod, shift.as_scalar(), 1), vec))
-
-
-def _l0_shift_power(mod: MobiusModule, shift: ExactScalar, power: int) -> ExactMatrix:
-    m = mod.action.L0 - ExactMatrix.identity(mod.dim).scale(shift)
-    out = ExactMatrix.identity(mod.dim)
-    for _ in range(power):
-        out = out @ m
-    return out
+def _l0_minus(mod: MobiusModule, h: Exponent) -> ExactMatrix:
+    return mod.action.L0 - ExactMatrix.identity(mod.dim).scale(h.as_scalar())
 
 
-def _series_apply_operator(t: IntertwinerTable, f: LogSeries, shift: ExactScalar, power: int) -> LogSeries:
-    mat = _l0_shift_power(t.w3, shift, power)
-    return f.map_coeffs(lambda vec: t.w3.apply_matrix(mat, vec))
+def _orbit(mod: MobiusModule, v, h: Exponent, count: int) -> list:
+    """The y-coefficients [v, N v, N^2 v/2!, ...] of e^(yN) v for N = L(0) - h,
+    cut at ``count`` terms or before the first zero one.  A W-valued series v
+    is acted on coefficientwise."""
+    n = _l0_minus(mod, h)
+    terms: list = []
+    while len(terms) < count and not v.is_zero():
+        terms.append(v)
+        step = Fraction(1, len(terms))
+        if isinstance(v, LogSeries):
+            v = v.map_coeffs(lambda vec: mod.apply_matrix(n, vec).scale(step))
+        else:
+            v = mod.apply_matrix(n, v).scale(step)
+    return terms
+
+
+def _arg_orbits(t: IntertwinerTable, i: int, j: int, count: int) -> list[tuple[int, CoeffVector, CoeffVector]]:
+    """(s, E1[ii], E2[jj]) with s = ii + jj < ``count``, in (ii, jj) order:
+    E1 and E2 are the orbits of e_i and e_j at their own weights."""
+    e1 = _orbit(t.w1, t.w1.basis_vector(i), t.w1.weight(i), count)
+    e2 = _orbit(t.w2, t.w2.basis_vector(j), t.w2.weight(j), count)
+    return [(ii + jj, v1, v2) for ii, v1 in enumerate(e1) for jj, v2 in enumerate(e2[: count - ii])]
 
 
 def euler_precondition(t: IntertwinerTable) -> bool:
@@ -542,16 +557,18 @@ def weight_formulas_check(t: IntertwinerTable, which: str = "all", var: VarId = 
     k1 = t.w1.nilpotency_index()
     k2 = t.w2.nilpotency_index()
     k3 = t.w3.nilpotency_index()
-    t_bound = k1 + k2 + k3
+    count = k1 + k2 + k3 + 1  # rows t = 0..k1+k2+k3
+    keys = dict.fromkeys([*t.modes, *((i, j, n, 0) for (i, j, n, _k) in t.modes)])  # ordered, unlike a set
+    # both sides of each key's identity, long enough to hold the whole of each
+    # terminating polynomial, shared by the t00 and gen rows
+    sides = lru_cache(maxsize=None)(lambda key: _euler_sides(t, key, count + t.max_log_power() + 1))
     for kind in kinds:
         if kind == "ty":
-            _check_ty(rep, t, t_bound, var)
-        elif kind == "t00":
-            _check_t00(rep, t, t_bound)
-        elif kind == "gen":
-            _check_gen(rep, t)
+            _check_ty(rep, t, count, var)
+        elif kind in ("t00", "gen"):
+            _check_sides(rep, t, kind, keys if kind == "t00" else t.modes, sides, count)
         elif kind == "rt":
-            _check_rt(rep, t, t_bound)
+            _check_rt(rep, t, keys, count)
         elif kind == "bound":
             _check_bounds(rep, t, k1, k2, k3)
         elif kind == "pairing_poly":
@@ -561,127 +578,84 @@ def weight_formulas_check(t: IntertwinerTable, which: str = "all", var: VarId = 
     return rep
 
 
-def _check_ty(rep: Report, t: IntertwinerTable, t_bound: int, var: VarId) -> None:
-    """(L(0)-c)^t Y(w1,x)w2 as a multinomial in the shifted Euler operator."""
-    samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
-    for i in range(t.w1.dim):
-        for j in range(t.w2.dim):
-            a = t.w1.weight(i)
-            b = t.w2.weight(j)
-            s = t.series(i, j, var)
-            for c in samples:
-                for tt in range(t_bound + 1):
-                    lhs = _series_apply_operator(t, s, c.as_scalar(), tt)
-                    rhs = LogSeries.zero(t.w3.coeff_space)
-                    shift = (-c + a + b).as_scalar()
-                    for ii in range(tt + 1):
-                        for jj in range(tt + 1 - ii):
-                            ll = tt - ii - jj
-                            coeff = Fraction(
-                                math.factorial(tt),
-                                math.factorial(ii) * math.factorial(jj) * math.factorial(ll),
-                            )
-                            arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, a.as_scalar(), ii), t.w1.basis_vector(i))
-                            arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, b.as_scalar(), jj), t.w2.basis_vector(j))
-                            inner = t.series_args(arg1, arg2, var)
-                            for _ in range(ll):
-                                inner = (LogSeries.variable(var) * inner.d_dx(var)) + inner.scale(shift)
-                            rhs = rhs + inner.scale(coeff)
-                    ok = (lhs - rhs).is_zero()
-                    rep.add(f"l0-power-expansion(t={tt},c={c!r};{i},{j})", ok, _witness(lhs - rhs))
-                    if not ok:
-                        return
+def _euler_sides(t: IntertwinerTable, key: ModeKey, count: int) -> tuple[list[CoeffVector], list[CoeffVector]]:
+    """The y^0..y^(count-1) coefficients of both sides of
+    e^(yN3) mode(n,k) = sum_ll C(k+ll, ll) y^ll mode(n, k+ll)(e^(yN1) e_i, e^(yN2) e_j),
+    with N3 = L(0) - (a+b-n-1), N1 = L(0) - a and N2 = L(0) - b."""
+    i, j, n, k = key
+    zero = CoeffVector.zero(t.w3.coeff_space)
+    lhs = _orbit(t.w3, t.mode(i, j, n, k), t.w1.weight(i) + t.w2.weight(j) - n - 1, count)
+    rhs = [zero] * count
+    for s, v1, v2 in _arg_orbits(t, i, j, count):
+        for (nn, kk), mode in t.mode_map(v1, v2).items():
+            if nn == n and k <= kk < count - s + k:
+                rhs[s + kk - k] = rhs[s + kk - k] + mode.scale(math.comb(kk, k))
+    return lhs + [zero] * (count - len(lhs)), rhs
 
 
-def _check_t00(rep: Report, t: IntertwinerTable, t_bound: int) -> None:
-    for (i, j, n, k) in list(t.modes) + [
-        (i, j, n, 0) for (i, j, n, _k) in t.modes
-    ]:
-        a = t.w1.weight(i)
-        b = t.w2.weight(j)
-        shift = (a + b - n - 1).as_scalar()
-        base = t.mode(i, j, n, k)
-        for tt in range(t_bound + 1):
-            lhs = t.w3.apply_matrix(_l0_shift_power(t.w3, shift, tt), base)
-            rhs = CoeffVector.zero(t.w3.coeff_space)
-            for ii in range(tt + 1):
-                for jj in range(tt + 1 - ii):
-                    ll = tt - ii - jj
-                    arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, a.as_scalar(), ii), t.w1.basis_vector(i)).scale(
-                        Fraction(1, math.factorial(ii))
-                    )
-                    arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, b.as_scalar(), jj), t.w2.basis_vector(j)).scale(
-                        Fraction(1, math.factorial(jj))
-                    )
-                    mode = t.mode_map(arg1, arg2).get((n, k + ll))
-                    if mode is not None:
-                        rhs = rhs + mode.scale(Fraction(math.factorial(tt) * math.comb(k + ll, ll)))
-            ok = (lhs - rhs).is_zero()
-            rep.add(f"mode-l0-power(t={tt};{i},{j},{n!r},{k})", ok, None if ok else f"{lhs!r} != {rhs!r}")
-            if not ok:
+def _check_sides(
+    rep: Report, t: IntertwinerTable, kind: str, keys: Sequence[ModeKey], sides: Callable, count: int
+) -> None:
+    """A ``t00`` row compares t! times each side of :func:`_euler_sides` at one
+    t < ``count``; a ``gen`` row compares the whole polynomials in y."""
+    for (i, j, n, k) in keys:
+        lhs, rhs = sides((i, j, n, k))
+        if kind == "gen":
+            f, g = (LogSeries(t.w3.coeff_space, {Monomial.var("y", p): v for p, v in enumerate(vs)})
+                    for vs in (lhs, rhs))
+            rows = [(f"mode-exp-generating({i},{j},{n!r},{k})", f == g, _witness(f - g))]
+        else:
+            rows = []
+            for tt in range(count):
+                f, g = lhs[tt].scale(math.factorial(tt)), rhs[tt].scale(math.factorial(tt))
+                rows.append((f"mode-l0-power(t={tt};{i},{j},{n!r},{k})", f == g, None if f == g else f"{f!r} != {g!r}"))
+        for row in rows:
+            rep.add(*row)
+            if not row[1]:
                 return
 
 
-def _check_gen(rep: Report, t: IntertwinerTable, yvar: VarId = "y") -> None:
-    """Generating-function form: e^(y(L(0)-a-b+n+1)) of a mode as a finite
-    y-polynomial identity (all exponentials terminate by nilpotence)."""
-    for (i, j, n, k) in t.modes:
-        a = t.w1.weight(i)
-        b = t.w2.weight(j)
-        shift = (a + b - n - 1).as_scalar()
-        base = t.mode(i, j, n, k)
-        lhs = _exp_poly(t.w3, _l0_shift_power(t.w3, shift, 1), LogSeries.vector(base), yvar)
-        rhs = LogSeries.zero(t.w3.coeff_space)
-        e1 = _exp_poly(t.w1, _l0_shift_power(t.w1, a.as_scalar(), 1), LogSeries.vector(t.w1.basis_vector(i)), yvar)
-        e2 = _exp_poly(t.w2, _l0_shift_power(t.w2, b.as_scalar(), 1), LogSeries.vector(t.w2.basis_vector(j)), yvar)
-        for m1, vec1 in e1.items():
-            for m2, vec2 in e2.items():
-                for ll in range(t.max_log_power() - k + 2):
-                    mode = t.mode_map(vec1, vec2).get((n, k + ll))
-                    if mode is not None:
-                        rhs = rhs + LogSeries.vector(
-                            mode.scale(math.comb(k + ll, ll)),
-                            m1 * m2 * Monomial.var(yvar, ll),
-                        )
-        ok = (lhs - rhs).is_zero()
-        rep.add(f"mode-exp-generating({i},{j},{n!r},{k})", ok, _witness(lhs - rhs))
-        if not ok:
-            return
+def _check_ty(rep: Report, t: IntertwinerTable, count: int, var: VarId) -> None:
+    """(L(0)-c)^t Y(w1,x)w2 as a multinomial in the shifted Euler operator
+    D = x d/dx + a + b - c: t! times the y^t coefficients of e^(y(L(0)-c)) Y
+    and of e^(yD) Y(e^(yN1) e_i, x) e^(yN2) e_j."""
+    samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
+    x = LogSeries.variable(var)
+    zero = LogSeries.zero(t.w3.coeff_space)
+    for i in range(t.w1.dim):
+        for j in range(t.w2.dim):
+            args = [(s, t.series_args(v1, v2, var)) for s, v1, v2 in _arg_orbits(t, i, j, count)]
+            for c in samples:
+                shift = (t.w1.weight(i) + t.w2.weight(j) - c).as_scalar()
+                lhs = _orbit(t.w3, t.series(i, j, var), c, count)
+                lhs += [zero] * (count - len(lhs))
+                rhs = [zero] * count
+                for s, f in args:
+                    for ll in range(count - s):
+                        if ll:
+                            f = (x * f.d_dx(var) + f.scale(shift)).scale(Fraction(1, ll))
+                        rhs[s + ll] = rhs[s + ll] + f
+                for tt in range(count):
+                    diff = (lhs[tt] - rhs[tt]).scale(math.factorial(tt))
+                    rep.add(f"l0-power-expansion(t={tt},c={c!r};{i},{j})", diff.is_zero(), _witness(diff))
+                    if not diff.is_zero():
+                        return
 
 
-def _exp_poly(mod: MobiusModule, mat: ExactMatrix, f: LogSeries, y: VarId) -> LogSeries:
-    """e^(y mat) applied coefficientwise to a module-valued series, for mat
-    nilpotent on every coefficient: the p-th term of a coefficient at
-    monomial m lands at m y^p."""
-    out = LogSeries.zero(mod.coeff_space)
-    for mono, vec in f.items():
-        for p, term in enumerate(exp_nilpotent_terms(mod, mat, vec)):
-            out = out + LogSeries.vector(term, mono * Monomial.var(y, p))
-    return out
-
-
-def _check_rt(rep: Report, t: IntertwinerTable, t_bound: int) -> None:
-    keys = dict.fromkeys([*t.modes, *((i, j, n, 0) for (i, j, n, _k) in t.modes)])  # ordered, unlike a set
+def _check_rt(rep: Report, t: IntertwinerTable, keys: Sequence[ModeKey], count: int) -> None:
+    """The inverse of t00: C(k+t, t) mode(n, k+t) is the y^t coefficient of
+    e^(yN3) mode(n,k)(e^(-yN1) e_i, e^(-yN2) e_j)."""
     for (i, j, n, k) in keys:
-        a = t.w1.weight(i)
-        b = t.w2.weight(j)
-        shift = (a + b - n - 1).as_scalar()
-        for tt in range(t_bound + 1):
+        rhs = [CoeffVector.zero(t.w3.coeff_space)] * count
+        for s, v1, v2 in _arg_orbits(t, i, j, count):
+            mode = t.mode_map(v1, v2).get((n, k))
+            if mode is not None:
+                for ll, term in enumerate(_orbit(t.w3, mode, t.w1.weight(i) + t.w2.weight(j) - n - 1, count - s)):
+                    rhs[s + ll] = rhs[s + ll] + term.scale((-1) ** s)
+        for tt in range(count):
             lhs = t.mode(i, j, n, k + tt).scale(math.comb(k + tt, tt))
-            rhs = CoeffVector.zero(t.w3.coeff_space)
-            for ii in range(tt + 1):
-                for jj in range(tt + 1 - ii):
-                    ll = tt - ii - jj
-                    arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, a.as_scalar(), ii), t.w1.basis_vector(i))
-                    arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, b.as_scalar(), jj), t.w2.basis_vector(j))
-                    mode = t.mode_map(arg1, arg2).get((n, k))
-                    if mode is None:
-                        continue
-                    mode = t.w3.apply_matrix(_l0_shift_power(t.w3, shift, ll), mode)
-                    coeff = Fraction((-1) ** (ii + jj), math.factorial(ii) * math.factorial(jj) * math.factorial(ll))
-                    rhs = rhs + mode.scale(coeff)
-            ok = (lhs - rhs).is_zero()
-            rep.add(f"mode-shift-combination(t={tt};{i},{j},{n!r},{k})", ok, None if ok else f"{lhs!r} != {rhs!r}")
+            ok = lhs == rhs[tt]
+            rep.add(f"mode-shift-combination(t={tt};{i},{j},{n!r},{k})", ok, None if ok else f"{lhs!r} != {rhs[tt]!r}")
             if not ok:
                 return
 
@@ -699,17 +673,15 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
     witness = None
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
+            e1 = _orbit(t.w1, t.w1.basis_vector(i), t.w1.weight(i), k1)
+            e2 = _orbit(t.w2, t.w2.basis_vector(j), t.w2.weight(j), k2)
             for n in dict.fromkeys(key[2] for key in t.modes if key[0] == i and key[1] == j):
-                shift = t.w1.weight(i) + t.w2.weight(j) - n - 1
-                m_max = 0
-                for ii in range(k1):
-                    for jj in range(k2):
-                        arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, t.w1.weight(i).as_scalar(), ii), t.w1.basis_vector(i))
-                        arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, t.w2.weight(j).as_scalar(), jj), t.w2.basis_vector(j))
-                        for k in range(t.max_log_power() + 1):
-                            mode = t.mode_map(arg1, arg2).get((n, k))
-                            if mode is not None and not mode.is_zero():
-                                m_max = max(m_max, _nilpotency_on(t.w3, shift, mode))
+                n3 = _l0_minus(t.w3, t.w1.weight(i) + t.w2.weight(j) - n - 1)
+                m_max = max(
+                    (len(exp_nilpotent_terms(t.w3, n3, mode))
+                     for v1 in e1 for v2 in e2 for (nn, _k), mode in t.mode_map(v1, v2).items() if nn == n),
+                    default=0,
+                )
                 bound = m_max + k1 + k2 - 2
                 for k in range(max(bound, 0), t.max_log_power() + 2):
                     if not t.mode(i, j, n, k).is_zero():
@@ -728,7 +700,7 @@ def _check_pairing_poly(rep: Report, t: IntertwinerTable, var: VarId) -> None:
             for m in range(t.w3.dim):
                 wprime = dual.basis_vector(m)
                 n3 = dual.weight(m)
-                k3 = _nilpotency_on(dual, n3, wprime)
+                k3 = len(exp_nilpotent_terms(dual, _l0_minus(dual, n3), wprime))
                 pair = LogSeries.zero(SCALAR)
                 for mono, vec in s.items():
                     c = pairing_value(wprime, vec)
@@ -846,7 +818,7 @@ def omega_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
     zeta = ExactScalar.pi_power(1, 2 * r + 1)
 
     def fn(j: int, i: int) -> LogSeries:
-        return _exp_poly(t.w3, t.w3.L(-1), subst_scaled_exp(t.series(i, j, var), var, zeta), var)
+        return exp_L(t.w3, -1, LogSeries.variable(var), subst_scaled_exp(t.series(i, j, var), var, zeta))
 
     return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn, var)
 
@@ -868,7 +840,7 @@ def a_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
         for _ in range(2):
             s = s.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1, var), t.w1.coeff_space)
         s = s.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar))
-        return _exp_poly(t.w1, t.w1.L(1), s, var)
+        return exp_L(t.w1, 1, LogSeries.variable(var), s)
 
     def fn(i: int, jp: int) -> LogSeries:
         arg = dressed_arg(i)
@@ -909,26 +881,13 @@ def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | 
     n = Exponent.coerce(n)
     ks = [k for (ii, jj, nn, k) in t.modes if ii == i and jj == j and nn == n]
     bigk = (max(ks) + 1) if ks else 1
-    a = t.w1.weight(i)
-    b = t.w2.weight(j)
-    mu = a + b - n - 1
-    shift = (a + b - n - 1).as_scalar()
-
-    def pi_t(tt: int) -> LogSeries:
-        acc = LogSeries.zero(t.w3.coeff_space)
-        for ii in range(tt + 1):
-            for jj in range(tt + 1 - ii):
-                ll = tt - ii - jj
-                arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, a.as_scalar(), ii), t.w1.basis_vector(i))
-                arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, b.as_scalar(), jj), t.w2.basis_vector(j))
-                series = t.series_args(arg1, arg2, var)
-                series = _series_apply_operator(t, series, shift, ll)
-                series = series.map_coeffs(lambda vec: t.w3.weight_projection(vec, mu))
-                coeff = Fraction((-1) ** (ii + jj), math.factorial(ii) * math.factorial(jj) * math.factorial(ll))
-                acc = acc + series.scale(coeff)
-        return acc
-
-    pis = [pi_t(tt) for tt in range(bigk)]
+    mu = t.w1.weight(i) + t.w2.weight(j) - n - 1
+    # pi_t: the y^t coefficient of e^(yN3) Y(e^(-yN1) e_i, x) e^(-yN2) e_j, projected to weight mu
+    pis = [LogSeries.zero(t.w3.coeff_space)] * bigk
+    for s, v1, v2 in _arg_orbits(t, i, j, bigk):
+        for ll, f in enumerate(_orbit(t.w3, t.series_args(v1, v2, var), mu, bigk - s)):
+            f = f.map_coeffs(lambda vec: t.w3.weight_projection(vec, mu))
+            pis[s + ll] = pis[s + ll] + f.scale((-1) ** s)
     out = []
     for r in range(bigk):
         expr = LogSeries.zero(t.w3.coeff_space)
@@ -961,16 +920,17 @@ def conj_formulas_check(
     """
     rep = Report(f"conjugation-formulas{t.type_signature()}:{which}")
     var, y = "x", "y"
+    yy = LogSeries.variable(y)
     w3 = t.w3.coeff_space
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
             w1v = t.w1.basis_vector(i)
             w2v = t.w2.basis_vector(j)
             if which == "p1":
-                inner = _exp_poly(t.w2, -t.w2.L(-1), LogSeries.vector(w2v), y)
+                inner = exp_L(t.w2, -1, -yy, LogSeries.vector(w2v))
                 mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
-                lhs = _exp_poly(t.w3, t.w3.L(-1), mid, y)
-                arg = _exp_poly(t.w1, t.w1.L(-1), LogSeries.vector(w1v), y)
+                lhs = exp_L(t.w3, -1, yy, mid)
+                arg = exp_L(t.w1, -1, yy, LogSeries.vector(w1v))
                 mid2 = arg.apply_op(lambda vec: t.series_args(vec, w2v, var), w3)
                 ok1 = (lhs - mid2).is_zero()
                 rep.add(f"translate-conjugation({i},{j})", ok1, _witness(lhs - mid2))
@@ -988,9 +948,9 @@ def conj_formulas_check(
             elif which == "p3":
                 if order is None:
                     raise ValueError("p3 is series-valued; supply a y-truncation order")
-                inner = _exp_poly(t.w2, -t.w2.L(1), LogSeries.vector(w2v), y)
+                inner = exp_L(t.w2, 1, -yy, LogSeries.vector(w2v))
                 mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
-                lhs = _exp_poly(t.w3, t.w3.L(1), mid, y).with_trunc({y: order})
+                lhs = exp_L(t.w3, 1, yy, mid).with_trunc({y: order})
                 rhs = _p3_rhs(t, w1v, w2v, var, y, order)
                 diff = lhs - rhs
                 rep.add(f"special-conjugation({i},{j})", diff.is_zero(), _witness(diff))
@@ -1127,17 +1087,12 @@ def _mode_defect(
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def candidate_exponents(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule,
-                        integer_margin: int = 0) -> list[Exponent]:
-    """Weight-compatible exponents n = n1 + n2 - n3 - 1, optionally widened by
-    integer shifts."""
-    out = set()
-    for i in range(w1.dim):
-        for j in range(w2.dim):
-            for b in range(w3.dim):
-                n = w1.weight(i) + w2.weight(j) - w3.weight(b) - 1
-                for s in range(-integer_margin, integer_margin + 1):
-                    out.add(n + s)
+def candidate_exponents(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule) -> list[Exponent]:
+    """Weight-compatible exponents n = n1 + n2 - n3 - 1."""
+    out = {
+        w1.weight(i) + w2.weight(j) - w3.weight(b) - 1
+        for i in range(w1.dim) for j in range(w2.dim) for b in range(w3.dim)
+    }
     return sorted(out, key=lambda e: e.sort_key())
 
 
@@ -1149,10 +1104,7 @@ def solve_fusion_space(
     window: Sequence[Exponent | Fraction | int] | None = None,
     max_log: int | None = None,
     enforce_weights: bool = True,
-    enforce_grading: bool = True,
     vertex: VertexTable | None = None,
-    vertex_vectors: Sequence[int] = (),
-    jacobi_window: JacobiWindow | None = None,
 ) -> list[IntertwinerTable]:
     """Exact nullspace of the selected axiom constraints over unknown modes.
 
@@ -1180,7 +1132,7 @@ def solve_fusion_space(
                 for b in range(w3.dim):
                     if enforce_weights and w3.weight(b) != want_wt:
                         continue
-                    if enforce_grading and w3.degree(b) != want_deg:
+                    if w3.degree(b) != want_deg:
                         continue
                     for k in range(kmax):
                         unknowns.append((i, j, n, k, b))  # type: ignore[arg-type]
@@ -1198,7 +1150,7 @@ def solve_fusion_space(
                 for (i, j, n, k, b) in unknowns  # type: ignore[misc]
             },
         )
-        jw = jacobi_window or default_jacobi_window(envelope, vertex, 0)
+        jw = default_jacobi_window(envelope, vertex, 0)
     # row key -> {column: coefficient}, rows in first-seen order; an unknown
     # reaches each row key of a constraint at most once
     rows: dict[tuple, dict[int, ExactScalar]] = {}
@@ -1209,7 +1161,7 @@ def solve_fusion_space(
                 continue  # structural: already encoded in the unknown set
             if name == "jacobi":
                 table = IntertwinerTable(w1, w2, w3, {(i0, j0, n, k): CoeffVector.basis(w3.coeff_space, b)})
-                for v in vertex_vectors or range(len(vertex.vector_weights)):
+                for v in range(len(vertex.vector_weights)):
                     for i in range(w1.dim):
                         for j in range(w2.dim):
                             d = _jacobi_defect(table, vertex, v, w1.basis_vector(i), w2.basis_vector(j), jw)

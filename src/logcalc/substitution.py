@@ -150,9 +150,9 @@ def subst_scaled_exp(f: LogSeries, x: VarId, zeta: ExactScalar) -> LogSeries:
 
 def subst_mobius_arg(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     """f(x(1-yx)^(-1)), truncated at y-order ``order``."""
-    log = mobius_arg_powers(Exponent(0), y, x, order)[1]
+    log = _mobius_arg_log(y, x, order)
     _require_fresh(f, y)
-    return _substitute(f, x, lambda n: mobius_arg_powers(n, y, x, order)[0], log, {y: order})
+    return _substitute(f, x, lambda n: _mobius_arg_power(n, y, x, order), log, {y: order})
 
 
 def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
@@ -180,18 +180,24 @@ def mobius_arg_powers(n: Exponent, y: VarId, x: VarId, order: int) -> tuple[LogS
     The first is sum_k C(-n,k) x^n (-yx)^k; the second is
     lg(x) + sum_{k>=1} (yx)^k / k.
     """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    return _mobius_arg_power(n, y, x, order), _mobius_arg_log(y, x, order)
+
+
+def _mobius_arg_power(n: Exponent, y: VarId, x: VarId, order: int) -> LogSeries:
     pow_terms = {}
     for k in range(order + 1):
         c = binom_general((-n).as_scalar(), k) * Fraction((-1) ** k)
         pow_terms[Monomial.var(x, n + k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
-    power = LogSeries(SCALAR, pow_terms, {y: order})
+    return LogSeries(SCALAR, pow_terms, {y: order})
+
+
+def _mobius_arg_log(y: VarId, x: VarId, order: int) -> LogSeries:
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     log_terms = {Monomial.log(x): CoeffVector.scalar(1)}
     for k in range(1, order + 1):
         log_terms[Monomial.var(x, k) * Monomial.var(y, k)] = CoeffVector.scalar(Fraction(1, k))
-    logpart = LogSeries(SCALAR, log_terms, {y: order})
-    return power, logpart
+    return LogSeries(SCALAR, log_terms, {y: order})
 
 
 def series_exp(h: LogSeries, v: VarId, order: int) -> LogSeries:

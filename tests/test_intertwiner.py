@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcalc import catalog
+from logcalc import catalog, intertwiner
 from logcalc.intertwiner import (
     IntertwinerTable,
     JacobiWindow,
@@ -677,6 +677,35 @@ class TestWeightFormulas:
         t = jordan_tables[1]
         k_total = t.w1.nilpotency_index() + t.w2.nilpotency_index() + t.w3.nilpotency_index()
         assert t.max_log_power() == k_total - 3
+
+    @staticmethod
+    def _above_bound(t):
+        """t plus a mode e_0 at log power k1+k2+k3-2, one above the global bound."""
+        k_total = t.w1.nilpotency_index() + t.w2.nilpotency_index() + t.w3.nilpotency_index()
+        i, j, n, _k = next(iter(t.modes))
+        return t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n, k_total - 2): t.w3.basis_vector(0)})
+
+    @pytest.mark.parametrize("kind, row", [
+        ("ty", "l0-power-expansion("),
+        ("t00", "mode-l0-power("),
+        ("gen", "mode-exp-generating("),
+        ("rt", "mode-shift-combination("),
+        ("bound", "global-log-power-bound"),
+        ("pairing_poly", "pairing-span("),
+    ])
+    def test_every_formula_can_fail(self, jordan_tables, monkeypatch, kind, row):
+        # the planted table breaks euler, so its precondition is waived to reach the rows
+        monkeypatch.setattr(intertwiner, "euler_precondition", lambda t: True)
+        rep = weight_formulas_check(self._above_bound(jordan_tables[1]), kind)
+        bad = rep.failures
+        assert bad and bad[0].check_id.startswith(row) and bad[0].witness, rep.to_text()[:500]
+        assert weight_formulas_check(jordan_tables[1], kind).passed
+
+    def test_recovery_raises_on_planted_table(self, jordan_tables):
+        t = self._above_bound(jordan_tables[1])
+        i, j, n, _k = next(iter(t.modes))
+        with pytest.raises(AssertionError, match="failed to collapse"):
+            recover_modes(t, i, j, n)
 
 
 class TestConjFormulas:
