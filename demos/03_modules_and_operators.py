@@ -54,7 +54,6 @@ for which, kwargs in [
     ("expLm1", {}),
     ("expL0", {"order": 6}),
     ("expL1", {}),
-    ("one_minus_x", {"order": 6}),
     ("inverse_rel", {"r": 0}),
 ]:
     rep = conj_identity_check(honest, which, **kwargs)

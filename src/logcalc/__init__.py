@@ -64,7 +64,6 @@ from .mobius import (
 )
 from .intertwiner import (
     IntertwinerTable,
-    JacobiWindow,
     VertexTable,
     a_r,
     axiom_check,

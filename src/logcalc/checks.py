@@ -235,7 +235,6 @@ def check_sl2(count: int = 5, seed: int = 0, order: int = 10) -> Report:
             ("expLm1", {}),
             ("expL0", {"order": order}),
             ("expL1", {}),
-            ("one_minus_x", {"order": order}),
         ):
             sub = conj_identity_check(mod, which, **kwargs)
             rep.add(f"{which}({mod.name})", sub.passed, None if sub.passed else sub.to_text())

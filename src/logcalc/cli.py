@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="intertwiner file for `check intertwiner`")
     _int_flag(p, "--order", None, 0, 64, "truncation order (default 8 for taylor and scaling, 10 for sl2)")
     _int_flag(p, "--samples", 200, 1, 10_000, "random samples of taylor, scaling and ode (default 200)")
-    _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed (default 0)")
+    _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed of taylor, scaling, ode, sl2, scalars, series and all (default 0)")
     _int_flag(p, "--kmax", 10, 0, 16, "largest k of comb (default 10)")
     _int_flag(p, "--nmax", 6, 1, 8, "largest N of lubell (default 6)")
     _int_flag(p, "--jmax", 4, 1, 6, "largest j of lubell (default 4)")

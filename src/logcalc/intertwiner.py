@@ -20,8 +20,10 @@ equations.  Axiom identifiers:
 * ``weights``  modes are generalized-weight-pure of weight n1 + n2 - n - 1.
 
 The brackets run over j = -1, 0, 1.  Checker and solver evaluate the same
-per-mode rows (:func:`_mode_defect`): :func:`axiom_check` sums them over a
-table's modes, :func:`solve_fusion_space` solves them for the modes.
+per-mode rows (:func:`_mode_defect`, and :func:`_jacobi_mode_rows` for the
+windowed Jacobi identity): :func:`axiom_check` and :func:`jacobi_check_window`
+sum them over a table's modes, :func:`solve_fusion_space` solves them for the
+modes.
 
 ``euler`` is exactly the identity the log-weight lemmas run on.  On a
 finite-dimensional W1 the full ``lminus1`` axiom forces Y(e_i, x)e_j into
@@ -34,10 +36,9 @@ accept ``euler`` as the precondition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .matrix import ExactMatrix, nullspace
 from .mobius import (
@@ -62,10 +63,6 @@ from .substitution import (
 )
 
 ModeKey = tuple[int, int, Exponent, int]
-
-
-class UncoveredSupport(ValueError):
-    """A coefficient window fails to cover the interaction support it must check."""
 
 
 @lru_cache(maxsize=4096)
@@ -342,101 +339,123 @@ def _witness(d: LogSeries) -> str | None:
 
 # ---------------------------------------------------------------------------
 # windowed Jacobi identity
+#
+#   x0^-1 d((x1-x2)/x0) Y3(v,x1) Y(w1,x2) w2 - x0^-1 d((x2-x1)/(-x0)) Y(w1,x2) Y2(v,x1) w2
+#       = x2^-1 d((x1-x0)/x2) Y(Y1(v,x0) w1, x2) w2,
+#
+# checked at the points x0^a x1^b x2^c lg(x2)^k of a finite window: the ranges
+# of a, of b and of floor(c).
+_Window = tuple[range, range, range]
 
-@dataclass(frozen=True)
-class JacobiWindow:
-    x0: tuple[int, int]
-    x1: tuple[int, int]
-    x2_offset: tuple[int, int]
-    log_max: int
 
-
-def default_jacobi_window(t: IntertwinerTable, vt: VertexTable, v: int) -> JacobiWindow:
-    """Window covering the full interaction support of the three terms up to
-    binomial index m bounded by the supports' spread plus 2."""
-    exps = [int(n.re) if n.re.denominator == 1 else 0 for n in t.exponents()] or [0]
+def _jacobi_window(exps: Iterable[Exponent], vt: VertexTable, v: int) -> _Window:
+    """Window covering the full interaction support of the three terms for a
+    table with exponents ``exps``, up to binomial index m bounded by the
+    supports' spread plus 2."""
+    ints = [int(n.re) if n.re.denominator == 1 else 0 for n in exps] or [0]
     p_all = (vt.support(1, v) or [0]) + (vt.support(2, v) or [0]) + (vt.support(3, v) or [0])
-    spread = max(p_all) - min(p_all) + max(exps) - min(exps) + 4
-    a = (-spread - max(p_all) - 2, spread + 2)
-    b = (-spread - 2, spread + max(p_all) + 2)
-    return JacobiWindow(a, b, (-spread, spread), t.max_log_power() + 1)
+    spread = max(p_all) - min(p_all) + max(ints) - min(ints) + 4
+    return (
+        range(-spread - max(p_all) - 2, spread + 3),
+        range(-spread - 2, spread + max(p_all) + 3),
+        range(-spread, spread + 1),
+    )
+
+
+@lru_cache(maxsize=1 << 16)
+def _delta_terms(a: int, b: int) -> tuple[tuple[int, Fraction] | None, ...]:
+    """The x2 exponent and the coefficient of the x0^a x1^b term of each of
+    x0^-1 d((x1-x2)/x0), x0^-1 d((x2-x1)/(-x0)) and x2^-1 d((x1-x0)/x2), each
+    binomially expanded in nonnegative powers of its second variable; None
+    where that coefficient is zero."""
+    n = -a - 1
+    terms = (
+        (n - b, _rat_binom(n, n - b) * (-1) ** (n - b)) if n >= b else None,
+        (n - b, _rat_binom(n, b) * (-1) ** ((n + b) % 2)) if b >= 0 else None,
+        (-a - b - 1, _rat_binom(a + b, a) * (-1) ** a) if a >= 0 else None,
+    )
+    return tuple(term if term is not None and term[1] else None for term in terms)
+
+
+def _jacobi_mode_rows(
+    vt: VertexTable,
+    v: int,
+    window: _Window,
+    i0: int,
+    j0: int,
+    n: Exponent,
+    k: int,
+    b: int,
+    firsts: Container[int],
+    seconds: Container[int],
+) -> dict[tuple[int, int, int, int, Exponent, int, int], ExactScalar]:
+    """Nonzero coefficients of product - reversed product - iterate for the
+    table whose only mode is (i0, j0, n, k) -> e_b, keyed by (i, j, a, b', c,
+    k, component in w3) at the window point x0^a x1^b' x2^c lg(x2)^k, for the
+    pairs (i, j) with i in ``firsts`` and j in ``seconds``.
+
+    The product reaches the pair (i0, j0) through column b of the slot-3
+    modes, the reversed product the pairs (i0, j) through row j0 of the slot-2
+    modes, and the iterate the pairs (i, j0) through row i0 of the slot-1
+    modes.  A vertex mode p at fixed (a, b') reaches one term of one delta
+    function, so one x2 exponent c = s - n with s an integer; c is kept when
+    floor(c) lies in the window.
+    """
+    x0, x1, x2 = window
+    offset = math.floor(-n.re)
+    out: dict[tuple[int, int, int, int, Exponent, int, int], ExactScalar] = {}
+    for slot in (3, 2, 1):
+        for p in vt.support(slot, v):
+            m = vt.matrix(slot, v, p).entries
+            # (i, j, component, matrix entry) of each pair reached through the vertex mode p
+            if slot == 3:
+                targets = [(i0, j0, bb, row[b]) for bb, row in enumerate(m)] if i0 in firsts and j0 in seconds else []
+            elif slot == 2:
+                targets = [(i0, j, b, e) for j, e in enumerate(m[j0]) if j in seconds] if i0 in firsts else []
+            else:
+                targets = [(i, j0, b, e) for i, e in enumerate(m[i0]) if i in firsts] if j0 in seconds else []
+            targets = [tg for tg in targets if not tg[3].is_zero()]
+            if not targets:
+                continue
+            for a in x0:
+                for bx in x1:
+                    # Y3(v, x1) and Y2(v, x1) shift the delta's x1 power by p+1, Y1(v, x0) its x0 power
+                    term = (_delta_terms(a + p + 1, bx) if slot == 1 else _delta_terms(a, bx + p + 1))[3 - slot]
+                    if term is None or term[0] - 1 + offset not in x2:
+                        continue
+                    x2_exp = (term[0] - 1) - n
+                    coeff = term[1] if slot == 3 else -term[1]
+                    for i, j, bb, entry in targets:
+                        key = (i, j, a, bx, x2_exp, k, bb)
+                        cur = out.get(key)
+                        out[key] = entry * coeff if cur is None else cur + entry * coeff
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def _jacobi_defect(
-    t: IntertwinerTable,
-    vt: VertexTable,
-    v: int,
-    v1: CoeffVector,
-    v2: CoeffVector,
-    window: JacobiWindow,
+    t: IntertwinerTable, vt: VertexTable, v: int, v1: CoeffVector, v2: CoeffVector, window: _Window
 ) -> dict[tuple[int, int, Exponent, int], CoeffVector]:
     """Nonzero coefficients of product - reversed product - iterate at the
-    window points x0^a x1^b x2^c lg(x2)^k.
-
-    For fixed (a, b), a vertex mode p and a table mode (q, k) reach exactly one
-    x2 exponent c = s - q with s an integer, so each term is expanded only
-    where it lands; c is kept when floor(c) lies in ``x2_offset`` and
-    k <= ``log_max``.
-    """
-    x0 = range(window.x0[0], window.x0[1] + 1)
-    x1 = range(window.x1[0], window.x1[1] + 1)
-    product: dict[tuple[int, int, Exponent, int], CoeffVector] = {}
-    reverse: dict[tuple[int, int, Exponent, int], CoeffVector] = {}
-    iterate: dict[tuple[int, int, Exponent, int], CoeffVector] = {}
-
-    def reach(term: dict, a: int, b: int, s: int, q: Exponent, k: int, mode: CoeffVector, coeff: Fraction) -> None:
-        if k <= window.log_max and coeff and window.x2_offset[0] <= s + math.floor(-q.re) <= window.x2_offset[1]:
-            key = (a, b, s - q, k)
-            cur = term.get(key)
-            term[key] = mode.scale(coeff) if cur is None else cur + mode.scale(coeff)
-
-    # product: x0^-1 delta((x1-x2)/x0) Y3(v,x1) Y(w1,x2) w2
-    base_modes = t.mode_map(v1, v2)
-    for p in vt.support(3, v):
-        for (q, k), mode in base_modes.items():
-            moved = vt.apply(3, v, p, mode)
-            for a in x0:
-                n = -a - 1
-                for b in x1:
-                    m = n - b - 1 - p
-                    if m >= 0:
-                        reach(product, a, b, m - 1, q, k, moved, _rat_binom(n, m) * Fraction((-1) ** m))
-    # reversed product: x0^-1 delta((x2-x1)/(-x0)) Y(w1,x2) Y2(v,x1) w2
-    for p in vt.support(2, v):
-        for (q, k), mode in t.mode_map(v1, vt.apply(2, v, p, v2)).items():
-            for a in x0:
-                n = -a - 1
-                for b in x1:
-                    m = b + p + 1
-                    if m >= 0:
-                        reach(reverse, a, b, n - m - 1, q, k, mode, Fraction((-1) ** (n + m)) * _rat_binom(n, m))
-    # iterate: x2^-1 delta((x1-x0)/x2) Y(Y1(v,x0)w1, x2) w2
-    for p in vt.support(1, v):
-        for (q, k), mode in t.mode_map(vt.apply(1, v, p, v1), v2).items():
-            for a in x0:
-                m = a + p + 1
-                if m < 0:
-                    continue
-                for b in x1:
-                    nn = b + m
-                    reach(iterate, a, b, -nn - 2, q, k, mode, _rat_binom(nn, m) * Fraction((-1) ** m))
-    zero = CoeffVector.zero(t.w3.coeff_space)
-    out = {}
-    for key in {**product, **reverse, **iterate}:
-        d = product.get(key, zero) - reverse.get(key, zero) - iterate.get(key, zero)
-        if not d.is_zero():
-            out[key] = d
-    return out
+    window points x0^a x1^b x2^c lg(x2)^k: each mode's
+    :func:`_jacobi_mode_rows`, weighted by its components and by v1[i] v2[j],
+    and summed.  Coefficient vectors list their components in ascending order."""
+    f1, f2 = v1.components, v2.components
+    sums: dict[tuple[int, int, Exponent, int, int], ExactScalar] = {}
+    for (i0, j0, n, k), vec in t.modes.items():
+        for b, c in vec.components.items():
+            for (i, j, *point, bb), r in _jacobi_mode_rows(vt, v, window, i0, j0, n, k, b, f1, f2).items():
+                key = (*point, bb)
+                val = c * r * f1[i] * f2[j]
+                cur = sums.get(key)
+                sums[key] = val if cur is None else cur + val
+    grouped: dict[tuple[int, int, Exponent, int], dict[int, ExactScalar]] = {}
+    for (*point, bb), c in sorted(sums.items(), key=lambda kv: kv[0][4]):
+        if not c.is_zero():
+            grouped.setdefault(tuple(point), {})[bb] = c
+    return {point: CoeffVector._trusted(t.w3.coeff_space, comps) for point, comps in grouped.items()}
 
 
-def jacobi_check_window(
-    t: IntertwinerTable,
-    vt: VertexTable,
-    v: int,
-    v1: CoeffVector,
-    v2: CoeffVector,
-    window: JacobiWindow | None = None,
-) -> Report:
+def jacobi_check_window(t: IntertwinerTable, vt: VertexTable, v: int, v1: CoeffVector, v2: CoeffVector) -> Report:
     """Check the Jacobi identity coefficientwise over a finite window.
 
     Both delta functions are expanded by the binomial expansion convention in
@@ -445,26 +464,16 @@ def jacobi_check_window(
     points some term reaches are expanded: Y(w1, x2) contributes x2^(-n-1),
     so every x2 exponent lies in the class of -n mod Z for a table exponent
     n.  The report counts every window point (x0, x1, x2 offset and log power
-    per such class) as checked.  A caller window smaller than the default
-    interaction support is rejected.
+    per such class) as checked.
     """
     rep = Report(f"jacobi{t.type_signature()}")
-    full = default_jacobi_window(t, vt, v)
-    if window is None:
-        window = full
-    else:
-        if window.log_max < t.max_log_power():
-            raise UncoveredSupport("window log bound is below the table's top log power")
-        for got, need in ((window.x0, full.x0), (window.x1, full.x1), (window.x2_offset, full.x2_offset)):
-            if got[0] > need[0] or got[1] < need[1]:
-                raise UncoveredSupport(f"window {got} does not cover the interaction support {need}")
+    window = _jacobi_window(t.exponents(), vt, v)
     defect = _jacobi_defect(t, vt, v, v1, v2, window)
     witness = None
     if defect:
+        # log powers 0 .. top + 1 per exponent class
         classes = len({(n.re % 1, n.im) for n in t.exponents()}) or 1
-        checked = classes * (window.log_max + 1)
-        for lo, hi in (window.x0, window.x1, window.x2_offset):
-            checked *= hi - lo + 1
+        checked = classes * (t.max_log_power() + 2) * math.prod(len(r) for r in window)
         a, b, c, k = min(defect, key=lambda p: (p[0], p[1], p[2].sort_key(), p[3]))
         first = f"x0^{a} x1^{b} x2^({c!r}) lg^{k}: {defect[(a, b, c, k)]!r}"
         witness = f"{len(defect)}/{checked} coefficients differ; first: {first}"
@@ -476,28 +485,15 @@ def delta_relation_check(bounds: int = 6) -> Report:
     """The three-term formal delta relation, checked coefficientwise:
     x0^-1 d((x1-x2)/x0) - x0^-1 d((x2-x1)/(-x0)) = x2^-1 d((x1-x0)/x2)."""
     rep = Report("three-term-delta-relation")
-    ok = True
     witness = None
-    for a in range(-bounds, bounds + 1):
-        for b in range(-bounds, bounds + 1):
-            for c in range(-bounds, bounds + 1):
-                # coefficient of x0^a x1^b x2^c in each delta
-                n = -a - 1
-                m = c  # first delta: x2 power is m
-                c1 = _rat_binom(n, m) * (-1) ** m if m >= 0 and n - m == b else Fraction(0)
-                m2 = b
-                c2 = (
-                    Fraction((-1) ** (n + m2)) * _rat_binom(n, m2)
-                    if m2 >= 0 and n - m2 == c
-                    else Fraction(0)
-                )
-                m3 = a
-                n3 = b + m3
-                c3 = _rat_binom(n3, m3) * (-1) ** m3 if m3 >= 0 and -n3 - 1 == c else Fraction(0)
+    span = range(-bounds, bounds + 1)
+    for a in span:
+        for b in span:
+            for c in span:
+                c1, c2, c3 = (Fraction(0) if term is None or term[0] != c else term[1] for term in _delta_terms(a, b))
                 if c1 - c2 != c3:
-                    ok = False
                     witness = witness or f"at x0^{a} x1^{b} x2^{c}: {c1} - {c2} != {c3}"
-    rep.add("delta-three-term", ok, witness)
+    rep.add("delta-three-term", witness is None, witness)
     return rep
 
 
@@ -669,7 +665,6 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
         None if not bad else f"modes above lg-power {global_bound}: {bad[:3]}",
     )
     # per-pair vanishing bound via nilpotence search (existence, not minimality)
-    ok = True
     witness = None
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
@@ -684,10 +679,9 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
                 )
                 bound = m_max + k1 + k2 - 2
                 for k in range(max(bound, 0), t.max_log_power() + 2):
-                    if not t.mode(i, j, n, k).is_zero():
-                        ok = False
+                    if witness is None and not t.mode(i, j, n, k).is_zero():
                         witness = f"mode({i},{j},{n!r},{k}) nonzero above bound {bound}"
-    rep.add("per-pair-vanishing-bound", ok, witness)
+    rep.add("per-pair-vanishing-bound", witness is None, witness)
 
 
 def _check_pairing_poly(rep: Report, t: IntertwinerTable, var: VarId) -> None:
@@ -708,13 +702,10 @@ def _check_pairing_poly(rep: Report, t: IntertwinerTable, var: VarId) -> None:
                         pair = pair + LogSeries.monomial(mono, c)
                 want_exp = n3 - t.w1.weight(i) - t.w2.weight(j)
                 bound = k1 + k2 + k3 - 3
-                ok = True
-                witness = None
-                for mono, _vec in pair.items():
-                    if mono.exponent(var) != want_exp or mono.log_power(var) > max(bound, 0):
-                        ok = False
-                        witness = f"<w'_{m}, Y(e_{i},x)e_{j}> has term {mono!r} outside the span"
-                rep.add(f"pairing-span({i},{j};{m})", ok, witness)
+                bad = [mono for mono, _vec in pair.sorted_items()
+                       if mono.exponent(var) != want_exp or mono.log_power(var) > max(bound, 0)]
+                witness = f"<w'_{m}, Y(e_{i},x)e_{j}> has term {bad[0]!r} outside the span" if bad else None
+                rep.add(f"pairing-span({i},{j};{m})", not bad, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -834,32 +825,25 @@ def a_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
     w3p = contragredient(t.w3)
     a_scalar = ExactScalar.pi_power(1, 2 * r + 1)
 
-    def dressed_arg(i: int) -> LogSeries:
+    # (i, jp) -> monomial -> component m in W2': the pairing of the dual basis
+    # vector e'_jp of W3' with the W3-valued series of (i, m), built once
+    pairings: dict[tuple[int, int], dict[Monomial, dict[int, ExactScalar]]] = {}
+    for i in range(t.w1.dim):
         # (x^{-L(0)})^2 then e^{(2r+1)Pi L(0)} then e^{xL(1)}, as a W1-valued series
-        s = LogSeries.vector(t.w1.basis_vector(i))
+        arg = LogSeries.vector(t.w1.basis_vector(i))
         for _ in range(2):
-            s = s.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1, var), t.w1.coeff_space)
-        s = s.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar))
-        return exp_L(t.w1, 1, LogSeries.variable(var), s)
+            arg = arg.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1, var), t.w1.coeff_space)
+        arg = exp_L(t.w1, 1, LogSeries.variable(var), arg.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar)))
+        for m in range(t.w2.dim):
+            e_m = t.w2.basis_vector(m)
+            inner = arg.apply_op(lambda vec: subst_x_inverse(t.series_args(vec, e_m, var), var), t.w3.coeff_space)
+            for mono, vec3 in inner.items():
+                for jp, c in vec3.components.items():
+                    pairings.setdefault((i, jp), {}).setdefault(mono, {})[m] = c
 
     def fn(i: int, jp: int) -> LogSeries:
-        arg = dressed_arg(i)
-        out = LogSeries.zero(w2p.coeff_space)
-        for mono, w1vec in arg.items():
-            for m in range(t.w2.dim):
-                inner = t.series_args(w1vec, t.w2.basis_vector(m), var)
-                inner = subst_x_inverse(inner, var)
-                # pair with the dual basis vector e'_{jp} of W3'
-                scalar_part = LogSeries.zero(SCALAR)
-                for mono2, vec3 in inner.items():
-                    c = vec3.components.get(jp)
-                    if c is not None:
-                        scalar_part = scalar_part + LogSeries.monomial(mono2, c)
-                if not scalar_part.is_zero():
-                    out = out + (scalar_part * LogSeries.monomial(mono)).scale_vector(
-                        CoeffVector.basis(w2p.coeff_space, m)
-                    )
-        return out
+        terms = pairings.get((i, jp), {})
+        return LogSeries(w2p.coeff_space, {mono: CoeffVector(w2p.coeff_space, comps) for mono, comps in terms.items()})
 
     return IntertwinerTable.from_series(t.w1, w3p, w2p, fn, var)
 
@@ -1110,8 +1094,8 @@ def solve_fusion_space(
 
     Each unknown mode contributes its own coefficient equations: those of
     ``lminus1``, ``euler``, ``sl2_*`` and ``sl2_alt_*`` come from
-    :func:`_mode_defect`, those of ``jacobi`` from :func:`_jacobi_defect` on
-    the one-mode table.
+    :func:`_mode_defect`, those of ``jacobi`` from :func:`_jacobi_mode_rows`
+    on each algebra vector's window for the exponents and log powers solved for.
     Returns a basis of the solution space on the given window; the dimension
     is window-relative and is not claimed to equal any intrinsic fusion rule.
     """
@@ -1141,16 +1125,9 @@ def solve_fusion_space(
     if "jacobi" in constraints:
         if vertex is None:
             raise ValueError("jacobi constraints need a vertex table")
-        envelope = IntertwinerTable(
-            w1,
-            w2,
-            w3,
-            {
-                (i, j, n, k): CoeffVector.basis(w3.coeff_space, b)
-                for (i, j, n, k, b) in unknowns  # type: ignore[misc]
-            },
-        )
-        jw = default_jacobi_window(envelope, vertex, 0)
+        exps_used = dict.fromkeys(n for (_, _, n, _, _) in unknowns)  # type: ignore[misc]
+        windows = [_jacobi_window(exps_used, vertex, v) for v in range(len(vertex.vector_weights))]
+        firsts, seconds = range(w1.dim), range(w2.dim)
     # row key -> {column: coefficient}, rows in first-seen order; an unknown
     # reaches each row key of a constraint at most once
     rows: dict[tuple, dict[int, ExactScalar]] = {}
@@ -1160,14 +1137,9 @@ def solve_fusion_space(
             if name in ("grading", "weights", "ltc"):
                 continue  # structural: already encoded in the unknown set
             if name == "jacobi":
-                table = IntertwinerTable(w1, w2, w3, {(i0, j0, n, k): CoeffVector.basis(w3.coeff_space, b)})
-                for v in range(len(vertex.vector_weights)):
-                    for i in range(w1.dim):
-                        for j in range(w2.dim):
-                            d = _jacobi_defect(table, vertex, v, w1.basis_vector(i), w2.basis_vector(j), jw)
-                            for point, vec in d.items():
-                                for bb, c in vec.components.items():
-                                    rows.setdefault(("jacobi", v, i, j, *point, bb), {})[col] = c
+                for v, jw in enumerate(windows):
+                    for key, c in _jacobi_mode_rows(vertex, v, jw, i0, j0, n, k, b, firsts, seconds).items():
+                        rows.setdefault(("jacobi", v, *key), {})[col] = c
                 continue
             for (i, j, mono, bb), c in _mode_defect(w1, w2, w3, name, i0, j0, n, k, b, monomials).items():
                 rows.setdefault((name, i, j, mono, bb), {})[col] = c

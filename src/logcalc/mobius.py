@@ -37,7 +37,7 @@ from .scalars import (
     root_of_unity,
 )
 from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId
-from .substitution import pi_monomial_coefficient, series_exp, series_log1p
+from .substitution import pi_monomial_coefficient, series_exp
 
 
 class GradingGroup:
@@ -392,7 +392,6 @@ def conj_identity_check(module: MobiusModule, which: str, r: int = 0, order: int
       * ``xL0_Lj``    x^L(0) L(j) x^-L(0) = x^-j L(j)                  (exact)
       * ``xL0_expLj`` x^L(0) e^(yL(j)) x^-L(0) = e^(y x^-j L(j))       (exact for j = ±1)
       * ``expLm1`` / ``expL0`` / ``expL1``   the 3x3 triangular conjugation tables
-      * ``one_minus_x``  binomial (1-x)^L(0) vs e^(L(0) log(1-x))      (order needed)
       * ``inverse_rel``  the x -> -1/x relation and its exponentiated form
     """
     rep = Report(f"conjugation({module.name}:{which})")
@@ -452,17 +451,6 @@ def conj_identity_check(module: MobiusModule, which: str, r: int = 0, order: int
                 return out.with_trunc(trunc)
 
             _compare_operators(rep, f"{which}-row-L({jrow})", module, conjugated, combination)
-    elif which == "one_minus_x":
-        if order is None:
-            raise ValueError("one_minus_x needs a truncation order")
-        log_part = series_log1p(x.scale(-1), "x", order)
-        _compare_operators(
-            rep,
-            "one-minus-x-two-routes",
-            module,
-            lambda v: one_minus_u_power(module, module.action.L0, x, LogSeries.vector(v), order, "x"),
-            lambda v: exp_L(module, 0, log_part, LogSeries.vector(v), order),
-        )
     elif which == "inverse_rel":
         # e^((2r+1)Pi L(0)) (x^L0)^2 [xL(1)] (x^-L0)^2 e^-((2r+1)Pi L(0)) = -x^-1 L(1)
         a = ExactScalar.pi_power(1, 2 * r + 1)

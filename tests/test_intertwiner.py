@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from logcalc import catalog, intertwiner
 from logcalc.intertwiner import (
     IntertwinerTable,
-    JacobiWindow,
-    UncoveredSupport,
     VertexTable,
     a_r,
     axiom_check,
@@ -233,19 +231,6 @@ class TestJacobi:
                 "25/2592 coefficients differ; first: x0^-5 x1^0 x2^(Exponent(4)) lg^0: "
                 "CoeffVector(A, {0: ExactScalar(-1)})"
             )
-
-    def test_window_too_small_rejected(self, epsilon_pair):
-        table, vt = epsilon_pair
-        tiny = JacobiWindow((0, 0), (0, 0), (0, 0), 0)
-        with pytest.raises(UncoveredSupport):
-            jacobi_check_window(table, vt, 0, table.w1.basis_vector(0), table.w2.basis_vector(0), tiny)
-
-    def test_log_bound_too_small_rejected(self, jordan_tables):
-        t = jordan_tables[1]
-        vt = identity_vertex_table(t.w1, t.w2, t.w3)
-        bad = JacobiWindow((-9, 9), (-9, 9), (-9, 9), 0)
-        with pytest.raises(UncoveredSupport):
-            jacobi_check_window(t, vt, 0, t.w1.basis_vector(0), t.w2.basis_vector(0), bad)
 
 
 class TestSolver:
@@ -519,6 +504,16 @@ class TestDerivedOperators:
         for r in (-2, -1, 1):
             assert a_r(table, r) == first
 
+    def test_dual_dresses_each_first_vector_once(self, jordan_tables, monkeypatch):
+        # the (1,2,4) fixture: one basis vector of W1, four dual basis vectors of W3'
+        t = jordan_tables[2]
+        assert (t.w1.dim, t.w2.dim, t.w3.dim) == (1, 2, 4)
+        calls = []
+        real = intertwiner.exp_L
+        monkeypatch.setattr(intertwiner, "exp_L", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        a_r(t, 0)
+        assert len(calls) == 1
+
     def test_dual_needs_grading_compatibility(self):
         g = GradingGroup(1)
         w = catalog.jordan_module("G", 0, size=2, degrees=[[0], [1]], group=g)
@@ -700,6 +695,17 @@ class TestWeightFormulas:
         bad = rep.failures
         assert bad and bad[0].check_id.startswith(row) and bad[0].witness, rep.to_text()[:500]
         assert weight_formulas_check(jordan_tables[1], kind).passed
+
+    def test_bound_witnesses_name_the_first_bad_mode(self, jordan_tables, monkeypatch):
+        # modes at log powers 3 and 4, both above the fixture's global bound 2
+        monkeypatch.setattr(intertwiner, "euler_precondition", lambda t: True)
+        t = jordan_tables[1]
+        i, j, n, _k = next(iter(t.modes))
+        planted = t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n, k): t.w3.basis_vector(0) for k in (3, 4)})
+        rows = {c.check_id: c.witness for c in weight_formulas_check(planted, "all").failures}
+        assert rows["per-pair-vanishing-bound"] == f"mode({i},{j},{n!r},3) nonzero above bound 3"
+        spans = [w for check_id, w in rows.items() if check_id.startswith("pairing-span(")]
+        assert spans and all("lg(x)^3" in w for w in spans), spans
 
     def test_recovery_raises_on_planted_table(self, jordan_tables):
         t = self._above_bound(jordan_tables[1])
