@@ -52,6 +52,7 @@ from .mobius import (
     GradedSpace,
     GradingGroup,
     MobiusModule,
+    NonTerminating,
     Sl2Action,
     conj_identity_check,
     contragredient,

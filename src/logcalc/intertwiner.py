@@ -47,7 +47,6 @@ from .mobius import (
     e_aL0,
     exp_L,
     exp_nilpotent_terms,
-    one_minus_u_power,
     pairing_value,
     x_pm_L0,
 )
@@ -55,6 +54,7 @@ from .reports import Report
 from .scalars import ExactScalar, Exponent, pi_scalar
 from .series import SCALAR, CoeffVector, LogSeries, Monomial, VarId
 from .substitution import (
+    series_log1p,
     subst_mobius_arg,
     subst_scaled_exp,
     subst_x_inverse,
@@ -513,18 +513,8 @@ def _l0_minus(mod: MobiusModule, h: Exponent) -> ExactMatrix:
 
 def _orbit(mod: MobiusModule, v, h: Exponent, count: int) -> list:
     """The y-coefficients [v, N v, N^2 v/2!, ...] of e^(yN) v for N = L(0) - h,
-    cut at ``count`` terms or before the first zero one.  A W-valued series v
-    is acted on coefficientwise."""
-    n = _l0_minus(mod, h)
-    terms: list = []
-    while len(terms) < count and not v.is_zero():
-        terms.append(v)
-        step = Fraction(1, len(terms))
-        if isinstance(v, LogSeries):
-            v = v.map_coeffs(lambda vec: mod.apply_matrix(n, vec).scale(step))
-        else:
-            v = mod.apply_matrix(n, v).scale(step)
-    return terms
+    cut at ``count`` terms or before the first zero one."""
+    return exp_nilpotent_terms(mod, _l0_minus(mod, h), v, count)
 
 
 def _arg_orbits(t: IntertwinerTable, i: int, j: int, count: int) -> list[tuple[int, CoeffVector, CoeffVector]]:
@@ -680,7 +670,7 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
                 bound = m_max + k1 + k2 - 2
                 for k in range(max(bound, 0), t.max_log_power() + 2):
                     if witness is None and not t.mode(i, j, n, k).is_zero():
-                        witness = f"mode({i},{j},{n!r},{k}) nonzero above bound {bound}"
+                        witness = f"mode({i},{j},{n!r},{k}) nonzero above lg-power {bound - 1}"
     rep.add("per-pair-vanishing-bound", witness is None, witness)
 
 
@@ -952,8 +942,8 @@ def conj_formulas_check(
 
 def _p3_rhs(t: IntertwinerTable, w1v: CoeffVector, w2v: CoeffVector, var: VarId, y: VarId, order: int) -> LogSeries:
     yx = LogSeries.variable(y) * LogSeries.variable(var)
-    # (1 - yx)^(-2L(0)) w1, then e^(y(1-yx) L(1)), both truncated at y-order
-    arg = one_minus_u_power(t.w1, t.w1.action.L0.scale(-2), yx, LogSeries.vector(w1v), order, y)
+    # (1 - yx)^(-2L(0)) w1 = e^(-2 log(1-yx) L(0)) w1, then e^(y(1-yx) L(1)), both truncated at y-order
+    arg = exp_L(t.w1, 0, series_log1p(-yx, y, order).scale(-2), LogSeries.vector(w1v), order, y)
     arg = exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
     # substitute the table at x(1-yx)^(-1)
     out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v, var), var, y, order), t.w3.coeff_space)

@@ -11,7 +11,7 @@ minors that are nonzero monomials.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import ExactScalar, ScalarLike, UnsupportedDivision
 
@@ -42,12 +42,6 @@ class ExactMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> ExactScalar:
         return self.entries[ij[0]][ij[1]]
-
-    def row(self, i: int) -> list[ExactScalar]:
-        return list(self.entries[i])
-
-    def column(self, j: int) -> list[ExactScalar]:
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def transpose(self) -> ExactMatrix:
         return ExactMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -87,15 +81,6 @@ class ExactMatrix:
             out.append(row)
         return ExactMatrix(out)
 
-    def apply(self, vec: Sequence[ScalarLike]) -> list[ExactScalar]:
-        v = _coerce_row(vec)
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [
-            sum((self.entries[i][k] * v[k] for k in range(self.cols)), ExactScalar.zero())
-            for i in range(self.rows)
-        ]
-
     def commutator(self, other: ExactMatrix) -> ExactMatrix:
         return (self @ other) - (other @ self)
 
@@ -113,9 +98,6 @@ class ExactMatrix:
                 return True
             p = p @ self
         return p.is_zero()
-
-    def map(self, f: Callable[[ExactScalar], ExactScalar]) -> ExactMatrix:
-        return ExactMatrix([[f(a) for a in r] for r in self.entries])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):

@@ -412,10 +412,6 @@ def parse_scalar(text: str) -> ExactScalar:
 
 
 def parse_exponent(text: str) -> Exponent:
-    return _parse_gaussian_text(text)
-
-
-def _parse_gaussian_text(text: str) -> Exponent:
     tk = _Tokens(text)
     e = _parse_gaussian(tk)
     if not tk.at_end():

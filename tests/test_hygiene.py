@@ -77,3 +77,26 @@ def test_every_parameter_is_read():
                 name = getattr(node, "name", "lambda")
                 unread += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg not in read]
     assert not unread, unread
+
+
+def test_every_method_is_read():
+    """A non-dunder method of a ``src/logcalc`` class whose name is never read
+    as an attribute in src, tests, demos or perfbench is dead code.
+
+    The scan matches names only, not receivers: a method named like an
+    attribute of another object (``row``, ``map`` or ``apply``, say) counts as
+    read wherever that name is read, so it escapes this test."""
+    read = {
+        node.attr
+        for path in ALL_CODE
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    orphans = []
+    for path in PACKAGE:
+        for cls in ast.walk(_tree(path)):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in read:
+                        orphans.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    assert not orphans, orphans

@@ -703,7 +703,7 @@ class TestWeightFormulas:
         i, j, n, _k = next(iter(t.modes))
         planted = t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n, k): t.w3.basis_vector(0) for k in (3, 4)})
         rows = {c.check_id: c.witness for c in weight_formulas_check(planted, "all").failures}
-        assert rows["per-pair-vanishing-bound"] == f"mode({i},{j},{n!r},3) nonzero above bound 3"
+        assert rows["per-pair-vanishing-bound"] == f"mode({i},{j},{n!r},3) nonzero above lg-power 2"
         spans = [w for check_id, w in rows.items() if check_id.startswith("pairing-span(")]
         assert spans and all("lg(x)^3" in w for w in spans), spans
 

@@ -9,6 +9,7 @@ from logcalc.mobius import (
     GradedSpace,
     GradingGroup,
     MobiusModule,
+    NonTerminating,
     Sl2Action,
     conj_identity_check,
     contragredient,
@@ -96,8 +97,17 @@ class TestExpNilpotentTerms:
 
     def test_operator_not_nilpotent_on_the_vector_raises(self):
         m = catalog.jordan_module("J", 1, size=3)
-        with pytest.raises(ValueError, match="not nilpotent"):
+        with pytest.raises(NonTerminating, match="not nilpotent"):
             exp_nilpotent_terms(m, m.action.L0, m.basis_vector(0))
+
+    def test_count_cuts_the_orbit(self):
+        # with a count, a non-nilpotent operator gives its first terms
+        m = catalog.jordan_module("J", 1, size=2)
+        v = m.basis_vector(1)
+        terms = exp_nilpotent_terms(m, m.action.L0, LogSeries.vector(v, Monomial.var("x", 2)), count=3)
+        assert [f.coeff(Monomial.var("x", 2)) for f in terms] == [
+            v, m.apply_L(0, v), m.apply_L(0, m.apply_L(0, v)).scale(Fraction(1, 2))
+        ]
 
 
 class TestExpL:
@@ -122,7 +132,7 @@ class TestExpL:
     def test_non_nilpotent_operator_needs_an_order(self, irreducible3):
         # e_1 has weight 0, so L(0) kills it; nilpotence is a property of the matrix
         e = LogSeries.vector(irreducible3.basis_vector(1))
-        with pytest.raises(ValueError, match="non-nilpotent operator needs a truncation order"):
+        with pytest.raises(NonTerminating, match="non-nilpotent operator needs a truncation order"):
             exp_L(irreducible3, 0, LogSeries.variable("x"), e)
 
 
@@ -199,10 +209,11 @@ class TestExpAL0:
 
 # conjugation reports on the honest 3-dim module with 1 added to entry
 # (row, col) of L(j): the first 16 hex digits of the sha256 of the report JSON
-# (witnesses included) and the failing rows, or the ValueError raised
+# (witnesses included) and the failing rows; an exponential with no exact sum
+# fails its row
 BROKEN_MODULE_REPORTS = {
     ((-1, 0, 1), "xL0_Lj"): ("50c04cae46b07449", ["xL0-conjugate-L(-1)"]),
-    ((-1, 0, 1), "xL0_expLj"): "exponential of a non-nilpotent operator needs a truncation order",
+    ((-1, 0, 1), "xL0_expLj"): ("be9dde0e1d194918", ["xL0-conjugate-exp-L(-1)"]),
     ((-1, 0, 1), "expLm1"): ("50fd35d3bb897f0d", ["expLm1-row-L(0)", "expLm1-row-L(1)"]),
     ((-1, 0, 1), "expL0"): ("4aea187a53b4738c", ["expL0-row-L(-1)"]),
     ((-1, 0, 1), "expL1"): ("fa2bd776e2c29417", ["expL1-row-L(-1)"]),
@@ -214,11 +225,11 @@ BROKEN_MODULE_REPORTS = {
     ((0, 0, 1), "expL1"): ("0ce801c0680fcb38", ["expL1-row-L(-1)", "expL1-row-L(0)"]),
     ((0, 0, 1), "inverse_rel"): ("e58077d1a18dd229", ["x-to-minus-inverse-x(r=0)", "exp-conjugation(r=0)"]),
     ((1, 2, 1), "xL0_Lj"): ("fe242693f84f9479", ["xL0-conjugate-L(1)"]),
-    ((1, 2, 1), "xL0_expLj"): "exponential of a non-nilpotent operator needs a truncation order",
+    ((1, 2, 1), "xL0_expLj"): ("6b5b1e40ee24f185", ["xL0-conjugate-exp-L(1)"]),
     ((1, 2, 1), "expLm1"): ("b36f1132c4eac54f", ["expLm1-row-L(1)"]),
     ((1, 2, 1), "expL0"): ("e6d97ebd0b09981d", ["expL0-row-L(1)"]),
-    ((1, 2, 1), "expL1"): "exponential of a non-nilpotent operator needs a truncation order",
-    ((1, 2, 1), "inverse_rel"): "exponential of a non-nilpotent operator needs a truncation order",
+    ((1, 2, 1), "expL1"): ("5a73db58a0de9131", ["expL1-row-L(-1)", "expL1-row-L(0)", "expL1-row-L(1)"]),
+    ((1, 2, 1), "inverse_rel"): ("8549aeac3977317b", ["x-to-minus-inverse-x(r=0)", "exp-conjugation(r=0)"]),
 }
 
 
@@ -238,6 +249,17 @@ class TestConjugationIdentities:
         with pytest.raises(ValueError):
             conj_identity_check(irreducible3, "expL0")
 
+    def test_non_nilpotent_weight_part_reports(self):
+        # L(0) - L(0)_s swaps the two weight-0 basis vectors: x^(+-L(0)) has no exact sum
+        space = GradedSpace("S", [0, 0])
+        zero = ExactMatrix.zeros(2, 2)
+        mod = MobiusModule(space, Sl2Action(zero, ExactMatrix([[0, 1], [1, 0]]), zero))
+        rep = conj_identity_check(mod, "xL0_Lj")
+        assert [c.check_id for c in rep.failures] == [f"xL0-conjugate-L({j})" for j in (-1, 0, 1)]
+        assert {c.witness for c in rep.failures} == {
+            "exponential does not terminate: the operator is not nilpotent on the vector"
+        }
+
     def test_trivial_on_jordan(self, jordan2):
         # xL0_Lj only needs the triangular brackets, so Jordan actions pass it
         assert conj_identity_check(jordan2, "xL0_Lj").passed
@@ -250,10 +272,6 @@ class TestConjugationIdentities:
         broken = MobiusModule(irreducible3.space, Sl2Action(*(ExactMatrix(mats[k]) for k in (-1, 0, 1))))
         order = 10 if which in ("expLm1", "expL0") else None
         want = BROKEN_MODULE_REPORTS[(j, row, col), which]
-        if isinstance(want, str):
-            with pytest.raises(ValueError, match=want):
-                conj_identity_check(broken, which, order=order)
-            return
         rep = conj_identity_check(broken, which, order=order)
         assert [c.check_id for c in rep.failures] == want[1]
         assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == want[0]
