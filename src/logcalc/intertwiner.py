@@ -51,7 +51,7 @@ from .mobius import (
     x_pm_L0,
 )
 from .reports import Report
-from .scalars import ExactScalar, Exponent, pi_scalar
+from .scalars import LATTICE, ExactScalar, Exponent, pi_scalar
 from .series import SCALAR, CoeffVector, LogSeries, Monomial, VarId
 from .substitution import (
     series_log1p,
@@ -352,7 +352,7 @@ def _jacobi_window(exps: Iterable[Exponent], vt: VertexTable, v: int) -> _Window
     """Window covering the full interaction support of the three terms for a
     table with exponents ``exps``, up to binomial index m bounded by the
     supports' spread plus 2."""
-    ints = [int(n.re) if n.re.denominator == 1 else 0 for n in exps] or [0]
+    ints = [n.a // LATTICE if n.a % LATTICE == 0 else 0 for n in exps] or [0]
     p_all = (vt.support(1, v) or [0]) + (vt.support(2, v) or [0]) + (vt.support(3, v) or [0])
     spread = max(p_all) - min(p_all) + max(ints) - min(ints) + 4
     return (
@@ -402,7 +402,7 @@ def _jacobi_mode_rows(
     floor(c) lies in the window.
     """
     x0, x1, x2 = window
-    offset = math.floor(-n.re)
+    offset = -n.a // LATTICE
     out: dict[tuple[int, int, int, int, Exponent, int, int], ExactScalar] = {}
     for slot in (3, 2, 1):
         for p in vt.support(slot, v):
@@ -472,7 +472,7 @@ def jacobi_check_window(t: IntertwinerTable, vt: VertexTable, v: int, v1: CoeffV
     witness = None
     if defect:
         # log powers 0 .. top + 1 per exponent class
-        classes = len({(n.re % 1, n.im) for n in t.exponents()}) or 1
+        classes = len({(n.a % LATTICE, n.b) for n in t.exponents()}) or 1
         checked = classes * (t.max_log_power() + 2) * math.prod(len(r) for r in window)
         a, b, c, k = min(defect, key=lambda p: (p[0], p[1], p[2].sort_key(), p[3]))
         first = f"x0^{a} x1^{b} x2^({c!r}) lg^{k}: {defect[(a, b, c, k)]!r}"
@@ -713,10 +713,9 @@ def decompose(t: IntertwinerTable, which: str) -> list[IntertwinerTable]:
             out.append(IntertwinerTable(t.w1, t.w2, t.w3, modes))
         return out
     if which == "by_congruence":
-        classes: dict[tuple[Fraction, Fraction], dict[ModeKey, CoeffVector]] = {}
+        classes: dict[tuple[int, int], dict[ModeKey, CoeffVector]] = {}
         for (i, j, n, k), vec in t.modes.items():
-            frac = n.re - math.floor(n.re)
-            classes.setdefault((frac, n.im), {})[(i, j, n, k)] = vec
+            classes.setdefault((n.a % LATTICE, n.b), {})[(i, j, n, k)] = vec
         return [
             IntertwinerTable(t.w1, t.w2, t.w3, modes)
             for _key, modes in sorted(classes.items())

@@ -38,7 +38,7 @@ from .scalars import (
     root_of_unity,
 )
 from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId
-from .substitution import pi_monomial_coefficient, series_exp
+from .substitution import _check_positive_valuation, pi_monomial_coefficient, series_exp
 
 
 class GradingGroup:
@@ -138,6 +138,7 @@ class MobiusModule:
         self.action = action
         self.coeff_space = CoeffSpace(space.name, space.dim)
         self._dual_of: "MobiusModule | None" = None
+        self._nilpotent: ExactMatrix | None = None
 
     # -- basic accessors -------------------------------------------------------
 
@@ -159,20 +160,17 @@ class MobiusModule:
         return self.action.matrix(j)
 
     def weight_diagonal(self) -> ExactMatrix:
-        return ExactMatrix(
-            [
-                [self.weight(i).as_scalar() if i == j else 0 for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-        )
+        n = self.dim
+        return ExactMatrix([[self.weight(i).as_scalar() if i == j else 0 for j in range(n)] for i in range(n)])
 
     def nilpotent_part(self) -> ExactMatrix:
-        return self.action.L0 - self.weight_diagonal()
+        if self._nilpotent is None:  # built on first use: modules are immutable
+            self._nilpotent = self.action.L0 - self.weight_diagonal()
+        return self._nilpotent
 
     def nilpotency_index(self) -> int:
         """Least K with (L(0) - L(0)_s)^K = 0 (the log-depth bound of the module)."""
-        n = self.nilpotent_part()
-        return max(len(exp_nilpotent_terms(self, n, self.basis_vector(j))) for j in range(self.dim))
+        return max(len(exp_nilpotent_terms(self, self.nilpotent_part(), self.basis_vector(j))) for j in range(self.dim))
 
     def basis_vector(self, i: int) -> CoeffVector:
         return CoeffVector.basis(self.coeff_space, i)
@@ -336,14 +334,17 @@ def exp_L(
 ) -> LogSeries:
     """e^(coeff L(j)) f = sum_k coeff^k L(j)^k f / k! for a W-valued series f.
 
-    Exact when the matrix L(j) is nilpotent.  Otherwise the sum is cut after
-    k = ``order``, which must then be given.  With an ``order`` the result is
-    known modulo ``var``-exponents above it.
+    Exact when the matrix L(j) is nilpotent; an ``order`` then only truncates.
+    Otherwise the sum is cut after k = ``order``, which must be given, and ``coeff``
+    must have positive ``var``-valuation (as in ``series_exp``).  The cut result is
+    exact modulo ``var``-exponents above ``order`` if val(coeff) >= 1 and val(f) >= 0.
     """
     m = module.L(j)
     nilpotent = m.is_nilpotent()
     if not nilpotent and order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
+    if not nilpotent:
+        _check_positive_valuation(coeff, var)
     terms = exp_nilpotent_terms(module, m, f, None if nilpotent else order + 1)
     return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
 

@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .scalars import ExactScalar, Exponent, UnsupportedDivision, imaginary_unit, pi_scalar, root_of_unity
+from .scalars import LATTICE, ExactScalar, Exponent, UnsupportedDivision, imaginary_unit, pi_scalar, root_of_unity
 from .series import SCALAR, CoeffVector, LogSeries, Monomial
 
 _TOKEN = re.compile(
@@ -330,13 +330,13 @@ def _single_factor(f: Value, exponent: int, log_power: int) -> str | None:
     if len(m.entries) != 1 or not _is_one(c):
         return None
     v, e, k = m.entries[0]
-    return v if e.re == exponent and e.im == 0 and k == log_power else None
+    return v if e.a == exponent * LATTICE and not e.b and k == log_power else None
 
 
 def _monomial_power(m: Monomial, n: int) -> Monomial:
     if n == 0:
         return Monomial.UNIT
-    return Monomial._trusted(tuple((v, Exponent(e.re * n, e.im * n), k * n) for v, e, k in m.entries))
+    return Monomial._trusted(tuple((v, Exponent._lattice(e.a * n, e.b * n), k * n) for v, e, k in m.entries))
 
 
 def _mul_terms(a: Terms, b: Terms) -> Terms:

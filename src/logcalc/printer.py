@@ -7,6 +7,7 @@ parser inverts these exactly (parse . print = identity on canonical form).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import LATTICE, ExactScalar, Exponent
@@ -17,22 +18,24 @@ def rational_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _lattice_str(a: int) -> str:
+    """The rational a/L in lowest terms."""
+    g = math.gcd(a, LATTICE)
+    return str(a // g) if g == LATTICE else f"{a // g}/{LATTICE // g}"
+
+
 def exponent_str(e: Exponent) -> str:
-    if e.im == 0:
-        return rational_str(e.re)
-    im = rational_str(e.im) + "*i"
-    if e.re == 0:
-        return im
-    if e.im > 0:
-        return f"{rational_str(e.re)}+{im}"
-    return f"{rational_str(e.re)}-{rational_str(-e.im)}*i"
+    if not e.b:
+        return _lattice_str(e.a)
+    im = _lattice_str(e.b) + "*i"
+    return f"{_lattice_str(e.a)}{'+' if e.b > 0 else ''}{im}" if e.a else im
 
 
 def _zeta_summand(k: int, coeff: Fraction) -> str:
     """One summand r or r*e(q), q = k/L, of a cyclotomic coefficient."""
     if k == 0:
         return rational_str(coeff)
-    root = f"e({rational_str(Fraction(k, LATTICE))})"
+    root = f"e({_lattice_str(k)})"
     if coeff == 1:
         return root
     if coeff == -1:

@@ -11,7 +11,8 @@ q is the single entry ``(0, 0): q``, so a product with a rational only
 scales the entries of the other factor.
 
 Exponents of formal variables live on the Gaussian lattice (1/L)Z[i] and are
-modelled by :class:`Exponent`.
+modelled by :class:`Exponent` as the integers L*re and L*im, checked for the
+lattice only where a rational enters (:class:`Exponent`, :func:`root_of_unity`).
 
 Division of an :class:`ExactScalar` is only defined by invertible monomials
 c*Pi^k; everything else raises :class:`UnsupportedDivision`.  This is what
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -38,16 +40,14 @@ class UnsupportedDivision(ZeroDivisionError):
     """Division by a scalar that is not an invertible Pi-monomial."""
 
 
-def _check_lattice(q: Fraction, what: str = "exponent") -> Fraction:
-    if LATTICE % q.denominator != 0:
-        raise LatticeViolation(
-            f"{what} {q} has denominator {q.denominator}, which does not divide L={LATTICE}"
-        )
-    return q
-
-
-def _fraction(q: Fraction | int) -> Fraction:
-    return q if q.__class__ is Fraction else Fraction(q)
+def _lattice_int(q: Fraction | int, what: str = "exponent") -> int:
+    """L*q as an int: the lattice check, made where a rational enters (1/L)Z."""
+    if isinstance(q, int):
+        return q * LATTICE
+    q = q if q.__class__ is Fraction else Fraction(q)
+    if LATTICE % q.denominator:
+        raise LatticeViolation(f"{what} {q} has denominator {q.denominator}, which does not divide L={LATTICE}")
+    return q.numerator * (LATTICE // q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +164,12 @@ class ExactScalar:
 
     @staticmethod
     def from_rational(q: Fraction | int) -> ExactScalar:
-        q = _fraction(q)
+        q = q if q.__class__ is Fraction else Fraction(q)
         return ExactScalar({_RATIONAL: q} if q else {})
 
     @staticmethod
     def pi_power(k: int, coeff: Fraction | int = 1) -> ExactScalar:
-        coeff = _fraction(coeff)
+        coeff = Fraction(coeff)
         return ExactScalar({(k, 0): coeff} if coeff else {})
 
     @staticmethod
@@ -287,7 +287,6 @@ class ExactScalar:
         return self * ExactScalar.coerce(other).inverse()
 
     def divided_by_rational(self, q: Fraction | int) -> ExactScalar:
-        q = _fraction(q)
         if q == 0:
             raise UnsupportedDivision("division by zero")
         return ExactScalar({key: c / q for key, c in self.terms.items()})
@@ -333,8 +332,7 @@ def pi_scalar(coeff: Fraction | int = 1) -> ExactScalar:
 
 def root_of_unity(q: Fraction | int) -> ExactScalar:
     """Exact e^(pi i q) = zeta_2L^(qL); q must lie on the (1/L)Z lattice."""
-    q = _check_lattice(_fraction(q), "root-of-unity argument")
-    return zeta_power(int(q * LATTICE))
+    return zeta_power(_lattice_int(q, "root-of-unity argument"))
 
 
 def imaginary_unit() -> ExactScalar:
@@ -353,69 +351,84 @@ def binom_general(m: ScalarLike, k: int) -> ExactScalar:
 
 
 class Exponent:
-    """A Gaussian rational on the lattice (1/L)Z[i]; exponent of a formal variable."""
+    """The exponent (a + b i)/L on the lattice (1/L)Z[i] of a formal variable, stored as
+    the two ints ``a = L*re`` and ``b = L*im``: sums, comparisons and hashes build no Fraction."""
 
-    __slots__ = ("re", "im", "_hash")
+    __slots__ = ("a", "b", "_hash")
+    # hash(a * _INV_L) == hash(Fraction(a, L)): Python hashes a rational n/d as n * d^-1 mod this prime
+    _INV_L = pow(LATTICE, -1, sys.hash_info.modulus)
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        self.re = _check_lattice(_fraction(re))
-        self.im = _check_lattice(_fraction(im))
-        self._hash: int | None = None
+        self.a, self.b, self._hash = _lattice_int(re), _lattice_int(im), None
+
+    @staticmethod
+    def _lattice(a: int, b: int) -> Exponent:
+        """The exponent (a + b i)/L, trusted to lie on the lattice."""
+        e = object.__new__(Exponent)
+        e.a, e.b, e._hash = a, b, None
+        return e
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, LATTICE)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, LATTICE)
 
     @staticmethod
     def coerce(v: "Exponent | Fraction | int") -> Exponent:
-        if isinstance(v, Exponent):
-            return v
-        return Exponent(v)
+        return v if isinstance(v, Exponent) else Exponent(v)
 
     def __add__(self, other: "Exponent | Fraction | int") -> Exponent:
-        other = Exponent.coerce(other)
-        return Exponent(self.re + other.re, self.im + other.im)
+        other = other if other.__class__ is Exponent else Exponent(other)
+        return Exponent._lattice(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Exponent | Fraction | int") -> Exponent:
-        other = Exponent.coerce(other)
-        return Exponent(self.re - other.re, self.im - other.im)
+        other = other if other.__class__ is Exponent else Exponent(other)
+        return Exponent._lattice(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other: "Exponent | Fraction | int") -> Exponent:
         return Exponent.coerce(other) - self
 
     def __neg__(self) -> Exponent:
-        return Exponent(-self.re, -self.im)
+        return Exponent._lattice(-self.a, -self.b)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return not self.b and not self.a % LATTICE
 
     def as_scalar(self) -> ExactScalar:
         out = ExactScalar.from_rational(self.re)
-        if self.im:
+        if self.b:
             out = out + imaginary_unit() * ExactScalar.from_rational(self.im)
         return out
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.re, self.im)
+    def sort_key(self) -> tuple[int, int]:
+        return (self.a, self.b)
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is Exponent:
+            return self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self.b and self.a * other.denominator == other.numerator * LATTICE
+        return NotImplemented
 
     def __lt__(self, other: "Exponent") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.a, self.b) < (other.a, other.b)
 
     def __hash__(self) -> int:
         # a real exponent equals its Fraction, so it hashes like one
         if self._hash is None:
-            self._hash = hash((self.re, self.im)) if self.im else hash(self.re)
+            a = hash(self.a * self._INV_L)
+            self._hash = hash((a, hash(self.b * self._INV_L))) if self.b else a
         return self._hash
 
     def __repr__(self) -> str:

@@ -257,17 +257,10 @@ def _merge_trunc(a: TruncMap, b: TruncMap) -> dict[VarId, int]:
     return out
 
 
-def _trunc_levels(
-    left: Iterable[Monomial], right: Iterable[Monomial], trunc: TruncMap
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """The real exponents of each monomial in the truncated variables, and
-    the bounds, all times L: exact integer levels, since real exponents lie
-    in (1/L)Z."""
-    res = [[[m.exponent(v).re for v in trunc] for m in side] for side in (left, right)]
-    lv_left, lv_right = (
-        [tuple(q.numerator * (LATTICE // q.denominator) for q in row) for row in side] for side in res
-    )
-    return lv_left, lv_right, [n * LATTICE for n in trunc.values()]
+def _trunc_levels(monomials: Iterable[Monomial], trunc: TruncMap) -> list[tuple[int, ...]]:
+    """Each monomial's real exponents in the truncated variables times L, i.e. their
+    stored lattice ints ``a``: integer levels to compare with L times the bounds."""
+    return [tuple(m.exponent(v).a for v in trunc) for m in monomials]
 
 
 class LogSeries:
@@ -340,7 +333,7 @@ class LogSeries:
 
     def _beyond_trunc(self, m: Monomial) -> bool:
         for v, bound in self.trunc.items():
-            if m.exponent(v).re > bound:
+            if m.exponent(v).a > bound * LATTICE:
                 return True
         return False
 
@@ -423,7 +416,8 @@ class LogSeries:
             scal, vec = other, self
         trunc = _merge_trunc(self.trunc, other.trunc)
         # a pair beyond the truncation is dropped before its monomial product is formed
-        lv_left, lv_right, caps = _trunc_levels(scal.terms, vec.terms, trunc)
+        lv_left, lv_right = _trunc_levels(scal.terms, trunc), _trunc_levels(vec.terms, trunc)
+        caps = [n * LATTICE for n in trunc.values()]
         right = [(m2, c2.components, lv2) for (m2, c2), lv2 in zip(vec.terms.items(), lv_right)]
         acc: dict[Monomial, dict[int, ExactScalar]] = {}
         for (m1, c1), lv1 in zip(scal.terms.items(), lv_left):

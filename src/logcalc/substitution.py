@@ -228,5 +228,5 @@ def series_log1p(h: LogSeries, v: VarId, order: int) -> LogSeries:
 
 def _check_positive_valuation(h: LogSeries, v: VarId) -> None:
     for m in h.terms:
-        if m.exponent(v).re <= 0:
+        if m.exponent(v).a <= 0:
             raise ValueError(f"series must have positive valuation in {v!r} (found {m!r})")

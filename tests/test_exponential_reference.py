@@ -101,6 +101,10 @@ def ref_exp_L(module, j, coeff, f, order=None, var="x"):
     nilpotent = m.is_nilpotent()
     if not nilpotent and order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
+    # a cut sum needs a coefficient of positive valuation, as series_exp does
+    low = [mono for mono in coeff.terms if not nilpotent and mono.exponent(var).re <= 0]
+    if low:
+        raise ValueError(f"series must have positive valuation in {var!r} (found {low[0]!r})")
     out = f.with_trunc({var: order}) if order is not None else f
     power = LogSeries.one()
     for k in range(1, (module.dim if nilpotent else order) + 1):

@@ -95,6 +95,12 @@ class TestExpNilpotentTerms:
         assert exp_nilpotent_terms(m, n, CoeffVector.zero(m.coeff_space)) == []
         assert m.nilpotency_index() == 3
 
+    def test_nilpotent_part_is_built_once(self, irreducible3):
+        for m in (catalog.jordan_module("J", Fraction(1, 2), size=3), irreducible3):
+            diagonal = [[m.weight(i).as_scalar() if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
+            assert m.nilpotent_part() is m.nilpotent_part()
+            assert m.nilpotent_part().entries == (m.action.L0 - ExactMatrix(diagonal)).entries
+
     def test_operator_not_nilpotent_on_the_vector_raises(self):
         m = catalog.jordan_module("J", 1, size=3)
         with pytest.raises(NonTerminating, match="not nilpotent"):
@@ -134,6 +140,17 @@ class TestExpL:
         e = LogSeries.vector(irreducible3.basis_vector(1))
         with pytest.raises(NonTerminating, match="non-nilpotent operator needs a truncation order"):
             exp_L(irreducible3, 0, LogSeries.variable("x"), e)
+
+    def test_cut_needs_a_coefficient_of_positive_valuation(self, irreducible3):
+        # a cut sum of x^(-k) terms would drop every lower power of x
+        e = LogSeries.vector(irreducible3.basis_vector(0))
+        with pytest.raises(ValueError, match=r"positive valuation in 'x' \(found Monomial\(x\^\(-1\)\)\)"):
+            exp_L(irreducible3, 0, LogSeries.variable("x", -1), e, order=2)
+        with pytest.raises(ValueError, match="positive valuation in 'x'"):
+            exp_L(irreducible3, 0, LogSeries.constant(1), e, order=2)
+        # a nilpotent L(j) sums exactly, so its order only truncates
+        got = exp_L(irreducible3, -1, LogSeries.variable("x", -1), e, order=2)
+        assert got == exp_L(irreducible3, -1, LogSeries.variable("x", -1), e).with_trunc({"x": 2})
 
 
 class TestXPowerL0:
