@@ -26,11 +26,11 @@ from .series import (
     Monomial,
     UndefinedProduct,
     VariableCollision,
+    cut_powers,
     kth_derivative_closed_form,
     kth_derivative_table,
 )
 from .substitution import (
-    mobius_arg_powers,
     series_exp,
     series_log1p,
     subst_mobius_arg,

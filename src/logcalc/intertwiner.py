@@ -141,16 +141,16 @@ class IntertwinerTable:
 
     # -- series views ---------------------------------------------------------
 
-    def series(self, i: int, j: int, var: VarId = "x") -> LogSeries:
+    def series(self, i: int, j: int) -> LogSeries:
         terms: dict[Monomial, CoeffVector] = {}
         for (ii, jj, n, k), vec in self.modes.items():
             if ii == i and jj == j:
-                terms[Monomial.var(var, -n - 1, k)] = vec
+                terms[Monomial.var("x", -n - 1, k)] = vec
         return LogSeries(self.w3.coeff_space, terms)
 
-    def series_args(self, v1: CoeffVector, v2: CoeffVector, var: VarId = "x") -> LogSeries:
+    def series_args(self, v1: CoeffVector, v2: CoeffVector) -> LogSeries:
         """Bilinear extension Y(v1, x) v2."""
-        terms = {Monomial.var(var, -n - 1, k): vec for (n, k), vec in self.mode_map(v1, v2).items()}
+        terms = {Monomial.var("x", -n - 1, k): vec for (n, k), vec in self.mode_map(v1, v2).items()}
         return LogSeries._trusted(self.w3.coeff_space, terms, {})
 
     def mode_map(self, v1: CoeffVector, v2: CoeffVector) -> dict[tuple[Exponent, int], CoeffVector]:
@@ -175,17 +175,16 @@ class IntertwinerTable:
         w2: MobiusModule,
         w3: MobiusModule,
         fn: Callable[[int, int], LogSeries],
-        var: VarId = "x",
     ) -> IntertwinerTable:
         modes: dict[ModeKey, CoeffVector] = {}
         for i in range(w1.dim):
             for j in range(w2.dim):
                 f = fn(i, j)
                 for mono, vec in f.items():
-                    if mono.variables() not in ((), (var,)):
-                        raise ValueError(f"series for ({i},{j}) involves variables besides {var!r}")
-                    n = -mono.exponent(var) - 1
-                    k = mono.log_power(var)
+                    if mono.variables() not in ((), ("x",)):
+                        raise ValueError(f"series for ({i},{j}) involves variables besides 'x'")
+                    n = -mono.exponent("x") - 1
+                    k = mono.log_power("x")
                     modes[(i, j, n, k)] = vec
         return IntertwinerTable(w1, w2, w3, modes)
 
@@ -533,7 +532,7 @@ def euler_precondition(t: IntertwinerTable) -> bool:
     return not _table_defects(t, "euler")
 
 
-def weight_formulas_check(t: IntertwinerTable, which: str = "all", var: VarId = "x") -> Report:
+def weight_formulas_check(t: IntertwinerTable, which: str = "all") -> Report:
     rep = Report(f"weight-formulas{t.type_signature()}:{which}")
     if not euler_precondition(t):
         rep.add("euler-precondition", False, "table satisfies neither the axiom pair nor the Euler identity")
@@ -550,7 +549,7 @@ def weight_formulas_check(t: IntertwinerTable, which: str = "all", var: VarId = 
     sides = lru_cache(maxsize=None)(lambda key: _euler_sides(t, key, count + t.max_log_power() + 1))
     for kind in kinds:
         if kind == "ty":
-            _check_ty(rep, t, count, var)
+            _check_ty(rep, t, count)
         elif kind in ("t00", "gen"):
             _check_sides(rep, t, kind, keys if kind == "t00" else t.modes, sides, count)
         elif kind == "rt":
@@ -558,7 +557,7 @@ def weight_formulas_check(t: IntertwinerTable, which: str = "all", var: VarId = 
         elif kind == "bound":
             _check_bounds(rep, t, k1, k2, k3)
         elif kind == "pairing_poly":
-            _check_pairing_poly(rep, t, var)
+            _check_pairing_poly(rep, t)
         else:
             raise ValueError(f"unknown weight formula {kind!r}")
     return rep
@@ -601,25 +600,25 @@ def _check_sides(
                 return
 
 
-def _check_ty(rep: Report, t: IntertwinerTable, count: int, var: VarId) -> None:
+def _check_ty(rep: Report, t: IntertwinerTable, count: int) -> None:
     """(L(0)-c)^t Y(w1,x)w2 as a multinomial in the shifted Euler operator
     D = x d/dx + a + b - c: t! times the y^t coefficients of e^(y(L(0)-c)) Y
     and of e^(yD) Y(e^(yN1) e_i, x) e^(yN2) e_j."""
     samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
-    x = LogSeries.variable(var)
+    x = LogSeries.variable("x")
     zero = LogSeries.zero(t.w3.coeff_space)
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            args = [(s, t.series_args(v1, v2, var)) for s, v1, v2 in _arg_orbits(t, i, j, count)]
+            args = [(s, t.series_args(v1, v2)) for s, v1, v2 in _arg_orbits(t, i, j, count)]
             for c in samples:
                 shift = (t.w1.weight(i) + t.w2.weight(j) - c).as_scalar()
-                lhs = _orbit(t.w3, t.series(i, j, var), c, count)
+                lhs = _orbit(t.w3, t.series(i, j), c, count)
                 lhs += [zero] * (count - len(lhs))
                 rhs = [zero] * count
                 for s, f in args:
                     for ll in range(count - s):
                         if ll:
-                            f = (x * f.d_dx(var) + f.scale(shift)).scale(Fraction(1, ll))
+                            f = (x * f.d_dx("x") + f.scale(shift)).scale(Fraction(1, ll))
                         rhs[s + ll] = rhs[s + ll] + f
                 for tt in range(count):
                     diff = (lhs[tt] - rhs[tt]).scale(math.factorial(tt))
@@ -674,13 +673,13 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
     rep.add("per-pair-vanishing-bound", witness is None, witness)
 
 
-def _check_pairing_poly(rep: Report, t: IntertwinerTable, var: VarId) -> None:
+def _check_pairing_poly(rep: Report, t: IntertwinerTable) -> None:
     dual = contragredient(t.w3)
     k1 = t.w1.nilpotency_index()
     k2 = t.w2.nilpotency_index()
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            s = t.series(i, j, var)
+            s = t.series(i, j)
             for m in range(t.w3.dim):
                 wprime = dual.basis_vector(m)
                 n3 = dual.weight(m)
@@ -693,7 +692,7 @@ def _check_pairing_poly(rep: Report, t: IntertwinerTable, var: VarId) -> None:
                 want_exp = n3 - t.w1.weight(i) - t.w2.weight(j)
                 bound = k1 + k2 + k3 - 3
                 bad = [mono for mono, _vec in pair.sorted_items()
-                       if mono.exponent(var) != want_exp or mono.log_power(var) > max(bound, 0)]
+                       if mono.exponent("x") != want_exp or mono.log_power("x") > max(bound, 0)]
                 witness = f"<w'_{m}, Y(e_{i},x)e_{j}> has term {bad[0]!r} outside the span" if bad else None
                 rep.add(f"pairing-span({i},{j};{m})", not bad, witness)
 
@@ -783,14 +782,12 @@ def compose_with_homs(
     return IntertwinerTable(t.w1, t.w2, t.w3, modes)
 
 
-def subst_table_scaled(t: IntertwinerTable, zeta: ExactScalar, var: VarId = "x") -> IntertwinerTable:
+def subst_table_scaled(t: IntertwinerTable, zeta: ExactScalar) -> IntertwinerTable:
     """Y(., e^zeta x) as a table (modewise scaled-exponential substitution)."""
-    return IntertwinerTable.from_series(
-        t.w1, t.w2, t.w3, lambda i, j: subst_scaled_exp(t.series(i, j, var), var, zeta), var
-    )
+    return IntertwinerTable.from_series(t.w1, t.w2, t.w3, lambda i, j: subst_scaled_exp(t.series(i, j), "x", zeta))
 
 
-def omega_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
+def omega_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
     """Skew transposition: Omega_r(Y)(w2, x)w1 = e^(xL(-1)) Y(w1, e^((2r+1)Pi) x) w2.
 
     Exact: L(-1) on a finite module is nilpotent, so the dressing terminates.
@@ -798,12 +795,12 @@ def omega_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
     zeta = ExactScalar.pi_power(1, 2 * r + 1)
 
     def fn(j: int, i: int) -> LogSeries:
-        return exp_L(t.w3, -1, LogSeries.variable(var), subst_scaled_exp(t.series(i, j, var), var, zeta))
+        return exp_L(t.w3, -1, LogSeries.variable("x"), subst_scaled_exp(t.series(i, j), "x", zeta))
 
-    return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn, var)
+    return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn)
 
 
-def a_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
+def a_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
     """r-contragredient operator: type (W2'; W1 W3'), built from the defining
     pairing <A_r(Y)(w1,x)w3', w2> = <w3', Y(e^(xL(1)) e^((2r+1)Pi L(0))
     x^(-2L(0)) w1, x^(-1)) w2> on dual bases."""
@@ -821,11 +818,11 @@ def a_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
         # (x^{-L(0)})^2 then e^{(2r+1)Pi L(0)} then e^{xL(1)}, as a W1-valued series
         arg = LogSeries.vector(t.w1.basis_vector(i))
         for _ in range(2):
-            arg = arg.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1, var), t.w1.coeff_space)
-        arg = exp_L(t.w1, 1, LogSeries.variable(var), arg.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar)))
+            arg = arg.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1), t.w1.coeff_space)
+        arg = exp_L(t.w1, 1, LogSeries.variable("x"), arg.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar)))
         for m in range(t.w2.dim):
             e_m = t.w2.basis_vector(m)
-            inner = arg.apply_op(lambda vec: subst_x_inverse(t.series_args(vec, e_m, var), var), t.w3.coeff_space)
+            inner = arg.apply_op(lambda vec: subst_x_inverse(t.series_args(vec, e_m), "x"), t.w3.coeff_space)
             for mono, vec3 in inner.items():
                 for jp, c in vec3.components.items():
                     pairings.setdefault((i, jp), {}).setdefault(mono, {})[m] = c
@@ -834,7 +831,7 @@ def a_r(t: IntertwinerTable, r: int, var: VarId = "x") -> IntertwinerTable:
         terms = pairings.get((i, jp), {})
         return LogSeries(w2p.coeff_space, {mono: CoeffVector(w2p.coeff_space, comps) for mono, comps in terms.items()})
 
-    return IntertwinerTable.from_series(t.w1, w3p, w2p, fn, var)
+    return IntertwinerTable.from_series(t.w1, w3p, w2p, fn)
 
 
 def shift_s1s2s3(t: IntertwinerTable, s1: int, s2: int, s3: int) -> IntertwinerTable:
@@ -847,7 +844,7 @@ def shift_s1s2s3(t: IntertwinerTable, s1: int, s2: int, s3: int) -> IntertwinerT
     return compose_with_homs(t, sig3, sig1, sig2)
 
 
-def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | int, var: VarId = "x") -> list[CoeffVector]:
+def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | int) -> list[CoeffVector]:
     """Recover mode(i, j, n, r) for r = 0..K-1 from weight projections of the
     shifted operators, via the signed-Pascal combination; asserts that every
     power of x and lg(x) cancels in the recovery expression."""
@@ -858,7 +855,7 @@ def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | 
     # pi_t: the y^t coefficient of e^(yN3) Y(e^(-yN1) e_i, x) e^(-yN2) e_j, projected to weight mu
     pis = [LogSeries.zero(t.w3.coeff_space)] * bigk
     for s, v1, v2 in _arg_orbits(t, i, j, bigk):
-        for ll, f in enumerate(_orbit(t.w3, t.series_args(v1, v2, var), mu, bigk - s)):
+        for ll, f in enumerate(_orbit(t.w3, t.series_args(v1, v2), mu, bigk - s)):
             f = f.map_coeffs(lambda vec: t.w3.weight_projection(vec, mu))
             pis[s + ll] = pis[s + ll] + f.scale((-1) ** s)
     out = []
@@ -866,9 +863,7 @@ def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | 
         expr = LogSeries.zero(t.w3.coeff_space)
         for tt in range(r, bigk):
             coeff = Fraction((-1) ** (r + tt) * math.comb(tt, r))
-            expr = expr + (
-                LogSeries.monomial(Monomial.var(var, n + 1, tt - r), coeff) * pis[tt]
-            )
+            expr = expr + LogSeries.monomial(Monomial.var("x", n + 1, tt - r), coeff) * pis[tt]
         # all x's and lg(x)'s must cancel, leaving a constant vector
         leftover = [m for m in expr.terms if m != Monomial.UNIT]
         if leftover:
@@ -901,37 +896,37 @@ def conj_formulas_check(
             w2v = t.w2.basis_vector(j)
             if which == "p1":
                 inner = exp_L(t.w2, -1, -yy, LogSeries.vector(w2v))
-                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
+                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec), w3)
                 lhs = exp_L(t.w3, -1, yy, mid)
                 arg = exp_L(t.w1, -1, yy, LogSeries.vector(w1v))
-                mid2 = arg.apply_op(lambda vec: t.series_args(vec, w2v, var), w3)
+                mid2 = arg.apply_op(lambda vec: t.series_args(vec, w2v), w3)
                 ok1 = (lhs - mid2).is_zero()
                 rep.add(f"translate-conjugation({i},{j})", ok1, _witness(lhs - mid2))
                 if order is not None:
-                    rhs = subst_x_plus_y(t.series_args(w1v, w2v, var), var, y, order)
+                    rhs = subst_x_plus_y(t.series_args(w1v, w2v), var, y, order)
                     diff = rhs - mid2.with_trunc({y: order})
                     rep.add(f"translate-substitution({i},{j})", diff.is_zero(), _witness(diff))
             elif which == "p2":
-                mid = x_pm_L0(t.w2, w2v, -1, y).apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
+                mid = x_pm_L0(t.w2, w2v, -1, y).apply_op(lambda vec: t.series_args(w1v, vec), w3)
                 lhs = mid.apply_op(lambda vec: x_pm_L0(t.w3, vec, +1, y), w3)
                 argu = x_pm_L0(t.w1, w1v, +1, y)
-                rhs = argu.apply_op(lambda vec: subst_xy(t.series_args(vec, w2v, var), var, y), w3)
+                rhs = argu.apply_op(lambda vec: subst_xy(t.series_args(vec, w2v), var, y), w3)
                 ok = (lhs - rhs).is_zero()
                 rep.add(f"scale-conjugation({i},{j})", ok, _witness(lhs - rhs))
             elif which == "p3":
                 if order is None:
                     raise ValueError("p3 is series-valued; supply a y-truncation order")
                 inner = exp_L(t.w2, 1, -yy, LogSeries.vector(w2v))
-                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
+                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec), w3)
                 lhs = exp_L(t.w3, 1, yy, mid).with_trunc({y: order})
                 rhs = _p3_rhs(t, w1v, w2v, var, y, order)
                 diff = lhs - rhs
                 rep.add(f"special-conjugation({i},{j})", diff.is_zero(), _witness(diff))
             elif which == "aL0":
                 a = pi_scalar(a_coeff)
-                lhs = t.series_args(w1v, e_aL0(t.w2, w2v, -a), var)
+                lhs = t.series_args(w1v, e_aL0(t.w2, w2v, -a))
                 lhs = lhs.map_coeffs(lambda vec: e_aL0(t.w3, vec, a))
-                rhs = subst_scaled_exp(t.series_args(e_aL0(t.w1, w1v, a), w2v, var), var, a)
+                rhs = subst_scaled_exp(t.series_args(e_aL0(t.w1, w1v, a), w2v), var, a)
                 ok = (lhs - rhs).is_zero()
                 rep.add(f"exp-l0-conjugation({i},{j})", ok, _witness(lhs - rhs))
             else:
@@ -945,7 +940,7 @@ def _p3_rhs(t: IntertwinerTable, w1v: CoeffVector, w2v: CoeffVector, var: VarId,
     arg = exp_L(t.w1, 0, series_log1p(-yx, y, order).scale(-2), LogSeries.vector(w1v), order, y)
     arg = exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
     # substitute the table at x(1-yx)^(-1)
-    out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v, var), var, y, order), t.w3.coeff_space)
+    out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v), var, y, order), t.w3.coeff_space)
     return out.with_trunc({y: order})
 
 

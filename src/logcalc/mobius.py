@@ -37,8 +37,8 @@ from .scalars import (
     LatticeViolation,
     root_of_unity,
 )
-from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId
-from .substitution import _check_positive_valuation, pi_monomial_coefficient, series_exp
+from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId, cut_powers
+from .substitution import pi_monomial_coefficient, series_exp
 
 
 class GradingGroup:
@@ -335,17 +335,16 @@ def exp_L(
     """e^(coeff L(j)) f = sum_k coeff^k L(j)^k f / k! for a W-valued series f.
 
     Exact when the matrix L(j) is nilpotent; an ``order`` then only truncates.
-    Otherwise the sum is cut after k = ``order``, which must be given, and ``coeff``
-    must have positive ``var``-valuation (as in ``series_exp``).  The cut result is
-    exact modulo ``var``-exponents above ``order`` if val(coeff) >= 1 and val(f) >= 0.
+    Otherwise ``order`` must be given and the sum takes one term per power of
+    ``coeff`` that :func:`~logcalc.series.cut_powers` keeps at ``order`` (so
+    ``coeff`` needs positive ``var``-valuation): exact modulo ``var``-exponents
+    above ``order`` when val(coeff) > 0 and val(f) >= 0.
     """
     m = module.L(j)
     nilpotent = m.is_nilpotent()
     if not nilpotent and order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
-    if not nilpotent:
-        _check_positive_valuation(coeff, var)
-    terms = exp_nilpotent_terms(module, m, f, None if nilpotent else order + 1)
+    terms = exp_nilpotent_terms(module, m, f, None if nilpotent else len(cut_powers(coeff, var, order)))
     return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
 
 

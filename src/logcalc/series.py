@@ -562,6 +562,22 @@ class LogSeries:
         return f"LogSeries({series_str(self)})"
 
 
+def cut_powers(u: LogSeries, v: VarId, order: int) -> list[LogSeries]:
+    """[1, u, u^2, ...] for a scalar u of positive v-valuation, each cut at v-order
+    ``order``, up to the last nonzero one.  Every v-exponent of u^k is at least k
+    times the least one of u, so the first power the cut empties ends the list,
+    however small val(u) is: the one rule for how many powers an expansion takes."""
+    if u.space != SCALAR:
+        raise ValueError("a truncated expansion acts on scalar series")
+    for m in u.terms:
+        if m.exponent(v).a <= 0:
+            raise ValueError(f"series must have positive valuation in {v!r} (found {m!r})")
+    powers = [LogSeries.one().with_trunc(_merge_trunc(u.trunc, {v: order}))]
+    while not (power := powers[-1] * u).is_zero():
+        powers.append(power)
+    return powers
+
+
 def kth_derivative_table(n: Exponent, m: ScalarLike, k: int) -> dict[int, ExactScalar]:
     """Coefficients of (d/dx)^k applied to x^n lg(x)^m, for arbitrary scalar m.
 

@@ -5,16 +5,19 @@ variable; the rest of a series follows as a ring homomorphism that fixes
 every other variable, with powers of a sum expanded by the binomial expansion
 convention.  The result keeps the input's truncation and adds its own:
 
-==================== ================ ==================== ==================
+==================== ================ ==================== ==============================
 convention           x^n              lg(x)                truncation
-==================== ================ ==================== ==================
-``subst_x_plus_y``   (x+y)^n          lg(x) + log(1 + y/x) y-order; none in x
-``subst_x_exp_y``    x^n e^(ny)       lg(x) + y            y-order
+==================== ================ ==================== ==============================
+``subst_x_plus_y``   (x+y)^n          lg(x) + log(1 + y/x) y-order in u = y/x; none in x
+``subst_x_exp_y``    x^n e^(ny)       lg(x) + y            y-order in u = y
 ``subst_xy``         x^n y^n          lg(x) + lg(y)        --
 ``subst_scaled_exp`` e^(zeta n) x^n   lg(x) + zeta         --
-``subst_mobius_arg`` x^n (1-yx)^(-n)  lg(x) - log(1-yx)    y-order
+``subst_mobius_arg`` x^n (1-yx)^(-n)  lg(x) - log(1-yx)    y-order in u = -yx
 ``subst_x_inverse``  x^(-n)           -lg(x)               none in x
-==================== ================ ==================== ==================
+==================== ================ ==================== ==============================
+
+A truncated image sums a power series in u over :func:`~logcalc.series.cut_powers`,
+as do ``series_exp`` and ``series_log1p``: exact modulo the cut for any positive valuation.
 
 "None in x": these two move the unknown terms beyond a bound in x below it,
 so the input may not carry one.  The inverse is a termwise relabelling; the
@@ -24,19 +27,22 @@ so the formal Taylor theorem cross-checks two independent code paths.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Callable
+from itertools import accumulate, count
+from typing import Callable, Iterator
 
 from .scalars import (
     ExactScalar,
     Exponent,
     LatticeViolation,
+    ScalarLike,
     UnsupportedDivision,
-    binom_general,
     root_of_unity,
 )
-from .series import SCALAR, CoeffVector, LogSeries, Monomial, TruncMap, VarId, VariableCollision, _merge_trunc
+from .series import SCALAR, CoeffVector, LogSeries, Monomial, TruncMap, VarId, VariableCollision, _merge_trunc, cut_powers
+
+
+_ONE = ExactScalar.from_rational(1)
 
 
 def _require_fresh(f: LogSeries, y: VarId) -> None:
@@ -72,19 +78,30 @@ def _substitute(
     return out
 
 
-def binomial_power_series(n: Exponent, x: VarId, y: VarId, order: int) -> LogSeries:
-    """(x+y)^n = sum_k C(n,k) x^(n-k) y^k, truncated at y-order ``order``."""
-    terms = {}
-    for k in range(order + 1):
-        terms[Monomial.var(x, n - k) * Monomial.var(y, k)] = CoeffVector.scalar(binom_general(n.as_scalar(), k))
-    return LogSeries(SCALAR, terms, {y: order})
+def _power_series(powers: list[LogSeries], coeffs: Iterator[ScalarLike]) -> LogSeries:
+    """sum_k c_k u^k over the powers [1, u, u^2, ...] of :func:`cut_powers`, the
+    c_k read from the endless running recurrence ``coeffs``."""
+    terms: dict[Monomial, CoeffVector] = {}
+    for power, c in zip(powers, coeffs):
+        for m, vec in power.items():
+            w = vec.scale(c)
+            terms[m] = terms[m] + w if m in terms else w
+    return LogSeries(SCALAR, terms, powers[0].trunc)
 
 
-def log_shift_series(x: VarId, y: VarId, order: int) -> LogSeries:
-    """log(1 + y/x) = sum_{i>=1} (-1)^(i-1)/i (y/x)^i, truncated at y-order ``order``."""
-    terms = {Monomial.var(x, -i) * Monomial.var(y, i): CoeffVector.scalar(Fraction((-1) ** (i - 1), i))
-             for i in range(1, order + 1)}
-    return LogSeries(SCALAR, terms, {y: order})
+def _exp_coeffs(a: ScalarLike) -> Iterator[ExactScalar]:
+    """a^k/k!, the coefficients of e^(au)."""
+    return accumulate(count(1), lambda c, k: (c * a).divided_by_rational(k), initial=_ONE)
+
+
+def _binomial_coeffs(m: ExactScalar) -> Iterator[ExactScalar]:
+    """C(m, k), the coefficients of (1+u)^m: C(m, k+1) = C(m, k)(m-k)/(k+1)."""
+    return accumulate(count(), lambda c, k: (c * (m - k)).divided_by_rational(k + 1), initial=_ONE)
+
+
+def _log1p_coeffs() -> Iterator[Fraction]:
+    """(-1)^(k-1)/k, the coefficients of log(1+u)."""
+    return (Fraction((-1) ** (k - 1), k) if k else Fraction(0) for k in count())
 
 
 def subst_x_plus_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
@@ -94,8 +111,13 @@ def subst_x_plus_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     _require_fresh(f, y)
     if x in f.trunc:
         raise ValueError(f"substituting {x}+{y} needs a series not truncated in {x!r}")
-    log = LogSeries.log_variable(x) + log_shift_series(x, y, order)
-    return _substitute(f, x, lambda n: binomial_power_series(n, x, y, order), log, {y: order})
+    powers = cut_powers(LogSeries.monomial(Monomial.var(x, -1) * Monomial.var(y)), y, order)
+    log = LogSeries.log_variable(x) + _power_series(powers, _log1p_coeffs())
+
+    def power(n: Exponent) -> LogSeries:
+        return LogSeries.variable(x, n) * _power_series(powers, _binomial_coeffs(n.as_scalar()))
+
+    return _substitute(f, x, power, log, {y: order})
 
 
 def subst_x_exp_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
@@ -103,14 +125,10 @@ def subst_x_exp_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     _require_fresh(f, y)
+    powers = cut_powers(LogSeries.variable(y), y, order)
 
     def power(n: Exponent) -> LogSeries:
-        ny = n.as_scalar()
-        terms = {}
-        for k in range(order + 1):
-            c = (ny**k).divided_by_rational(math.factorial(k))
-            terms[Monomial.var(x, n) * Monomial.var(y, k)] = CoeffVector.scalar(c)
-        return LogSeries(SCALAR, terms, {y: order})
+        return LogSeries.variable(x, n) * _power_series(powers, _exp_coeffs(n.as_scalar()))
 
     return _substitute(f, x, power, LogSeries.log_variable(x) + LogSeries.variable(y), {y: order})
 
@@ -150,9 +168,16 @@ def subst_scaled_exp(f: LogSeries, x: VarId, zeta: ExactScalar) -> LogSeries:
 
 def subst_mobius_arg(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     """f(x(1-yx)^(-1)), truncated at y-order ``order``."""
-    log = _mobius_arg_log(y, x, order)
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     _require_fresh(f, y)
-    return _substitute(f, x, lambda n: _mobius_arg_power(n, y, x, order), log, {y: order})
+    powers = cut_powers(LogSeries.monomial(Monomial.var(x) * Monomial.var(y), -1), y, order)
+    log = LogSeries.log_variable(x) - _power_series(powers, _log1p_coeffs())
+
+    def power(n: Exponent) -> LogSeries:
+        return LogSeries.variable(x, n) * _power_series(powers, _binomial_coeffs((-n).as_scalar()))
+
+    return _substitute(f, x, power, log, {y: order})
 
 
 def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
@@ -174,59 +199,11 @@ def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
     return LogSeries(f.space, out, f.trunc)
 
 
-def mobius_arg_powers(n: Exponent, y: VarId, x: VarId, order: int) -> tuple[LogSeries, LogSeries]:
-    """Expansions of (x(1-yx)^(-1))^n and log(x(1-yx)^(-1)) to y-order ``order``.
-
-    The first is sum_k C(-n,k) x^n (-yx)^k; the second is
-    lg(x) + sum_{k>=1} (yx)^k / k.
-    """
-    return _mobius_arg_power(n, y, x, order), _mobius_arg_log(y, x, order)
-
-
-def _mobius_arg_power(n: Exponent, y: VarId, x: VarId, order: int) -> LogSeries:
-    pow_terms = {}
-    for k in range(order + 1):
-        c = binom_general((-n).as_scalar(), k) * Fraction((-1) ** k)
-        pow_terms[Monomial.var(x, n + k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
-    return LogSeries(SCALAR, pow_terms, {y: order})
-
-
-def _mobius_arg_log(y: VarId, x: VarId, order: int) -> LogSeries:
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    log_terms = {Monomial.log(x): CoeffVector.scalar(1)}
-    for k in range(1, order + 1):
-        log_terms[Monomial.var(x, k) * Monomial.var(y, k)] = CoeffVector.scalar(Fraction(1, k))
-    return LogSeries(SCALAR, log_terms, {y: order})
-
-
 def series_exp(h: LogSeries, v: VarId, order: int) -> LogSeries:
-    """e^h = sum h^i/i! for h with positive v-valuation, truncated at v-order."""
-    if h.space.dim != 1:
-        raise ValueError("series_exp acts on scalar series")
-    _check_positive_valuation(h, v)
-    h = h.with_trunc({v: order})
-    out = LogSeries.one().with_trunc({v: order})
-    power = LogSeries.one().with_trunc({v: order})
-    for i in range(1, order + 1):
-        power = power * h
-        out = out + power.scale(Fraction(1, math.factorial(i)))
-    return out
+    """e^h = sum h^k/k! for a scalar h of positive v-valuation, truncated at v-order."""
+    return _power_series(cut_powers(h, v, order), _exp_coeffs(1))
 
 
 def series_log1p(h: LogSeries, v: VarId, order: int) -> LogSeries:
-    """log(1+h) = sum (-1)^(i-1) h^i / i for h with positive v-valuation."""
-    _check_positive_valuation(h, v)
-    h = h.with_trunc({v: order})
-    out = LogSeries.zero(h.space, {v: order})
-    power = LogSeries.one().with_trunc({v: order})
-    for i in range(1, order + 1):
-        power = power * h
-        out = out + power.scale(Fraction((-1) ** (i - 1), i))
-    return out
-
-
-def _check_positive_valuation(h: LogSeries, v: VarId) -> None:
-    for m in h.terms:
-        if m.exponent(v).a <= 0:
-            raise ValueError(f"series must have positive valuation in {v!r} (found {m!r})")
+    """log(1+h) = sum (-1)^(k-1) h^k/k for a scalar h of positive v-valuation."""
+    return _power_series(cut_powers(h, v, order), _log1p_coeffs())

@@ -130,7 +130,7 @@ def ref_p3_rhs(t, w1v, w2v, var, y, order):
     yx = LogSeries.variable(y) * LogSeries.variable(var)
     arg = ref_one_minus_u_power(t.w1, t.w1.action.L0.scale(-2), yx, LogSeries.vector(w1v), order, y)
     arg = ref_exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
-    out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v, var), var, y, order), t.w3.coeff_space)
+    out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v), var, y, order), t.w3.coeff_space)
     return out.with_trunc({y: order})
 
 

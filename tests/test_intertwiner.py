@@ -49,30 +49,30 @@ def _apply_module_matrix(mod, m, f: LogSeries) -> LogSeries:
 
 
 def lminus1_defect(t: IntertwinerTable, i: int, j: int, var="x") -> LogSeries:
-    lhs = t.series_args(t.w1.apply_L(-1, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
-    return lhs - t.series(i, j, var).d_dx(var)
+    lhs = t.series_args(t.w1.apply_L(-1, t.w1.basis_vector(i)), t.w2.basis_vector(j))
+    return lhs - t.series(i, j).d_dx(var)
 
 
 def sl2_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> LogSeries:
-    s = t.series(i, j, var)
+    s = t.series(i, j)
     lhs = _apply_module_matrix(t.w3, t.w3.L(jb), s) - t.series_args(
-        t.w1.basis_vector(i), t.w2.apply_L(jb, t.w2.basis_vector(j)), var
+        t.w1.basis_vector(i), t.w2.apply_L(jb, t.w2.basis_vector(j))
     )
     rhs = LogSeries.zero(t.w3.coeff_space)
     for idx in range(jb + 2):
         arg = t.w1.apply_L(jb - idx, t.w1.basis_vector(i))
-        term = t.series_args(arg, t.w2.basis_vector(j), var)
+        term = t.series_args(arg, t.w2.basis_vector(j))
         rhs = rhs + (LogSeries.monomial(Monomial.var(var, idx), math.comb(jb + 1, idx)) * term)
     return lhs - rhs
 
 
 def sl2_alt_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> LogSeries:
-    lhs = t.series_args(t.w1.apply_L(jb, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
+    lhs = t.series_args(t.w1.apply_L(jb, t.w1.basis_vector(i)), t.w2.basis_vector(j))
     rhs = LogSeries.zero(t.w3.coeff_space)
     for idx in range(jb + 2):
-        s = t.series(i, j, var)
+        s = t.series(i, j)
         brk = _apply_module_matrix(t.w3, t.w3.L(jb - idx), s) - t.series_args(
-            t.w1.basis_vector(i), t.w2.apply_L(jb - idx, t.w2.basis_vector(j)), var
+            t.w1.basis_vector(i), t.w2.apply_L(jb - idx, t.w2.basis_vector(j))
         )
         coeff = LogSeries.monomial(Monomial.var(var, idx), Fraction((-1) ** idx * math.comb(jb + 1, idx)))
         rhs = rhs + coeff * brk
@@ -80,12 +80,12 @@ def sl2_alt_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> Log
 
 
 def euler_defect(t: IntertwinerTable, i: int, j: int, var="x") -> LogSeries:
-    s = t.series(i, j, var)
+    s = t.series(i, j)
     lhs = _apply_module_matrix(t.w3, t.w3.L(0), s)
     rhs = (
-        t.series_args(t.w1.basis_vector(i), t.w2.apply_L(0, t.w2.basis_vector(j)), var)
+        t.series_args(t.w1.basis_vector(i), t.w2.apply_L(0, t.w2.basis_vector(j)))
         + (LogSeries.variable(var) * s.d_dx(var))
-        + t.series_args(t.w1.apply_L(0, t.w1.basis_vector(i)), t.w2.basis_vector(j), var)
+        + t.series_args(t.w1.apply_L(0, t.w1.basis_vector(i)), t.w2.basis_vector(j))
     )
     return lhs - rhs
 

@@ -20,16 +20,16 @@ from logcalc.scalars import (
     Exponent,
     LatticeViolation,
     UnsupportedDivision,
+    binom_general,
     pi_scalar,
     root_of_unity,
 )
 from logcalc.series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VariableCollision
 from logcalc.substitution import (
     _require_fresh,
-    binomial_power_series,
-    log_shift_series,
-    mobius_arg_powers,
     pi_monomial_coefficient,
+    series_exp,
+    series_log1p,
     subst_mobius_arg,
     subst_scaled_exp,
     subst_x_exp_y,
@@ -39,6 +39,79 @@ from logcalc.substitution import (
 
 # ---------------------------------------------------------------------------
 # reference: one loop per convention
+
+
+def binomial_power_series(n, x, y, order):
+    """(x+y)^n = sum_k C(n,k) x^(n-k) y^k, truncated at y-order ``order``."""
+    terms = {}
+    for k in range(order + 1):
+        terms[Monomial.var(x, n - k) * Monomial.var(y, k)] = CoeffVector.scalar(binom_general(n.as_scalar(), k))
+    return LogSeries(SCALAR, terms, {y: order})
+
+
+def log_shift_series(x, y, order):
+    """log(1 + y/x) = sum_{i>=1} (-1)^(i-1)/i (y/x)^i, truncated at y-order ``order``."""
+    terms = {Monomial.var(x, -i) * Monomial.var(y, i): CoeffVector.scalar(Fraction((-1) ** (i - 1), i))
+             for i in range(1, order + 1)}
+    return LogSeries(SCALAR, terms, {y: order})
+
+
+def mobius_arg_powers(n, y, x, order):
+    """Expansions of (x(1-yx)^(-1))^n and log(x(1-yx)^(-1)) to y-order ``order``.
+
+    The first is sum_k C(-n,k) x^n (-yx)^k; the second is
+    lg(x) + sum_{k>=1} (yx)^k / k.
+    """
+    return _mobius_arg_power(n, y, x, order), _mobius_arg_log(y, x, order)
+
+
+def _mobius_arg_power(n, y, x, order):
+    pow_terms = {}
+    for k in range(order + 1):
+        c = binom_general((-n).as_scalar(), k) * Fraction((-1) ** k)
+        pow_terms[Monomial.var(x, n + k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
+    return LogSeries(SCALAR, pow_terms, {y: order})
+
+
+def _mobius_arg_log(y, x, order):
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    log_terms = {Monomial.log(x): CoeffVector.scalar(1)}
+    for k in range(1, order + 1):
+        log_terms[Monomial.var(x, k) * Monomial.var(y, k)] = CoeffVector.scalar(Fraction(1, k))
+    return LogSeries(SCALAR, log_terms, {y: order})
+
+
+def _check_positive_valuation(h, v):
+    for m in h.terms:
+        if m.exponent(v).a <= 0:
+            raise ValueError(f"series must have positive valuation in {v!r} (found {m!r})")
+
+
+def ref_series_exp(h, v, order):
+    """e^h after ``order`` powers of h: exact for valuation at least 1."""
+    if h.space.dim != 1:
+        raise ValueError("series_exp acts on scalar series")
+    _check_positive_valuation(h, v)
+    h = h.with_trunc({v: order})
+    out = LogSeries.one().with_trunc({v: order})
+    power = LogSeries.one().with_trunc({v: order})
+    for i in range(1, order + 1):
+        power = power * h
+        out = out + power.scale(Fraction(1, math.factorial(i)))
+    return out
+
+
+def ref_series_log1p(h, v, order):
+    """log(1+h) after ``order`` powers of h: exact for valuation at least 1."""
+    _check_positive_valuation(h, v)
+    h = h.with_trunc({v: order})
+    out = LogSeries.zero(h.space, {v: order})
+    power = LogSeries.one().with_trunc({v: order})
+    for i in range(1, order + 1):
+        power = power * h
+        out = out + power.scale(Fraction((-1) ** (i - 1), i))
+    return out
 
 
 def _log_power_sum(base_log, shift, m, order_var, order):
@@ -190,6 +263,22 @@ def series(draw):
     return LogSeries(space, terms)
 
 
+@st.composite
+def scalar_arguments(draw):
+    """A scalar series in x (and z) whose x-exponents are at least 1, where a
+    cut after ``order`` powers is exact, or sometimes one of valuation <= 0;
+    sometimes truncated in x."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.sampled_from((Fraction(1), Fraction(13, 12), Fraction(3, 2), Fraction(2), Fraction(7, 3))))
+        if draw(st.integers(0, 9)) == 0:
+            a = draw(st.sampled_from((Fraction(0), Fraction(-1, 2))))
+        mono = Monomial.var("x", a, draw(st.integers(0, 2))) * Monomial.var("z", draw(st.sampled_from((0, 0, 1, -1))))
+        terms[mono] = CoeffVector.scalar(draw(scalars()))
+    out = LogSeries(SCALAR, terms)
+    return out.with_trunc({"x": draw(st.integers(1, 5))}) if draw(st.booleans()) else out
+
+
 # a fresh second variable, or one of the extra variables of `series`
 SECOND = st.sampled_from(("y", "y", "y", "z"))
 ZETAS = st.one_of(
@@ -257,6 +346,13 @@ class TestAgainstReference:
         assert _outcome(subst_scaled_exp, NON_REAL, "x", pi_scalar(1))[0] is LatticeViolation
         assert _outcome(subst_scaled_exp, TWELFTH, "x", pi_scalar(Fraction(1, 12)))[0] is LatticeViolation
         assert _outcome(subst_scaled_exp, TWELFTH, "x", NOT_PI)[0] is UnsupportedDivision
+
+    @given(scalar_arguments(), st.integers(-1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_series_exp_and_log1p(self, h, order):
+        # valuation at least 1: the powers cut_powers keeps are the first order + 1
+        assert _outcome(series_exp, h, "x", order) == _outcome(ref_series_exp, h, "x", order)
+        assert _outcome(series_log1p, h, "x", order) == _outcome(ref_series_log1p, h, "x", order)
 
     def test_mobius_arg_needs_a_fresh_variable(self):
         # the reference loop has no such check

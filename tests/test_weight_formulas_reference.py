@@ -107,7 +107,7 @@ def _ref_ty(rep, t, t_bound, var):
         for j in range(t.w2.dim):
             a = t.w1.weight(i)
             b = t.w2.weight(j)
-            s = t.series(i, j, var)
+            s = t.series(i, j)
             for c in samples:
                 for tt in range(t_bound + 1):
                     lhs = _series_apply_operator(t, s, c.as_scalar(), tt)
@@ -122,7 +122,7 @@ def _ref_ty(rep, t, t_bound, var):
                             )
                             arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, a.as_scalar(), ii), t.w1.basis_vector(i))
                             arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, b.as_scalar(), jj), t.w2.basis_vector(j))
-                            inner = t.series_args(arg1, arg2, var)
+                            inner = t.series_args(arg1, arg2)
                             for _ in range(ll):
                                 inner = (LogSeries.variable(var) * inner.d_dx(var)) + inner.scale(shift)
                             rhs = rhs + inner.scale(coeff)
@@ -246,7 +246,7 @@ def _ref_pairing_poly(rep, t, var):
     k2 = t.w2.nilpotency_index()
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            s = t.series(i, j, var)
+            s = t.series(i, j)
             for m in range(t.w3.dim):
                 wprime = dual.basis_vector(m)
                 n3 = dual.weight(m)
@@ -283,7 +283,7 @@ def ref_recover_modes(t, i, j, n, var="x"):
                 ll = tt - ii - jj
                 arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, a.as_scalar(), ii), t.w1.basis_vector(i))
                 arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, b.as_scalar(), jj), t.w2.basis_vector(j))
-                series = t.series_args(arg1, arg2, var)
+                series = t.series_args(arg1, arg2)
                 series = _series_apply_operator(t, series, shift, ll)
                 series = series.map_coeffs(lambda vec: t.w3.weight_projection(vec, mu))
                 coeff = Fraction((-1) ** (ii + jj), math.factorial(ii) * math.factorial(jj) * math.factorial(ll))
@@ -308,9 +308,9 @@ def ref_omega_r(t, r, var="x"):
     zeta = ExactScalar.pi_power(1, 2 * r + 1)
 
     def fn(j, i):
-        return _exp_poly(t.w3, t.w3.L(-1), subst_scaled_exp(t.series(i, j, var), var, zeta), var)
+        return _exp_poly(t.w3, t.w3.L(-1), subst_scaled_exp(t.series(i, j), var, zeta), var)
 
-    return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn, var)
+    return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn)
 
 
 def ref_a_r(t, r, var="x"):
@@ -333,7 +333,7 @@ def ref_a_r(t, r, var="x"):
         out = LogSeries.zero(w2p.coeff_space)
         for mono, w1vec in arg.items():
             for m in range(t.w2.dim):
-                inner = subst_x_inverse(t.series_args(w1vec, t.w2.basis_vector(m), var), var)
+                inner = subst_x_inverse(t.series_args(w1vec, t.w2.basis_vector(m)), var)
                 scalar_part = LogSeries.zero(SCALAR)
                 for mono2, vec3 in inner.items():
                     c = vec3.components.get(jp)
@@ -345,7 +345,7 @@ def ref_a_r(t, r, var="x"):
                     )
         return out
 
-    return IntertwinerTable.from_series(t.w1, w3p, w2p, fn, var)
+    return IntertwinerTable.from_series(t.w1, w3p, w2p, fn)
 
 
 def ref_conj_formulas_check(t, which, order=None):
@@ -359,18 +359,18 @@ def ref_conj_formulas_check(t, which, order=None):
             w2v = t.w2.basis_vector(j)
             if which == "p1":
                 inner = _exp_poly(t.w2, -t.w2.L(-1), LogSeries.vector(w2v), y)
-                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
+                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec), w3)
                 lhs = _exp_poly(t.w3, t.w3.L(-1), mid, y)
                 arg = _exp_poly(t.w1, t.w1.L(-1), LogSeries.vector(w1v), y)
-                mid2 = arg.apply_op(lambda vec: t.series_args(vec, w2v, var), w3)
+                mid2 = arg.apply_op(lambda vec: t.series_args(vec, w2v), w3)
                 rep.add(f"translate-conjugation({i},{j})", (lhs - mid2).is_zero(), _witness(lhs - mid2))
                 if order is not None:
-                    rhs = subst_x_plus_y(t.series_args(w1v, w2v, var), var, y, order)
+                    rhs = subst_x_plus_y(t.series_args(w1v, w2v), var, y, order)
                     diff = rhs - mid2.with_trunc({y: order})
                     rep.add(f"translate-substitution({i},{j})", diff.is_zero(), _witness(diff))
             else:
                 inner = _exp_poly(t.w2, -t.w2.L(1), LogSeries.vector(w2v), y)
-                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec, var), w3)
+                mid = inner.apply_op(lambda vec: t.series_args(w1v, vec), w3)
                 lhs = _exp_poly(t.w3, t.w3.L(1), mid, y).with_trunc({y: order})
                 diff = lhs - _p3_rhs(t, w1v, w2v, var, y, order)
                 rep.add(f"special-conjugation({i},{j})", diff.is_zero(), _witness(diff))
