@@ -319,7 +319,7 @@ def _one() -> ExactScalar:
 
 
 def _is_one(c: ExactScalar) -> bool:
-    return c.is_rational() and c.rational_value() == 1
+    return c == 1
 
 
 def _single_factor(f: Value, exponent: int, log_power: int) -> str | None:

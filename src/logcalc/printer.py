@@ -18,37 +18,37 @@ def rational_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _lattice_str(a: int) -> str:
-    """The rational a/L in lowest terms."""
-    g = math.gcd(a, LATTICE)
-    return str(a // g) if g == LATTICE else f"{a // g}/{LATTICE // g}"
+def _ratio_str(n: int, d: int) -> str:
+    """The rational n/d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def exponent_str(e: Exponent) -> str:
     if not e.b:
-        return _lattice_str(e.a)
-    im = _lattice_str(e.b) + "*i"
-    return f"{_lattice_str(e.a)}{'+' if e.b > 0 else ''}{im}" if e.a else im
+        return _ratio_str(e.a, LATTICE)
+    im = _ratio_str(e.b, LATTICE) + "*i"
+    return f"{_ratio_str(e.a, LATTICE)}{'+' if e.b > 0 else ''}{im}" if e.a else im
 
 
-def _zeta_summand(k: int, coeff: Fraction) -> str:
-    """One summand r or r*e(q), q = k/L, of a cyclotomic coefficient."""
+def _zeta_summand(k: int, n: int, d: int) -> str:
+    """One summand r or r*e(q), r = n/d and q = k/L, of a cyclotomic coefficient."""
     if k == 0:
-        return rational_str(coeff)
-    root = f"e({_lattice_str(k)})"
-    if coeff == 1:
+        return _ratio_str(n, d)
+    root = f"e({_ratio_str(k, LATTICE)})"
+    if n == d:
         return root
-    if coeff == -1:
+    if n == -d:
         return f"-{root}"
-    return f"{rational_str(coeff)}*{root}"
+    return f"{_ratio_str(n, d)}*{root}"
 
 
 def scalar_str(s: ExactScalar) -> str:
     if s.is_zero():
         return "0"
     groups: dict[int, list[str]] = {}
-    for (k, j), coeff in sorted(s.terms.items()):
-        groups.setdefault(k, []).append(_zeta_summand(j, coeff))
+    for (k, j), n in sorted(s.num.items()):
+        groups.setdefault(k, []).append(_zeta_summand(j, n, s.den))
     parts: list[str] = []
     for k, factors in groups.items():
         if k == 0:
@@ -75,10 +75,10 @@ def scalar_str(s: ExactScalar) -> str:
 def _coeff_prefix(s: ExactScalar) -> str:
     """Coefficient rendering in front of a monomial (may need parentheses)."""
     if s.is_rational():
-        q = s.rational_value()
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"({rational_str(q)})" if q >= 0 else f"-({rational_str(-q)})"
+        n = next(iter(s.num.values()), 0)
+        if s.den == 1:
+            return str(n)
+        return f"({n}/{s.den})" if n > 0 else f"-({-n}/{s.den})"
     text = scalar_str(s)
     simple = all(ch not in text for ch in "+- ") or (
         text.startswith("-") and all(ch not in text[1:] for ch in "+- ")

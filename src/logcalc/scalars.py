@@ -4,11 +4,15 @@ Every scalar is an :class:`ExactScalar`: a Laurent polynomial in a
 transcendental symbol Pi (standing for the constant pi*i) with coefficients
 in the cyclotomic field Q(zeta_24).  The lattice bound L = 12 is fixed
 (``LATTICE``), and zeta = zeta_2L = e(1/12) with its powers covers halves,
-thirds and quarters.  A scalar is stored flat, as one dict from
-``(Pi power, zeta index)`` to a nonzero ``fractions.Fraction``; zeta indices
-lie below phi(24) = 8, the canonical reduced basis of the field.  A rational
-q is the single entry ``(0, 0): q``, so a product with a rational only
-scales the entries of the other factor.
+thirds and quarters.  A scalar is stored as integer numerators over one
+denominator: a dict ``num`` from ``(Pi power, zeta index)`` to a nonzero
+``int``, and one positive ``int`` ``den``, canonical when gcd(den, every
+numerator) = 1.  Zeta indices lie below phi(24) = 8, the canonical reduced
+basis of the field.  Phi_24 is monic with integer coefficients, so the table
+that reduces zeta powers to that basis is integral and sums and products
+run on ints, with one gcd to restore the canonical form.  A rational n/d is
+the single entry ``(0, 0): n`` over ``d``, so a product with a rational only
+scales the numerators of the other factor and cancels crosswise.
 
 Exponents of formal variables live on the Gaussian lattice (1/L)Z[i] and are
 modelled by :class:`Exponent` as the integers L*re and L*im, checked for the
@@ -21,7 +25,6 @@ keeps equality decidable: Pi never cancels against anything.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from fractions import Fraction
@@ -54,18 +57,18 @@ def _lattice_int(q: Fraction | int, what: str = "exponent") -> int:
 # the cyclotomic field: reduction of zeta powers to the canonical basis
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def _poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Division by a monic integer polynomial b: quotient and remainder stay integral."""
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        c = a[-1] * inv
+        c = a[-1]
         d = len(a) - len(b)
         q[d] = c
         for i, bi in enumerate(b):
@@ -77,9 +80,9 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             p, r = _poly_divmod(p, list(cyclotomic_polynomial(d)))
@@ -87,13 +90,13 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(p)
 
 
-def _reduction_table() -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...]]:
+def _reduction_table() -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """phi(24) and, for k < 48, zeta^k in the canonical basis as sparse
-    ``(basis index, nonzero Fraction)`` pairs."""
+    ``(basis index, nonzero int)`` pairs."""
     phi_poly = list(cyclotomic_polynomial(_ORDER))
     reps = []
     for k in range(2 * _ORDER):
-        _, r = _poly_divmod([Fraction(0)] * k + [Fraction(1)], phi_poly)
+        _, r = _poly_divmod([0] * k + [1], phi_poly)
         reps.append(tuple((j, c) for j, c in enumerate(r) if c))
     return len(phi_poly) - 1, tuple(reps)
 
@@ -101,7 +104,7 @@ def _reduction_table() -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...
 _PHI, _REPS = _reduction_table()
 
 
-def _accumulate(out: dict, key: tuple[int, int], c: Fraction) -> None:
+def _accumulate(out: dict, key: tuple[int, int], c: int) -> None:
     prev = out.get(key)
     out[key] = c if prev is None else prev + c
 
@@ -111,7 +114,7 @@ def _nonzero(out: dict) -> dict:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two flat term maps, reduced through the zeta^k table."""
+    """Product of two numerator maps, reduced through the zeta^k table."""
     phi, reps = _PHI, _REPS
     out: dict = {}
     for (p1, k1), c1 in a.items():
@@ -127,7 +130,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 
 def _conjugate_terms(a: dict, j: int) -> dict:
-    """The Galois conjugate zeta -> zeta^j of a flat term map."""
+    """The Galois conjugate zeta -> zeta^j of a numerator map."""
     out: dict = {}
     for (p, k), c in a.items():
         for i, r in _REPS[j * k % _ORDER]:
@@ -135,25 +138,43 @@ def _conjugate_terms(a: dict, j: int) -> dict:
     return _nonzero(out)
 
 
+def _ratio(q: Fraction | int) -> tuple[int, int]:
+    """The numerator and the positive denominator of a rational, in lowest terms."""
+    q = q if q.__class__ is int or q.__class__ is Fraction else Fraction(q)
+    return q.numerator, q.denominator
+
+
+def _reduced(num: dict[tuple[int, int], int], den: int) -> ExactScalar:
+    """The scalar num/den for den > 0 and nonzero numerators, made canonical."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num, den = {key: c // g for key, c in num.items()}, den // g
+    return ExactScalar(num, den)
+
+
 ScalarLike = Union["ExactScalar", Fraction, int]
 
-_RATIONAL = (0, 0)  # the key of q in the rational scalar q: Pi^0 * zeta^0
+_RATIONAL = (0, 0)  # the key of n in the rational scalar n/d: Pi^0 * zeta^0
+_MODULUS = sys.hash_info.modulus  # Python hashes a rational n/d as n * d^-1 mod this prime
 
 
 class ExactScalar:
     """Laurent polynomial in Pi (= pi*i) over Q(zeta_24), in canonical form.
 
-    ``terms`` maps ``(Pi power, zeta index)`` to a nonzero Fraction, with
-    0 <= zeta index < phi(24).  The constructor trusts its argument to be
-    canonical in this sense and keeps the dict it is given; treat instances
-    as immutable.  Pi is transcendental by construction: no
-    operation ever merges distinct Pi-powers.
+    The value is the sum of ``num[(p, k)] * zeta^k * Pi^p`` over ``num``,
+    divided by ``den``: nonzero int numerators, 0 <= k < phi(24), a positive
+    int ``den`` and gcd(den, every numerator) = 1; zero is ``{}`` over 1.
+    The constructor trusts its arguments to be canonical in this sense and
+    keeps the dict it is given; treat instances as immutable.  Pi is
+    transcendental by construction: no operation ever merges distinct Pi-powers.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = terms if terms is not None else {}
+    def __init__(self, num: dict[tuple[int, int], int] | None = None, den: int = 1):
+        self.num = num if num is not None else {}
+        self.den = den
         self._hash: int | None = None
 
     # -- constructors --------------------------------------------------------
@@ -164,13 +185,13 @@ class ExactScalar:
 
     @staticmethod
     def from_rational(q: Fraction | int) -> ExactScalar:
-        q = q if q.__class__ is Fraction else Fraction(q)
-        return ExactScalar({_RATIONAL: q} if q else {})
+        n, d = _ratio(q)
+        return ExactScalar({_RATIONAL: n}, d) if n else ExactScalar()
 
     @staticmethod
     def pi_power(k: int, coeff: Fraction | int = 1) -> ExactScalar:
-        coeff = Fraction(coeff)
-        return ExactScalar({(k, 0): coeff} if coeff else {})
+        n, d = _ratio(coeff)
+        return ExactScalar({(k, 0): n}, d) if n else ExactScalar()
 
     @staticmethod
     def coerce(v: ScalarLike) -> ExactScalar:
@@ -183,33 +204,40 @@ class ExactScalar:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_rational(self) -> bool:
-        t = self.terms
+        t = self.num
         return not t or (len(t) == 1 and _RATIONAL in t)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.terms.get(_RATIONAL, Fraction(0))
+        return Fraction(self.num.get(_RATIONAL, 0), self.den)
 
     def is_monomial(self) -> bool:
         """Exactly one Pi-power with an (automatically invertible) nonzero coefficient."""
-        return len({p for p, _ in self.terms}) == 1
+        return len({p for p, _ in self.num}) == 1
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> ExactScalar:
-        if not isinstance(other, ExactScalar):
+        if other.__class__ is not ExactScalar:
             other = ExactScalar.coerce(other)
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if not a:
             return other
         if not b:
             return self
-        out = dict(a)
+        da, db = self.den, other.den
+        if da == db:
+            g, sb, out = da, 1, dict(a)
+        else:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            out = {key: c * sa for key, c in a.items()}
         for key, c in b.items():
+            c *= sb
             prev = out.get(key)
             if prev is None:
                 out[key] = c
@@ -219,12 +247,13 @@ class ExactScalar:
                     out[key] = s
                 else:
                     del out[key]
-        return ExactScalar(out)
+        # coprime denominators: nothing cancels, and a zero sum has da = db = 1 (Knuth 4.5.1)
+        return ExactScalar(out, da * db) if g == 1 else _reduced(out, da * (db // g))
 
     __radd__ = __add__
 
     def __neg__(self) -> ExactScalar:
-        return ExactScalar({key: -c for key, c in self.terms.items()})
+        return ExactScalar({key: -c for key, c in self.num.items()}, self.den)
 
     def __sub__(self, other: ScalarLike) -> ExactScalar:
         return self + (-ExactScalar.coerce(other))
@@ -232,27 +261,37 @@ class ExactScalar:
     def __rsub__(self, other: ScalarLike) -> ExactScalar:
         return ExactScalar.coerce(other) + (-self)
 
+    def _scaled(self, n: int, d: int) -> ExactScalar:
+        """self * n/d for n/d in lowest terms with d > 0: n cancels against den
+        and d against the numerators, as for Fractions."""
+        num, den = self.num, self.den
+        if den != 1:
+            g = math.gcd(n, den)
+            if g != 1:
+                n, den = n // g, den // g
+        if d != 1:
+            g = math.gcd(d, next(iter(num.values()))) if len(num) == 1 else math.gcd(d, *num.values())
+            if g != 1:
+                num, d = {key: c // g for key, c in num.items()}, d // g
+        return ExactScalar({key: c * n for key, c in num.items()} if n != 1 else num, den * d)
+
     def __mul__(self, other: ScalarLike) -> ExactScalar:
-        if not isinstance(other, ExactScalar):
+        if other.__class__ is not ExactScalar:
             other = ExactScalar.coerce(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return ExactScalar({})
-        # rational fast path: scale the nonzero entries of the other factor
+        a, b = self.num, other.num
+        # rational fast path: scale the numerators of the other factor
         if len(a) == 1 and _RATIONAL in a:
-            q = a[_RATIONAL]
-            return ExactScalar({key: c * q for key, c in b.items()})
+            return other._scaled(a[_RATIONAL], self.den)
         if len(b) == 1 and _RATIONAL in b:
-            q = b[_RATIONAL]
-            return ExactScalar({key: c * q for key, c in a.items()})
-        return ExactScalar(_mul_terms(a, b))
+            return self._scaled(b[_RATIONAL], other.den)
+        return _reduced(_mul_terms(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> ExactScalar:
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExactScalar({_RATIONAL: Fraction(1)})
+        out = ExactScalar({_RATIONAL: 1})
         base = self
         while n:
             if n & 1:
@@ -264,7 +303,7 @@ class ExactScalar:
 
     def inverse(self) -> ExactScalar:
         """1/self for an invertible Pi-monomial c*Pi^k (c a nonzero cyclotomic)."""
-        t = self.terms
+        t, den = self.num, self.den
         if not t:
             raise UnsupportedDivision("division by zero")
         powers = {p for p, _ in t}
@@ -272,15 +311,18 @@ class ExactScalar:
             raise UnsupportedDivision(f"{self} is not a Pi-monomial")
         [k] = powers
         if len(t) == 1 and (k, 0) in t:
-            return ExactScalar({(-k, 0): 1 / t[(k, 0)]})
-        # c times the product of its other Galois conjugates is the rational norm N(c)
+            n = t[(k, 0)]
+            return ExactScalar({(-k, 0): den if n > 0 else -den}, abs(n))
+        # c times the product of its other Galois conjugates is the integer norm N(c),
+        # so 1/(c/den) = den * rest / N(c)
         c = {(0, i): v for (_, i), v in t.items()}
-        rest = {_RATIONAL: Fraction(1)}
+        rest = {_RATIONAL: 1}
         for j in range(2, _ORDER):
             if math.gcd(j, _ORDER) == 1:
                 rest = _mul_terms(rest, _conjugate_terms(c, j))
         norm = _mul_terms(c, rest)[_RATIONAL]
-        return ExactScalar({(-k, i): v / norm for (_, i), v in rest.items()})
+        den = den if norm > 0 else -den
+        return _reduced({(-k, i): v * den for (_, i), v in rest.items()}, abs(norm))
 
     def div_monomial(self, other: ScalarLike) -> ExactScalar:
         """Exact division by a Pi-monomial c*Pi^k (or a plain nonzero constant)."""
@@ -289,30 +331,31 @@ class ExactScalar:
     def divided_by_rational(self, q: Fraction | int) -> ExactScalar:
         if q == 0:
             raise UnsupportedDivision("division by zero")
-        return ExactScalar({key: c / q for key, c in self.terms.items()})
+        n, d = _ratio(q)
+        return self._scaled(d, n) if n > 0 else self._scaled(-d, -n)
 
     # -- comparisons / misc -----------------------------------------------------
 
     def canonical_key(self) -> tuple:
-        return tuple(sorted(self.terms.items()))
+        return self.den, tuple(sorted(self.num.items()))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not ExactScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = ExactScalar.from_rational(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         # a rational (or zero) equals its Fraction, so it hashes like one
         if self._hash is None:
-            self._hash = hash(self.rational_value()) if self.is_rational() else hash(self.canonical_key())
+            if not self.is_rational():
+                self._hash = hash(self.canonical_key())
+            elif self.den % _MODULUS:
+                self._hash = hash(self.num.get(_RATIONAL, 0) * pow(self.den, -1, _MODULUS))
+            else:  # a denominator divisible by the hash prime: Python's infinity hash
+                self._hash = hash(self.rational_value())
         return self._hash
-
-    def complex_value(self) -> complex:
-        """Floating evaluation with Pi -> pi*i; smoke-test backend only."""
-        z = cmath.exp(2j * math.pi / _ORDER)
-        return sum(float(c) * z**k * (1j * math.pi) ** p for (p, k), c in self.terms.items())
 
     def __repr__(self) -> str:
         from .printer import scalar_str  # local import: printer depends on scalars
@@ -356,7 +399,7 @@ class Exponent:
 
     __slots__ = ("a", "b", "_hash")
     # hash(a * _INV_L) == hash(Fraction(a, L)): Python hashes a rational n/d as n * d^-1 mod this prime
-    _INV_L = pow(LATTICE, -1, sys.hash_info.modulus)
+    _INV_L = pow(LATTICE, -1, _MODULUS)
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
         self.a, self.b, self._hash = _lattice_int(re), _lattice_int(im), None
@@ -406,10 +449,11 @@ class Exponent:
         return not self.b and not self.a % LATTICE
 
     def as_scalar(self) -> ExactScalar:
-        out = ExactScalar.from_rational(self.re)
-        if self.b:
-            out = out + imaginary_unit() * ExactScalar.from_rational(self.im)
-        return out
+        """(a + b i)/L: a at zeta^0 and b times the entries of i = zeta^(L/2), over L."""
+        num = {(0, j): self.b * r for j, r in _REPS[LATTICE // 2]} if self.b else {}
+        if self.a:
+            num[_RATIONAL] = self.a
+        return _reduced(num, LATTICE)
 
     def sort_key(self) -> tuple[int, int]:
         return (self.a, self.b)

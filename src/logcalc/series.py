@@ -527,26 +527,6 @@ class LogSeries:
             out = out + op(vec) * LogSeries.monomial(m)
         return out
 
-    def complex_value(self, point: Mapping[VarId, complex], log_point: Mapping[VarId, complex] | None = None) -> complex:
-        """Float smoke-test evaluation of a scalar series; lg(v) defaults to log(point[v])."""
-        import cmath
-
-        if self.space != SCALAR:
-            raise ValueError("complex_value is for scalar series")
-        log_point = dict(log_point or {})
-        total = 0 + 0j
-        for m, vec in self.terms.items():
-            val = vec.scalar_value().complex_value()
-            for v, e, k in m.entries:
-                z = point[v]
-                ev = complex(e.re) + 1j * complex(e.im)
-                val *= z**ev if ev != 0 else 1
-                if k:
-                    lz = log_point.get(v, cmath.log(z))
-                    val *= lz**k
-            total += val
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogSeries):
             return NotImplemented

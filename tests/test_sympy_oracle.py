@@ -41,8 +41,8 @@ def _poly(coeffs: dict[int, Fraction]) -> sympy.Poly:
 
 def _as_poly(s: ExactScalar) -> sympy.Poly:
     """The reduced basis of a Pi-free scalar, read as a polynomial in zeta."""
-    assert all(p == 0 for p, _ in s.terms)
-    return _poly({k: c for (_, k), c in s.terms.items()})
+    assert all(p == 0 for p, _ in s.num)
+    return _poly({k: Fraction(c, s.den) for (_, k), c in s.num.items()})
 
 
 def test_cyclotomic_polynomial_matches_sympy():
