@@ -1,14 +1,17 @@
 """Named, seeded check suites over the whole library.
 
-Each function returns a :class:`Report`; the CLI verbs are thin shells over
-these.  All randomness is seeded and the identities are checked with exact
-arithmetic: a pass means equality on the nose, never within a tolerance.
+Each function returns a :class:`Report`.  :data:`SUITES` names every suite;
+`check NAME` runs one through the CLI and :func:`check_all` runs them all in
+table order.  All randomness is seeded and the identities are checked with
+exact arithmetic: a pass means equality on the nose, never within a tolerance.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import catalog
@@ -33,10 +36,11 @@ from .intertwiner import (
     weight_formulas_check,
     x_t,
 )
+from .jsonio import dump_object, load_text, read_path
 from .matrix import ExactMatrix
 from .mobius import conj_identity_check, validate_sl2, x_pm_L0
-from .parser import parse_expr
-from .printer import series_str
+from .parser import parse_expr, parse_scalar
+from .printer import scalar_str, series_str
 from .reports import Report
 from .scalars import ExactScalar, Exponent, binom_general, pi_scalar, root_of_unity
 from .series import CoeffVector, LogSeries, Monomial
@@ -487,9 +491,6 @@ def check_scalars(seed: int = 0, samples: int = 50) -> Report:
                 ok_pascal = False
     rep.add("binomial-pascal-rule", ok_pascal)
     # Pi-power separation survives serialization round trips
-    from .parser import parse_scalar
-    from .printer import scalar_str
-
     s = pi_scalar(2) + root_of_unity(Fraction(1, 3)) * pi_scalar(1) ** 2 - ExactScalar.from_rational(Fraction(5, 7))
     rep.add("pi-transcendence-roundtrip", parse_scalar(scalar_str(s)) == s)
     return rep
@@ -550,14 +551,14 @@ def check_logseries(seed: int = 0, samples: int = 200) -> Report:
     return rep
 
 
-def check_roundtrip_fuzz(count: int = 10000, seed: int = 0) -> Report:
+def check_roundtrip_fuzz(samples: int = 10000, seed: int = 0) -> Report:
     """parse . print = identity on canonical output; print . parse
     canonicalizes, fuzzed over generated expressions."""
     rep = Report("parser-roundtrip")
     rng = random.Random(seed)
     ok = True
     witness = None
-    for idx in range(count):
+    for _ in range(samples):
         text = _random_expression(rng)
         try:
             f = parse_expr(text)
@@ -575,7 +576,7 @@ def check_roundtrip_fuzz(count: int = 10000, seed: int = 0) -> Report:
             ok = False
             witness = f"print not canonical on {printed!r}"
             break
-    rep.add(f"fuzz({count})", ok, witness)
+    rep.add(f"fuzz({samples})", ok, witness)
     return rep
 
 
@@ -606,8 +607,6 @@ def _random_expression(rng: random.Random, depth: int = 0) -> str:
 
 def check_file_roundtrip(seed: int = 0) -> Report:
     """Byte-identical load -> save on canonical module/table/vertex files."""
-    from .jsonio import dump_object, load_text
-
     rep = Report("file-roundtrip")
     objs: list = [
         catalog.seeded_semisimple_module("RT", seed),
@@ -625,27 +624,47 @@ def check_file_roundtrip(seed: int = 0) -> Report:
     return rep
 
 
+def check_intertwiner(file: str, axioms: str = "all") -> Report:
+    """The named axioms on the intertwiner table in ``file`` (``-`` for stdin)."""
+    table = load_text(read_path(file))
+    if not isinstance(table, IntertwinerTable):
+        raise ValueError("file does not hold an intertwiner table")
+    return axiom_check(table, axioms)
+
+
 def check_all(seed: int = 0, quick: bool = False) -> Report:
-    """Everything, in a deterministic order; the full-verification entry point."""
+    """Every suite of :data:`SUITES` that `check all` runs, in table order: the
+    full-verification entry point.  ``quick`` applies each suite's overrides."""
     rep = Report("all")
-    samples = 50 if quick else 200
-    fuzz = 1000 if quick else 10000
-    for sub in (
-        check_scalars(seed),
-        check_logseries(seed),
-        check_taylor(samples, 8, seed),
-        check_scaling(samples, 8, seed),
-        check_taylor_negative(),
-        check_comb(10),
-        check_lubell(6, 4),
-        check_matrices(12, 5),
-        check_multinomial(seed),
-        check_ode(30 if quick else 100, seed),
-        check_sl2(3 if quick else 5, seed),
-        check_fusion_suite(),
-        check_jacobi(),
-        check_roundtrip_fuzz(fuzz, seed),
-        check_file_roundtrip(seed),
-    ):
-        rep.extend(sub)
+    for fn, quick_args in SUITES.values():
+        if quick_args is None:
+            continue
+        kwargs = dict(quick_args) if quick else {}
+        if "seed" in inspect.signature(fn).parameters:
+            kwargs["seed"] = seed
+        rep.extend(fn(**kwargs))
     return rep
+
+
+# Each suite function's defaults are its `check all` arguments, so `check NAME`
+# with no flags runs what `check all` runs.  Beside each function stand its
+# `--quick` overrides, or None for a suite that `check all` skips.
+SUITES: dict[str, tuple[Callable[..., Report], dict[str, int] | None]] = {
+    "scalars": (check_scalars, {}),
+    "series": (check_logseries, {}),
+    "taylor": (check_taylor, {"samples": 50}),
+    "scaling": (check_scaling, {"samples": 50}),
+    "taylor-negative": (check_taylor_negative, {}),
+    "comb": (check_comb, {}),
+    "lubell": (check_lubell, {}),
+    "matrices": (check_matrices, {}),
+    "multinomial": (check_multinomial, {}),
+    "ode": (check_ode, {"samples": 30}),
+    "sl2": (check_sl2, {"count": 3}),
+    "fusion": (check_fusion_suite, {}),
+    "jacobi": (check_jacobi, {}),
+    "fuzz": (check_roundtrip_fuzz, {"samples": 1000}),
+    "file-roundtrip": (check_file_roundtrip, {}),
+    "intertwiner": (check_intertwiner, None),
+    "all": (check_all, None),
+}

@@ -1,19 +1,22 @@
 """Command-line surface: eval, diff, subst, check, derive, solve, roundtrip.
 
 Every verb is a thin shell over the library; no arithmetic happens here.
+`check NAME` runs the suite of that name in :data:`checks.SUITES`, passing
+the flags given; a flag the suite does not read is a usage error.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
 from fractions import Fraction
 
 from . import checks
-from .intertwiner import IntertwinerTable, axiom_check, a_r, omega_r, shift_s1s2s3, solve_fusion_space, x_t
-from .jsonio import SchemaError, dump_object, load_text
+from .intertwiner import IntertwinerTable, a_r, omega_r, shift_s1s2s3, solve_fusion_space, x_t
+from .jsonio import SchemaError, dump_object, load_text, read_path
 from .parser import ParseError, parse_expr
 from .printer import series_str
 from .reports import Report
@@ -26,13 +29,6 @@ from .substitution import (
     subst_x_plus_y,
     subst_xy,
 )
-
-
-def _read_path(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _emit_report(report: Report, fmt: str) -> int:
@@ -61,87 +57,71 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return _emit_series(f, args.format)
 
 
+# `subst --kind`: each substitution of the parsed expression f, given the flags
+_SUBST = {
+    "shift": lambda f, a: subst_x_plus_y(f, a.var, a.with_var, a.order),
+    "exp": lambda f, a: subst_x_exp_y(f, a.var, a.with_var, a.order),
+    "product": lambda f, a: subst_xy(f, a.var, a.with_var),
+    "inverse": lambda f, a: subst_x_inverse(f, a.var),
+    "scale": lambda f, a: subst_scaled_exp(f, a.var, pi_scalar(a.q)),
+}
+
+
 def cmd_subst(args: argparse.Namespace) -> int:
-    f = parse_expr(args.expr)
-    kind = args.kind
-    if kind == "shift":
-        out = subst_x_plus_y(f, args.var, args.with_var, args.order)
-    elif kind == "exp":
-        out = subst_x_exp_y(f, args.var, args.with_var, args.order)
-    elif kind == "product":
-        out = subst_xy(f, args.var, args.with_var)
-    elif kind == "inverse":
-        out = subst_x_inverse(f, args.var)
-    elif kind == "scale":
-        out = subst_scaled_exp(f, args.var, pi_scalar(args.q))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
-    return _emit_series(out, args.format)
+    return _emit_series(_SUBST[args.kind](parse_expr(args.expr), args), args.format)
+
+
+# the keys of a parsed `check` command line that are not flags read by a suite
+_NOT_FLAGS = ("verb", "fn", "what", "format")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    what = args.what
-    # unset, --order is each suite's order in `check all`
-    order = args.order if args.order is not None else (10 if what == "sl2" else 8)
-    if what == "taylor":
-        rep = checks.check_taylor(args.samples, order, args.seed)
-    elif what == "scaling":
-        rep = checks.check_scaling(args.samples, order, args.seed)
-    elif what == "comb":
-        rep = checks.check_comb(args.kmax)
-    elif what == "lubell":
-        rep = checks.check_lubell(args.nmax, args.jmax)
-    elif what == "matrices":
-        rep = checks.check_matrices()
-    elif what == "ode":
-        rep = checks.check_ode(args.samples, args.seed)
-    elif what == "sl2":
-        rep = checks.check_sl2(args.count, args.seed, order)
-    elif what == "scalars":
-        rep = checks.check_scalars(args.seed)
-    elif what == "series":
-        rep = checks.check_logseries(args.seed)
-    elif what == "fusion":
-        rep = checks.check_fusion_suite()
-    elif what == "jacobi":
-        rep = checks.check_jacobi()
-    elif what == "intertwiner":
-        if not args.file:
-            print("check intertwiner needs a FILE", file=sys.stderr)
+    fn = checks.SUITES[args.what][0]
+    params = inspect.signature(fn).parameters
+    given = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS and v is not None}
+    unread = [_flag(k) for k in given if k not in params]
+    missing = [_flag(k) for k, p in params.items() if p.default is p.empty and k not in given]
+    for problem, flags in (("does not read", unread), ("needs", missing)):
+        if flags:
+            print(f"check {args.what} {problem} {', '.join(flags)}", file=sys.stderr)
             return 2
-        table = load_text(_read_path(args.file))
-        if not isinstance(table, IntertwinerTable):
-            print("file does not hold an intertwiner table", file=sys.stderr)
-            return 2
-        rep = axiom_check(table, args.axioms)
-    elif what == "all":
-        rep = checks.check_all(args.seed, quick=args.quick)
-    else:  # pragma: no cover
-        raise ValueError(what)
-    return _emit_report(rep, args.format)
+    return _emit_report(fn(**given), args.format)
+
+
+def _flag(param: str) -> str:
+    return "FILE" if param == "file" else f"--{param}"
+
+
+def _read_by(param: str) -> str:
+    """The suites that read a `check` flag, as NAME=DEFAULT."""
+    names = []
+    for name, (fn, _) in checks.SUITES.items():
+        p = inspect.signature(fn).parameters.get(param)
+        if p is not None:
+            names.append(name if p.default is p.empty else f"{name}={p.default}")
+    return "read by " + ", ".join(names)
+
+
+# `derive OP`: each table derived from the loaded table t, given the flags
+_DERIVE = {
+    "omega": lambda t, a: omega_r(t, a.r),
+    "ar": lambda t, a: a_r(t, a.r),
+    "xt": lambda t, a: x_t(t, a.t),
+    "shift": lambda t, a: shift_s1s2s3(t, a.s1, a.s2, a.s3),
+}
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    table = load_text(_read_path(args.file))
+    table = load_text(read_path(args.file))
     if not isinstance(table, IntertwinerTable):
         print("derive needs an intertwiner table file", file=sys.stderr)
         return 2
-    if args.op == "omega":
-        out = omega_r(table, args.r)
-    elif args.op == "ar":
-        out = a_r(table, args.r)
-    elif args.op == "xt":
-        out = x_t(table, args.t)
-    elif args.op == "shift":
-        out = shift_s1s2s3(table, args.s1, args.s2, args.s3)
-    else:  # pragma: no cover
-        raise ValueError(args.op)
-    sys.stdout.write(dump_object(out))
+    sys.stdout.write(dump_object(_DERIVE[args.op](table, args)))
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    mods = [load_text(_read_path(p)) for p in args.modules]
+    mods = [load_text(read_path(p)) for p in args.modules]
     if len(mods) != 3:
         print("solve fusion needs exactly three module files", file=sys.stderr)
         return 2
@@ -176,13 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    if args.fuzz is not None:
-        rep = checks.check_roundtrip_fuzz(args.fuzz, args.seed)
-        return _emit_report(rep, args.format)
-    if not args.file:
-        print("roundtrip needs a FILE or --fuzz N", file=sys.stderr)
-        return 2
-    text = _read_path(args.file)
+    text = read_path(args.file)
     obj = load_text(text)
     again = dump_object(obj)
     rep = Report("file-roundtrip")
@@ -228,7 +202,7 @@ def _scale_q(text: str) -> Fraction:
 
 def _int_flag(p: argparse.ArgumentParser, flag: str, default: int | None, lo: int, hi: int, what: str) -> None:
     p.add_argument(
-        flag, type=_int_in(lo, hi), default=default, metavar="N", help=f"{what}; {lo} <= N <= {hi}"
+        flag, type=_int_in(lo, hi), default=default, metavar="N", help=f"{lo} <= N <= {hi}; {what}"
     )
 
 
@@ -255,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subst", parents=[fmt], help="substitution conventions")
     p.add_argument("expr")
-    p.add_argument("--kind", choices=("shift", "exp", "product", "inverse", "scale"), required=True)
+    p.add_argument("--kind", choices=tuple(_SUBST), required=True)
     p.add_argument("--var", default="x")
     p.add_argument("--with-var", default="y")
     _int_flag(p, "--order", 6, 0, 64, "truncation order in the new variable (default 6)")
@@ -264,29 +238,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_subst)
 
-    p = sub.add_parser("check", parents=[fmt], help="run a named identity suite")
-    p.add_argument(
-        "what",
-        choices=(
-            "taylor", "scaling", "comb", "lubell", "matrices", "ode", "sl2",
-            "scalars", "series", "fusion", "jacobi", "intertwiner", "all",
-        ),
-    )
-    p.add_argument("file", nargs="?", help="intertwiner file for `check intertwiner`")
-    _int_flag(p, "--order", None, 0, 64, "truncation order (default 8 for taylor and scaling, 10 for sl2)")
-    _int_flag(p, "--samples", 200, 1, 10_000, "random samples of taylor, scaling and ode (default 200)")
-    _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed of taylor, scaling, ode, sl2, scalars, series and all (default 0)")
-    _int_flag(p, "--kmax", 10, 0, 16, "largest k of comb (default 10)")
-    _int_flag(p, "--nmax", 6, 1, 8, "largest N of lubell (default 6)")
-    _int_flag(p, "--jmax", 4, 1, 6, "largest j of lubell (default 4)")
-    _int_flag(p, "--count", 5, 1, 100, "modules of sl2 (default 5)")
+    note = "Each flag names the suites that read it, as NAME=DEFAULT; any other suite exits 2 on it."
+    p = sub.add_parser("check", parents=[fmt], help="run a named identity suite", description=note)
+    p.add_argument("what", choices=tuple(checks.SUITES))
+    p.add_argument("file", nargs="?", help=f"intertwiner table file, or - for stdin; {_read_by('file')}")
+    for flag, lo, hi, what in (
+        ("--order", 0, 64, "truncation order"),
+        ("--samples", 1, 10_000, "random samples"),
+        ("--seed", 0, SEED_MAX, "random seed"),
+        ("--kmax", 0, 16, "largest k"),
+        ("--nmax", 1, 8, "largest N"),
+        ("--jmax", 1, 6, "largest j"),
+        ("--count", 1, 100, "modules"),
+    ):
+        _int_flag(p, flag, None, lo, hi, f"{what}, {_read_by(flag[2:])}")
     axioms = "all, ltc, lminus1, sl2, sl2_alt, euler, grading or weights"
-    p.add_argument("--axioms", default="all", help=f"axioms of `check intertwiner`: {axioms} (default all)")
-    p.add_argument("--quick", action="store_true", help="smaller sample counts")
+    p.add_argument("--axioms", help=f"{axioms}; {_read_by('axioms')}")
+    p.add_argument("--quick", action="store_true", default=None, help=f"smaller sample counts; {_read_by('quick')}")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("derive", parents=[fmt], help="derive a new table from an intertwiner file")
-    p.add_argument("op", choices=("omega", "ar", "xt", "shift"))
+    p.add_argument("op", choices=tuple(_DERIVE))
     p.add_argument("file", help="intertwiner JSON file, or - for stdin")
     _int_flag(p, "--r", 0, -10**6, 10**6, "omega and ar: r (default 0)")
     _int_flag(p, "--t", 0, 0, 10**6, "xt: log powers lowered (default 0)")
@@ -303,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("roundtrip", parents=[fmt], help="byte round-trip a data file, or fuzz the parser")
-    p.add_argument("file", nargs="?")
-    _int_flag(p, "--fuzz", None, 1, 100_000, "fuzz the parser on this many generated expressions")
-    _int_flag(p, "--seed", 0, 0, SEED_MAX, "random seed of --fuzz (default 0)")
+    p = sub.add_parser("roundtrip", parents=[fmt], help="byte round-trip a data file")
+    p.add_argument("file", help="module, table or vertex JSON file, or - for stdin")
     p.set_defaults(fn=cmd_roundtrip)
 
     return ap

@@ -9,6 +9,8 @@ validate eagerly and report failures with a JSON-pointer-style path.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 from typing import Any
 
 from .matrix import ExactMatrix
@@ -259,6 +261,11 @@ def load_text(text: str):
     kind = data.get("kind")
     _expect(isinstance(kind, str) and kind in _KIND_LOADERS, f"unknown kind {kind!r}", "/kind")
     return _KIND_LOADERS[kind](data)
+
+
+def read_path(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``."""
+    return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
 
 
 def dump_object(obj) -> str:

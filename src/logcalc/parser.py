@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Union
 
 from .scalars import LATTICE, ExactScalar, Exponent, UnsupportedDivision, imaginary_unit, pi_scalar, root_of_unity
+from .scalars import _RATIONAL, _reduced  # n/d as a scalar, reduced once
 from .series import SCALAR, CoeffVector, LogSeries, Monomial
 
 _TOKEN = re.compile(
@@ -402,7 +403,9 @@ def parse_expr(text: str) -> LogSeries:
 def parse_scalar(text: str) -> ExactScalar:
     """Parse a scalar literal (no formal variables allowed)."""
     if _RATIONAL_LITERAL.fullmatch(text):
-        return ExactScalar.from_rational(Fraction(text))
+        num, _, den = text.partition("/")
+        n = int(num)
+        return _reduced({_RATIONAL: n}, int(den or 1)) if n else ExactScalar.zero()
     terms = _Parser(text).parse()
     if not terms:
         return ExactScalar.zero()

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import subprocess
 import sys
@@ -5,9 +7,37 @@ import time
 
 import pytest
 
-from logcalc import catalog
+from logcalc import catalog, checks
 from logcalc.cli import main
 from logcalc.jsonio import dump_object
+from logcalc.reports import Report
+
+# the suites that `check all` runs
+ALL_SUITES = [name for name, (_, quick) in checks.SUITES.items() if quick is not None]
+
+
+def record_suites(monkeypatch, names) -> dict[str, list[dict]]:
+    """Replace each named suite in the registry by a recorder of the arguments
+    it is called with, its defaults applied; the recorder reports nothing."""
+    seen = {}
+    for name in names:
+        fn, quick = checks.SUITES[name]
+        seen[name] = []
+        monkeypatch.setitem(checks.SUITES, name, (_recorder(fn, seen[name]), quick))
+    return seen
+
+
+def _recorder(fn, calls: list):
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)  # keeps the signature, so the same flags are read
+    def record(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return Report(fn.__name__)
+
+    return record
 
 
 def run_cli(*argv, stdin: str | None = None):
@@ -76,7 +106,7 @@ class TestHostileFlags:
             (("diff", "x", "--order", "-2"), "--order"),
             (("check", "comb", "--kmax", "-3"), "--kmax"),
             (("check", "ode", "--samples", "-1"), "--samples"),
-            (("roundtrip", "--fuzz", "-5"), "--fuzz"),
+            (("check", "fuzz", "--samples", "10001"), "--samples"),
             (("check", "taylor", "--samples", "2", "--order", "100000"), "--order"),
             (("subst", "x", "--kind", "scale", "--q", "1e99999999"), "--q"),
         ],
@@ -89,6 +119,16 @@ class TestHostileFlags:
         assert time.perf_counter() - start < 5
         assert proc.returncode == 2 and not proc.stdout
         assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, flag", [(("check", "comb", "--seed", "3"), "--seed"), (("check", "taylor", "--quick"), "--quick")])
+    def test_unread_flag_exits_2_fast(self, argv, flag):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "logcalc.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2 and not proc.stdout
+        assert f"does not read {flag}" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_help_states_each_range(self):
         code, out, _ = run_cli("check", "--help")
@@ -115,7 +155,7 @@ class TestCheckVerbs:
 
     @pytest.mark.parametrize(
         "verb",
-        [("check", "jacobi", "--seed", "0"), ("eval", "x^(1/2)*lg(x) + Pi"), ("diff", "lg(x)^2", "--order", "2")],
+        [("check", "jacobi"), ("eval", "x^(1/2)*lg(x) + Pi"), ("diff", "lg(x)^2", "--order", "2")],
     )
     def test_format_before_or_after_verb(self, verb):
         before = run_cli("--format", "json", *verb)
@@ -127,18 +167,26 @@ class TestCheckVerbs:
     @pytest.mark.parametrize("argv, order", [((), 10), (("--order", "4"), 4)])
     def test_check_sl2_order_defaults_to_that_of_check_all(self, monkeypatch, argv, order):
         # the reports at orders 8 and 10 are byte-identical: record the order instead
-        from logcalc import checks
-        from logcalc.reports import Report
-
-        seen = []
-
-        def record(count, seed, order):
-            seen.append(order)
-            return Report("sl2")
-
-        monkeypatch.setattr(checks, "check_sl2", record)
+        seen = record_suites(monkeypatch, ["sl2"])
         assert main(["check", "sl2", "--count", "1", *argv]) == 0
-        assert seen == [order]
+        assert [call["order"] for call in seen["sl2"]] == [order]
+
+    @pytest.mark.parametrize("name", ALL_SUITES)
+    def test_check_name_calls_its_suite_as_check_all_does(self, monkeypatch, name):
+        seen = record_suites(monkeypatch, ALL_SUITES)
+        assert main(["check", "all"]) == 0
+        assert all(len(calls) == 1 for calls in seen.values())
+        assert main(["check", name]) == 0
+        assert seen[name][1] == seen[name][0]
+
+    @pytest.mark.parametrize("name", ["multinomial", "taylor-negative", "file-roundtrip"])
+    def test_suite_of_check_all_runs_alone(self, name):
+        code, out, _ = run_cli("check", name)
+        assert code == 0 and "PASS" in out
+
+    def test_check_fuzz(self):
+        code, out, _ = run_cli("check", "fuzz", "--samples", "200", "--seed", "3")
+        assert code == 0 and "PASS" in out
 
     def test_intertwiner_file_with_bad_modes_exits_2(self, tmp_path, honest_table):
         data = json.loads(dump_object(honest_table))
@@ -225,8 +273,4 @@ class TestRoundtripVerb:
         path = tmp_path / "m.json"
         path.write_text(dump_object(jordan2))
         code, out, _ = run_cli("roundtrip", str(path))
-        assert code == 0 and "PASS" in out
-
-    def test_fuzz(self):
-        code, out, _ = run_cli("roundtrip", "--fuzz", "200", "--seed", "3")
         assert code == 0 and "PASS" in out

@@ -1,9 +1,13 @@
 """Source hygiene: no unused imports, no orphaned top-level definitions and no
 unread parameters in ``src/logcalc``, found by scanning the syntax trees of
-the repository's code."""
+the repository's code; no check suite outside the registry and no `check`
+flag that no suite reads."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from logcalc import checks, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "logcalc").glob("*.py"))
@@ -100,3 +104,19 @@ def test_every_method_is_read():
                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in read:
                         orphans.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
     assert not orphans, orphans
+
+
+def test_every_check_function_is_a_suite():
+    """A public ``check_*`` function of checks.py that no entry of
+    ``checks.SUITES`` holds has no `check` verb and `check all` skips it."""
+    tree = _tree(ROOT / "src" / "logcalc" / "checks.py")
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")}
+    reachable = {fn.__name__ for fn, _ in checks.SUITES.values()}
+    assert defined - reachable == set()
+
+
+def test_every_check_flag_is_read_by_a_suite():
+    args = cli.build_parser().parse_args(["check", "all"])
+    flags = set(vars(args)) - set(cli._NOT_FLAGS)
+    read = set().union(*(inspect.signature(fn).parameters for fn, _ in checks.SUITES.values()))
+    assert "seed" in flags and flags - read == set()
