@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import json
 import re
 import sys
 from fractions import Fraction
 
 from . import checks
 from .intertwiner import IntertwinerTable, a_r, omega_r, shift_s1s2s3, solve_fusion_space, x_t
-from .jsonio import SchemaError, dump_object, load_text, read_path
-from .parser import ParseError, parse_expr
+from .jsonio import SchemaError, dump_object, load_text, read_path, table_to_json
+from .parser import ParseError, parse_expr, parse_exponent
 from .printer import series_str
 from .reports import Report
 from .scalars import LatticeViolation, pi_scalar
@@ -38,8 +39,6 @@ def _emit_report(report: Report, fmt: str) -> int:
 
 def _emit_series(f, fmt: str) -> int:
     if fmt == "json":
-        import json
-
         print(json.dumps({"series": series_str(f)}))
     else:
         print(series_str(f))
@@ -57,18 +56,22 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return _emit_series(f, args.format)
 
 
-# `subst --kind`: each substitution of the parsed expression f, given the flags
-_SUBST = {
-    "shift": lambda f, a: subst_x_plus_y(f, a.var, a.with_var, a.order),
-    "exp": lambda f, a: subst_x_exp_y(f, a.var, a.with_var, a.order),
-    "product": lambda f, a: subst_xy(f, a.var, a.with_var),
-    "inverse": lambda f, a: subst_x_inverse(f, a.var),
-    "scale": lambda f, a: subst_scaled_exp(f, a.var, pi_scalar(a.q)),
-}
-
-
 def cmd_subst(args: argparse.Namespace) -> int:
-    return _emit_series(_SUBST[args.kind](parse_expr(args.expr), args), args.format)
+    f = parse_expr(args.expr)
+    kind = args.kind
+    if kind == "shift":
+        out = subst_x_plus_y(f, args.var, args.with_var, args.order)
+    elif kind == "exp":
+        out = subst_x_exp_y(f, args.var, args.with_var, args.order)
+    elif kind == "product":
+        out = subst_xy(f, args.var, args.with_var)
+    elif kind == "inverse":
+        out = subst_x_inverse(f, args.var)
+    elif kind == "scale":
+        out = subst_scaled_exp(f, args.var, pi_scalar(args.q))
+    else:  # pragma: no cover - argparse restricts choices
+        raise ValueError(kind)
+    return _emit_series(out, args.format)
 
 
 # the keys of a parsed `check` command line that are not flags read by a suite
@@ -102,21 +105,22 @@ def _read_by(param: str) -> str:
     return "read by " + ", ".join(names)
 
 
-# `derive OP`: each table derived from the loaded table t, given the flags
-_DERIVE = {
-    "omega": lambda t, a: omega_r(t, a.r),
-    "ar": lambda t, a: a_r(t, a.r),
-    "xt": lambda t, a: x_t(t, a.t),
-    "shift": lambda t, a: shift_s1s2s3(t, a.s1, a.s2, a.s3),
-}
-
-
 def cmd_derive(args: argparse.Namespace) -> int:
     table = load_text(read_path(args.file))
     if not isinstance(table, IntertwinerTable):
         print("derive needs an intertwiner table file", file=sys.stderr)
         return 2
-    sys.stdout.write(dump_object(_DERIVE[args.op](table, args)))
+    if args.op == "omega":
+        out = omega_r(table, args.r)
+    elif args.op == "ar":
+        out = a_r(table, args.r)
+    elif args.op == "xt":
+        out = x_t(table, args.t)
+    elif args.op == "shift":
+        out = shift_s1s2s3(table, args.s1, args.s2, args.s3)
+    else:  # pragma: no cover
+        raise ValueError(args.op)
+    sys.stdout.write(dump_object(out))
     return 0
 
 
@@ -128,17 +132,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     constraints = tuple(args.axioms.split(",")) if args.axioms else ("euler",)
     window = None
     if args.window:
-        from .parser import parse_exponent
-
         window = [parse_exponent(part) for part in args.window.split(",")]
     tables = solve_fusion_space(
         mods[0], mods[1], mods[2], constraints=constraints, max_log=args.max_log, window=window
     )
     if args.format == "json":
-        import json
-
-        from .jsonio import table_to_json
-
         print(
             json.dumps(
                 {"dimension": len(tables), "basis": [table_to_json(t) for t in tables]},
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subst", parents=[fmt], help="substitution conventions")
     p.add_argument("expr")
-    p.add_argument("--kind", choices=tuple(_SUBST), required=True)
+    p.add_argument("--kind", choices=("shift", "exp", "product", "inverse", "scale"), required=True)
     p.add_argument("--var", default="x")
     p.add_argument("--with-var", default="y")
     _int_flag(p, "--order", 6, 0, 64, "truncation order in the new variable (default 6)")
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("derive", parents=[fmt], help="derive a new table from an intertwiner file")
-    p.add_argument("op", choices=tuple(_DERIVE))
+    p.add_argument("op", choices=("omega", "ar", "xt", "shift"))
     p.add_argument("file", help="intertwiner JSON file, or - for stdin")
     _int_flag(p, "--r", 0, -10**6, 10**6, "omega and ar: r (default 0)")
     _int_flag(p, "--t", 0, 0, 10**6, "xt: log powers lowered (default 0)")

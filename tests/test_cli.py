@@ -120,7 +120,15 @@ class TestHostileFlags:
         assert proc.returncode == 2 and not proc.stdout
         assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv, flag", [(("check", "comb", "--seed", "3"), "--seed"), (("check", "taylor", "--quick"), "--quick")])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("check", "comb", "--seed", "3"), "--seed"),
+            (("check", "taylor", "--quick"), "--quick"),
+            (("check", "matrices", "--kmax", "3"), "--kmax"),
+            (("check", "series", "--samples", "3"), "--samples"),
+        ],
+    )
     def test_unread_flag_exits_2_fast(self, argv, flag):
         start = time.perf_counter()
         proc = subprocess.run(
