@@ -2,7 +2,8 @@
 
 Every verb is a thin shell over the library; no arithmetic happens here.
 `check NAME` runs the suite of that name in :data:`checks.SUITES`, passing
-the flags given; a flag the suite does not read is a usage error.
+the flags given; a flag the suite does not read is a usage error, as is a
+flag of `subst` or `derive` that its kind or op does not read.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse errors.
 """
 
@@ -56,19 +57,33 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return _emit_series(f, args.format)
 
 
+def _reject(args: argparse.Namespace, what: str, *unread: str) -> None:
+    """A usage error naming each flag in ``unread`` that was given: ``what`` does not read it."""
+    given = ["--" + k.replace("_", "-") for k in unread if getattr(args, k) is not None]
+    if given:
+        raise ValueError(f"{what} does not read {', '.join(given)}")
+
+
 def cmd_subst(args: argparse.Namespace) -> int:
     f = parse_expr(args.expr)
-    kind = args.kind
+    kind, what = args.kind, f"subst --kind {args.kind}"
+    y = "y" if args.with_var is None else args.with_var
+    order = 6 if args.order is None else args.order
     if kind == "shift":
-        out = subst_x_plus_y(f, args.var, args.with_var, args.order)
+        _reject(args, what, "q")
+        out = subst_x_plus_y(f, args.var, y, order)
     elif kind == "exp":
-        out = subst_x_exp_y(f, args.var, args.with_var, args.order)
+        _reject(args, what, "q")
+        out = subst_x_exp_y(f, args.var, y, order)
     elif kind == "product":
-        out = subst_xy(f, args.var, args.with_var)
+        _reject(args, what, "order", "q")
+        out = subst_xy(f, args.var, y)
     elif kind == "inverse":
+        _reject(args, what, "with_var", "order", "q")
         out = subst_x_inverse(f, args.var)
     elif kind == "scale":
-        out = subst_scaled_exp(f, args.var, pi_scalar(args.q))
+        _reject(args, what, "with_var", "order")
+        out = subst_scaled_exp(f, args.var, pi_scalar(Fraction(2) if args.q is None else args.q))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     return _emit_series(out, args.format)
@@ -110,14 +125,19 @@ def cmd_derive(args: argparse.Namespace) -> int:
     if not isinstance(table, IntertwinerTable):
         print("derive needs an intertwiner table file", file=sys.stderr)
         return 2
+    what, shifts = f"derive {args.op}", ("s1", "s2", "s3")
     if args.op == "omega":
-        out = omega_r(table, args.r)
+        _reject(args, what, "t", *shifts)
+        out = omega_r(table, args.r or 0)
     elif args.op == "ar":
-        out = a_r(table, args.r)
+        _reject(args, what, "t", *shifts)
+        out = a_r(table, args.r or 0)
     elif args.op == "xt":
-        out = x_t(table, args.t)
+        _reject(args, what, "r", *shifts)
+        out = x_t(table, args.t or 0)
     elif args.op == "shift":
-        out = shift_s1s2s3(table, args.s1, args.s2, args.s3)
+        _reject(args, what, "r", "t")
+        out = shift_s1s2s3(table, args.s1 or 0, args.s2 or 0, args.s3 or 0)
     else:  # pragma: no cover
         raise ValueError(args.op)
     sys.stdout.write(dump_object(out))
@@ -229,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--kind", choices=("shift", "exp", "product", "inverse", "scale"), required=True)
     p.add_argument("--var", default="x")
-    p.add_argument("--with-var", default="y")
-    _int_flag(p, "--order", 6, 0, 64, "truncation order in the new variable (default 6)")
-    p.add_argument(
-        "--q", type=_scale_q, default="2", help=f"scale kind: zeta = q*Pi, q rational, |q| <= {Q_MAX} (default 2)"
-    )
+    p.add_argument("--with-var", help="shift, exp and product: the new variable (default y)")
+    _int_flag(p, "--order", None, 0, 64, "shift and exp: truncation order in the new variable (default 6)")
+    p.add_argument("--q", type=_scale_q, help=f"scale: zeta = q*Pi, q rational, |q| <= {Q_MAX} (default 2)")
     p.set_defaults(fn=cmd_subst)
 
     note = "Each flag names the suites that read it, as NAME=DEFAULT; any other suite exits 2 on it."
@@ -258,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", parents=[fmt], help="derive a new table from an intertwiner file")
     p.add_argument("op", choices=("omega", "ar", "xt", "shift"))
     p.add_argument("file", help="intertwiner JSON file, or - for stdin")
-    _int_flag(p, "--r", 0, -10**6, 10**6, "omega and ar: r (default 0)")
-    _int_flag(p, "--t", 0, 0, 10**6, "xt: log powers lowered (default 0)")
+    _int_flag(p, "--r", None, -10**6, 10**6, "omega and ar: r (default 0)")
+    _int_flag(p, "--t", None, 0, 10**6, "xt: log powers lowered (default 0)")
     for flag in ("--s1", "--s2", "--s3"):
-        _int_flag(p, flag, 0, -10**6, 10**6, "shift: e^(2 pi i s L(0)) on one slot (default 0)")
+        _int_flag(p, flag, None, -10**6, 10**6, "shift: e^(2 pi i s L(0)) on one slot (default 0)")
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("solve", parents=[fmt], help="solve for a basis of the constrained table space")

@@ -32,6 +32,7 @@ from .matrix import ExactMatrix
 from .printer import series_str
 from .reports import Report
 from .scalars import (
+    LATTICE,
     ExactScalar,
     Exponent,
     LatticeViolation,
@@ -336,15 +337,16 @@ def exp_L(
 
     Exact when the matrix L(j) is nilpotent; an ``order`` then only truncates.
     Otherwise ``order`` must be given and the sum takes one term per power of
-    ``coeff`` that :func:`~logcalc.series.cut_powers` keeps at ``order`` (so
-    ``coeff`` needs positive ``var``-valuation): exact modulo ``var``-exponents
-    above ``order`` when val(coeff) > 0 and val(f) >= 0.
+    ``coeff`` that :func:`~logcalc.series.cut_powers` keeps at ``order - min(0, val(f))``
+    (so ``coeff`` needs positive ``var``-valuation): exact modulo ``var``-exponents above ``order``.
     """
     m = module.L(j)
     nilpotent = m.is_nilpotent()
     if not nilpotent and order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
-    terms = exp_nilpotent_terms(module, m, f, None if nilpotent else len(cut_powers(coeff, var, order)))
+    val = min((mono.exponent(var).a for mono in f.terms), default=0) // LATTICE  # the floor of val(f)
+    count = None if nilpotent else len(cut_powers(coeff, var, order - min(0, val)))
+    terms = exp_nilpotent_terms(module, m, f, count)
     return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
 
 

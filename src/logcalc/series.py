@@ -12,12 +12,15 @@ Optional per-variable truncation orders support working in W{x, lg x}[[y]]:
 ``trunc[y] = N`` means the series is only known modulo terms of y-exponent
 greater than N, and all operations prune accordingly (and propagate the
 bound pessimistically).
+
+Monomial entries are sorted by variable, with no v^0 lg(v)^0 entry: products merge them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import le
 from typing import Callable, Iterable, Mapping
 
 from .scalars import LATTICE, ExactScalar, Exponent, ScalarLike
@@ -189,9 +192,6 @@ class Monomial:
     def log(v: VarId, power: int = 1) -> Monomial:
         return Monomial({v: (Exponent(0), power)})
 
-    def as_dict(self) -> dict[VarId, tuple[Exponent, int]]:
-        return {v: (e, k) for v, e, k in self.entries}
-
     def exponent(self, v: VarId) -> Exponent:
         for name, e, _ in self.entries:
             if name == v:
@@ -208,21 +208,41 @@ class Monomial:
         return tuple(v for v, _, _ in self.entries)
 
     def without(self, v: VarId) -> Monomial:
-        return Monomial({name: (e, k) for name, e, k in self.entries if name != v})
+        return self._with(v, _EXPONENT_ZERO, 0)
+
+    def _with(self, v: VarId, e: Exponent, k: int) -> Monomial:
+        """This monomial with its entry for v replaced by v^e lg(v)^k (k >= 0)."""
+        es, i = self.entries, 0
+        while i < len(es) and es[i][0] < v:
+            i += 1
+        j = i + 1 if i < len(es) and es[i][0] == v else i
+        return Monomial._trusted(es[:i] + ((v, e, k),) + es[j:] if k or e.a or e.b else es[:i] + es[j:])
 
     def __mul__(self, other: Monomial) -> Monomial:
-        if not other.entries:
+        a, b = self.entries, other.entries
+        if not b:
             return self
-        if not self.entries:
+        if not a:
             return other
-        d = self.as_dict()
-        for v, e, k in other.entries:
-            if v in d:
-                e0, k0 = d[v]
-                d[v] = (e0 + e, k0 + k)
+        # one merge of the two var-sorted entry tuples; an entry that cancels to v^0 lg^0 is dropped
+        out, i, j = [], 0, 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            va, ea, ka = a[i]
+            vb, eb, kb = b[j]
+            if va < vb:
+                out.append(a[i])
+                i += 1
+            elif vb < va:
+                out.append(b[j])
+                j += 1
             else:
-                d[v] = (e, k)
-        return Monomial._trusted(tuple((v, e, k) for v, (e, k) in sorted(d.items()) if k or not e.is_zero()))
+                re, im, k = ea.a + eb.a, ea.b + eb.b, ka + kb
+                if re or im or k:
+                    out.append((va, Exponent._lattice(re, im), k))
+                i += 1
+                j += 1
+        return Monomial._trusted(tuple(out) + a[i:] + b[j:])
 
     def sort_key(self) -> tuple:
         return tuple((v, e.sort_key(), k) for v, e, k in self.entries)
@@ -255,12 +275,6 @@ def _merge_trunc(a: TruncMap, b: TruncMap) -> dict[VarId, int]:
     for v, n in b.items():
         out[v] = min(out[v], n) if v in out else n
     return out
-
-
-def _trunc_levels(monomials: Iterable[Monomial], trunc: TruncMap) -> list[tuple[int, ...]]:
-    """Each monomial's real exponents in the truncated variables times L, i.e. their
-    stored lattice ints ``a``: integer levels to compare with L times the bounds."""
-    return [tuple(m.exponent(v).a for v in trunc) for m in monomials]
 
 
 class LogSeries:
@@ -415,16 +429,20 @@ class LogSeries:
         else:
             scal, vec = other, self
         trunc = _merge_trunc(self.trunc, other.trunc)
-        # a pair beyond the truncation is dropped before its monomial product is formed
-        lv_left, lv_right = _trunc_levels(scal.terms, trunc), _trunc_levels(vec.terms, trunc)
+        # a pair beyond the truncation is dropped before its monomial product is formed: the right
+        # terms that fit are listed once per level (lattice ints ``a`` in the truncated variables)
         caps = [n * LATTICE for n in trunc.values()]
-        right = [(m2, c2.components, lv2) for (m2, c2), lv2 in zip(vec.terms.items(), lv_right)]
+        right = [(m2, c2.components, tuple(m2.exponent(v).a for v in trunc)) for m2, c2 in vec.terms.items()]
+        fitting: dict[tuple[int, ...], list[tuple[Monomial, dict[int, ExactScalar]]]] = {}
         acc: dict[Monomial, dict[int, ExactScalar]] = {}
-        for (m1, c1), lv1 in zip(scal.terms.items(), lv_left):
+        for m1, c1 in scal.terms.items():
+            lv1 = tuple(m1.exponent(v).a for v in trunc)
+            row = fitting.get(lv1)
+            if row is None:
+                room = [cap - a for a, cap in zip(lv1, caps)]
+                row = fitting[lv1] = [(m2, comps2) for m2, comps2, lv2 in right if all(map(le, lv2, room))]
             s1 = c1.scalar_value()
-            for m2, comps2, lv2 in right:
-                if any(a + b > cap for a, b, cap in zip(lv1, lv2, caps)):
-                    continue
+            for m2, comps2 in row:
                 m = m1 * m2
                 comps = acc.get(m)
                 if comps is None:
@@ -469,13 +487,12 @@ class LogSeries:
                 out[m] = s
 
         for m, vec in self.terms.items():
-            n = m.exponent(v)
-            k = m.log_power(v)
-            rest = m.without(v)
-            if not n.is_zero():
-                put(rest * Monomial.var(v, n - 1, k), vec.scale(n.as_scalar()))
+            n, k = m.exponent(v), m.log_power(v)
+            n1 = Exponent._lattice(n.a - LATTICE, n.b)
+            if n.a or n.b:
+                put(m._with(v, n1, k), vec.scale(n.as_scalar()))
             if k:
-                put(rest * Monomial.var(v, n - 1, k - 1), vec.scale(k))
+                put(m._with(v, n1, k - 1), vec.scale(k))
         trunc = dict(self.trunc)
         if v in trunc:
             trunc[v] -= 1
@@ -498,14 +515,16 @@ class LogSeries:
             raise ValueError("truncation order must be nonnegative")
         if self.uses_variable(y) or p.uses_variable(y):
             raise VariableCollision(f"expansion variable {y!r} already occurs")
-        acc = LogSeries.zero(self.space, {y: order})
-        tk = self
+        # y is fresh, so the terms m y^k for different k never meet: each is written once
+        out: dict[Monomial, CoeffVector] = {}
+        trunc, tk = {y: order}, self
         for k in range(order + 1):
-            term = tk.scale(Fraction(1, math.factorial(k))) * LogSeries.variable(y, k)
-            acc = acc + term
+            yk, c = Monomial.var(y, k), ExactScalar.from_rational(Fraction(1, math.factorial(k)))
+            trunc = _merge_trunc(trunc, tk.trunc)
+            out.update((m * yk, vec.scale(c)) for m, vec in tk.terms.items())
             if k < order:
                 tk = tk.apply_diffop(p, v)
-        return acc
+        return LogSeries(self.space, out, trunc)
 
     # -- misc ----------------------------------------------------------------------
 

@@ -68,6 +68,17 @@ class TestExpressionVerbs:
         assert code == 0
         assert "lg(x)" in out and "y" in out
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("subst", "x^2", "--kind", "shift"), "2*x*y + x^(2) + y^(2)\n"),
+            (("subst", "x", "--kind", "exp", "--order", "2", "--with-var", "t"), "t*x + (1/2)*t^(2)*x + x\n"),
+            (("subst", "x^(1/2)", "--kind", "scale"), "-x^(1/2)\n"),
+        ],
+    )
+    def test_subst_defaults_print_as_before(self, argv, out):
+        assert run_cli(*argv) == (0, out, "")
+
     def test_parse_error_exits_2(self):
         code, _, err = run_cli("eval", "x^(1/7)")
         assert code == 2 and "denominator" in err
@@ -137,6 +148,31 @@ class TestHostileFlags:
         assert time.perf_counter() - start < 5
         assert proc.returncode == 2 and not proc.stdout
         assert f"does not read {flag}" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (("subst", "x", "--kind", "product", "--order", "3", "--q", "5"), "--order, --q"),
+            (("subst", "x", "--kind", "shift", "--q", "2"), "--q"),
+            (("subst", "x", "--kind", "inverse", "--with-var", "y"), "--with-var"),
+            (("subst", "x", "--kind", "scale", "--with-var", "z", "--order", "6"), "--with-var, --order"),
+        ],
+    )
+    def test_subst_unread_flag_exits_2(self, argv, flags):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and not out
+        assert f"subst --kind {argv[3]} does not read {flags}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "op, flag",
+        [("omega", "--t"), ("ar", "--s1"), ("xt", "--r"), ("shift", "--t")],
+    )
+    def test_derive_unread_flag_exits_2(self, tmp_path, jordan_tables, op, flag):
+        path = tmp_path / "table.json"
+        path.write_text(dump_object(jordan_tables[0]))
+        code, out, err = run_cli("derive", op, str(path), flag, "0")
+        assert code == 2 and not out
+        assert f"derive {op} does not read {flag}" in err and "Traceback" not in err
 
     def test_help_states_each_range(self):
         code, out, _ = run_cli("check", "--help")

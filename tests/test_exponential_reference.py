@@ -14,9 +14,10 @@ The reference raises ``NonTerminating`` where its loops raised a plain
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logcalc import catalog
@@ -105,15 +106,20 @@ def ref_exp_L(module, j, coeff, f, order=None, var="x"):
     low = [mono for mono in coeff.terms if not nilpotent and mono.exponent(var).re <= 0]
     if low:
         raise ValueError(f"series must have positive valuation in {var!r} (found {low[0]!r})")
-    out = f.with_trunc({var: order}) if order is not None else f
+    # exact: a cut sum at the order raised by -val(f) (each power of coeff raises the
+    # valuation by at least 1), then cut back at order
+    raised = order
+    if not nilpotent and f.terms:
+        raised = order + max(0, math.ceil(-min(mono.exponent(var).re for mono in f.terms)))
+    out = f.with_trunc({var: raised}) if order is not None else f
     power = LogSeries.one()
-    for k in range(1, (module.dim if nilpotent else order) + 1):
+    for k in range(1, (module.dim if nilpotent else raised) + 1):
         f = f.map_coeffs(lambda vec: module.apply_matrix(m, vec).scale(Fraction(1, k)))
         if f.is_zero():
             break
         power = power * coeff
         out = out + power * f
-    return out
+    return out.with_trunc({var: order}) if order is not None else out
 
 
 def ref_one_minus_u_power(module, m, u, f, order, var):
@@ -194,16 +200,26 @@ def series(mod):
     )
 
 
-SCALAR_SERIES = st.sampled_from((
+SCALAR_SERIES_ITEMS = (
     LogSeries.variable("y"),
     -LogSeries.variable("x"),
     LogSeries.variable("y") * LogSeries.variable("x", -1),
     LogSeries.variable("y") - LogSeries.variable("y", 2) * LogSeries.variable("x"),
     LogSeries.log_variable("x").scale(Fraction(-1, 2)),
     LogSeries.constant(3) + LogSeries.variable("x", Fraction(1, 2)).with_trunc({"x": 2}),
-))
+)
+SCALAR_SERIES = st.sampled_from(SCALAR_SERIES_ITEMS)
 ORDERS = st.one_of(st.none(), st.integers(-1, 4))
 LATTICE_PI = st.sampled_from((Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(2, 3), Fraction(1, 12)))
+J1 = catalog.jordan_module("J", 1, 1)
+
+
+@st.composite
+def exp_L_cases(draw):
+    """Arguments (module, j, coeff, f, order, var) of exp_L."""
+    mod = draw(modules())
+    j = draw(st.sampled_from((-1, 0, 1)))
+    return mod, j, draw(SCALAR_SERIES), draw(series(mod)), draw(ORDERS), draw(st.sampled_from(("x", "y")))
 
 
 def _outcome(fn, *args):
@@ -245,17 +261,12 @@ class TestAgainstReference:
         count = data.draw(st.integers(0, 10))
         assert _same(_outcome(_orbit, mod, v, h, count), _outcome(ref_orbit, mod, v, h, count))
 
-    @given(st.data())
+    @given(exp_L_cases())
+    # f of negative y-valuation: the exact sum also has y/2, from the second power of coeff
+    @example((J1, 0, SCALAR_SERIES_ITEMS[3], LogSeries.vector(J1.basis_vector(0), Monomial.var("y", -1)), 1, "y"))
     @settings(max_examples=150, deadline=None)
-    def test_exp_L(self, data):
-        mod = data.draw(modules())
-        j = data.draw(st.sampled_from((-1, 0, 1)))
-        coeff = data.draw(SCALAR_SERIES)
-        f = data.draw(series(mod))
-        order = data.draw(ORDERS)
-        var = data.draw(st.sampled_from(("x", "y")))
-        want = _outcome(ref_exp_L, mod, j, coeff, f, order, var)
-        assert _same(_outcome(exp_L, mod, j, coeff, f, order, var), want)
+    def test_exp_L(self, case):
+        assert _same(_outcome(exp_L, *case), _outcome(ref_exp_L, *case))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -1,0 +1,308 @@
+"""The series product kernel against the loops it replaced.
+
+The reference below keeps the monomial product that rebuilt a dict and
+sorted it, the series product that tested every pair of terms against the
+truncation, the derivative that split off and rebuilt each monomial's entry
+for the variable, and e^(yT) summed as a running series sum of full products
+y^k T^k f / k!.  The library merges two sorted entry tuples in one pass,
+lists the right terms that fit once per truncation level of a left term,
+replaces the one entry for the variable and writes each term m y^k once.  Every result
+must agree with the reference in terms, in truncation and in the insertion
+order of its terms (or raise the same error with the same message), and every
+monomial it builds must be canonical; and products, derivatives and the
+exponential of built series must not call the sorting ``Monomial``
+constructor inside their loops.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from logcalc.scalars import LATTICE, ExactScalar, Exponent, root_of_unity
+from logcalc.series import (
+    SCALAR,
+    CoeffSpace,
+    CoeffVector,
+    LogSeries,
+    Monomial,
+    UndefinedProduct,
+    VariableCollision,
+    _merge_trunc,
+)
+
+# ---------------------------------------------------------------------------
+# reference: the dict-and-sort product, the per-pair truncation test, the
+# rebuilt derivative entry and the running exponential sum
+
+
+def ref_monomial_mul(a, b):
+    if not b.entries:
+        return a
+    if not a.entries:
+        return b
+    d = {v: (e, k) for v, e, k in a.entries}
+    for v, e, k in b.entries:
+        if v in d:
+            e0, k0 = d[v]
+            d[v] = (e0 + e, k0 + k)
+        else:
+            d[v] = (e, k)
+    return Monomial._trusted(tuple((v, e, k) for v, (e, k) in sorted(d.items()) if k or not e.is_zero()))
+
+
+def _levels(monomials, trunc):
+    return [tuple(m.exponent(v).a for v in trunc) for m in monomials]
+
+
+def ref_mul(f, g):
+    if f.space != SCALAR and g.space != SCALAR:
+        raise UndefinedProduct("product of two vector-valued series over a space with no declared algebra structure")
+    scal, vec = (f, g) if f.space == SCALAR else (g, f)
+    trunc = _merge_trunc(f.trunc, g.trunc)
+    caps = [n * LATTICE for n in trunc.values()]
+    right = [(m2, c2.components, lv2) for (m2, c2), lv2 in zip(vec.terms.items(), _levels(vec.terms, trunc))]
+    acc = {}
+    for (m1, c1), lv1 in zip(scal.terms.items(), _levels(scal.terms, trunc)):
+        s1 = c1.scalar_value()
+        for m2, comps2, lv2 in right:
+            if any(a + b > cap for a, b, cap in zip(lv1, lv2, caps)):
+                continue
+            m = ref_monomial_mul(m1, m2)
+            comps = acc.get(m)
+            if comps is None:
+                acc[m] = {i: v * s1 for i, v in comps2.items()}
+                continue
+            for i, v in comps2.items():
+                p = v * s1
+                cur = comps.get(i)
+                if cur is None:
+                    comps[i] = p
+                else:
+                    p = cur + p
+                    if p.is_zero():
+                        del comps[i]
+                    else:
+                        comps[i] = p
+            if not comps:
+                del acc[m]
+    out = {m: CoeffVector._trusted(vec.space, comps) for m, comps in acc.items()}
+    return LogSeries._trusted(vec.space, out, trunc)
+
+
+def ref_d_dx(f, v):
+    out = {}
+
+    def put(m, vec):
+        cur = out.get(m)
+        s = vec if cur is None else cur + vec
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+
+    for m, vec in f.terms.items():
+        n, k, rest = m.exponent(v), m.log_power(v), m.without(v)
+        if not n.is_zero():
+            put(ref_monomial_mul(rest, Monomial.var(v, n - 1, k)), vec.scale(n.as_scalar()))
+        if k:
+            put(ref_monomial_mul(rest, Monomial.var(v, n - 1, k - 1)), vec.scale(k))
+    trunc = dict(f.trunc)
+    if v in trunc:
+        trunc[v] -= 1
+    return LogSeries._trusted(f.space, out, trunc)
+
+
+def ref_exp_diffop(f, y, p, v, order):
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    if f.uses_variable(y) or p.uses_variable(y):
+        raise VariableCollision(f"expansion variable {y!r} already occurs")
+    acc = LogSeries.zero(f.space, {y: order})
+    tk = f
+    for k in range(order + 1):
+        acc = acc + ref_mul(tk.scale(Fraction(1, math.factorial(k))), LogSeries.variable(y, k))
+        if k < order:
+            for m in p.terms:
+                if any(name != v for name in m.variables()) or m.log_power(v) != 0:
+                    raise UndefinedProduct(
+                        "the operator coefficient must be a Laurent polynomial in the derivation variable"
+                    )
+            tk = ref_mul(p, ref_d_dx(tk, v))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+VARS = ("x", "y", "z")
+EXPONENTS = st.builds(
+    lambda a, b, d: Exponent(Fraction(a, d), Fraction(b, d)),
+    st.integers(-4, 4),
+    st.sampled_from((0, 0, 0, 1, -1)),
+    st.sampled_from((1, 2, 3, 4, 6, 12)),
+)
+MONOMIALS = st.dictionaries(st.sampled_from(VARS), st.tuples(EXPONENTS, st.integers(0, 2)), max_size=3).map(Monomial)
+# few monomials in x and y, so that products of sums meet and cancel
+DENSE_MONOMIALS = st.sampled_from(
+    (Monomial.UNIT, Monomial.var("x"), Monomial.var("x", -1), Monomial.var("x", 2), Monomial.log("x"),
+     Monomial.var("y"), Monomial.var("x") * Monomial.var("y", -1))
+)
+SCALARS = st.sampled_from(
+    (ExactScalar.from_rational(1), ExactScalar.from_rational(-1), ExactScalar.from_rational(Fraction(-3, 2)),
+     root_of_unity(Fraction(1, 3)), Exponent(Fraction(1, 2), Fraction(1, 4)).as_scalar())
+)
+TRUNCS = st.dictionaries(st.sampled_from(VARS), st.integers(-1, 4), max_size=2)
+SPACES = st.sampled_from((CoeffSpace("W", 2), CoeffSpace("W", 3)))
+
+
+def _inverse(m):
+    return Monomial({v: (-e, 0) for v, e, _ in m.entries})
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomials; half the time the second inverts the first's exponents, so the
+    product cancels every entry without a log power (to 1 when there is none)."""
+    m1 = draw(MONOMIALS)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            m1 = Monomial({v: (e, 0) for v, e, _ in m1.entries})
+        return m1, _inverse(m1)
+    return m1, draw(MONOMIALS)
+
+
+def vectors(space):
+    comps = st.dictionaries(st.integers(0, space.dim - 1), st.integers(-2, 2), max_size=space.dim)
+    return comps.map(lambda c: CoeffVector(space, c))
+
+
+@st.composite
+def scalar_series(draw, monomials=MONOMIALS):
+    terms = draw(st.dictionaries(monomials, SCALARS.map(CoeffVector.scalar), max_size=4))
+    return LogSeries(SCALAR, terms, draw(TRUNCS))
+
+
+@st.composite
+def vector_series(draw, monomials=MONOMIALS):
+    space = draw(SPACES)
+    return LogSeries(space, draw(st.dictionaries(monomials, vectors(space), max_size=4)), draw(TRUNCS))
+
+
+def any_series(monomials=MONOMIALS):
+    return st.one_of(scalar_series(monomials), vector_series(monomials))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _canonical(m):
+    names = [v for v, _, _ in m.entries]
+    return names == sorted(set(names)) and all(k >= 0 and (k or not e.is_zero()) for _, e, k in m.entries)
+
+
+def _same(got, want):
+    """Equal terms, truncation and insertion order, canonical monomials (or the same error)."""
+    if isinstance(want, LogSeries) and isinstance(got, LogSeries):
+        return (
+            (got.space, got.terms, got.trunc) == (want.space, want.terms, want.trunc)
+            and list(got.terms) == list(want.terms)
+            and all(_canonical(m) for m in got.terms)
+        )
+    return type(got) is type(want) and got == want
+
+
+ONE = LogSeries.one()
+X, Y, Z = (LogSeries.variable(v) for v in VARS)
+W2 = CoeffSpace("W", 2)
+E0, E1 = (LogSeries.vector(CoeffVector.basis(W2, i)) for i in range(2))
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestAgainstReference:
+    @given(monomial_pairs())
+    @example((Monomial.var("x", Fraction(1, 2)) * Monomial.var("y", -1),
+              Monomial.var("x", Fraction(-1, 2)) * Monomial.var("y")))
+    @example((Monomial.var("x", 1, 2) * Monomial.var("z", Exponent(0, Fraction(1, 3))), Monomial.var("x", -1)))
+    @settings(max_examples=400, deadline=None)
+    def test_monomial_product(self, pair):
+        m1, m2 = pair
+        for a, b in ((m1, m2), (m2, m1)):
+            got = a * b
+            assert got.entries == ref_monomial_mul(a, b).entries and _canonical(got)
+        assert (m1 * _inverse(m1)).entries == tuple((v, Exponent(0), k) for v, _, k in m1.entries if k)
+
+    @given(st.one_of(scalar_series(), vector_series()), scalar_series())
+    # x^(1/12) lies one lattice step above the cut
+    @example(LogSeries.variable("x", -1).with_trunc({"x": 0}), LogSeries.variable("x", Fraction(13, 12)))
+    @settings(max_examples=200, deadline=None)
+    def test_series_product(self, f, g):
+        assert _same(_outcome(lambda: f * g), _outcome(ref_mul, f, g))
+        assert _same(_outcome(lambda: g * f), _outcome(ref_mul, g, f))
+
+    @given(any_series(DENSE_MONOMIALS), any_series(DENSE_MONOMIALS))
+    @example(X + ONE, ONE - X)
+    @example(E0 + E0 * X, ONE - X)
+    @example(E0 + E1 + (E0 - E1) * X, X + ONE)
+    @example((E0 + E1 * X).with_trunc({"x": 1}), X.with_trunc({"y": 0}) + ONE)
+    @settings(max_examples=200, deadline=None)
+    def test_products_that_meet_and_cancel(self, f, g):
+        """Sums of few monomials, so that pairs meet and terms or components
+        cancel; two vector series raise the same error."""
+        assert _same(_outcome(lambda: f * g), _outcome(ref_mul, f, g))
+        assert _same(_outcome(lambda: g * f), _outcome(ref_mul, g, f))
+
+    @given(any_series(), st.sampled_from(VARS))
+    @example((LogSeries.monomial(Monomial.var("x", 1, 1)) - X) * Y, "x")
+    @settings(max_examples=200, deadline=None)
+    def test_d_dx(self, f, v):
+        assert _same(f.d_dx(v), ref_d_dx(f, v))
+
+    @given(
+        any_series(st.sampled_from((Monomial.UNIT, Monomial.var("x"), Monomial.var("x", -1), Monomial.log("x", 2),
+                                    Monomial.var("z", Fraction(1, 2)) * Monomial.var("x", 3),
+                                    Monomial.var("x", Exponent(Fraction(1, 2), 1), 1), Monomial.var("y")))),
+        st.sampled_from((ONE, X, X * X + X.scale(2), LogSeries.variable("x", -1), LogSeries.log_variable("x"),
+                         Z)),
+        st.integers(-1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exp_diffop(self, f, p, order):
+        """f in x, z and sometimes y; p a Laurent polynomial in x, or not one."""
+        assert _same(_outcome(f.exp_diffop, "y", p, "x", order), _outcome(ref_exp_diffop, f, "y", p, "x", order))
+
+
+def test_loops_do_not_call_the_sorting_constructor(monkeypatch):
+    """Products and derivatives of built series make no Monomial.__init__ call, and
+    e^(yT) makes one per power of y (Monomial.var(y, k))."""
+    f = X.scale(2) + LogSeries.monomial(Monomial.var("x", Fraction(1, 2), 2) * Monomial.var("z"), 3)
+    f = f.with_trunc({"z": 2})
+    g = (E0 * X + E1 * LogSeries.log_variable("x") + E0 * Z).with_trunc({"x": 3})
+    p = X * X + ONE
+    calls = []
+    original = Monomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    Monomial()
+    assert len(calls) == 1  # the counter sees constructions
+    calls.clear()
+    products = [f * g, g * f, f * f, f.d_dx("x"), g.d_dx("x"), g.d_dx("z")]
+    assert calls == []
+    order = 5
+    e = g.exp_diffop("y", p, "x", order)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= order + 1
+    assert all(not s.is_zero() for s in products) and not e.is_zero()
