@@ -28,7 +28,6 @@ from .series import (
     VariableCollision,
     cut_powers,
     kth_derivative_closed_form,
-    kth_derivative_table,
 )
 from .substitution import (
     series_exp,
@@ -58,7 +57,6 @@ from .mobius import (
     contragredient,
     e_aL0,
     module_valid,
-    pairing_series,
     pairing_value,
     validate_sl2,
     x_pm_L0,

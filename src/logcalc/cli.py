@@ -4,7 +4,8 @@ Every verb is a thin shell over the library; no arithmetic happens here.
 `check NAME` runs the suite of that name in :data:`checks.SUITES`, passing
 the flags given; a flag the suite does not read is a usage error, as is a
 flag of `subst` or `derive` that its kind or op does not read.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse errors.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse errors,
+3 internal error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import inspect
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from . import checks
@@ -313,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SchemaError, LatticeViolation, UndefinedProduct, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault of the program, not a failed check
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

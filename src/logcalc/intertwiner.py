@@ -223,9 +223,6 @@ class VertexTable:
         dim = self.modules[slot].dim
         return self.modes.get((slot, v, n), ExactMatrix.zeros(dim, dim))
 
-    def apply(self, slot: int, v: int, n: int, vec: CoeffVector) -> CoeffVector:
-        return self.modules[slot].apply_matrix(self.matrix(slot, v, n), vec)
-
     def weight_report(self) -> Report:
         rep = Report("vertex-table-weights")
         for (slot, v, n), m in self.modes.items():
@@ -722,24 +719,16 @@ def decompose(t: IntertwinerTable, which: str) -> list[IntertwinerTable]:
     raise ValueError(f"unknown decomposition {which!r}")
 
 
-def logpower_slice_defect(t: IntertwinerTable, k: int, i: int, j: int) -> LogSeries:
-    """The modified derivative rule for the k-th log-power slice:
-    Y_k(L(-1)w1, x) = d/dx Y_k(w1, x) + (k+1)/x Y_{k+1}(w1, x)."""
-    return _slice_defect(t, "lminus1", k, i, j, Monomial.var("x", -1))
-
-
 def logpower_slice_euler_defect(t: IntertwinerTable, k: int, i: int, j: int) -> LogSeries:
-    """Euler identity for the k-th slice picks up the same (k+1)-st correction."""
-    return _slice_defect(t, "euler", k, i, j, Monomial.UNIT)
+    """The ``euler`` defect of the k-th log-power slice at the pair (i, j), less
+    (k+1) times the (k+1)-st slice: the slice rule, zero on an ``euler`` table.
 
-
-def _slice_defect(t: IntertwinerTable, name: str, k: int, i: int, j: int, shift: Monomial) -> LogSeries:
-    """The ``name`` defect of the k-th log-power slice at the pair (i, j),
-    less (k+1) ``shift`` times the (k+1)-st slice."""
+    ``lminus1`` has no slice rule of its own: on a finite module it forces a
+    polynomial table, whose one slice is the table itself."""
     slices = decompose(t, "by_logpower")
     yk, yk1 = (slices[m] if m < len(slices) else IntertwinerTable(t.w1, t.w2, t.w3, {}) for m in (k, k + 1))
-    d = _table_defects(yk, name).get((i, j), LogSeries.zero(t.w3.coeff_space))
-    return d - LogSeries.monomial(shift, k + 1) * yk1.series(i, j)
+    d = _table_defects(yk, "euler").get((i, j), LogSeries.zero(t.w3.coeff_space))
+    return d - yk1.series(i, j).scale(k + 1)
 
 
 def x_t(t: IntertwinerTable, tt: int) -> IntertwinerTable:
@@ -1071,7 +1060,6 @@ def solve_fusion_space(
     constraints: Sequence[str] = ("euler",),
     window: Sequence[Exponent | Fraction | int] | None = None,
     max_log: int | None = None,
-    enforce_weights: bool = True,
     vertex: VertexTable | None = None,
 ) -> list[IntertwinerTable]:
     """Exact nullspace of the selected axiom constraints over unknown modes.
@@ -1098,9 +1086,7 @@ def solve_fusion_space(
                 want_wt = w1.weight(i) + w2.weight(j) - n - 1
                 want_deg = w3.space.group.add(w1.degree(i), w2.degree(j))
                 for b in range(w3.dim):
-                    if enforce_weights and w3.weight(b) != want_wt:
-                        continue
-                    if w3.degree(b) != want_deg:
+                    if w3.weight(b) != want_wt or w3.degree(b) != want_deg:
                         continue
                     for k in range(kmax):
                         unknowns.append((i, j, n, k, b))  # type: ignore[arg-type]

@@ -341,13 +341,17 @@ def exp_L(
     (so ``coeff`` needs positive ``var``-valuation): exact modulo ``var``-exponents above ``order``.
     """
     m = module.L(j)
-    nilpotent = m.is_nilpotent()
-    if not nilpotent and order is None:
+    if m.is_nilpotent():
+        terms = exp_nilpotent_terms(module, m, f)
+        return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
+    if order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
     val = min((mono.exponent(var).a for mono in f.terms), default=0) // LATTICE  # the floor of val(f)
-    count = None if nilpotent else len(cut_powers(coeff, var, order - min(0, val)))
-    terms = exp_nilpotent_terms(module, m, f, count)
-    return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
+    powers = cut_powers(coeff, var, order - min(0, val))
+    out = f.with_trunc({var: order})
+    for power, term in zip(powers[1:], exp_nilpotent_terms(module, m, f, len(powers))[1:]):
+        out = out + power * term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +519,4 @@ def pairing_value(wprime: CoeffVector, w: CoeffVector) -> ExactScalar:
         d = w.components.get(i)
         if d is not None:
             out = out + c * d
-    return out
-
-
-def pairing_series(fprime: LogSeries, f: LogSeries) -> LogSeries:
-    """<f'(x), f(x)> for vector-valued series over dual spaces (scalar result)."""
-    out = LogSeries.zero(SCALAR)
-    for m1, v1 in fprime.items():
-        for m2, v2 in f.items():
-            c = pairing_value(v1, v2)
-            if not c.is_zero():
-                out = out + LogSeries.monomial(m1 * m2, c)
     return out

@@ -8,14 +8,9 @@ parser inverts these exactly (parse . print = identity on canonical form).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalars import LATTICE, ExactScalar, Exponent
 from .series import LogSeries, Monomial
-
-
-def rational_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _ratio_str(n: int, d: int) -> str:

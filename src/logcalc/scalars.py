@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 LATTICE = 12  # the lattice bound L: exponents live in (1/L)Z[i]
@@ -56,52 +55,23 @@ def _lattice_int(q: Fraction | int, what: str = "exponent") -> int:
 # ---------------------------------------------------------------------------
 # the cyclotomic field: reduction of zeta powers to the canonical basis
 
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+_PHI = 8  # phi(24): Phi_24 = x^8 - x^4 + 1
 
 
-def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Division by a monic integer polynomial b: quotient and remainder stay integral."""
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] -= c * bi
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(q), a
+def _zeta_powers() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta^k for k < 48 in the canonical basis, as sparse ``(basis index,
+    nonzero int)`` pairs: each power is the one before times zeta, reduced
+    by zeta^8 = zeta^4 - 1."""
+    reps, cur = [], [1] + [0] * (_PHI - 1)
+    for _ in range(2 * _ORDER):
+        reps.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top, cur = cur[-1], [0] + cur[:-1]
+        cur[4] += top
+        cur[0] -= top
+    return tuple(reps)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            p, r = _poly_divmod(p, list(cyclotomic_polynomial(d)))
-            assert not r
-    return tuple(p)
-
-
-def _reduction_table() -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """phi(24) and, for k < 48, zeta^k in the canonical basis as sparse
-    ``(basis index, nonzero int)`` pairs."""
-    phi_poly = list(cyclotomic_polynomial(_ORDER))
-    reps = []
-    for k in range(2 * _ORDER):
-        _, r = _poly_divmod([0] * k + [1], phi_poly)
-        reps.append(tuple((j, c) for j, c in enumerate(r) if c))
-    return len(phi_poly) - 1, tuple(reps)
-
-
-_PHI, _REPS = _reduction_table()
+_REPS = _zeta_powers()
 
 
 def _accumulate(out: dict, key: tuple[int, int], c: int) -> None:
@@ -336,9 +306,6 @@ class ExactScalar:
 
     # -- comparisons / misc -----------------------------------------------------
 
-    def canonical_key(self) -> tuple:
-        return self.den, tuple(sorted(self.num.items()))
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ExactScalar:
             if not isinstance(other, (int, Fraction)):
@@ -350,7 +317,7 @@ class ExactScalar:
         # a rational (or zero) equals its Fraction, so it hashes like one
         if self._hash is None:
             if not self.is_rational():
-                self._hash = hash(self.canonical_key())
+                self._hash = hash((self.den, tuple(sorted(self.num.items()))))
             elif self.den % _MODULUS:
                 self._hash = hash(self.num.get(_RATIONAL, 0) * pow(self.den, -1, _MODULUS))
             else:  # a denominator divisible by the hash prime: Python's infinity hash

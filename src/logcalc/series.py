@@ -145,7 +145,7 @@ class CoeffVector:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.space, tuple(sorted((i, v.canonical_key()) for i, v in self.components.items()))))
+            self._hash = hash((self.space, tuple(sorted(self.components.items()))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -354,20 +354,11 @@ class LogSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for m in self.terms:
-            out.update(m.variables())
-        return out
-
     def uses_variable(self, v: VarId) -> bool:
         return any(m.exponent(v) != 0 or m.log_power(v) != 0 for m in self.terms) or v in self.trunc
 
     def coeff(self, m: Monomial) -> CoeffVector:
         return self.terms.get(m, CoeffVector.zero(self.space))
-
-    def scalar_coeff(self, m: Monomial) -> ExactScalar:
-        return self.coeff(m).scalar_value()
 
     def with_trunc(self, trunc: TruncMap) -> LogSeries:
         return LogSeries(self.space, self.terms, _merge_trunc(self.trunc, trunc))
@@ -463,14 +454,6 @@ class LogSeries:
                     del acc[m]
         out = {m: CoeffVector._trusted(vec.space, comps) for m, comps in acc.items()}
         return LogSeries._trusted(vec.space, out, trunc)
-
-    def __pow__(self, n: int) -> LogSeries:
-        if n < 0:
-            raise ValueError("series powers must be nonnegative")
-        out = LogSeries.one().with_trunc(self.trunc)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- differential structure ------------------------------------------------------
 
@@ -577,47 +560,31 @@ def cut_powers(u: LogSeries, v: VarId, order: int) -> list[LogSeries]:
     return powers
 
 
-def kth_derivative_table(n: Exponent, m: ScalarLike, k: int) -> dict[int, ExactScalar]:
-    """Coefficients of (d/dx)^k applied to x^n lg(x)^m, for arbitrary scalar m.
+def kth_derivative_closed_form(n: Exponent, m: int, k: int, v: VarId = "x") -> LogSeries:
+    """(d/dv)^k [v^n lg(v)^m] as a scalar LogSeries, for a natural number m.
 
-    Returns {j: c_j} where the j-th term is c_j * x^(n-k) lg(x)^(m-j),
+    The term in v^(n-k) lg(v)^(m-j) has the coefficient
 
-        c_j = m(m-1)...(m-j+1) * e_{k-j}(n, n-1, ..., n-k+1),
+        m(m-1)...(m-j+1) * e_{k-j}(n, n-1, ..., n-k+1),
 
     with e_i the elementary symmetric polynomial (the sum over descent
     positions of the word expansion of the derivative's two generators).
     """
+    if not isinstance(m, int) or m < 0:
+        raise ValueError("closed-form derivative needs a natural log power")
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    m = ExactScalar.coerce(m)
-    values = [(n - t).as_scalar() for t in range(k)]
-    # elementary symmetric polynomials e_0..e_k of the k values
+    # elementary symmetric polynomials e_0..e_k of n, n-1, ..., n-k+1
     elem = [ExactScalar.from_rational(1)] + [ExactScalar.zero()] * k
-    for v in values:
+    for t in range(k):
+        value = (n - t).as_scalar()
         for i in range(k, 0, -1):
-            elem[i] = elem[i] + elem[i - 1] * v
-    out: dict[int, ExactScalar] = {}
-    falling = ExactScalar.from_rational(1)
-    for j in range(k + 1):
-        c = falling * elem[k - j]
-        if not c.is_zero():
-            out[j] = c
-        falling = falling * (m - ExactScalar.from_rational(j))
-    return out
-
-
-def kth_derivative_closed_form(n: Exponent, m: int, k: int, v: VarId = "x") -> LogSeries:
-    """(d/dx)^k [x^n lg(x)^m] as a scalar LogSeries; m must be a natural number.
-
-    For non-natural m the log powers m-j are no longer natural numbers, so the
-    result is not a first-class series; use :func:`kth_derivative_table`.
-    """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("closed-form derivative needs a natural log power; use kth_derivative_table")
-    table = kth_derivative_table(n, m, k)
+            elem[i] = elem[i] + elem[i - 1] * value
     terms: dict[Monomial, CoeffVector] = {}
-    for j, c in table.items():
-        if j > m:
-            continue  # the falling factorial vanishes there anyway
-        terms[Monomial.var(v, n - k, m - j)] = CoeffVector.scalar(c)
+    falling = 1
+    for j in range(min(k, m) + 1):  # the falling factorial vanishes for j > m
+        c = elem[k - j] * falling
+        if not c.is_zero():
+            terms[Monomial.var(v, n - k, m - j)] = CoeffVector.scalar(c)
+        falling *= m - j
     return LogSeries(SCALAR, terms)

@@ -268,6 +268,15 @@ class TestCheckVerbs:
         code, out, _ = run_cli("check", "intertwiner", str(path), "--axioms", "lminus1")
         assert code == 1
 
+    def test_internal_error_exits_3_with_traceback(self, monkeypatch, capsys):
+        def broken():
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setitem(checks.SUITES, "comb", (broken, {}))
+        assert main(["check", "comb"]) == 3
+        out, err = capsys.readouterr()
+        assert not out and "Traceback" in err and "RuntimeError: planted fault" in err
+
 
 class TestDeriveAndSolve:
     def test_omega_pipeline_restores_input(self, tmp_path, jordan_tables):

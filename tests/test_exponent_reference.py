@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from logcalc import catalog
 from logcalc.jsonio import SchemaError, module_from_json, module_to_json
 from logcalc.parser import parse_expr, parse_exponent
-from logcalc.printer import exponent_str, rational_str
+from logcalc.printer import exponent_str
 from logcalc.scalars import LATTICE, ExactScalar, Exponent, LatticeViolation, imaginary_unit, root_of_unity
 from logcalc.series import Monomial
 
@@ -92,6 +92,10 @@ class RefExponent:
 
     def __hash__(self):
         return hash((self.re, self.im)) if self.im else hash(self.re)
+
+
+def rational_str(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def ref_exponent_str(e: RefExponent) -> str:

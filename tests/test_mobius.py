@@ -17,12 +17,12 @@ from logcalc.mobius import (
     exp_L,
     exp_nilpotent_terms,
     module_valid,
-    pairing_series,
+    pairing_value,
     validate_sl2,
     x_pm_L0,
 )
 from logcalc.scalars import ExactScalar, LatticeViolation, imaginary_unit, pi_scalar
-from logcalc.series import CoeffVector, LogSeries, Monomial
+from logcalc.series import SCALAR, CoeffVector, LogSeries, Monomial
 from logcalc.substitution import series_exp
 
 
@@ -311,6 +311,14 @@ class TestContragredient:
         assert dual.action.L1 == irreducible3.action.Lm1.transpose()
 
     def test_pairing_identity_per_log_power(self, jordan2):
+        def pairing_series(fprime, f):
+            """<f'(x), f(x)>, summed term by term."""
+            out = LogSeries.zero(SCALAR)
+            for m1, v1 in fprime.items():
+                for m2, v2 in f.items():
+                    out = out + LogSeries.monomial(m1 * m2, pairing_value(v1, v2))
+            return out
+
         dual = contragredient(jordan2)
         for i in range(jordan2.dim):
             for k in range(jordan2.dim):

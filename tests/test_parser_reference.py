@@ -211,7 +211,7 @@ class _Parser:
         if abs(n) > MAX_INT_POWER:
             raise ParseError(f"integer power {n} exceeds the bound |N| <= {MAX_INT_POWER}", pos, self.tk.text)
         if n >= 0:
-            return base**n
+            return _power(base, n)
         if len(base.terms) == 1:
             [(m, vec)] = base.terms.items()
             c = vec.scalar_value()
@@ -219,7 +219,7 @@ class _Parser:
                 return LogSeries.constant(c**n)
             if all(k == 0 for _, _, k in m.entries) and c == ExactScalar.from_rational(1):
                 inv = Monomial({v: (-e, 0) for v, e, _ in m.entries})
-                return LogSeries.monomial(inv) ** (-n)
+                return _power(LogSeries.monomial(inv), -n)
         raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
 
     def atom(self) -> LogSeries:
@@ -249,6 +249,14 @@ class _Parser:
                 return LogSeries.log_variable(t[1])
             return LogSeries.variable(text)
         raise ParseError("unexpected token", pos, self.tk.text)
+
+
+def _power(f: LogSeries, n: int) -> LogSeries:
+    """f^n for n >= 0, multiplied out one factor at a time."""
+    out = LogSeries.one().with_trunc(f.trunc)
+    for _ in range(n):
+        out = out * f
+    return out
 
 
 def _single_variable(f: LogSeries) -> str | None:
@@ -296,7 +304,7 @@ def reference_parse_scalar(text: str) -> ExactScalar:
         return ExactScalar.zero()
     if set(f.terms) != {Monomial.UNIT}:
         raise ParseError("expected a scalar, found formal variables", 0, text)
-    return f.scalar_coeff(Monomial.UNIT)
+    return f.coeff(Monomial.UNIT).scalar_value()
 
 
 def reference_parse_exponent(text: str) -> Exponent:

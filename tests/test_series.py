@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from logcalc import catalog
-from logcalc.scalars import ExactScalar, Exponent, pi_scalar
+from logcalc.scalars import ExactScalar, Exponent
 from logcalc.series import (
     SCALAR,
     CoeffSpace,
@@ -14,7 +14,6 @@ from logcalc.series import (
     UndefinedProduct,
     VariableCollision,
     kth_derivative_closed_form,
-    kth_derivative_table,
 )
 
 
@@ -84,7 +83,9 @@ class TestDiffOperators:
         m = 3
         f = LogSeries.monomial(Monomial.log("x", m))
         out = f.exp_diffop("y", LogSeries.variable("x"), "x", m + 1)
-        target = (LogSeries.log_variable("x") + LogSeries.variable("y")) ** m
+        target = LogSeries.one()
+        for _ in range(m):
+            target = target * (LogSeries.log_variable("x") + LogSeries.variable("y"))
         assert out.equal_terms(target.with_trunc({"y": m + 1}))
 
     def test_exp_diffop_order_zero(self):
@@ -179,18 +180,11 @@ class TestClosedFormDerivative:
         with pytest.raises(ValueError):
             kth_derivative_closed_form(Exponent(0), Fraction(1, 2), 1)  # type: ignore[arg-type]
 
-    def test_table_mode_for_general_m(self):
-        # (d/dx) x^n lg(x)^m with m symbolic: j=0 coefficient n, j=1 coefficient m
-        n = Exponent(Fraction(1, 2))
-        table = kth_derivative_table(n, pi_scalar(), 1)
-        assert table[0] == n.as_scalar()
-        assert table[1] == pi_scalar()
-
 
 class TestCoefficientAccess:
     def test_stored_coefficient(self):
         f = LogSeries.log_variable("x") + LogSeries.variable("x").scale(2)
-        assert f.scalar_coeff(mono(1)) == ExactScalar.from_rational(2)
+        assert f.coeff(mono(1)).scalar_value() == ExactScalar.from_rational(2)
 
     def test_absent_coefficient_is_zero(self):
         f = LogSeries.log_variable("x")
@@ -198,4 +192,4 @@ class TestCoefficientAccess:
 
     def test_fractional_log_monomial(self):
         f = LogSeries.monomial(mono(Fraction(1, 2), 3))
-        assert f.scalar_coeff(mono(Fraction(1, 2), 3)) == ExactScalar.from_rational(1)
+        assert f.coeff(mono(Fraction(1, 2), 3)).scalar_value() == ExactScalar.from_rational(1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcalc.matrix import ExactMatrix, nullspace
-from logcalc.scalars import LATTICE, ExactScalar, cyclotomic_polynomial, zeta_power
+from logcalc.scalars import LATTICE, ExactScalar, zeta_power
 
 X = sympy.Symbol("x")
 PHI = sympy.Poly(sympy.cyclotomic_poly(2 * LATTICE, X), X, domain="QQ")
@@ -43,11 +43,6 @@ def _as_poly(s: ExactScalar) -> sympy.Poly:
     """The reduced basis of a Pi-free scalar, read as a polynomial in zeta."""
     assert all(p == 0 for p, _ in s.num)
     return _poly({k: Fraction(c, s.den) for (_, k), c in s.num.items()})
-
-
-def test_cyclotomic_polynomial_matches_sympy():
-    ours = [_rat(c) for c in cyclotomic_polynomial(2 * LATTICE)]
-    assert ours[::-1] == PHI.all_coeffs()
 
 
 def test_zeta_powers_are_remainders_mod_phi():
