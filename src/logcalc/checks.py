@@ -19,6 +19,7 @@ from .combinatorics import comb_identity_sides, lubell_refinement, lubell_sides,
 from .intertwiner import (
     IntertwinerTable,
     VertexTable,
+    _witness,
     a_r,
     axiom_check,
     decompose,
@@ -67,7 +68,7 @@ def check_taylor(samples: int = 200, order: int = 8, seed: int = 0) -> Report:
         lhs = f.exp_diffop("y", LogSeries.one(), "x", order)
         rhs = subst_x_plus_y(f, "x", "y", order)
         ok = lhs == rhs
-        rep.add(f"taylor-sample-{s}", ok, None if ok else series_str(lhs - rhs))
+        rep.add(f"taylor-sample-{s}", ok, None if ok else _witness(lhs - rhs))
         if not ok:
             break
     return rep
@@ -82,7 +83,7 @@ def check_scaling(samples: int = 200, order: int = 8, seed: int = 0) -> Report:
         lhs = f.exp_diffop("y", LogSeries.variable("x"), "x", order)
         rhs = subst_x_exp_y(f, "x", "y", order)
         ok = lhs == rhs
-        rep.add(f"scaling-sample-{s}", ok, None if ok else series_str(lhs - rhs))
+        rep.add(f"scaling-sample-{s}", ok, None if ok else _witness(lhs - rhs))
         if not ok:
             break
     return rep

@@ -360,6 +360,15 @@ def binom_general(m: ScalarLike, k: int) -> ExactScalar:
     return out.divided_by_rational(math.factorial(k))
 
 
+def gaussian_rational(re: int, im: int, den: int) -> ExactScalar:
+    """(re + im i)/den for ints and den > 0: re at zeta^0 and im times the entries
+    of i = zeta^(L/2)."""
+    num = {(0, j): im * r for j, r in _REPS[LATTICE // 2]} if im else {}
+    if re:
+        num[_RATIONAL] = re
+    return _reduced(num, den)
+
+
 class Exponent:
     """The exponent (a + b i)/L on the lattice (1/L)Z[i] of a formal variable, stored as
     the two ints ``a = L*re`` and ``b = L*im``: sums, comparisons and hashes build no Fraction."""
@@ -416,11 +425,8 @@ class Exponent:
         return not self.b and not self.a % LATTICE
 
     def as_scalar(self) -> ExactScalar:
-        """(a + b i)/L: a at zeta^0 and b times the entries of i = zeta^(L/2), over L."""
-        num = {(0, j): self.b * r for j, r in _REPS[LATTICE // 2]} if self.b else {}
-        if self.a:
-            num[_RATIONAL] = self.a
-        return _reduced(num, LATTICE)
+        """(a + b i)/L."""
+        return gaussian_rational(self.a, self.b, LATTICE)
 
     def sort_key(self) -> tuple[int, int]:
         return (self.a, self.b)

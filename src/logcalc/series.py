@@ -336,10 +336,6 @@ class LogSeries:
         return LogSeries.monomial(Monomial.log(v, power))
 
     @staticmethod
-    def constant(value: ScalarLike) -> LogSeries:
-        return LogSeries(SCALAR, {Monomial.UNIT: CoeffVector.scalar(value)})
-
-    @staticmethod
     def vector(vec: CoeffVector, m: Monomial = Monomial.UNIT, trunc: TruncMap | None = None) -> LogSeries:
         return LogSeries(vec.space, {m: vec}, trunc)
 

@@ -8,41 +8,58 @@ convention.  The result keeps the input's truncation and adds its own:
 ==================== ================ ==================== ==============================
 convention           x^n              lg(x)                truncation
 ==================== ================ ==================== ==============================
-``subst_x_plus_y``   (x+y)^n          lg(x) + log(1 + y/x) y-order in u = y/x; none in x
-``subst_x_exp_y``    x^n e^(ny)       lg(x) + y            y-order in u = y
+``subst_x_plus_y``   (x+y)^n          lg(x) + log(1 + y/x) y-order; none in x
+``subst_x_exp_y``    x^n e^(ny)       lg(x) + y            y-order
 ``subst_xy``         x^n y^n          lg(x) + lg(y)        --
 ``subst_scaled_exp`` e^(zeta n) x^n   lg(x) + zeta         --
-``subst_mobius_arg`` x^n (1-yx)^(-n)  lg(x) - log(1-yx)    y-order in u = -yx
+``subst_mobius_arg`` x^n (1-yx)^(-n)  lg(x) - log(1-yx)    y-order
 ``subst_x_inverse``  x^(-n)           -lg(x)               none in x
 ==================== ================ ==================== ==============================
 
-A truncated image sums a power series in u over :func:`~logcalc.series.cut_powers`,
-as do ``series_exp`` and ``series_log1p``: exact modulo the cut for any positive valuation.
+The three truncated conventions are one flow, e^(y x^(1+e) d/dx) for
+e = -1, 0, 1: with w = y x^e and the log shift S(w) = -log(1 - e w)/e (S = w at
+e = 0), x goes to x e^(S(w)) and lg(x) to lg(x) + S(w), so that x^n lg(x)^m goes to
 
-"None in x": these two move the unknown terms beyond a bound in x below it,
-so the input may not carry one.  The inverse is a termwise relabelling; the
-others share one kernel.  ``subst_x_plus_y`` never goes through e^(y d/dx),
-so the formal Taylor theorem cross-checks two independent code paths.
+    sum_j C(m, j) lg(x)^(m-j) x^n P_n(w) S(w)^j,    P_n(w) = e^(n S(w)) = (1 - e w)^(-n/e),
+
+that is, P_n is (1+w)^n, e^(nw) or (1-w)^(-n), and S is log(1+w), w or -log(1-w).
+The coefficients of P_n S^j come from multiplying the defining series, never
+from a derivative, so the formal Taylor and scaling theorems compare two
+independent code paths.  Each series is held as its table of k! L^k [w^k]
+(L = ``LATTICE``), whose entries are Gaussian integers: p_k = prod_(t<k)
+(a + b i + e t L) for n = (a + b i)/L, and s_i = e^(i-1) (i-1)! L^i with
+0^0 = 1.  The binomial convolution sum_i C(k, i) a_i b_(k-i) multiplies two
+tables, and one exact division by k! L^k gives each coefficient.  y has
+valuation 1 in w, so the y-order cut keeps exactly k <= order.
+
+"None in x": ``subst_x_plus_y`` and ``subst_x_inverse`` move the unknown terms
+beyond a bound in x below it, so the input may not carry one.  The inverse is
+a termwise relabelling; the others share one kernel, which sends each term
+c x^n lg(x)^m rest to c rest times the image of x^n lg(x)^m, a list of
+monomials with coefficients built once per (n, m).  ``subst_xy`` and
+``subst_scaled_exp`` have one-term images: x^n y^n lg(y)^j and e(qn) zeta^j.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 from typing import Callable, Iterator
 
 from .scalars import (
+    LATTICE,
     ExactScalar,
     Exponent,
     LatticeViolation,
     ScalarLike,
     UnsupportedDivision,
+    gaussian_rational,
     root_of_unity,
 )
 from .series import SCALAR, CoeffVector, LogSeries, Monomial, TruncMap, VarId, VariableCollision, _merge_trunc, cut_powers
 
-
-_ONE = ExactScalar.from_rational(1)
+_Image = list[tuple[Monomial, ExactScalar]]
 
 
 def _require_fresh(f: LogSeries, y: VarId) -> None:
@@ -50,94 +67,102 @@ def _require_fresh(f: LogSeries, y: VarId) -> None:
         raise VariableCollision(f"substitution variable {y!r} already occurs in the series")
 
 
-def _substitute(
-    f: LogSeries, x: VarId, power: Callable[[Exponent], LogSeries], log: LogSeries, trunc: TruncMap
-) -> LogSeries:
-    """The image of f under x^n -> power(n), lg(x) -> log: each term
-    c x^n lg(x)^m rest goes to c power(n) log^m rest, truncated at f.trunc
-    merged with ``trunc``.  The terms are gathered by m first, so that log^m
-    multiplies the sum of their c power(n) rest in one product."""
-    trunc = _merge_trunc(f.trunc, trunc)
-    powers: dict[Exponent, LogSeries] = {}
-    parts: dict[int, dict[Monomial, CoeffVector]] = {}
+def _substitute(f: LogSeries, x: VarId, image: Callable[[Exponent, int], _Image], trunc: TruncMap) -> LogSeries:
+    """f with each term c x^n lg(x)^m rest replaced by the sum of c s h rest over
+    the pairs (h, s) of ``image(n, m)``, built once per (n, m) in term order.
+    The result is truncated at f.trunc merged with ``trunc``, and every h rest
+    must lie inside it."""
+    images: dict[tuple[Exponent, int], _Image] = {}
+    acc: dict[Monomial, dict[int, ExactScalar]] = {}
     for mono, vec in f.items():
-        n = mono.exponent(x)
-        if n not in powers:
-            powers[n] = power(n)
-        rest = mono.without(x)
-        part = parts.setdefault(mono.log_power(x), {})
-        for pm, pc in powers[n].items():
-            target, w = pm * rest, vec.scale(pc.scalar_value())
-            part[target] = part[target] + w if target in part else w
-    out = LogSeries(f.space, parts.pop(0, {}), trunc)
-    logs = [log]  # logs[i] = log^(i+1)
-    for m, part in parts.items():
-        while len(logs) < m:
-            logs.append(logs[-1] * log)
-        out = out + logs[m - 1] * LogSeries(f.space, part, trunc)
-    return out
+        key = (mono.exponent(x), mono.log_power(x))
+        pairs = images.get(key)
+        if pairs is None:
+            pairs = images[key] = image(*key)
+        rest, comps1 = mono.without(x), vec.components
+        for head, c in pairs:
+            target = rest * head
+            comps = acc.get(target)
+            if comps is None:
+                acc[target] = {i: v * c for i, v in comps1.items()}
+                continue
+            for i, v in comps1.items():
+                p = v * c
+                cur = comps.get(i)
+                if cur is None:
+                    comps[i] = p
+                else:
+                    p = cur + p
+                    if p.is_zero():
+                        del comps[i]
+                    else:
+                        comps[i] = p
+    out = {m: CoeffVector._trusted(f.space, comps) for m, comps in acc.items() if comps}
+    return LogSeries._trusted(f.space, out, _merge_trunc(f.trunc, trunc))
 
 
-def _power_series(powers: list[LogSeries], coeffs: Iterator[ScalarLike]) -> LogSeries:
-    """sum_k c_k u^k over the powers [1, u, u^2, ...] of :func:`cut_powers`, the
-    c_k read from the endless running recurrence ``coeffs``."""
-    terms: dict[Monomial, CoeffVector] = {}
-    for power, c in zip(powers, coeffs):
-        for m, vec in power.items():
-            w = vec.scale(c)
-            terms[m] = terms[m] + w if m in terms else w
-    return LogSeries(SCALAR, terms, powers[0].trunc)
+def _egf_product(a: list[int], b: list[int]) -> list[int]:
+    """The k! L^k [w^k] table of AB from those of A and B."""
+    return [sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1) if b[k - i]) for k in range(len(a))]
 
 
-def _exp_coeffs(a: ScalarLike) -> Iterator[ExactScalar]:
-    """a^k/k!, the coefficients of e^(au)."""
-    return accumulate(count(1), lambda c, k: (c * a).divided_by_rational(k), initial=_ONE)
+def _flow(f: LogSeries, x: VarId, y: VarId, order: int, e: int) -> LogSeries:
+    """f under x -> x e^(S(w)), lg(x) -> lg(x) + S(w) for w = y x^e (see the
+    module docstring), truncated at y-order ``order``."""
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    _require_fresh(f, y)
+    if e < 0 and x in f.trunc:
+        raise ValueError(f"substituting {x}+{y} needs a series not truncated in {x!r}")
+    ks = range(order + 1)
+    dens = [math.factorial(k) * LATTICE**k for k in ks]
+    shift = [0] + [e ** (i - 1) * math.factorial(i - 1) * LATTICE**i for i in ks[1:]]
+    shift_powers = [[1] + [0] * order]  # the tables of S^j
+    ys = [Monomial.var(y, k) for k in ks]
+    xcap = f.trunc[x] * LATTICE if x in f.trunc else math.inf  # only e > 0 raises x-exponents to it
 
+    def image(n: Exponent, m: int) -> _Image:
+        re, im = [1], [0]  # the table of P_n: p_(k+1) = p_k (a + b i + e k L)
+        for k in ks[:-1]:
+            r, i, c = re[-1], im[-1], n.a + e * k * LATTICE
+            re.append(r * c - i * n.b)
+            im.append(r * n.b + i * c)
+        while len(shift_powers) <= m:
+            shift_powers.append(_egf_product(shift_powers[-1], shift))
+        pairs = []
+        for j in range(m + 1):
+            b = math.comb(m, j)
+            pre = _egf_product(re, shift_powers[j])
+            pim = _egf_product(im, shift_powers[j]) if n.b else [0] * len(ks)
+            for k in ks:
+                a = n.a + e * k * LATTICE  # the x-exponent of x^n w^k, times L
+                if (pre[k] or pim[k]) and a <= xcap:
+                    head = ys[k]._with(x, Exponent._lattice(a, n.b), m - j)
+                    pairs.append((head, gaussian_rational(b * pre[k], b * pim[k], dens[k])))
+        return pairs
 
-def _binomial_coeffs(m: ExactScalar) -> Iterator[ExactScalar]:
-    """C(m, k), the coefficients of (1+u)^m: C(m, k+1) = C(m, k)(m-k)/(k+1)."""
-    return accumulate(count(), lambda c, k: (c * (m - k)).divided_by_rational(k + 1), initial=_ONE)
-
-
-def _log1p_coeffs() -> Iterator[Fraction]:
-    """(-1)^(k-1)/k, the coefficients of log(1+u)."""
-    return (Fraction((-1) ** (k - 1), k) if k else Fraction(0) for k in count())
+    return _substitute(f, x, image, {y: order})
 
 
 def subst_x_plus_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     """f(x+y) by the binomial expansion convention, truncated at y-order ``order``."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    _require_fresh(f, y)
-    if x in f.trunc:
-        raise ValueError(f"substituting {x}+{y} needs a series not truncated in {x!r}")
-    powers = cut_powers(LogSeries.monomial(Monomial.var(x, -1) * Monomial.var(y)), y, order)
-    log = LogSeries.log_variable(x) + _power_series(powers, _log1p_coeffs())
-
-    def power(n: Exponent) -> LogSeries:
-        return LogSeries.variable(x, n) * _power_series(powers, _binomial_coeffs(n.as_scalar()))
-
-    return _substitute(f, x, power, log, {y: order})
+    return _flow(f, x, y, order, -1)
 
 
 def subst_x_exp_y(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     """f(x e^y): x^n -> x^n e^(ny), lg(x) -> lg(x) + y; truncated at y-order."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    _require_fresh(f, y)
-    powers = cut_powers(LogSeries.variable(y), y, order)
-
-    def power(n: Exponent) -> LogSeries:
-        return LogSeries.variable(x, n) * _power_series(powers, _exp_coeffs(n.as_scalar()))
-
-    return _substitute(f, x, power, LogSeries.log_variable(x) + LogSeries.variable(y), {y: order})
+    return _flow(f, x, y, order, 0)
 
 
 def subst_xy(f: LogSeries, x: VarId, y: VarId) -> LogSeries:
     """f(xy): x^n -> x^n y^n, lg(x) -> lg(x) + lg(y); exact, no truncation."""
     _require_fresh(f, y)
-    log = LogSeries.log_variable(x) + LogSeries.log_variable(y)
-    return _substitute(f, x, lambda n: LogSeries.monomial(Monomial.var(x, n) * Monomial.var(y, n)), log, {})
+
+    def image(n: Exponent, m: int) -> _Image:
+        return [(Monomial.var(y, n, j)._with(x, n, m - j), ExactScalar.from_rational(math.comb(m, j)))
+                for j in range(m + 1)]
+
+    return _substitute(f, x, image, {})
 
 
 def pi_monomial_coefficient(zeta: ExactScalar) -> Fraction:
@@ -156,28 +181,21 @@ def subst_scaled_exp(f: LogSeries, x: VarId, zeta: ExactScalar) -> LogSeries:
     """
     q = pi_monomial_coefficient(zeta)
 
-    def power(n: Exponent) -> LogSeries:
+    def image(n: Exponent, m: int) -> _Image:
         if not n.is_real():
             raise LatticeViolation(
                 f"substituting e^zeta x needs real exponents; {x}^({n.re}+{n.im}i) would leave the ring"
             )
-        return LogSeries.monomial(Monomial.var(x, n), root_of_unity(q * n.re))
+        c = root_of_unity(q * n.re)
+        pairs = [(Monomial.UNIT._with(x, n, m - j), c * zeta**j * math.comb(m, j)) for j in range(m + 1)]
+        return [(head, s) for head, s in pairs if not s.is_zero()]
 
-    return _substitute(f, x, power, LogSeries.log_variable(x) + LogSeries.constant(zeta), {})
+    return _substitute(f, x, image, {})
 
 
 def subst_mobius_arg(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
     """f(x(1-yx)^(-1)), truncated at y-order ``order``."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    _require_fresh(f, y)
-    powers = cut_powers(LogSeries.monomial(Monomial.var(x) * Monomial.var(y), -1), y, order)
-    log = LogSeries.log_variable(x) - _power_series(powers, _log1p_coeffs())
-
-    def power(n: Exponent) -> LogSeries:
-        return LogSeries.variable(x, n) * _power_series(powers, _binomial_coeffs((-n).as_scalar()))
-
-    return _substitute(f, x, power, log, {y: order})
+    return _flow(f, x, y, order, 1)
 
 
 def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
@@ -199,11 +217,21 @@ def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
     return LogSeries(f.space, out, f.trunc)
 
 
+def _power_series(powers: list[LogSeries], coeffs: Iterator[ScalarLike]) -> LogSeries:
+    """sum_k c_k u^k over the powers [1, u, u^2, ...] of :func:`cut_powers`."""
+    terms: dict[Monomial, CoeffVector] = {}
+    for power, c in zip(powers, coeffs):
+        for m, vec in power.items():
+            w = vec.scale(c)
+            terms[m] = terms[m] + w if m in terms else w
+    return LogSeries(SCALAR, terms, powers[0].trunc)
+
+
 def series_exp(h: LogSeries, v: VarId, order: int) -> LogSeries:
     """e^h = sum h^k/k! for a scalar h of positive v-valuation, truncated at v-order."""
-    return _power_series(cut_powers(h, v, order), _exp_coeffs(1))
+    return _power_series(cut_powers(h, v, order), (Fraction(1, math.factorial(k)) for k in count()))
 
 
 def series_log1p(h: LogSeries, v: VarId, order: int) -> LogSeries:
     """log(1+h) = sum (-1)^(k-1) h^k/k for a scalar h of positive v-valuation."""
-    return _power_series(cut_powers(h, v, order), _log1p_coeffs())
+    return _power_series(cut_powers(h, v, order), (Fraction((-1) ** (k - 1), k) if k else 0 for k in count()))

@@ -206,7 +206,7 @@ SCALAR_SERIES_ITEMS = (
     LogSeries.variable("y") * LogSeries.variable("x", -1),
     LogSeries.variable("y") - LogSeries.variable("y", 2) * LogSeries.variable("x"),
     LogSeries.log_variable("x").scale(Fraction(-1, 2)),
-    LogSeries.constant(3) + LogSeries.variable("x", Fraction(1, 2)).with_trunc({"x": 2}),
+    LogSeries.one().scale(3) + LogSeries.variable("x", Fraction(1, 2)).with_trunc({"x": 2}),
 )
 SCALAR_SERIES = st.sampled_from(SCALAR_SERIES_ITEMS)
 ORDERS = st.one_of(st.none(), st.integers(-1, 4))

@@ -147,7 +147,7 @@ class TestExpL:
         with pytest.raises(ValueError, match=r"positive valuation in 'x' \(found Monomial\(x\^\(-1\)\)\)"):
             exp_L(irreducible3, 0, LogSeries.variable("x", -1), e, order=2)
         with pytest.raises(ValueError, match="positive valuation in 'x'"):
-            exp_L(irreducible3, 0, LogSeries.constant(1), e, order=2)
+            exp_L(irreducible3, 0, LogSeries.one(), e, order=2)
         # a nilpotent L(j) sums exactly, so its order only truncates
         got = exp_L(irreducible3, -1, LogSeries.variable("x", -1), e, order=2)
         assert got == exp_L(irreducible3, -1, LogSeries.variable("x", -1), e).with_trunc({"x": 2})

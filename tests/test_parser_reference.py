@@ -216,7 +216,7 @@ class _Parser:
             [(m, vec)] = base.terms.items()
             c = vec.scalar_value()
             if m == Monomial.UNIT:
-                return LogSeries.constant(c**n)
+                return LogSeries.one().scale(c**n)
             if all(k == 0 for _, _, k in m.entries) and c == ExactScalar.from_rational(1):
                 inv = Monomial({v: (-e, 0) for v, e, _ in m.entries})
                 return _power(LogSeries.monomial(inv), -n)
@@ -229,17 +229,17 @@ class _Parser:
             return e
         kind, text, pos = self.tk.next()
         if kind == "int":
-            return LogSeries.constant(Fraction(text))
+            return LogSeries.one().scale(Fraction(text))
         if kind == "name":
             if text == "Pi":
-                return LogSeries.constant(pi_scalar())
+                return LogSeries.one().scale(pi_scalar())
             if text == "i":
-                return LogSeries.constant(imaginary_unit())
+                return LogSeries.one().scale(imaginary_unit())
             if text == "e":
                 self.tk.expect_op("(")
                 q = _parse_rational(self.tk)
                 self.tk.expect_op(")")
-                return LogSeries.constant(root_of_unity(q))
+                return LogSeries.one().scale(root_of_unity(q))
             if text == "lg":
                 self.tk.expect_op("(")
                 t = self.tk.next()

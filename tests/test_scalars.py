@@ -210,7 +210,7 @@ class TestScalarProperties:
     @given(MIXED)
     @settings(max_examples=150, deadline=None)
     def test_print_parse_roundtrip(self, s):
-        assert parse_expr(scalar_str(s)) == LogSeries.constant(s)
+        assert parse_expr(scalar_str(s)) == LogSeries.one().scale(s)
 
     @given(st.one_of(RATIONALS, st.integers(-10**6, 10**6)))
     @example(-1)  # hash(-1) == -2

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcalc import catalog
+from logcalc import catalog, checks, series, substitution
 from logcalc.parser import parse_expr
 from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, UnsupportedDivision, pi_scalar
 from logcalc.series import LogSeries, Monomial
@@ -121,7 +121,7 @@ class TestScaledExponentialSubstitution:
 
     def test_log_shift_rule(self):
         out = subst_scaled_exp(LogSeries.log_variable("x"), "x", pi_scalar(1))
-        assert out == LogSeries.log_variable("x") + LogSeries.constant(pi_scalar())
+        assert out == LogSeries.log_variable("x") + LogSeries.one().scale(pi_scalar())
 
     def test_depends_on_zeta_not_its_exponential(self):
         fx = LogSeries.variable("x")
@@ -246,6 +246,60 @@ class TestTruncation:
         f = parse_expr("x + lg(x)").with_trunc({"x": 3})
         with pytest.raises(ValueError, match="truncated in 'x'"):
             subst(f)
+
+
+class TestIndependentRoutes:
+    """The kernel multiplies the defining series as integer tables: it forms no
+    series product and takes no derivative, so the Taylor and scaling checks
+    compare two independent code paths."""
+
+    F = parse_expr("3*x^(1/2)*lg(x)^4 - x^(-2)*lg(x)^3 + 2*x*lg(x) + z*x^(2/3)*lg(x)^4")
+    CONVENTIONS = {
+        "x+y": lambda f: subst_x_plus_y(f, "x", "y", 8),
+        "x e^y": lambda f: subst_x_exp_y(f, "x", "y", 8),
+        "xy": lambda f: subst_xy(f, "x", "y"),
+        "e^zeta x": lambda f: subst_scaled_exp(f, "x", pi_scalar(Fraction(1, 2))),
+        "x(1-yx)^-1": lambda f: subst_mobius_arg(f, "x", "y", 8),
+    }
+
+    def test_no_product_and_no_derivative(self, monkeypatch):
+        want = {name: subst(self.F) for name, subst in self.CONVENTIONS.items()}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the substitution kernel called a product or a derivative")
+
+        for owner, name in ((LogSeries, "d_dx"), (LogSeries, "exp_diffop"), (LogSeries, "__mul__"),
+                            (series, "kth_derivative_closed_form"), (series, "cut_powers"),
+                            (substitution, "cut_powers")):
+            monkeypatch.setattr(owner, name, forbidden)
+        with pytest.raises(AssertionError):
+            series_exp(LogSeries.variable("x"), "x", 2)  # the patches are live
+        for name, subst in self.CONVENTIONS.items():
+            assert subst(self.F) == want[name], name
+        assert want["x+y"] != self.F and want["x e^y"] != self.F
+
+
+class TestTheoremWitness:
+    @pytest.mark.parametrize(
+        "check, subst", [(checks.check_taylor, "subst_x_plus_y"), (checks.check_scaling, "subst_x_exp_y")]
+    )
+    def test_failed_row_names_the_first_differing_coefficient(self, monkeypatch, check, subst):
+        planted = LogSeries.monomial(mono(7) * Monomial.var("y", 2), 5) + LogSeries.monomial(
+            mono(-3) * Monomial.var("y", 1), Fraction(-5, 3)
+        )
+        right = getattr(checks, subst)
+        monkeypatch.setattr(checks, subst, lambda f, x, y, order: right(f, x, y, order) + planted)
+        rep = check(samples=3, order=8, seed=0)
+        assert [c.check_id.rsplit("-", 1)[1] for c in rep.checks] == ["0"]
+        assert rep.failures[0].witness == (
+            "first nonzero coefficient at Monomial(x^(-3)*y): CoeffVector(scalar, {0: ExactScalar(5/3)})"
+        )
+
+    def test_witness_is_cut_at_200_characters(self, monkeypatch):
+        planted = LogSeries.one().scale(Fraction(10**250 + 1, 7))
+        monkeypatch.setattr(checks, "subst_x_plus_y", lambda f, x, y, order: subst_x_plus_y(f, x, y, order) + planted)
+        witness = checks.check_taylor(samples=1, order=2, seed=0).failures[0].witness
+        assert len(witness) == 200 and witness.startswith("first nonzero coefficient at Monomial(1): ")
 
 
 class TestFormalLogExp:
