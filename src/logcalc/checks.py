@@ -254,7 +254,7 @@ def check_sl2(count: int = 5, seed: int = 0, order: int = 10) -> Report:
                 s = x_pm_L0(mod, w, sign)
                 rhs = LogSeries.zero(mod.coeff_space)
                 for mono, vec in x_pm_L0(mod, mod.apply_L(0, w), sign).items():
-                    rhs = rhs + LogSeries.monomial(mono * Monomial.var("x", -1), Fraction(sign)).scale_vector(vec)
+                    rhs = rhs + LogSeries.vector(vec.scale(sign), mono * Monomial.var("x", -1))
                 if s.d_dx("x") != rhs:
                     ok = False
         rep.add(f"derivative-of-x-L0({mod.name})", ok)

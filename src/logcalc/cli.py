@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
     constraints = "lminus1, euler, sl2_m1, sl2_0, sl2_1, sl2_alt_m1, sl2_alt_0, sl2_alt_1"
     p.add_argument("--axioms", default="euler", help=f"comma-separated, from {constraints} (default euler)")
-    _int_flag(p, "--max-log", None, 0, 16, "largest log power solved for (default: from the dimensions)")
+    _int_flag(p, "--max-log", None, 1, 16, "number of log powers solved for, 0..N-1 (default: from the dimensions)")
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.set_defaults(fn=cmd_solve)
 

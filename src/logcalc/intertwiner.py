@@ -602,7 +602,6 @@ def _check_ty(rep: Report, t: IntertwinerTable, count: int) -> None:
     D = x d/dx + a + b - c: t! times the y^t coefficients of e^(y(L(0)-c)) Y
     and of e^(yD) Y(e^(yN1) e_i, x) e^(yN2) e_j."""
     samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
-    x = LogSeries.variable("x")
     zero = LogSeries.zero(t.w3.coeff_space)
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
@@ -615,7 +614,7 @@ def _check_ty(rep: Report, t: IntertwinerTable, count: int) -> None:
                 for s, f in args:
                     for ll in range(count - s):
                         if ll:
-                            f = (x * f.d_dx("x") + f.scale(shift)).scale(Fraction(1, ll))
+                            f = (f.d_dx("x", 1) + f.scale(shift)).scale(Fraction(1, ll))
                         rhs[s + ll] = rhs[s + ll] + f
                 for tt in range(count):
                     diff = (lhs[tt] - rhs[tt]).scale(math.factorial(tt))
@@ -937,7 +936,7 @@ def _p3_rhs(t: IntertwinerTable, w1v: CoeffVector, w2v: CoeffVector, var: VarId,
 # the ODE structure lemma
 
 def euler_minus_a(f: LogSeries, var: VarId, a: Exponent) -> LogSeries:
-    return (LogSeries.variable(var) * f.d_dx(var)) - f.scale(a.as_scalar())
+    return f.d_dx(var, 1) - f.scale(a.as_scalar())
 
 
 def ode_structure_check(f: LogSeries, var: VarId, a: Exponent, m: int) -> Report:
@@ -1068,8 +1067,10 @@ def solve_fusion_space(
     ``lminus1``, ``euler``, ``sl2_*`` and ``sl2_alt_*`` come from
     :func:`_mode_defect`, those of ``jacobi`` from :func:`_jacobi_mode_rows`
     on each algebra vector's window for the exponents and log powers solved for.
-    Returns a basis of the solution space on the given window; the dimension
-    is window-relative and is not claimed to equal any intrinsic fusion rule.
+    ``max_log`` is the number of log powers solved for, 0..max_log-1 (default:
+    max(dim W1 + dim W2 + dim W3 - 2, 1)).  Returns a basis of the solution
+    space on the given window; the dimension is window-relative and is not
+    claimed to equal any intrinsic fusion rule.
     """
     exps = (
         [Exponent.coerce(n) for n in window]

@@ -40,9 +40,6 @@ class ExactMatrix:
     def zeros(rows: int, cols: int) -> ExactMatrix:
         return ExactMatrix([[0] * cols for _ in range(rows)])
 
-    def __getitem__(self, ij: tuple[int, int]) -> ExactScalar:
-        return self.entries[ij[0]][ij[1]]
-
     def transpose(self) -> ExactMatrix:
         return ExactMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 

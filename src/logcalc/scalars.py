@@ -228,9 +228,6 @@ class ExactScalar:
     def __sub__(self, other: ScalarLike) -> ExactScalar:
         return self + (-ExactScalar.coerce(other))
 
-    def __rsub__(self, other: ScalarLike) -> ExactScalar:
-        return ExactScalar.coerce(other) + (-self)
-
     def _scaled(self, n: int, d: int) -> ExactScalar:
         """self * n/d for n/d in lowest terms with d > 0: n cancels against den
         and d against the numerators, as for Fractions."""
@@ -437,9 +434,6 @@ class Exponent:
         if isinstance(other, (int, Fraction)):
             return not self.b and self.a * other.denominator == other.numerator * LATTICE
         return NotImplemented
-
-    def __lt__(self, other: "Exponent") -> bool:
-        return (self.a, self.b) < (other.a, other.b)
 
     def __hash__(self) -> int:
         # a real exponent equals its Fraction, so it hashes like one

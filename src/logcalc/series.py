@@ -6,12 +6,16 @@ powers in N) to coefficient vectors over a fixed finite-dimensional space.
 ``lg(v)`` is an independent commuting formal variable attached to ``v``, not
 a function of it; the derivative rule below is what ties them together:
 
-    d/dv [ v^n lg(v)^m ] = n v^(n-1) lg(v)^m + m v^(n-1) lg(v)^(m-1).
+    v^r d/dv [ v^n lg(v)^m ] = n v^(n+r-1) lg(v)^m + m v^(n+r-1) lg(v)^(m-1).
+
+``d_dx(v, r)`` applies it in one termwise pass: r = 0 is d/dv and r = 1 the
+Euler operator v d/dv.  The operator exponential e^(yT) takes T = c v^r d/dv.
 
 Optional per-variable truncation orders support working in W{x, lg x}[[y]]:
 ``trunc[y] = N`` means the series is only known modulo terms of y-exponent
 greater than N, and all operations prune accordingly (and propagate the
-bound pessimistically).
+bound pessimistically).  v^r d/dv lowers ``trunc[v]`` by one whatever r is,
+and drops an image above the lowered bound.
 
 Monomial entries are sorted by variable, with no v^0 lg(v)^0 entry: products merge them.
 """
@@ -127,9 +131,6 @@ class CoeffVector:
 
     def __neg__(self) -> CoeffVector:
         return CoeffVector._trusted(self.space, {i: -v for i, v in self.components.items()})
-
-    def __sub__(self, other: CoeffVector) -> CoeffVector:
-        return self + (-other)
 
     def scale(self, s: ScalarLike) -> CoeffVector:
         s = ExactScalar.coerce(s)
@@ -394,18 +395,6 @@ class LogSeries:
             return LogSeries.zero(self.space, self.trunc)
         return LogSeries._trusted(self.space, {m: v.scale(s) for m, v in self.terms.items()}, dict(self.trunc))
 
-    def scale_vector(self, vec: CoeffVector) -> LogSeries:
-        """Replace scalar coefficients by their multiples of a fixed vector."""
-        if self.space != SCALAR:
-            raise UndefinedProduct("scale_vector needs a scalar-coefficient series")
-        if vec.space == SCALAR:
-            return self.scale(vec.scalar_value())
-        return LogSeries(
-            vec.space,
-            {m: vec.scale(c.scalar_value()) for m, c in self.terms.items()},
-            self.trunc,
-        )
-
     def __mul__(self, other: LogSeries) -> LogSeries:
         if self.space != SCALAR and other.space != SCALAR:
             raise UndefinedProduct(
@@ -453,8 +442,9 @@ class LogSeries:
 
     # -- differential structure ------------------------------------------------------
 
-    def d_dx(self, v: VarId) -> LogSeries:
-        """Formal derivative in v: the two-term rule acting on v^n lg(v)^m."""
+    def d_dx(self, v: VarId, r: Exponent | Fraction | int = 0) -> LogSeries:
+        """v^r d/dv: the two-term rule acting on v^n lg(v)^m, each image times v^r."""
+        r = Exponent.coerce(r)
         out: dict[Monomial, CoeffVector] = {}
 
         def put(m: Monomial, vec: CoeffVector) -> None:
@@ -465,44 +455,48 @@ class LogSeries:
             else:
                 out[m] = s
 
+        trunc, cap = dict(self.trunc), None
+        if v in trunc:
+            # the bound drops by one whatever r is; an image above it is dropped
+            trunc[v] -= 1
+            cap = trunc[v] * LATTICE
         for m, vec in self.terms.items():
             n, k = m.exponent(v), m.log_power(v)
-            n1 = Exponent._lattice(n.a - LATTICE, n.b)
+            a = n.a + r.a - LATTICE
+            if cap is not None and a > cap:
+                continue
+            n1 = Exponent._lattice(a, n.b + r.b)
             if n.a or n.b:
                 put(m._with(v, n1, k), vec.scale(n.as_scalar()))
             if k:
                 put(m._with(v, n1, k - 1), vec.scale(k))
-        trunc = dict(self.trunc)
-        if v in trunc:
-            trunc[v] -= 1
-        # every v-exponent drops by one, so the terms stay inside the lowered bound
         return LogSeries._trusted(self.space, out, trunc)
 
-    def apply_diffop(self, p: LogSeries, v: VarId) -> LogSeries:
-        """Apply T = p(v) d/dv for a scalar Laurent polynomial p in v alone."""
-        for m in p.terms:
-            if any(name != v for name in m.variables()) or m.log_power(v) != 0:
-                raise UndefinedProduct("the operator coefficient must be a Laurent polynomial in the derivation variable")
-        return p * self.d_dx(v)
-
     def exp_diffop(self, y: VarId, p: LogSeries, v: VarId, order: int) -> LogSeries:
-        """Truncated e^(y T) with T = p(v) d/dv: sum_{k<=order} y^k T^k / k!.
+        """Truncated e^(y T) with T = c v^r d/dv: sum_{k<=order} y^k c^k (v^r d/dv)^k / k!.
 
-        y must be fresh; the result records trunc[y] = order.
+        p = c v^r is one untruncated scalar term; y must be fresh; the result
+        records trunc[y] = order.
         """
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         if self.uses_variable(y) or p.uses_variable(y):
             raise VariableCollision(f"expansion variable {y!r} already occurs")
+        if p.space != SCALAR or p.trunc or len(p.terms) != 1 or any(
+            name != v or m.log_power(v) for m in p.terms for name in m.variables()
+        ):
+            raise UndefinedProduct("the operator coefficient must be one untruncated scalar term c v^r")
+        ((mono, coeff),) = p.terms.items()
+        c, r = coeff.scalar_value(), mono.exponent(v)
         # y is fresh, so the terms m y^k for different k never meet: each is written once
         out: dict[Monomial, CoeffVector] = {}
-        trunc, tk = {y: order}, self
+        trunc, tk, ck = {y: order}, self, ExactScalar.from_rational(1)
         for k in range(order + 1):
-            yk, c = Monomial.var(y, k), ExactScalar.from_rational(Fraction(1, math.factorial(k)))
+            yk, s = Monomial.var(y, k), ck * Fraction(1, math.factorial(k))
             trunc = _merge_trunc(trunc, tk.trunc)
-            out.update((m * yk, vec.scale(c)) for m, vec in tk.terms.items())
+            out.update((m * yk, vec.scale(s)) for m, vec in tk.terms.items())
             if k < order:
-                tk = tk.apply_diffop(p, v)
+                tk, ck = tk.d_dx(v, r), ck * c
         return LogSeries(self.space, out, trunc)
 
     # -- misc ----------------------------------------------------------------------

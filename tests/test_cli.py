@@ -174,6 +174,12 @@ class TestHostileFlags:
         assert code == 2 and not out
         assert f"derive {op} does not read {flag}" in err and "Traceback" not in err
 
+    def test_max_log_zero_exits_2_with_the_range(self):
+        # --max-log N solves for log powers 0..N-1, so N = 0 would solve for none
+        code, out, err = run_cli("solve", "fusion", "--max-log", "0")
+        assert code == 2 and not out
+        assert "argument --max-log: 0 is outside 1..16" in err and "Traceback" not in err
+
     def test_help_states_each_range(self):
         code, out, _ = run_cli("check", "--help")
         assert code == 0

@@ -66,7 +66,7 @@ class TestFractionalValuation:
         e = irreducible3.basis_vector(0)
         h = irreducible3.weight(0).as_scalar()
         got = exp_L(irreducible3, 0, HALF, LogSeries.vector(e), order=2)
-        assert got == series_exp(HALF.scale(h), "x", 2).scale_vector(e)
+        assert got == LogSeries.vector(e) * series_exp(HALF.scale(h), "x", 2)
         assert got.coeff(Monomial.var("x", Fraction(3, 2))) == e.scale(Fraction(-1, 6))
         assert got.coeff(Monomial.var("x", 2)) == e.scale(Fraction(1, 24))
 

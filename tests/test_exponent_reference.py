@@ -149,7 +149,6 @@ class TestAgainstReference:
     def test_comparisons(self, p, q, other):
         (e, r), (f, s) = both(p), both(q)
         assert (e == f) == (r == s) and (e != f) == (r != s)
-        assert (e < f) == (r < s) and (f < e) == (s < r)
         assert (e.sort_key() < f.sort_key()) == (r.sort_key() < s.sort_key())
         assert (e == other) == (r == other) and (other == e) == (other == r)
         assert (e != other) == (r != other) and (other != e) == (other != r)
@@ -162,7 +161,6 @@ class TestAgainstReference:
         by_new = sorted(range(len(pairs)), key=lambda i: pairs[i][0].sort_key())
         by_ref = sorted(range(len(pairs)), key=lambda i: pairs[i][1].sort_key())
         assert by_new == by_ref
-        assert [e.sort_key() for e in sorted(e for e, _ in pairs)] == sorted(e.sort_key() for e, _ in pairs)
 
     @given(POINTS)
     @settings(max_examples=300, deadline=None)
@@ -242,7 +240,7 @@ def test_exponent_arithmetic_builds_no_fraction(monkeypatch):
     exps = [e + f, e - f, -e, f + 1, 1 - f, e + e - e]
     keys = [hash(x) for x in exps] + [hash(m) for m in products]
     keys += [x.sort_key() for x in exps] + [m.sort_key() for m in products]
-    flags = [e == f, e == 1, f == q, f < e, e.is_zero(), e.is_real(), f.is_integer()]
+    flags = [e == f, e == 1, f == q, e.is_zero(), e.is_real(), f.is_integer()]
     monkeypatch.undo()
     assert built == []
-    assert keys and flags == [False, False, True, True, False, False, False]
+    assert keys and flags == [False, False, True, False, False, False]

@@ -126,7 +126,7 @@ def ref_one_minus_u_power(module, m, u, f, order, var):
     out = f.with_trunc({var: order})
     power = LogSeries.one()
     for k in range(1, order + 1):
-        f = f.map_coeffs(lambda vec: (module.apply_matrix(m, vec) - vec.scale(k - 1)).scale(Fraction(1, k)))
+        f = f.map_coeffs(lambda vec: (module.apply_matrix(m, vec) + vec.scale(1 - k)).scale(Fraction(1, k)))
         power = power * -u
         out = out + power * f
     return out

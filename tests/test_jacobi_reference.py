@@ -107,7 +107,7 @@ def reference_defect(t, vt, v, v1, v2, window):
     zero = CoeffVector.zero(t.w3.coeff_space)
     out = {}
     for key in {**product, **reverse, **iterate}:
-        d = product.get(key, zero) - reverse.get(key, zero) - iterate.get(key, zero)
+        d = product.get(key, zero) + -reverse.get(key, zero) + -iterate.get(key, zero)
         if not d.is_zero():
             out[key] = d
     return out

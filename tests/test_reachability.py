@@ -7,7 +7,8 @@ import counts as reached.  Between them they drive every subcommand, every
 ``--kind``, op and suite choice of :func:`logcalc.cli.build_parser`, in text
 and JSON, and the error paths a user can reach.  A function that no verb
 reaches is dead code, even when a test calls it; :data:`ALLOWED` names the
-few that stay for a stated reason.
+few that stay for a stated reason, keyed by qualified name (``Class.method``
+for a method, dunders included).
 
 Run as a script with the argument ``"check all"`` or ``rest``, this file is
 one part of the scan: it prints the code that part reached as JSON.
@@ -35,6 +36,10 @@ ALLOWED = {
     "_p3_rhs": "reached only from conj_formulas_check",
     "subst_mobius_arg": "reached only from _p3_rhs",
     "kth_derivative_closed_form": "demo 01 shows it",
+    **{f"{cls}.__hash__": "keeps a type that defines __eq__ hashable"
+       for cls in ("ExactScalar", "CoeffSpace", "CoeffVector")},
+    **{f"{cls}.__repr__": "for debugging"
+       for cls in ("CoeffSpace", "LogSeries", "ExactMatrix", "GradingGroup", "GradedSpace", "MobiusModule")},
 }
 
 
@@ -147,9 +152,9 @@ def _scan(part: str) -> list[tuple[str, int, str]]:
 
 
 def _definitions() -> dict[tuple[str, int, str], tuple[str, ...]]:
-    """Every non-dunder function of src/logcalc, keyed as its code object is
-    (file name, first line, name), with the names of the definitions that
-    hold it, its own last."""
+    """Every function of src/logcalc, dunder methods too, keyed as its code
+    object is (file name, first line, name), with the names of the
+    definitions that hold it, its own last."""
     out = {}
 
     def visit(node: ast.AST, path: Path, outer: tuple[str, ...]) -> None:
@@ -158,7 +163,7 @@ def _definitions() -> dict[tuple[str, int, str], tuple[str, ...]]:
                 visit(child, path, outer)
                 continue
             names = (*outer, child.name)
-            if not isinstance(child, ast.ClassDef) and not (child.name.startswith("__") and child.name.endswith("__")):
+            if not isinstance(child, ast.ClassDef):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])  # as co_firstlineno
                 out[(path.name, first, child.name)] = names
             visit(child, path, names)
@@ -190,11 +195,11 @@ def test_every_definition_is_reached_by_a_verb():
         reached |= {tuple(key) for key in json.loads(out)}
     elapsed = time.perf_counter() - start
     unreached = {key: names for key, names in _definitions().items() if key not in reached}
-    stale = sorted(set(ALLOWED) - {names[-1] for names in unreached.values()})
+    stale = sorted(set(ALLOWED) - {".".join(names) for names in unreached.values()})
     assert stale == [], "allowed definitions that a verb now reaches"
     # a definition inside an allowed one is allowed with it
     dead = sorted(f"{file}:{line} {'.'.join(names)}" for (file, line, _), names in unreached.items()
-                  if not set(names) & set(ALLOWED))
+                  if not any(".".join(names[:i]) in ALLOWED for i in range(1, len(names) + 1)))
     assert dead == [], dead
     # the scan takes about 12 s on 2 cores; the bound leaves room for a slow stretch
     assert elapsed < 60, f"the scan took {elapsed:.1f} s"

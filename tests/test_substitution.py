@@ -6,7 +6,7 @@ import pytest
 from logcalc import catalog, checks, series, substitution
 from logcalc.parser import parse_expr
 from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, UnsupportedDivision, pi_scalar
-from logcalc.series import LogSeries, Monomial
+from logcalc.series import CoeffSpace, CoeffVector, LogSeries, Monomial
 from logcalc.substitution import (
     series_exp,
     series_log1p,
@@ -277,6 +277,44 @@ class TestIndependentRoutes:
         for name, subst in self.CONVENTIONS.items():
             assert subst(self.F) == want[name], name
         assert want["x+y"] != self.F and want["x e^y"] != self.F
+
+
+class TestDerivativeRouteIndependence:
+    """The mirror of TestIndependentRoutes: e^(yT) and x d/dx apply the
+    derivative rule termwise, with no series product and no substitution."""
+
+    W = CoeffSpace("W", 2)
+    F = (
+        LogSeries.vector(CoeffVector(W, {0: 3}), Monomial.var("x", Fraction(1, 2), 4))
+        + LogSeries.vector(CoeffVector(W, {1: 1}), Monomial.var("x", Exponent(-2, 1), 2))
+        + LogSeries.vector(CoeffVector(W, {0: -1, 1: 1}), Monomial.var("x", -3, 1))
+    ).with_trunc({"x": 2})
+    OPERATORS = {
+        "d/dx": LogSeries.one(),
+        "x d/dx": LogSeries.variable("x"),
+        "-(3/2) x^-1 d/dx": LogSeries.variable("x", -1).scale(Fraction(-3, 2)),
+    }
+
+    def _routes(self):
+        out = {name: self.F.exp_diffop("y", p, "x", 4) for name, p in self.OPERATORS.items()}
+        out["euler"] = self.F.d_dx("x", 1)
+        return out
+
+    def test_no_product_and_no_substitution(self, monkeypatch):
+        want = self._routes()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the derivative route called a product or a substitution")
+
+        patched = [(LogSeries, "__mul__"), (series, "cut_powers"), (substitution, "cut_powers")]
+        patched += [(substitution, name) for name in ("_flow", "_egf_product", "_substitute")]
+        patched += [(substitution, name) for name in dir(substitution) if name.startswith("subst_")]
+        for owner, name in patched:
+            monkeypatch.setattr(owner, name, forbidden)
+        with pytest.raises(AssertionError):
+            LogSeries.one() * LogSeries.one()  # the patches are live
+        assert self._routes() == want
+        assert all(not out.is_zero() for out in want.values())
 
 
 class TestTheoremWitness:

@@ -138,7 +138,7 @@ def ref_x_plus_y(f, x, y, order):
         m = mono.log_power(x)
         rest = mono.without(x)
         part = binomial_power_series(n, x, y, order) * _log_power_sum(x, shift, m, y, order)
-        out = out + (part * LogSeries.monomial(rest)).scale_vector(vec)
+        out = out + part * LogSeries.vector(vec, rest)
     return out
 
 
@@ -160,7 +160,7 @@ def ref_x_exp_y(f, x, y, order):
         exp_ny = LogSeries(SCALAR, exp_terms, {y: order})
         part = exp_ny * _log_power_sum(x, LogSeries.variable(y), m, y, order)
         part = part * LogSeries.monomial(Monomial.var(x, n) * rest)
-        out = out + part.scale_vector(vec)
+        out = out + part * LogSeries.vector(vec)
     return out
 
 
@@ -176,7 +176,7 @@ def ref_xy(f, x, y):
             acc = acc + LogSeries.monomial(
                 Monomial.var(x, n, m - j) * Monomial.var(y, n, j), Fraction(math.comb(m, j))
             )
-        out = out + (acc * LogSeries.monomial(rest)).scale_vector(vec)
+        out = out + acc * LogSeries.vector(vec, rest)
     return out
 
 
@@ -197,7 +197,7 @@ def ref_scaled_exp(f, x, zeta):
             c = (zeta ** (m - j)) * Fraction(math.comb(m, j))
             if not c.is_zero():
                 acc = acc + LogSeries.monomial(Monomial.var(x, n, j) * rest, c * factor)
-        out = out + acc.scale_vector(vec)
+        out = out + acc * LogSeries.vector(vec)
     return out
 
 
@@ -215,7 +215,7 @@ def ref_mobius_arg(f, x, y, order):
             for _ in range(k):
                 lp = lp * logpart
             logpart_cache[k] = lp
-        out = out + (power * lp * LogSeries.monomial(rest)).scale_vector(vec)
+        out = out + power * lp * LogSeries.vector(vec, rest)
     return out
 
 

@@ -153,7 +153,7 @@ def _ref_t00(rep, t, t_bound):
                     mode = t.mode_map(arg1, arg2).get((n, k + ll))
                     if mode is not None:
                         rhs = rhs + mode.scale(Fraction(math.factorial(tt) * math.comb(k + ll, ll)))
-            ok = (lhs - rhs).is_zero()
+            ok = lhs == rhs
             rep.add(f"mode-l0-power(t={tt};{i},{j},{n!r},{k})", ok, None if ok else f"{lhs!r} != {rhs!r}")
             if not ok:
                 return
@@ -203,7 +203,7 @@ def _ref_rt(rep, t, t_bound):
                     mode = t.w3.apply_matrix(_l0_shift_power(t.w3, shift, ll), mode)
                     coeff = Fraction((-1) ** (ii + jj), math.factorial(ii) * math.factorial(jj) * math.factorial(ll))
                     rhs = rhs + mode.scale(coeff)
-            ok = (lhs - rhs).is_zero()
+            ok = lhs == rhs
             rep.add(f"mode-shift-combination(t={tt};{i},{j},{n!r},{k})", ok, None if ok else f"{lhs!r} != {rhs!r}")
             if not ok:
                 return
@@ -340,9 +340,7 @@ def ref_a_r(t, r, var="x"):
                     if c is not None:
                         scalar_part = scalar_part + LogSeries.monomial(mono2, c)
                 if not scalar_part.is_zero():
-                    out = out + (scalar_part * LogSeries.monomial(mono)).scale_vector(
-                        CoeffVector.basis(w2p.coeff_space, m)
-                    )
+                    out = out + scalar_part * LogSeries.vector(CoeffVector.basis(w2p.coeff_space, m), mono)
         return out
 
     return IntertwinerTable.from_series(t.w1, w3p, w2p, fn)
