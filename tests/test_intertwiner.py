@@ -120,9 +120,9 @@ ORACLE_FAMILIES = {
 
 def oracle_axiom_rows(t: IntertwinerTable, which: str) -> list[tuple[str, LogSeries | None]]:
     """(check id, defect) per row of ``axiom_check(t, which)``; the defect is
-    None on the structural rows (ltc, grading, weights), which the oracle does
+    None on the structural rows (grading, weights), which the oracle does
     not recompute."""
-    kinds = ("ltc", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
+    kinds = ("lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
     rows = []
     for kind in kinds:
         if kind not in ORACLE_FAMILIES:
@@ -162,7 +162,6 @@ class TestAxiomCheck:
             assert axiom_check(t, "euler").passed
             assert axiom_check(t, "weights").passed
             assert axiom_check(t, "grading").passed
-            assert axiom_check(t, "ltc").passed
 
     def test_sl2_and_alt_form_agree(self, honest_table):
         assert axiom_check(honest_table, "sl2").passed
@@ -349,7 +348,7 @@ class TestModeDefect:
             solve_fusion_space(v, v, v, constraints=("euler", "sl2_2"))
 
 
-AXIOM_KINDS = ("all", "ltc", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights")
+AXIOM_KINDS = ("all", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights")
 
 
 class TestAxiomEngine:

@@ -192,3 +192,33 @@ class TestCoefficientAccess:
     def test_fractional_log_monomial(self):
         f = LogSeries.monomial(mono(Fraction(1, 2), 3))
         assert f.coeff(mono(Fraction(1, 2), 3)).scalar_value() == ExactScalar.from_rational(1)
+
+
+class TestTruncationSoundness:
+    """A truncated series stands for every completion above its bound, so a
+    result may claim only the coefficients that all completions agree on: a
+    factor of negative valuation in a truncated variable lowers the bound."""
+
+    X3 = LogSeries.variable("x", 3).with_trunc({"x": 3})
+
+    def test_product_with_negative_valuation(self):
+        p = self.X3 * LogSeries.variable("x", -1)
+        assert p.trunc == {"x": 2} and p.equal_terms(LogSeries.variable("x", 2))
+        assert (LogSeries.variable("x", -1) * self.X3).trunc == {"x": 2}
+
+    def test_derivation_by_a_negative_power(self):
+        d = self.X3.d_dx("x", -1)
+        assert d.trunc == {"x": 1} and d.equal_terms(LogSeries.variable("x").scale(3))
+        assert self.X3.d_dx("x", Fraction(-1, 2)).trunc == {"x": 1}
+
+    def test_nonnegative_valuations_keep_the_bound(self):
+        assert (self.X3 * LogSeries.variable("x", Fraction(1, 2))).trunc == {"x": 3}
+        assert (self.X3 * LogSeries.variable("y", -1)).trunc == {"x": 3}
+        assert self.X3.d_dx("x", 1).trunc == {"x": 2}
+
+    @pytest.mark.parametrize("tail", [LogSeries.variable("x", 4), LogSeries.monomial(mono(Fraction(7, 2), 1), 5)])
+    def test_known_coefficients_agree_with_every_completion(self, tail):
+        g = LogSeries.variable("x", -1) + LogSeries.variable("x", -2).scale(3)
+        full = (LogSeries.variable("x", 3) + tail).with_trunc({"x": 20})
+        for got, want in ((self.X3 * g, full * g), (self.X3.d_dx("x", -2), full.d_dx("x", -2))):
+            assert got.terms and all(got.coeff(m) == want.coeff(m) for m in want.terms if m.exponent("x").re <= got.trunc["x"])

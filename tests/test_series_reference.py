@@ -2,7 +2,8 @@
 
 The reference below keeps the monomial product that rebuilt a dict and
 sorted it, the series product that tested every pair of terms against the
-truncation, the derivative that split off and rebuilt each monomial's entry
+truncation (a factor known below v^(N+1) times one whose least v-exponent has
+real part val leaves v^(N + min(0, floor(val))) known), the derivative that split off and rebuilt each monomial's entry
 for the variable, v^r d/dv as the product of v^r with that derivative, and
 e^(yT) for T = c v^r d/dv summed as a running series sum of full products
 y^k T^k f / k!, with T f the product of c v^r with the derivative.  The
@@ -56,6 +57,16 @@ def ref_monomial_mul(a, b):
     return Monomial._trusted(tuple((v, e, k) for v, (e, k) in sorted(d.items()) if k or not e.is_zero()))
 
 
+def _sound_bounds(trunc, other):
+    """Each bound of ``trunc`` lowered by the floor of the other factor's
+    valuation when that is negative."""
+    out = {}
+    for v, n in trunc.items():
+        val = min((m.exponent(v).re for m in other.terms), default=Fraction(0))
+        out[v] = n + min(0, math.floor(val))
+    return out
+
+
 def _levels(monomials, trunc):
     return [tuple(m.exponent(v).a for v in trunc) for m in monomials]
 
@@ -64,7 +75,7 @@ def ref_mul(f, g):
     if f.space != SCALAR and g.space != SCALAR:
         raise UndefinedProduct("product of two vector-valued series over a space with no declared algebra structure")
     scal, vec = (f, g) if f.space == SCALAR else (g, f)
-    trunc = _merge_trunc(f.trunc, g.trunc)
+    trunc = _merge_trunc(_sound_bounds(f.trunc, g), _sound_bounds(g.trunc, f))
     caps = [n * LATTICE for n in trunc.values()]
     right = [(m2, c2.components, lv2) for (m2, c2), lv2 in zip(vec.terms.items(), _levels(vec.terms, trunc))]
     acc = {}

@@ -17,8 +17,8 @@ from logcalc import checks
 
 DIGESTS = {
     "check_fusion_suite": (
-        "567179d58b8acc8d32605f7293fff8644c7c7fc88e5c76e563f113be30cc611f",
-        "6c30d50fd317d8628733fb6da325fac569b8386ac31efdc40755a15968282f19",
+        "b937ab28bff135748ac76aac3c6ea602e0e86ecb419786e26d117211080b0660",
+        "c4750d0503842772f190d007cc77fc12af069759a5237426cf9f935aa0e0b0a1",
     ),
     "check_jacobi": (
         "345f082b1df99924126cc81ec6698f135e137cda0f610a358bc829c801bf3513",
@@ -34,8 +34,8 @@ def test_suite_report_digests(suite):
 
 def test_check_all_quick_digests():
     assert _digests(checks.check_all(0, quick=True)) == (
-        "3116f9ca6b7ebc6911c8a39071c18e1f3ff1822afce6e1eddc2b9b6a6a56202d",
-        "115ac8e2cc23bdc98f1c2431aab4806b5f9536f086c06f92d26e2b1cfcf12db0",
+        "0e1dc34d3fe56638adcbca3f422d0eecadd8f878ef268a7f027408eb57f4e6dd",
+        "03ab65dcbb0854262b82284b2731b155831f59171f2b3d13bb1d2f12b6fd4f58",
     )
 
 
