@@ -329,6 +329,13 @@ def e_aL0_matrix(module: MobiusModule, a: ExactScalar) -> ExactMatrix:
     )
 
 
+def _tail_orbit(f: LogSeries, terms: list, count: int) -> list:
+    """The orbit ``terms`` of f padded to ``count`` with zeros bounded like f: the
+    orbit of f's unknown tail need not end with f's, so every power of the
+    coefficient it would meet charges the bound."""
+    return terms + [LogSeries.zero(f.space, f.trunc)] * (count - len(terms)) if f.trunc else terms
+
+
 def exp_L(
     module: MobiusModule, j: int, coeff: LogSeries, f: LogSeries, order: int | None = None, var: VarId = "x"
 ) -> LogSeries:
@@ -341,13 +348,14 @@ def exp_L(
     """
     m = module.L(j)
     if m.is_nilpotent():
-        terms = exp_nilpotent_terms(module, m, f)
+        terms = _tail_orbit(f, exp_nilpotent_terms(module, m, f), module.dim)
         return _exp_sum(f.with_trunc({var: order}) if order is not None else f, terms, coeff)
     if order is None:
         raise NonTerminating("exponential of a non-nilpotent operator needs a truncation order")
     powers = cut_powers(coeff, var, order - min(0, _floor_val(f, var)))
+    terms = _tail_orbit(f, exp_nilpotent_terms(module, m, f, len(powers)), len(powers))
     out = f.with_trunc({var: order})
-    for power, term in zip(powers[1:], exp_nilpotent_terms(module, m, f, len(powers))[1:]):
+    for power, term in zip(powers[1:], terms[1:]):
         out = out + power * term
     return out
 

@@ -272,8 +272,9 @@ TruncMap = Mapping[VarId, int]
 
 
 def _floor_val(f: LogSeries, v: VarId) -> int:
-    """floor(Re val_v(f)), the least v-exponent of f rounded down (0 for no terms)."""
-    return min((m.exponent(v).a for m in f.terms), default=0) // LATTICE
+    """floor(Re val_v(f)), the least v-exponent of f rounded down.  With no terms
+    it is f's v-bound, where its unknown tail starts (0 if f is exact in v)."""
+    return min((m.exponent(v).a for m in f.terms), default=f.trunc.get(v, 0) * LATTICE) // LATTICE
 
 
 def _merge_trunc(a: TruncMap, b: TruncMap) -> dict[VarId, int]:

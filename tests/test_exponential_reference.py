@@ -107,15 +107,18 @@ def ref_exp_L(module, j, coeff, f, order=None, var="x"):
     if low:
         raise ValueError(f"series must have positive valuation in {var!r} (found {low[0]!r})")
     # exact: a cut sum at the order raised by -val(f) (each power of coeff raises the
-    # valuation by at least 1), then cut back at order
+    # valuation by at least 1; a truncated f with no terms has the valuation of its
+    # unknown tail), then cut back at order
     raised = order
-    if not nilpotent and f.terms:
-        raised = order + max(0, math.ceil(-min(mono.exponent(var).re for mono in f.terms)))
+    if not nilpotent:
+        exponents = [mono.exponent(var).re for mono in f.terms] or [f.trunc.get(var, 0)]
+        raised = order + max(0, math.ceil(-min(exponents)))
     out = f.with_trunc({var: raised}) if order is not None else f
     power = LogSeries.one()
-    for k in range(1, (module.dim if nilpotent else raised) + 1):
+    for k in range(1, module.dim if nilpotent else raised + 1):
         f = f.map_coeffs(lambda vec: module.apply_matrix(m, vec).scale(Fraction(1, k)))
-        if f.is_zero():
+        # the orbit of a truncated f's unknown tail goes on after f's ends
+        if f.is_zero() and not f.trunc:
             break
         power = power * coeff
         out = out + power * f
@@ -301,11 +304,22 @@ class TestAgainstReference:
         f = data.draw(series(mod))
         f = LogSeries(f.space, {m: v for m, v in f.items() if m.exponent("y").re >= 0}, f.trunc)
         order = data.draw(st.integers(0, 4))
+        coeff = series_log1p(-u, "y", order).scale(c)
         want = ref_one_minus_u_power(mod, mod.action.L0.scale(c), u, f, order, "y")
-        got = exp_L(mod, 0, series_log1p(-u, "y", order).scale(c), f, order, "y")
-        # the two expansions bound an x-truncated f differently when u has
-        # negative x-valuation: they must agree wherever both claim to know
+        got = exp_L(mod, 0, coeff, f, order, "y")
+        # equal wherever both claim to know: the binomial loop charges every power
+        # of u to an x-truncated f's bound, the exponential only the powers that the
+        # orbit of L(0) can reach, which ends at dim W when L(0) is nilpotent
         assert _same(got.with_trunc(want.trunc), want.with_trunc(got.trunc))
+        if not mod.action.L0.is_nilpotent():
+            assert all(got.trunc[v] <= n for v, n in want.trunc.items())
+        # and got claims only what every completion of f agrees on: a tail just
+        # above f's x bound changes no coefficient below got's
+        if "x" in f.trunc:
+            tail = CoeffVector(mod.coeff_space, {i: 1 for i in range(mod.dim)})
+            full = LogSeries(f.space, {**f.terms, Monomial.var("x", f.trunc["x"] + 1): tail},
+                             {v: n for v, n in f.trunc.items() if v != "x"})
+            assert _same(got, exp_L(mod, 0, coeff, full, order, "y").with_trunc(got.trunc))
 
     def test_p3_right_side(self):
         for t in [*jordan_fixture_tables(), honest_fixture_table()]:

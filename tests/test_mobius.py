@@ -23,7 +23,7 @@ from logcalc.mobius import (
 )
 from logcalc.scalars import ExactScalar, LatticeViolation, imaginary_unit, pi_scalar
 from logcalc.series import SCALAR, CoeffVector, LogSeries, Monomial
-from logcalc.substitution import series_exp
+from logcalc.substitution import series_exp, series_log1p
 
 
 class TestGradingGroup:
@@ -151,6 +151,26 @@ class TestExpL:
         # a nilpotent L(j) sums exactly, so its order only truncates
         got = exp_L(irreducible3, -1, LogSeries.variable("x", -1), e, order=2)
         assert got == exp_L(irreducible3, -1, LogSeries.variable("x", -1), e).with_trunc({"x": 2})
+
+    def test_unknown_tail_charges_the_bound(self, irreducible3):
+        # f's orbit ends at once, but the orbit of its unknown x-tail need not: each
+        # power of a coefficient of negative x-valuation lowers the x bound by one
+        y = LogSeries.variable("y")
+        j1 = catalog.jordan_module("J", 1, 1)
+        e0, e2 = irreducible3.basis_vector(0), irreducible3.basis_vector(2)
+        cases = [  # (module, j, coeff, f, completion of f, order, var)
+            (j1, 0, series_log1p(-(y * LogSeries.variable("x", -1)), "y", 2), LogSeries.zero(j1.coeff_space),
+             LogSeries.vector(j1.basis_vector(0), Monomial.var("x", 4)), 2, "y"),
+            (irreducible3, 1, LogSeries.variable("x", -1), LogSeries.vector(e0),
+             LogSeries.vector(e0) + LogSeries.vector(e2, Monomial.var("x", 4)), None, "x"),
+        ]
+        for module, j, coeff, f, full, order, var in cases:
+            got = exp_L(module, j, coeff, f.with_trunc({"x": 3}), order, var)
+            want = exp_L(module, j, coeff, full, order, var)
+            assert got.trunc["x"] == 1
+            assert all(got.coeff(m) == want.coeff(m) for m in want.terms if m.exponent("x").re <= 1)
+            # and the tail reaches below the old bound x^3
+            assert any(1 < m.exponent("x").re <= 3 for m in want.terms)
 
 
 class TestXPowerL0:

@@ -216,6 +216,12 @@ class TestTruncationSoundness:
         assert (self.X3 * LogSeries.variable("y", -1)).trunc == {"x": 3}
         assert self.X3.d_dx("x", 1).trunc == {"x": 2}
 
+    def test_a_factor_with_no_terms_has_the_valuation_of_its_tail(self):
+        # two unknown tails above x^-1 multiply to exponents above x^-2
+        z = LogSeries.zero(SCALAR, {"x": -1})
+        assert (z * z).trunc == {"x": -2}
+        assert (self.X3 * LogSeries.zero(SCALAR, {"x": 1})).trunc == {"x": 1}
+
     @pytest.mark.parametrize("tail", [LogSeries.variable("x", 4), LogSeries.monomial(mono(Fraction(7, 2), 1), 5)])
     def test_known_coefficients_agree_with_every_completion(self, tail):
         g = LogSeries.variable("x", -1) + LogSeries.variable("x", -2).scale(3)

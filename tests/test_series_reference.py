@@ -59,10 +59,11 @@ def ref_monomial_mul(a, b):
 
 def _sound_bounds(trunc, other):
     """Each bound of ``trunc`` lowered by the floor of the other factor's
-    valuation when that is negative."""
+    valuation when that is negative (with no terms, the valuation of its
+    unknown tail, which starts at its bound)."""
     out = {}
     for v, n in trunc.items():
-        val = min((m.exponent(v).re for m in other.terms), default=Fraction(0))
+        val = min((m.exponent(v).re for m in other.terms), default=Fraction(other.trunc.get(v, 0)))
         out[v] = n + min(0, math.floor(val))
     return out
 
