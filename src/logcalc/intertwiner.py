@@ -821,6 +821,10 @@ def shift_s1s2s3(t: IntertwinerTable, s1: int, s2: int, s3: int) -> IntertwinerT
     return compose_with_homs(t, sig3, sig1, sig2)
 
 
+class RecoveryFailure(AssertionError):
+    """A recovery expression of :func:`recover_modes` kept a power of x or lg(x)."""
+
+
 def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | int) -> list[CoeffVector]:
     """Recover mode(i, j, n, r) for r = 0..K-1 from weight projections of the
     shifted operators, via the signed-Pascal combination; asserts that every
@@ -842,9 +846,8 @@ def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | 
             coeff = Fraction((-1) ** (r + tt) * math.comb(tt, r))
             expr = expr + LogSeries.monomial(Monomial.var("x", n + 1, tt - r), coeff) * pis[tt]
         # all x's and lg(x)'s must cancel, leaving a constant vector
-        leftover = [m for m in expr.terms if m != Monomial.UNIT]
-        if leftover:
-            raise AssertionError(f"recovery expression failed to collapse: residual monomials {leftover[:3]}")
+        if leftover := [m for m in expr.terms if m != Monomial.UNIT]:
+            raise RecoveryFailure(f"recovery expression failed to collapse: residual monomials {leftover[:3]}")
         out.append(expr.coeff(Monomial.UNIT))
     return out
 

@@ -9,13 +9,20 @@ a function of it; the derivative rule below is what ties them together:
     v^r d/dv [ v^n lg(v)^m ] = n v^(n+r-1) lg(v)^m + m v^(n+r-1) lg(v)^(m-1).
 
 ``d_dx(v, r)`` applies it in one termwise pass: r = 0 is d/dv and r = 1 the
-Euler operator v d/dv.  The operator exponential e^(yT) takes T = c v^r d/dv.
+Euler operator v d/dv.  For T = c v^r d/dv and n = (a + b i)/L (L = ``LATTICE``),
+e^(yT) sends v^n lg(v)^m to sum_k c^k y^k v^(n+k(r-1)) sum_j E_k[j] lg(v)^j / (k! L^k),
+with E_0 the unit vector at j = m and one Gaussian-integer table per (n, m):
+
+    E_(k+1)[j] = (a + b i + k(r-1)L) E_k[j] + (j+1) L E_k[j+1].
+
+Level k+1 lists its slots (rest, n, j) as the iterated rule first puts them from
+level k, by (., j) if n + k(r-1) != 0 and by (., j+1); a slot summing to 0 is left out.
 
 Optional per-variable truncation orders support working in W{x, lg x}[[y]]:
 ``trunc[y] = N`` means the series is only known modulo terms of y-exponent
 greater than N, and all operations prune accordingly (and propagate the
-bound pessimistically).  v^r d/dv lowers ``trunc[v]`` by one whatever r is,
-and drops an image above the lowered bound.
+bound pessimistically): v^r d/dv lowers ``trunc[v]`` by 1 - min(0, floor(Re r)) and
+drops an image above it; e^(yT) also drops every level's terms above its final bound.
 
 Monomial entries are sorted by variable, with no v^0 lg(v)^0 entry: products merge them.
 """
@@ -27,7 +34,7 @@ from fractions import Fraction
 from operator import le
 from typing import Callable, Iterable, Mapping
 
-from .scalars import LATTICE, ExactScalar, Exponent, ScalarLike
+from .scalars import LATTICE, ExactScalar, Exponent, ScalarLike, gaussian_rational
 
 VarId = str
 
@@ -284,6 +291,18 @@ def _merge_trunc(a: TruncMap, b: TruncMap) -> dict[VarId, int]:
     return out
 
 
+def _exp_table(n: Exponent, m: int, r: Exponent, cs: list) -> list[list[ExactScalar | None]]:
+    """Row k (0 < k < len(cs)): c^k E_k[j] / (k! L^k) for j <= m, None for 0; cs[k] is c^k, or None for c = 1."""
+    re, im, rows = [0] * m + [1, 0], [0] * (m + 2), [[]]
+    for k, ck in enumerate(cs[1:], 1):
+        a, b = n.a + (k - 1) * (r.a - LATTICE), n.b + (k - 1) * r.b  # L n_(k-1)
+        re, im = ([a * re[j] - b * im[j] + (j + 1) * LATTICE * re[j + 1] for j in range(m + 1)] + [0],
+                  [a * im[j] + b * re[j] + (j + 1) * LATTICE * im[j + 1] for j in range(m + 1)] + [0])
+        row = [gaussian_rational(x, z, math.factorial(k) * LATTICE**k) if x or z else None for x, z in zip(re, im[:-1])]
+        rows.append(row if ck is None else [None if s is None else s * ck for s in row])
+    return rows
+
+
 class LogSeries:
     """Finitely supported series with CoeffVector coefficients.
 
@@ -499,16 +518,38 @@ class LogSeries:
             raise UndefinedProduct("the operator coefficient must be one untruncated scalar term c v^r")
         ((mono, coeff),) = p.terms.items()
         c, r = coeff.scalar_value(), mono.exponent(v)
-        # y is fresh, so the terms m y^k for different k never meet: each is written once
-        out: dict[Monomial, CoeffVector] = {}
-        trunc, tk, ck = {y: order}, self, ExactScalar.from_rational(1)
-        for k in range(order + 1):
-            yk, s = Monomial.var(y, k), ck * Fraction(1, math.factorial(k))
-            trunc = _merge_trunc(trunc, tk.trunc)
-            out.update((m * yk, vec.scale(s)) for m, vec in tk.terms.items())
-            if k < order:
-                tk, ck = tk.d_dx(v, r), ck * c
-        return LogSeries(self.space, out, trunc)
+        step = r.a - LATTICE  # L (n_(k+1) - n_k), real part; the imaginary part is r.b
+        trunc = {y: order, **self.trunc}
+        caps = [(self.trunc.get(v, math.inf) + k * (min(0, r.a // LATTICE) - 1)) * LATTICE for k in range(order + 1)]
+        trunc.update({v: caps[-1] // LATTICE} if v in self.trunc else {})
+        cs = [None if c == 1 else c**k for k in range(order + 1)]
+        out = {m: vec for m, vec in self.terms.items() if m.exponent(v).a <= caps[-1]}
+        tables, groups, slots = {}, {}, []  # a group: the terms that differ only in their power of lg(v)
+        for m, vec in self.terms.items():
+            n, lp, g = m.exponent(v), m.log_power(v), (m.without(v), m.exponent(v))
+            rows = tables.get((n, lp)) or tables.setdefault((n, lp), _exp_table(n, lp, r, cs))
+            groups.setdefault(g, []).append((lp, vec.components, rows))
+            slots.append((g, lp))
+        # level k places each slot (group, j) where the iterated rule first puts it, scanning level k - 1
+        for k in range(1, order + 1):
+            yk, placed = Monomial.var(y, k), {}
+            for g, j in slots:
+                a, b = g[1].a + (k - 1) * step, g[1].b + (k - 1) * r.b  # L n_(k-1)
+                alive = a + step <= caps[k]  # a group that passes a level's bound stops there
+                for jj in ((j, j - 1) if a or b else (j - 1,)) if alive else ():
+                    if jj < 0 or (g, jj) in placed:
+                        continue
+                    comps: dict[int, ExactScalar] = {}
+                    for lp, comps1, rows in groups[g]:
+                        s = rows[k][jj] if jj <= lp else None
+                        for i, x in comps1.items() if s is not None else ():
+                            comps[i] = comps[i] + x * s if i in comps else x * s
+                    placed[g, jj] = comps = {i: x for i, x in comps.items() if not x.is_zero()}
+                    if comps and a + step <= caps[-1]:
+                        head = (g[0] * yk)._with(v, Exponent._lattice(a + step, b + r.b), jj)
+                        out[head] = CoeffVector._trusted(self.space, comps)
+            slots = [slot for slot, comps in placed.items() if comps]
+        return LogSeries._trusted(self.space, out, trunc)
 
     # -- misc ----------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import pytest
 
-from logcalc import catalog, checks, combinatorics, intertwiner, jsonio, substitution
+from logcalc import catalog, checks, cli, combinatorics, intertwiner, jsonio, substitution
 from logcalc.checks import SUITES, honest_fixture_table
 from logcalc.intertwiner import IntertwinerTable, VertexTable
 from logcalc.jsonio import dump_object
@@ -100,6 +100,20 @@ def _solver_plants_wrong_weight(orig):
             if wrong:
                 t = t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n, 0): t.w3.basis_vector(wrong[0])})
             out.append(t)
+        return out
+
+    return solve
+
+
+def _solver_plants_half_step(orig):
+    """The solver returns each table with its first mode copied to exponent
+    n + 1/2, which is not congruent to the others."""
+
+    def solve(*args, **kwargs):
+        out = []
+        for t in orig(*args, **kwargs):
+            (i, j, n, _k), vec = t.canonical_items()[0]
+            out.append(t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n + Fraction(1, 2), 0): vec}))
         return out
 
     return solve
@@ -224,6 +238,10 @@ def _d_dx_adds_its_input(orig):  # linear, but not a derivation
     return lambda self, v, r=0: orig(self, v, r) + self
 
 
+def _exp_diffop_adds_its_input(orig):  # e^(yT) f + f at order >= 1: not multiplicative
+    return lambda self, y, p, v, order: orig(self, y, p, v, order) + (self if order else LogSeries.zero(self.space))
+
+
 def _d_dx_skips_last_term(orig):  # not linear
     return lambda self, v, r=0: orig(LogSeries(self.space, dict(self.sorted_items()[:-1]), self.trunc), v, r)
 
@@ -254,11 +272,11 @@ AUDIT = {
     "root-of-unity-homomorphism": ("scalars", _wrap(checks, "root_of_unity", lambda orig: lambda q: orig(q % 1))),
     "binomial-pascal-rule": ("scalars", _wrap(checks, "binom_general", lambda orig: lambda m, k: orig(m, k) * k)),
     "pi-transcendence-roundtrip": ("scalars", _wrap(checks, "scalar_str", lambda orig: lambda s: orig(s).replace("Pi^2", "Pi"))),
-    # series: d_dx accumulates onto its input, or skips the last term
+    # series: d_dx or exp_diffop accumulates onto its input, or d_dx skips the last term
     "leibniz-rule": ("series", _wrap(LogSeries, "d_dx", _d_dx_adds_its_input)),
     "derivative-linearity": ("series", _wrap(LogSeries, "d_dx", _d_dx_skips_last_term)),
     "log-of-exp": ("series", _wrap(checks, "series_log1p", lambda orig: lambda h, v, order: orig(-h, v, order).scale(-1))),
-    "exp-derivation-multiplicative": ("series", _wrap(LogSeries, "d_dx", _d_dx_adds_its_input)),
+    "exp-derivation-multiplicative": ("series", _wrap(LogSeries, "exp_diffop", _exp_diffop_adds_its_input)),
     "integral-scale-identity": ("series", _wrap(
         checks, "subst_scaled_exp", lambda orig: lambda f, x, zeta: orig(f, x, zeta.divided_by_rational(2))
     )),
@@ -313,9 +331,7 @@ AUDIT = {
     "weight-formulas": ("fusion", _wrap(MobiusModule, "nilpotency_index", lambda orig: lambda self: orig(self) - 1)),
     "omega-preserves-euler": ("fusion", _freshmans_binomial),
     "formal-invariance": ("fusion", _freshmans_binomial),
-    "power-congruence": ("fusion", _wrap(
-        IntertwinerTable, "exponents", lambda orig: lambda self: [n + Fraction(1, 2) for n in orig(self)]
-    )),
+    "power-congruence": ("fusion", _wrap(checks, "solve_fusion_space", _solver_plants_half_step)),
     "congruence-partition": ("fusion", _wrap(checks, "decompose", lambda orig: lambda t, which: orig(t, which)[:-1])),
     "logpower-slices": ("fusion", _wrap(intertwiner, "decompose", _log_slices_from_one)),
     "xt-zero-beyond-depth": ("fusion", _wrap(checks, "x_t", lambda orig: lambda t, tt: orig(t, min(tt, t.max_log_power())))),
@@ -364,3 +380,14 @@ def test_planted_defect_fails_the_family(fam, monkeypatch, tmp_path):
     suite, defect = AUDIT[fam]
     rep = _run(suite, **(defect(monkeypatch, tmp_path) or {}))
     assert fam in {family(c.check_id) for c in rep.failures}, rep.to_text()[:2000]
+
+
+def test_non_congruent_mode_fails_mode_recovery(monkeypatch, capsys):
+    """A recovery expression that keeps a power of x fails its mode-recovery row,
+    naming (i, j, n) and the residual monomials, instead of raising out of the suite."""
+    monkeypatch.setattr(checks, "solve_fusion_space", _solver_plants_half_step(checks.solve_fusion_space))
+    assert cli.main(["check", "fusion"]) == 1
+    rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines() if line.startswith("  FAIL")}
+    residual = "recovery expression failed to collapse: residual monomials [Monomial(x^(-1/2))"
+    assert all(residual in rows[f"mode-recovery-{idx}"] for idx in range(3))
+    assert rows["mode-recovery-0"].startswith("  FAIL  mode-recovery-0  [mode(0,0,Exponent(-1)): ")

@@ -22,6 +22,7 @@ from logcalc import catalog, intertwiner
 from logcalc.checks import honest_fixture_table, jordan_fixture_tables
 from logcalc.intertwiner import (
     IntertwinerTable,
+    RecoveryFailure,
     _p3_rhs,
     _witness,
     a_r,
@@ -299,7 +300,7 @@ def ref_recover_modes(t, i, j, n, var="x"):
             expr = expr + (LogSeries.monomial(Monomial.var(var, n + 1, tt - r), coeff) * pis[tt])
         leftover = [m for m in expr.terms if m != Monomial.UNIT]
         if leftover:
-            raise AssertionError(f"recovery expression failed to collapse: residual monomials {leftover[:3]}")
+            raise RecoveryFailure(f"recovery expression failed to collapse: residual monomials {leftover[:3]}")
         out.append(expr.coeff(Monomial.UNIT))
     return out
 
