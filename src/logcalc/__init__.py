@@ -48,11 +48,9 @@ from .combinatorics import (
     vandermonde_pair,
 )
 from .mobius import (
-    GradedSpace,
     GradingGroup,
     MobiusModule,
     NonTerminating,
-    Sl2Action,
     conj_identity_check,
     contragredient,
     e_aL0,

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .matrix import ExactMatrix
-from .mobius import GradedSpace, GradingGroup, MobiusModule, Sl2Action, TRIVIAL_GROUP
+from .mobius import GradingGroup, MobiusModule, TRIVIAL_GROUP
 from .scalars import Exponent
 from .series import LogSeries, Monomial
 
@@ -45,8 +45,7 @@ def jordan_module(name: str, weight: Fraction | int = 0, size: int = 2, blocks: 
                 # N maps the (s+1)-st basis vector onto the s-th
                 l0[base + s][base + s + 1] = Fraction(1)
     zero = ExactMatrix.zeros(dim, dim)
-    space = GradedSpace(name, weights, degrees, group)
-    return MobiusModule(space, Sl2Action(zero, ExactMatrix(l0), zero))
+    return MobiusModule(name, weights, zero, ExactMatrix(l0), zero, degrees, group)
 
 
 def trivial_module(name: str = "V", weight: Fraction | int = 0) -> MobiusModule:
@@ -73,30 +72,28 @@ def sl2_irreducible(name: str, dim: int) -> MobiusModule:
             lm1[j + 1][j] = Fraction(1)
             # [L(1), L(-1)] = 2L(0) fixes the lowering coefficients b_{j+1} = (j+1)(j+1-d)
             l1[j][j + 1] = Fraction((j + 1) * (j + 1 - dim))
-    space = GradedSpace(name, weights)
-    return MobiusModule(space, Sl2Action(ExactMatrix(lm1), ExactMatrix(l0), ExactMatrix(l1)))
+    return MobiusModule(name, weights, ExactMatrix(lm1), ExactMatrix(l0), ExactMatrix(l1))
 
 
 def direct_sum(name: str, *modules: MobiusModule) -> MobiusModule:
     dim = sum(m.dim for m in modules)
     weights: list[Exponent] = []
     degrees: list[tuple[int, ...]] = []
-    group = modules[0].space.group
+    group = modules[0].group
     mats = {j: [[Fraction(0)] * dim for _ in range(dim)] for j in (-1, 0, 1)}
     off = 0
     for m in modules:
-        if m.space.group != group:
+        if m.group != group:
             raise ValueError("direct summands must share the grading group")
-        weights.extend(m.space.weights)
-        degrees.extend(m.space.degrees)
+        weights.extend(m.weights)
+        degrees.extend(m.degrees)
         for j in (-1, 0, 1):
             src = m.L(j).entries
             for a in range(m.dim):
                 for b in range(m.dim):
                     mats[j][off + a][off + b] = src[a][b]
         off += m.dim
-    space = GradedSpace(name, weights, degrees, group)
-    return MobiusModule(space, Sl2Action(ExactMatrix(mats[-1]), ExactMatrix(mats[0]), ExactMatrix(mats[1])))
+    return MobiusModule(name, weights, *(ExactMatrix(mats[j]) for j in (-1, 0, 1)), degrees, group)
 
 
 def conjugate_basis(module: MobiusModule, rng: random.Random) -> MobiusModule:
@@ -107,19 +104,16 @@ def conjugate_basis(module: MobiusModule, rng: random.Random) -> MobiusModule:
         m = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                if i != j and (i < j) == upper and module.weight(i) == module.weight(j) \
-                        and module.degree(i) == module.degree(j):
+                if i != j and (i < j) == upper and module.weights[i] == module.weights[j] \
+                        and module.degrees[i] == module.degrees[j]:
                     m[i][j] = Fraction(rng.randint(-2, 2))
         return ExactMatrix(m)
 
     q = unipotent(True) @ unipotent(False)
     qinv = q.inverse()
-    action = Sl2Action(
-        q @ module.action.Lm1 @ qinv,
-        q @ module.action.L0 @ qinv,
-        q @ module.action.L1 @ qinv,
+    return MobiusModule(
+        module.name, module.weights, *(q @ module.L(j) @ qinv for j in (-1, 0, 1)), module.degrees, module.group
     )
-    return MobiusModule(module.space, action)
 
 
 def seeded_semisimple_module(name: str, seed: int, max_dim: int = 4) -> MobiusModule:

@@ -15,7 +15,9 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import catalog
-from .combinatorics import comb_identity_sides, lubell_refinement, lubell_sides, pascal_pair, vandermonde_pair
+from .combinatorics import (
+    _compositions, comb_identity_sides, lubell_refinement, lubell_sides, pascal_pair, vandermonde_pair
+)
 from .intertwiner import (
     IntertwinerTable,
     RecoveryFailure,
@@ -150,7 +152,8 @@ def check_multinomial(seed: int = 0, smax: int = 3, tmax: int = 5) -> Report:
             for _ in range(t):
                 lhs = lhs @ total
             rhs = ExactMatrix.zeros(dim, dim)
-            for split in _compositions_nonneg(t, s):
+            # the splits of t into s parts: those of t + s into positive parts, each less one
+            for split in ([c - 1 for c in p] for p in _compositions(t + s, s)):
                 coeff = Fraction(math.factorial(t))
                 for c in split:
                     coeff /= math.factorial(c)
@@ -161,15 +164,6 @@ def check_multinomial(seed: int = 0, smax: int = 3, tmax: int = 5) -> Report:
                 rhs = rhs + term
             rep.add(f"multinomial(s={s},t={t})", lhs == rhs)
     return rep
-
-
-def _compositions_nonneg(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_nonneg(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +389,9 @@ def _congruent_powers(t: IntertwinerTable) -> bool:
     def congruent(ws) -> bool:
         return all((w - ws[0]).is_integer() for w in ws)
 
-    if not all(congruent(m.space.weights) for m in (t.w1, t.w2, t.w3)):
+    if not all(congruent(m.weights) for m in (t.w1, t.w2, t.w3)):
         return True  # hypothesis of the corollary not met
-    h1, h2, h3 = t.w1.weight(0), t.w2.weight(0), t.w3.weight(0)
+    h1, h2, h3 = t.w1.weights[0], t.w2.weights[0], t.w3.weights[0]
     return all(((h3 - h1 - h2) + n + 1).is_integer() for n in t.exponents())
 
 

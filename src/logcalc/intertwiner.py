@@ -137,11 +137,7 @@ class IntertwinerTable:
     # -- series views ---------------------------------------------------------
 
     def series(self, i: int, j: int) -> LogSeries:
-        terms: dict[Monomial, CoeffVector] = {}
-        for (ii, jj, n, k), vec in self.modes.items():
-            if ii == i and jj == j:
-                terms[Monomial.var("x", -n - 1, k)] = vec
-        return LogSeries(self.w3.coeff_space, terms)
+        return self.series_args(self.w1.basis_vector(i), self.w2.basis_vector(j))
 
     def series_args(self, v1: CoeffVector, v2: CoeffVector) -> LogSeries:
         """Bilinear extension Y(v1, x) v2."""
@@ -223,7 +219,7 @@ class VertexTable:
         for (slot, v, n), m in self.modes.items():
             mod = self.modules[slot]
             shift = self.vector_weights[v] - n - 1
-            bad = [(row, col) for row, col in m.nonzero_positions() if mod.weight(row) != mod.weight(col) + shift]
+            bad = [(row, col) for row, col in m.nonzero_positions() if mod.weights[row] != mod.weights[col] + shift]
             witness = f"mode (slot={slot}, v={v}, n={n}) entry [{bad[0][0]}][{bad[0][1]}]" if bad else None
             rep.add(f"weight-shift(slot={slot},v={v},n={n})", not bad, witness)
         return rep
@@ -267,25 +263,25 @@ def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
                         d = defects.get((i, j), zero)
                         rep.add(f"{prefix}{i},{j})", d.is_zero(), _witness(d))
         elif kind == "grading":
-            group = t.w3.space.group
-            if not (t.w1.space.group == group == t.w2.space.group):
+            group = t.w3.group
+            if not (t.w1.group == group == t.w2.group):
                 rep.add("grading-compatibility", False, "modules are graded over different groups")
                 continue
             witness = None
             for (i, j, n, k), vec in t.canonical_items():
-                want = group.add(t.w1.degree(i), t.w2.degree(j))
-                bad = [b for b in sorted(vec.components) if t.w3.degree(b) != want]
+                want = group.add(t.w1.degrees[i], t.w2.degrees[j])
+                bad = [b for b in sorted(vec.components) if t.w3.degrees[b] != want]
                 if bad:
-                    witness = f"mode({i},{j},{n!r},{k}) has a component of degree {t.w3.degree(bad[0])}"
+                    witness = f"mode({i},{j},{n!r},{k}) has a component of degree {t.w3.degrees[bad[0]]}"
                     break
             rep.add("grading-compatibility", witness is None, witness)
         elif kind == "weights":
             witness = None
             for (i, j, n, k), vec in t.canonical_items():
-                want = t.w1.weight(i) + t.w2.weight(j) - n - 1
-                bad = [b for b in sorted(vec.components) if t.w3.weight(b) != want]
+                want = t.w1.weights[i] + t.w2.weights[j] - n - 1
+                bad = [b for b in sorted(vec.components) if t.w3.weights[b] != want]
                 if bad:
-                    witness = f"mode({i},{j},{n!r},{k}) has weight {t.w3.weight(bad[0])!r}, want {want!r}"
+                    witness = f"mode({i},{j},{n!r},{k}) has weight {t.w3.weights[bad[0]]!r}, want {want!r}"
                     break
             rep.add("generalized-weight-purity", witness is None, witness)
         else:
@@ -493,7 +489,7 @@ def delta_relation_check(bounds: int = 6) -> Report:
 # E2 of e_j, and one on the W3 side.
 
 def _l0_minus(mod: MobiusModule, h: Exponent) -> ExactMatrix:
-    return mod.action.L0 - ExactMatrix.identity(mod.dim).scale(h.as_scalar())
+    return mod.L(0) - ExactMatrix.identity(mod.dim).scale(h.as_scalar())
 
 
 def _orbit(mod: MobiusModule, v, h: Exponent, count: int) -> list:
@@ -505,8 +501,8 @@ def _orbit(mod: MobiusModule, v, h: Exponent, count: int) -> list:
 def _arg_orbits(t: IntertwinerTable, i: int, j: int, count: int) -> list[tuple[int, CoeffVector, CoeffVector]]:
     """(s, E1[ii], E2[jj]) with s = ii + jj < ``count``, in (ii, jj) order:
     E1 and E2 are the orbits of e_i and e_j at their own weights."""
-    e1 = _orbit(t.w1, t.w1.basis_vector(i), t.w1.weight(i), count)
-    e2 = _orbit(t.w2, t.w2.basis_vector(j), t.w2.weight(j), count)
+    e1 = _orbit(t.w1, t.w1.basis_vector(i), t.w1.weights[i], count)
+    e2 = _orbit(t.w2, t.w2.basis_vector(j), t.w2.weights[j], count)
     return [(ii + jj, v1, v2) for ii, v1 in enumerate(e1) for jj, v2 in enumerate(e2[: count - ii])]
 
 
@@ -555,7 +551,7 @@ def _euler_sides(t: IntertwinerTable, key: ModeKey, count: int) -> tuple[list[Co
     with N3 = L(0) - (a+b-n-1), N1 = L(0) - a and N2 = L(0) - b."""
     i, j, n, k = key
     zero = CoeffVector.zero(t.w3.coeff_space)
-    lhs = _orbit(t.w3, t.mode(i, j, n, k), t.w1.weight(i) + t.w2.weight(j) - n - 1, count)
+    lhs = _orbit(t.w3, t.mode(i, j, n, k), t.w1.weights[i] + t.w2.weights[j] - n - 1, count)
     rhs = [zero] * count
     for s, v1, v2 in _arg_orbits(t, i, j, count):
         for (nn, kk), mode in t.mode_map(v1, v2).items():
@@ -596,7 +592,7 @@ def _check_ty(rep: Report, t: IntertwinerTable, count: int) -> None:
         for j in range(t.w2.dim):
             args = [(s, t.series_args(v1, v2)) for s, v1, v2 in _arg_orbits(t, i, j, count)]
             for c in samples:
-                shift = (t.w1.weight(i) + t.w2.weight(j) - c).as_scalar()
+                shift = (t.w1.weights[i] + t.w2.weights[j] - c).as_scalar()
                 lhs = _orbit(t.w3, t.series(i, j), c, count)
                 lhs += [zero] * (count - len(lhs))
                 rhs = [zero] * count
@@ -620,7 +616,7 @@ def _check_rt(rep: Report, t: IntertwinerTable, keys: Sequence[ModeKey], count: 
         for s, v1, v2 in _arg_orbits(t, i, j, count):
             mode = t.mode_map(v1, v2).get((n, k))
             if mode is not None:
-                for ll, term in enumerate(_orbit(t.w3, mode, t.w1.weight(i) + t.w2.weight(j) - n - 1, count - s)):
+                for ll, term in enumerate(_orbit(t.w3, mode, t.w1.weights[i] + t.w2.weights[j] - n - 1, count - s)):
                     rhs[s + ll] = rhs[s + ll] + term.scale((-1) ** s)
         for tt in range(count):
             lhs = t.mode(i, j, n, k + tt).scale(math.comb(k + tt, tt))
@@ -642,10 +638,10 @@ def _check_bounds(rep: Report, t: IntertwinerTable, k1: int, k2: int, k3: int) -
     witness = None
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            e1 = _orbit(t.w1, t.w1.basis_vector(i), t.w1.weight(i), k1)
-            e2 = _orbit(t.w2, t.w2.basis_vector(j), t.w2.weight(j), k2)
+            e1 = _orbit(t.w1, t.w1.basis_vector(i), t.w1.weights[i], k1)
+            e2 = _orbit(t.w2, t.w2.basis_vector(j), t.w2.weights[j], k2)
             for n in dict.fromkeys(key[2] for key in t.modes if key[0] == i and key[1] == j):
-                n3 = _l0_minus(t.w3, t.w1.weight(i) + t.w2.weight(j) - n - 1)
+                n3 = _l0_minus(t.w3, t.w1.weights[i] + t.w2.weights[j] - n - 1)
                 m_max = max(
                     (len(exp_nilpotent_terms(t.w3, n3, mode))
                      for v1 in e1 for v2 in e2 for (nn, _k), mode in t.mode_map(v1, v2).items() if nn == n),
@@ -667,14 +663,14 @@ def _check_pairing_poly(rep: Report, t: IntertwinerTable) -> None:
             s = t.series(i, j)
             for m in range(t.w3.dim):
                 wprime = dual.basis_vector(m)
-                n3 = dual.weight(m)
+                n3 = dual.weights[m]
                 k3 = len(exp_nilpotent_terms(dual, _l0_minus(dual, n3), wprime))
                 pair = LogSeries.zero(SCALAR)
                 for mono, vec in s.items():
                     c = pairing_value(wprime, vec)
                     if not c.is_zero():
                         pair = pair + LogSeries.monomial(mono, c)
-                want_exp = n3 - t.w1.weight(i) - t.w2.weight(j)
+                want_exp = n3 - t.w1.weights[i] - t.w2.weights[j]
                 bound = k1 + k2 + k3 - 3
                 bad = [mono for mono, _vec in pair.sorted_items()
                        if mono.exponent("x") != want_exp or mono.log_power("x") > max(bound, 0)]
@@ -832,7 +828,7 @@ def recover_modes(t: IntertwinerTable, i: int, j: int, n: Exponent | Fraction | 
     n = Exponent.coerce(n)
     ks = [k for (ii, jj, nn, k) in t.modes if ii == i and jj == j and nn == n]
     bigk = (max(ks) + 1) if ks else 1
-    mu = t.w1.weight(i) + t.w2.weight(j) - n - 1
+    mu = t.w1.weights[i] + t.w2.weights[j] - n - 1
     # pi_t: the y^t coefficient of e^(yN3) Y(e^(-yN1) e_i, x) e^(-yN2) e_j, projected to weight mu
     pis = [LogSeries.zero(t.w3.coeff_space)] * bigk
     for s, v1, v2 in _arg_orbits(t, i, j, bigk):
@@ -1038,7 +1034,7 @@ def _mode_defect(
 def candidate_exponents(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule) -> list[Exponent]:
     """Weight-compatible exponents n = n1 + n2 - n3 - 1."""
     out = {
-        w1.weight(i) + w2.weight(j) - w3.weight(b) - 1
+        w1.weights[i] + w2.weights[j] - w3.weights[b] - 1
         for i in range(w1.dim) for j in range(w2.dim) for b in range(w3.dim)
     }
     return sorted(out, key=lambda e: e.sort_key())
@@ -1076,10 +1072,10 @@ def solve_fusion_space(
     for i in range(w1.dim):
         for j in range(w2.dim):
             for n in exps:
-                want_wt = w1.weight(i) + w2.weight(j) - n - 1
-                want_deg = w3.space.group.add(w1.degree(i), w2.degree(j))
+                want_wt = w1.weights[i] + w2.weights[j] - n - 1
+                want_deg = w3.group.add(w1.degrees[i], w2.degrees[j])
                 for b in range(w3.dim):
-                    if w3.weight(b) != want_wt or w3.degree(b) != want_deg:
+                    if w3.weights[b] != want_wt or w3.degrees[b] != want_deg:
                         continue
                     for k in range(kmax):
                         unknowns.append((i, j, n, k, b))  # type: ignore[arg-type]

@@ -14,14 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from .matrix import ExactMatrix
-from .mobius import (
-    GradedSpace,
-    GradingGroup,
-    MobiusModule,
-    Sl2Action,
-    module_valid,
-    validate_sl2,
-)
+from .mobius import GradingGroup, MobiusModule, module_valid, validate_sl2
 from .parser import parse_exponent, parse_scalar
 from .printer import exponent_str, scalar_str
 from .scalars import ExactScalar, Exponent
@@ -63,8 +56,13 @@ def matrix_from_json(data: Any, pointer: str) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _int(x: Any) -> bool:
+    """A JSON integer: true and false are not, though Python's bool is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _array(data: Any, pointer: str, item: type = object) -> list:
-    ok = isinstance(data, list) and all(isinstance(x, item) for x in data)
+    ok = isinstance(data, list) and all(_int(x) if item is int else isinstance(x, item) for x in data)
     _expect(ok, "must be an array" + ("" if item is object else f" of {item.__name__}s"), pointer)
     return data
 
@@ -94,12 +92,12 @@ def module_to_json(m: MobiusModule) -> dict:
         "kind": "module",
         "name": m.name,
         "dim": m.dim,
-        "group": {"free_rank": m.space.group.free_rank, "torsion": list(m.space.group.torsion)},
-        "weights": [exponent_str(w) for w in m.space.weights],
-        "degrees": [list(d) for d in m.space.degrees],
-        "Lm1": matrix_to_json(m.action.Lm1),
-        "L0": matrix_to_json(m.action.L0),
-        "L1": matrix_to_json(m.action.L1),
+        "group": {"free_rank": m.group.free_rank, "torsion": list(m.group.torsion)},
+        "weights": [exponent_str(w) for w in m.weights],
+        "degrees": [list(d) for d in m.degrees],
+        "Lm1": matrix_to_json(m.L(-1)),
+        "L0": matrix_to_json(m.L(0)),
+        "L1": matrix_to_json(m.L(1)),
     }
 
 
@@ -113,21 +111,21 @@ def module_from_json(data: Any, pointer: str = "") -> MobiusModule:
     _expect(isinstance(gdata, dict), "group must be an object", f"{pointer}/group")
     free_rank = gdata.get("free_rank", 0)
     # the default degree is a zero tuple of free_rank coordinates: bound it
-    ok = isinstance(free_rank, int) and 0 <= free_rank <= 64
+    ok = _int(free_rank) and 0 <= free_rank <= 64
     _expect(ok, "free_rank must be an integer in 0..64", f"{pointer}/group/free_rank")
     torsion = _array(gdata.get("torsion", []), f"{pointer}/group/torsion", int)
     weights = [
         _exponent_from(w, f"{pointer}/weights/{i}")
         for i, w in enumerate(_array(data.get("weights", []), f"{pointer}/weights"))
     ]
-    _expect(len(weights) == data.get("dim"), "dim must match the number of weights", f"{pointer}/dim")
+    dim = data.get("dim")
+    _expect(_int(dim) and dim == len(weights), "dim must match the number of weights", f"{pointer}/dim")
     degrees = data.get("degrees")
     for i, d in enumerate([] if degrees is None else _array(degrees, f"{pointer}/degrees")):
         _array(d, f"{pointer}/degrees/{i}", int)
     matrices = [matrix_from_json(data.get(key), f"{pointer}/{key}") for key in ("Lm1", "L0", "L1")]
     try:
-        space = GradedSpace(name, weights, degrees, GradingGroup(free_rank, torsion))
-        module = MobiusModule(space, Sl2Action(*matrices))
+        module = MobiusModule(name, weights, *matrices, degrees, GradingGroup(free_rank, torsion))
     except ValueError as exc:
         raise SchemaError(str(exc), pointer or "/") from exc
     report = validate_sl2(module)
@@ -178,19 +176,18 @@ def table_from_json(data: Any) -> IntertwinerTable:
         p = f"/modes/{idx}"
         _expect(isinstance(m, dict), "mode must be an object", p)
         i, j, k = m.get("i"), m.get("j"), m.get("k")
-        _expect(isinstance(i, int) and 0 <= i < w1.dim, "bad first index", f"{p}/i")
-        _expect(isinstance(j, int) and 0 <= j < w2.dim, "bad second index", f"{p}/j")
-        _expect(isinstance(k, int) and k >= 0, "log power must be a natural number", f"{p}/k")
+        _expect(_int(i) and 0 <= i < w1.dim, "bad first index", f"{p}/i")
+        _expect(_int(j) and 0 <= j < w2.dim, "bad second index", f"{p}/j")
+        _expect(_int(k) and k >= 0, "log power must be a natural number", f"{p}/k")
         n = _exponent_from(m.get("n"), f"{p}/n")
+        _expect((i, j, n, k) not in modes, "repeats the (i, j, n, k) of an earlier mode", p)
         value = m.get("value")
         _expect(isinstance(value, list) and len(value) == w3.dim, "value must list all components", f"{p}/value")
-        vec = CoeffVector(
+        modes[(i, j, n, k)] = CoeffVector(
             w3.coeff_space,
             {b: _scalar_from(cell, f"{p}/value/{b}") for b, cell in enumerate(value)},
         )
-        if not vec.is_zero():
-            modes[(i, j, n, k)] = vec
-    return IntertwinerTable(w1, w2, w3, modes)
+    return IntertwinerTable(w1, w2, w3, modes)  # drops the zero modes
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +228,10 @@ def vertex_from_json(data: Any) -> VertexTable:
         p = f"/modes/{idx}"
         _expect(isinstance(m, dict), "mode must be an object", p)
         slot, v, n = m.get("slot"), m.get("v"), m.get("n")
-        _expect(slot in (1, 2, 3), "slot must be 1, 2 or 3", f"{p}/slot")
-        _expect(isinstance(v, int) and 0 <= v < len(weights), "bad vector index", f"{p}/v")
-        _expect(isinstance(n, int), "vertex modes have integral n", f"{p}/n")
+        _expect(_int(slot) and slot in (1, 2, 3), "slot must be 1, 2 or 3", f"{p}/slot")
+        _expect(_int(v) and 0 <= v < len(weights), "bad vector index", f"{p}/v")
+        _expect(_int(n), "vertex modes have integral n", f"{p}/n")
+        _expect((slot, v, n) not in modes, "repeats the (slot, v, n) of an earlier mode", p)
         mat = matrix_from_json(m.get("matrix"), f"{p}/matrix")
         dim = (w1, w2, w3)[slot - 1].dim
         _expect((mat.rows, mat.cols) == (dim, dim), f"matrix must be {dim}x{dim}, the slot's dimension", f"{p}/matrix")

@@ -1,8 +1,8 @@
-"""Finite-dimensional graded modules with an sl(2)-flavoured action.
+"""Finite-dimensional generalized modules for a Mobius vertex algebra.
 
-A :class:`MobiusModule` bundles a :class:`GradedSpace` (per-basis generalized
-weight and abelian-group degree) with an :class:`Sl2Action` (matrices for
-L(-1), L(0), L(1)).  Validation reports each structural relation separately:
+A :class:`MobiusModule` is the one module object: a name, a generalized
+L(0)-weight and an abelian-group degree per basis vector, and the matrices of
+L(-1), L(0) and L(1).  Validation reports each structural relation separately:
 
 * bracket relations [L(0), L(-1)] = L(-1), [L(0), L(1)] = -L(1) and the
   weight-shift / degree-preservation conditions are hard requirements;
@@ -85,15 +85,17 @@ class GradingGroup:
 TRIVIAL_GROUP = GradingGroup(0, ())
 
 
-class GradedSpace:
-    """Finite-dimensional space with per-basis generalized weight and group degree."""
-
-    __slots__ = ("name", "dim", "weights", "degrees", "group")
+class MobiusModule:
+    """Per-basis generalized weights and group degrees, the matrices of L(-1),
+    L(0) and L(1), and the derived semisimple/nilpotent split of L(0)."""
 
     def __init__(
         self,
         name: str,
         weights: Sequence[Exponent | Fraction | int],
+        Lm1: ExactMatrix,
+        L0: ExactMatrix,
+        L1: ExactMatrix,
         degrees: Sequence[Sequence[int]] | None = None,
         group: GradingGroup = TRIVIAL_GROUP,
     ):
@@ -108,64 +110,26 @@ class GradedSpace:
         self.degrees = tuple(group.element(d) for d in degrees)
         if len(self.degrees) != self.dim:
             raise ValueError("one degree per basis vector required")
-
-    def __repr__(self) -> str:
-        return f"GradedSpace({self.name!r}, dim={self.dim})"
-
-
-class Sl2Action:
-    __slots__ = ("Lm1", "L0", "L1")
-
-    def __init__(self, Lm1: ExactMatrix, L0: ExactMatrix, L1: ExactMatrix):
         for m in (Lm1, L0, L1):
             if m.rows != m.cols or m.rows != Lm1.rows:
                 raise ValueError("action matrices must be square and equally sized")
-        self.Lm1 = Lm1
-        self.L0 = L0
-        self.L1 = L1
-
-    def matrix(self, j: int) -> ExactMatrix:
-        return {-1: self.Lm1, 0: self.L0, 1: self.L1}[j]
-
-
-class MobiusModule:
-    """GradedSpace + Sl2Action, with the derived semisimple/nilpotent split."""
-
-    def __init__(self, space: GradedSpace, action: Sl2Action):
-        if action.L0.rows != space.dim:
+        if L0.rows != self.dim:
             raise ValueError("action dimension does not match the graded space")
-        self.space = space
-        self.action = action
-        self.coeff_space = CoeffSpace(space.name, space.dim)
+        self._L = {-1: Lm1, 0: L0, 1: L1}
+        self.coeff_space = CoeffSpace(name, self.dim)
         self._dual_of: "MobiusModule | None" = None
         self._nilpotent: ExactMatrix | None = None
 
-    # -- basic accessors -------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.space.name
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def weight(self, i: int) -> Exponent:
-        return self.space.weights[i]
-
-    def degree(self, i: int) -> tuple[int, ...]:
-        return self.space.degrees[i]
-
     def L(self, j: int) -> ExactMatrix:
-        return self.action.matrix(j)
+        return self._L[j]
 
     def weight_diagonal(self) -> ExactMatrix:
         n = self.dim
-        return ExactMatrix([[self.weight(i).as_scalar() if i == j else 0 for j in range(n)] for i in range(n)])
+        return ExactMatrix([[self.weights[i].as_scalar() if i == j else 0 for j in range(n)] for i in range(n)])
 
     def nilpotent_part(self) -> ExactMatrix:
         if self._nilpotent is None:  # built on first use: modules are immutable
-            self._nilpotent = self.action.L0 - self.weight_diagonal()
+            self._nilpotent = self._L[0] - self.weight_diagonal()
         return self._nilpotent
 
     def nilpotency_index(self) -> int:
@@ -193,13 +157,13 @@ class MobiusModule:
         """Split into generalized-weight-homogeneous parts (basis-aligned)."""
         out: dict[Exponent, dict[int, ExactScalar]] = {}
         for i, c in vec.components.items():
-            out.setdefault(self.weight(i), {})[i] = c
+            out.setdefault(self.weights[i], {})[i] = c
         return {w: CoeffVector(self.coeff_space, comp) for w, comp in out.items()}
 
     def weight_projection(self, vec: CoeffVector, w: Exponent) -> CoeffVector:
         return CoeffVector(
             self.coeff_space,
-            {i: c for i, c in vec.components.items() if self.weight(i) == w},
+            {i: c for i, c in vec.components.items() if self.weights[i] == w},
         )
 
     def __repr__(self) -> str:
@@ -217,10 +181,10 @@ def validate_sl2(module: MobiusModule) -> Report:
     nilpotent part, and such actions are exactly the logarithmic ones.
     """
     r = Report(f"sl2-structure({module.name})")
-    a = module.action
-    r.add("bracket-L0-Lm1", a.L0.commutator(a.Lm1) == a.Lm1)
-    r.add("bracket-L0-L1", a.L0.commutator(a.L1) == (-a.L1))
-    pairing_ok = a.L1.commutator(a.Lm1) == a.L0.scale(2)
+    Lm1, L0, L1 = (module.L(j) for j in (-1, 0, 1))
+    r.add("bracket-L0-Lm1", L0.commutator(Lm1) == Lm1)
+    r.add("bracket-L0-L1", L0.commutator(L1) == (-L1))
+    pairing_ok = L1.commutator(Lm1) == L0.scale(2)
     r.add("bracket-L1-Lm1", pairing_ok, "2L(0) bracket fails (tolerated for Jordan actions)")
     n = module.nilpotent_part()
     d = module.weight_diagonal()
@@ -229,14 +193,14 @@ def validate_sl2(module: MobiusModule) -> Report:
     for j in (-1, 1):
         witness = None
         for row, col in module.L(j).nonzero_positions():
-            if module.weight(row) != module.weight(col) - j:
-                witness = f"L({j})[{row}][{col}] shifts weight {module.weight(col)!r} badly"
-            elif module.degree(row) != module.degree(col):
+            if module.weights[row] != module.weights[col] - j:
+                witness = f"L({j})[{row}][{col}] shifts weight {module.weights[col]!r} badly"
+            elif module.degrees[row] != module.degrees[col]:
                 witness = f"L({j})[{row}][{col}] changes group degree"
             if witness:
                 break
         r.add(f"weight-shift-L({j})", witness is None, witness)
-    bad = [(row, col) for row, col in a.L0.nonzero_positions() if module.degree(row) != module.degree(col)]
+    bad = [(row, col) for row, col in L0.nonzero_positions() if module.degrees[row] != module.degrees[col]]
     witness = f"L(0)[{bad[0][0]}][{bad[0][1]}] changes group degree" if bad else None
     r.add("degree-preservation-L(0)", witness is None, witness)
     return r
@@ -502,18 +466,15 @@ def contragredient(module: MobiusModule) -> MobiusModule:
     """
     if module._dual_of is not None:
         return module._dual_of
-    space = GradedSpace(
+    dual = MobiusModule(
         module.name + "'",
-        module.space.weights,
-        [module.space.group.neg(d) for d in module.space.degrees],
-        module.space.group,
+        module.weights,
+        module.L(1).transpose(),
+        module.L(0).transpose(),
+        module.L(-1).transpose(),
+        [module.group.neg(d) for d in module.degrees],
+        module.group,
     )
-    action = Sl2Action(
-        module.action.L1.transpose(),
-        module.action.L0.transpose(),
-        module.action.Lm1.transpose(),
-    )
-    dual = MobiusModule(space, action)
     dual._dual_of = module
     return dual
 

@@ -247,6 +247,19 @@ class TestCheckVerbs:
         assert code == 2 and not out
         assert "(at /modes)" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [("check", "intertwiner"), ("roundtrip",), ("derive", "omega")])
+    def test_intertwiner_file_with_a_repeated_mode_exits_2(self, tmp_path, honest_table, argv):
+        # the repeated mode differs from the first: keeping the last would
+        # check a table the file does not state
+        data = json.loads(dump_object(honest_table))
+        again = dict(data["modes"][0], value=["1"] * len(data["modes"][0]["value"]))
+        data["modes"].append(again)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(*argv, str(path))
+        assert code == 2 and not out
+        assert f"(at /modes/{len(data['modes']) - 1})" in err and "Traceback" not in err
+
     def test_verb_is_thin_shell_over_library(self):
         # the CLI report must be exactly the library's report
         from logcalc.checks import check_comb

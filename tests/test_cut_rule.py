@@ -66,7 +66,7 @@ class TestFractionalValuation:
     def test_exp_L_of_a_square_root(self, irreducible3):
         # e_0 has weight h = -1, so e^(x^(1/2) L(0)) e_0 = e^(h x^(1/2)) e_0
         e = irreducible3.basis_vector(0)
-        h = irreducible3.weight(0).as_scalar()
+        h = irreducible3.weights[0].as_scalar()
         got = exp_L(irreducible3, 0, HALF, LogSeries.vector(e), order=2)
         assert got == LogSeries.vector(e) * series_exp(HALF.scale(h), "x", 2)
         assert got.coeff(Monomial.var("x", Fraction(3, 2))) == e.scale(Fraction(-1, 6))

@@ -25,10 +25,8 @@ from logcalc.checks import honest_fixture_table, jordan_fixture_tables
 from logcalc.intertwiner import _orbit, _p3_rhs
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import (
-    GradedSpace,
     MobiusModule,
     NonTerminating,
-    Sl2Action,
     e_aL0,
     exp_L,
     exp_nilpotent_terms,
@@ -54,7 +52,7 @@ def ref_exp_nilpotent_terms(module, m, vec):
 
 
 def ref_orbit(mod, v, h, count):
-    n = mod.action.L0 - ExactMatrix.identity(mod.dim).scale(h.as_scalar())
+    n = mod.L(0) - ExactMatrix.identity(mod.dim).scale(h.as_scalar())
     terms = []
     while len(terms) < count and not v.is_zero():
         terms.append(v)
@@ -137,7 +135,7 @@ def ref_one_minus_u_power(module, m, u, f, order, var):
 
 def ref_p3_rhs(t, w1v, w2v, var, y, order):
     yx = LogSeries.variable(y) * LogSeries.variable(var)
-    arg = ref_one_minus_u_power(t.w1, t.w1.action.L0.scale(-2), yx, LogSeries.vector(w1v), order, y)
+    arg = ref_one_minus_u_power(t.w1, t.w1.L(0).scale(-2), yx, LogSeries.vector(w1v), order, y)
     arg = ref_exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
     out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v), var, y, order), t.w3.coeff_space)
     return out.with_trunc({y: order})
@@ -174,7 +172,7 @@ def modules(draw):
         row, col = draw(st.integers(0, mod.dim - 1)), draw(st.integers(0, mod.dim - 1))
         mats = {k: [list(r) for r in mod.L(k).entries] for k in (-1, 0, 1)}
         mats[j][row][col] = mats[j][row][col] + draw(st.sampled_from((-1, 1, 2)))
-        mod = MobiusModule(mod.space, Sl2Action(*(ExactMatrix(mats[k]) for k in (-1, 0, 1))))
+        mod = MobiusModule(mod.name, mod.weights, *(ExactMatrix(mats[k]) for k in (-1, 0, 1)))
     return mod
 
 
@@ -259,7 +257,7 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     def test_weight_formula_orbit(self, data):
         mod = data.draw(modules())
-        h = mod.weight(data.draw(st.integers(0, mod.dim - 1))) + data.draw(st.sampled_from((0, 0, 1, Fraction(1, 2))))
+        h = mod.weights[data.draw(st.integers(0, mod.dim - 1))] + data.draw(st.sampled_from((0, 0, 1, Fraction(1, 2))))
         v = data.draw(st.one_of(vectors(mod), series(mod)))
         count = data.draw(st.integers(0, 10))
         assert _same(_outcome(_orbit, mod, v, h, count), _outcome(ref_orbit, mod, v, h, count))
@@ -305,13 +303,13 @@ class TestAgainstReference:
         f = LogSeries(f.space, {m: v for m, v in f.items() if m.exponent("y").re >= 0}, f.trunc)
         order = data.draw(st.integers(0, 4))
         coeff = series_log1p(-u, "y", order).scale(c)
-        want = ref_one_minus_u_power(mod, mod.action.L0.scale(c), u, f, order, "y")
+        want = ref_one_minus_u_power(mod, mod.L(0).scale(c), u, f, order, "y")
         got = exp_L(mod, 0, coeff, f, order, "y")
         # equal wherever both claim to know: the binomial loop charges every power
         # of u to an x-truncated f's bound, the exponential only the powers that the
         # orbit of L(0) can reach, which ends at dim W when L(0) is nilpotent
         assert _same(got.with_trunc(want.trunc), want.with_trunc(got.trunc))
-        if not mod.action.L0.is_nilpotent():
+        if not mod.L(0).is_nilpotent():
             assert all(got.trunc[v] <= n for v, n in want.trunc.items())
         # and got claims only what every completion of f agrees on: a tail just
         # above f's x bound changes no coefficient below got's
@@ -332,7 +330,7 @@ class TestAgainstReference:
     def test_errors_match(self):
         # a non-nilpotent L(0) - L(0)_s, a missing order, a non-real weight
         zero = ExactMatrix.zeros(2, 2)
-        swap = MobiusModule(catalog.jordan_module("J", 0, 2).space, Sl2Action(zero, ExactMatrix([[0, 1], [1, 0]]), zero))
+        swap = MobiusModule("J", [0, 0], zero, ExactMatrix([[0, 1], [1, 0]]), zero)
         v = swap.basis_vector(0)
         assert _outcome(x_pm_L0, swap, v, -1)[0] is NonTerminating
         assert _same(_outcome(x_pm_L0, swap, v, -1), _outcome(ref_x_pm_L0, swap, v, -1))
@@ -341,9 +339,9 @@ class TestAgainstReference:
         assert _outcome(exp_L, sl2, 0, LogSeries.variable("x"), f)[0] is NonTerminating
         assert _same(_outcome(exp_L, sl2, 0, LogSeries.variable("x"), f),
                      _outcome(ref_exp_L, sl2, 0, LogSeries.variable("x"), f))
-        space = GradedSpace("T", [Exponent(Fraction(1, 2), 1)] * 2)
-        diagonal = MobiusModule(space, Sl2Action(zero, zero, zero)).weight_diagonal()
-        tilted = MobiusModule(space, Sl2Action(zero, diagonal + ExactMatrix([[0, 1], [0, 0]]), zero))
+        weights = [Exponent(Fraction(1, 2), 1)] * 2
+        diagonal = MobiusModule("T", weights, zero, zero, zero).weight_diagonal()
+        tilted = MobiusModule("T", weights, zero, diagonal + ExactMatrix([[0, 1], [0, 0]]), zero)
         w = tilted.basis_vector(1)
         assert _outcome(e_aL0, tilted, w, pi_scalar(1))[0] is LatticeViolation
         assert _same(_outcome(e_aL0, tilted, w, pi_scalar(1)), _outcome(ref_e_aL0, tilted, w, pi_scalar(1)))

@@ -139,11 +139,11 @@ def _unknowns(w1, w2, w3, exps, kmax, enforce_weights):
     for i in range(w1.dim):
         for j in range(w2.dim):
             for n in exps:
-                want_wt = w1.weight(i) + w2.weight(j) - n - 1
+                want_wt = w1.weights[i] + w2.weights[j] - n - 1
                 for b in range(w3.dim):
-                    if enforce_weights and w3.weight(b) != want_wt:
+                    if enforce_weights and w3.weights[b] != want_wt:
                         continue
-                    if w3.degree(b) != w3.space.group.add(w1.degree(i), w2.degree(j)):
+                    if w3.degrees[b] != w3.group.add(w1.degrees[i], w2.degrees[j]):
                         continue
                     out.extend((i, j, n, k, b) for k in range(kmax))
     return out

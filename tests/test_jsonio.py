@@ -97,6 +97,64 @@ class TestVertexFiles:
         assert err.value.pointer == "/modes/0/matrix"
 
 
+class TestIntegerFields:
+    """JSON's true and false are not integers, and a mode key appears once."""
+
+    @pytest.mark.parametrize(
+        "kind, edit, pointer",
+        [
+            ("table", lambda d: d["modes"][0].update(i=False), "/modes/0/i"),
+            ("table", lambda d: d["modes"][0].update(j=False), "/modes/0/j"),
+            ("table", lambda d: d["modes"][0].update(k=True), "/modes/0/k"),
+            ("vertex", lambda d: d["modes"][0].update(slot=True), "/modes/0/slot"),
+            ("vertex", lambda d: d["modes"][0].update(v=False), "/modes/0/v"),
+            ("vertex", lambda d: d["modes"][0].update(n=False), "/modes/0/n"),
+            ("module", lambda d: d.update(dim=True), "/dim"),
+            ("module", lambda d: d.update(dim=1.0), "/dim"),
+            ("module", lambda d: d["group"].update(free_rank=False), "/group/free_rank"),
+            ("module", lambda d: d["group"].update(torsion=[True]), "/group/torsion"),
+            ("module", lambda d: d.update(group={"free_rank": 1}, degrees=[[True]]), "/degrees/0"),
+        ],
+        ids=["i", "j", "k", "slot", "v", "n", "dim", "dim-float", "free_rank", "torsion", "degrees"],
+    )
+    def test_integer_fields_take_only_integers(self, kind, edit, pointer, honest_table, epsilon_pair):
+        doc = {
+            "module": module_to_json(catalog.trivial_module("P")),
+            "table": table_to_json(honest_table),
+            "vertex": vertex_to_json(epsilon_pair[1]),
+        }[kind]
+        edit(doc)
+        with pytest.raises(SchemaError) as err:
+            load_text(json.dumps(doc))
+        assert err.value.pointer == pointer
+
+    def test_repeated_table_mode_is_rejected(self, honest_table):
+        data = table_to_json(honest_table)
+        first = copy.deepcopy(data["modes"][0])
+        first["value"] = ["0"] * len(first["value"])  # same key, another value
+        data["modes"].append(first)
+        with pytest.raises(SchemaError, match="repeats the") as err:
+            table_from_json(data)
+        assert err.value.pointer == f"/modes/{len(data['modes']) - 1}"
+
+    def test_repeated_exponent_spelling_is_the_same_key(self, honest_table):
+        data = table_to_json(honest_table)
+        again = copy.deepcopy(data["modes"][0])
+        assert again["n"] == "-2"
+        again["n"] = "-4/2"
+        data["modes"].insert(1, again)
+        with pytest.raises(SchemaError) as err:
+            table_from_json(data)
+        assert err.value.pointer == "/modes/1"
+
+    def test_repeated_vertex_mode_is_rejected(self, epsilon_pair):
+        data = vertex_to_json(epsilon_pair[1])
+        data["modes"].insert(2, copy.deepcopy(data["modes"][0]))
+        with pytest.raises(SchemaError, match="repeats the") as err:
+            vertex_from_json(data)
+        assert err.value.pointer == "/modes/2"
+
+
 def test_canonical_dump_is_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": 2})
     assert text.endswith("\n")

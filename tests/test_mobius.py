@@ -6,11 +6,9 @@ import pytest
 from logcalc import catalog
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import (
-    GradedSpace,
     GradingGroup,
     MobiusModule,
     NonTerminating,
-    Sl2Action,
     conj_identity_check,
     contragredient,
     e_aL0,
@@ -51,16 +49,14 @@ class TestValidation:
         assert report.passed and module_valid(report)
 
     def test_weight_mixing_fails_hard(self):
-        space = GradedSpace("B", [0, 1])
         zero = ExactMatrix.zeros(2, 2)
-        bad = MobiusModule(space, Sl2Action(zero, ExactMatrix([[0, 1], [0, 1]]), zero))
+        bad = MobiusModule("B", [0, 1], zero, ExactMatrix([[0, 1], [0, 1]]), zero)
         report = validate_sl2(bad)
         assert not module_valid(report)
 
     def test_weight_shift_violation_detected(self):
-        space = GradedSpace("B", [0, 0])
         lm1 = ExactMatrix([[0, 0], [1, 0]])  # stays inside weight 0: wrong shift
-        bad = MobiusModule(space, Sl2Action(lm1, ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2)))
+        bad = MobiusModule("B", [0, 0], lm1, ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2))
         report = validate_sl2(bad)
         assert not module_valid(report)
 
@@ -68,17 +64,30 @@ class TestValidation:
         zero = ExactMatrix.zeros(3, 3)
         # column by column: [1][0] shifts correctly, [2][1] and [1][2] do not
         lm1 = ExactMatrix([[0, 0, 0], [1, 0, 1], [0, 1, 0]])
-        bad = MobiusModule(GradedSpace("B", [0, 1, 1]), Sl2Action(lm1, zero, zero))
+        bad = MobiusModule("B", [0, 1, 1], lm1, zero, zero)
         witness = {c.check_id: c.witness for c in validate_sl2(bad).failures}
         assert witness["weight-shift-L(-1)"].startswith("L(-1)[2][1] shifts weight")
         # one entry with a bad weight and a bad degree: the weight is named
-        space = GradedSpace("D", [0, 0], [(0,), (1,)], GradingGroup(1))
         l0 = ExactMatrix([[0, 1], [1, 0]])
         lm1 = ExactMatrix([[0, 0], [1, 0]])
-        bad = MobiusModule(space, Sl2Action(lm1, l0, ExactMatrix.zeros(2, 2)))
+        bad = MobiusModule("D", [0, 0], lm1, l0, ExactMatrix.zeros(2, 2), [(0,), (1,)], GradingGroup(1))
         witness = {c.check_id: c.witness for c in validate_sl2(bad).failures}
         assert witness["weight-shift-L(-1)"].startswith("L(-1)[1][0] shifts weight")
         assert witness["degree-preservation-L(0)"] == "L(0)[1][0] changes group degree"
+
+    def test_constructor_checks_in_order(self):
+        # each case also breaks every later check: the first check decides
+        z1, z2 = ExactMatrix.zeros(1, 1), ExactMatrix.zeros(2, 2)
+        cases = [
+            (([], z2, z1, z1, [(0,)]), "graded space must be nonzero"),
+            (([0], z2, z1, z1, [(), ()]), "one degree per basis vector required"),
+            (([0], z2, z1, z1, [(0,)]), "need 0 coordinates"),
+            (([0], z2, z1, z1), "action matrices must be square and equally sized"),
+            (([0], z2, z2, z2), "action dimension does not match the graded space"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                MobiusModule("M", *args)
 
     def test_seeded_modules_validate(self):
         for seed in range(5):
@@ -97,20 +106,20 @@ class TestExpNilpotentTerms:
 
     def test_nilpotent_part_is_built_once(self, irreducible3):
         for m in (catalog.jordan_module("J", Fraction(1, 2), size=3), irreducible3):
-            diagonal = [[m.weight(i).as_scalar() if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
+            diagonal = [[m.weights[i].as_scalar() if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
             assert m.nilpotent_part() is m.nilpotent_part()
-            assert m.nilpotent_part().entries == (m.action.L0 - ExactMatrix(diagonal)).entries
+            assert m.nilpotent_part().entries == (m.L(0) - ExactMatrix(diagonal)).entries
 
     def test_operator_not_nilpotent_on_the_vector_raises(self):
         m = catalog.jordan_module("J", 1, size=3)
         with pytest.raises(NonTerminating, match="not nilpotent"):
-            exp_nilpotent_terms(m, m.action.L0, m.basis_vector(0))
+            exp_nilpotent_terms(m, m.L(0), m.basis_vector(0))
 
     def test_count_cuts_the_orbit(self):
         # with a count, a non-nilpotent operator gives its first terms
         m = catalog.jordan_module("J", 1, size=2)
         v = m.basis_vector(1)
-        terms = exp_nilpotent_terms(m, m.action.L0, LogSeries.vector(v, Monomial.var("x", 2)), count=3)
+        terms = exp_nilpotent_terms(m, m.L(0), LogSeries.vector(v, Monomial.var("x", 2)), count=3)
         assert [f.coeff(Monomial.var("x", 2)) for f in terms] == [
             v, m.apply_L(0, v), m.apply_L(0, m.apply_L(0, v)).scale(Fraction(1, 2))
         ]
@@ -121,7 +130,7 @@ class TestExpL:
         x = LogSeries.variable("x")
         for i in range(irreducible3.dim):
             e = irreducible3.basis_vector(i)
-            h = irreducible3.weight(i).as_scalar()
+            h = irreducible3.weights[i].as_scalar()
             got = exp_L(irreducible3, 0, x, LogSeries.vector(e), order=8)
             assert got == LogSeries.vector(e) * series_exp(x.scale(h), "x", 8)
 
@@ -288,9 +297,8 @@ class TestConjugationIdentities:
 
     def test_non_nilpotent_weight_part_reports(self):
         # L(0) - L(0)_s swaps the two weight-0 basis vectors: x^(+-L(0)) has no exact sum
-        space = GradedSpace("S", [0, 0])
         zero = ExactMatrix.zeros(2, 2)
-        mod = MobiusModule(space, Sl2Action(zero, ExactMatrix([[0, 1], [1, 0]]), zero))
+        mod = MobiusModule("S", [0, 0], zero, ExactMatrix([[0, 1], [1, 0]]), zero)
         rep = conj_identity_check(mod, "xL0_Lj")
         assert [c.check_id for c in rep.failures] == [f"xL0-conjugate-L({j})" for j in (-1, 0, 1)]
         assert {c.witness for c in rep.failures} == {
@@ -306,7 +314,7 @@ class TestConjugationIdentities:
         # one entry of one L(j) is off by 1, the declared weights are not
         mats = {k: [list(r) for r in irreducible3.L(k).entries] for k in (-1, 0, 1)}
         mats[j][row][col] = mats[j][row][col] + 1
-        broken = MobiusModule(irreducible3.space, Sl2Action(*(ExactMatrix(mats[k]) for k in (-1, 0, 1))))
+        broken = MobiusModule(irreducible3.name, irreducible3.weights, *(ExactMatrix(mats[k]) for k in (-1, 0, 1)))
         order = 10 if which in ("expLm1", "expL0") else None
         want = BROKEN_MODULE_REPORTS[(j, row, col), which]
         rep = conj_identity_check(broken, which, order=order)
@@ -322,13 +330,13 @@ class TestContragredient:
         g = GradingGroup(1)
         mod = catalog.jordan_module("G", Fraction(1, 2), size=2, degrees=[[1], [1]], group=g)
         dual = contragredient(mod)
-        assert dual.space.weights == mod.space.weights
-        assert dual.space.degrees == ((-1,), (-1,))
+        assert dual.weights == mod.weights
+        assert dual.degrees == ((-1,), (-1,))
 
     def test_action_transposed(self, irreducible3):
         dual = contragredient(irreducible3)
-        assert dual.action.Lm1 == irreducible3.action.L1.transpose()
-        assert dual.action.L1 == irreducible3.action.Lm1.transpose()
+        assert dual.L(-1) == irreducible3.L(1).transpose()
+        assert dual.L(1) == irreducible3.L(-1).transpose()
 
     def test_pairing_identity_per_log_power(self, jordan2):
         def pairing_series(fprime, f):

@@ -27,7 +27,7 @@ from logcalc.checks import SUITES, honest_fixture_table
 from logcalc.intertwiner import IntertwinerTable, VertexTable
 from logcalc.jsonio import dump_object
 from logcalc.matrix import ExactMatrix
-from logcalc.mobius import GradingGroup, MobiusModule, Sl2Action
+from logcalc.mobius import GradingGroup, MobiusModule
 from logcalc.scalars import ExactScalar, Exponent
 from logcalc.series import LogSeries, Monomial
 
@@ -70,7 +70,7 @@ def _seeded_modules(change):
             m = orig(name, seed, *args)
             mats = [[list(row) for row in m.L(j).entries] for j in (-1, 0, 1)]
             change(*mats)
-            return MobiusModule(m.space, Sl2Action(*map(ExactMatrix, mats)))
+            return MobiusModule(m.name, m.weights, *map(ExactMatrix, mats))
 
         return seeded
 
@@ -95,8 +95,8 @@ def _solver_plants_wrong_weight(orig):
         out = []
         for t in orig(*args, **kwargs):
             (i, j, n, _k), _ = t.canonical_items()[0]
-            want = t.w1.weight(i) + t.w2.weight(j) - n - 1
-            wrong = [b for b in range(t.w3.dim) if t.w3.weight(b) != want]
+            want = t.w1.weights[i] + t.w2.weights[j] - n - 1
+            wrong = [b for b in range(t.w3.dim) if t.w3.weights[b] != want]
             if wrong:
                 t = t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n, 0): t.w3.basis_vector(wrong[0])})
             out.append(t)
@@ -298,7 +298,7 @@ AUDIT = {
     ])),
     "pascal": ("matrices", _wrong_pascal_entry),
     "vandermonde": ("matrices", _wrong_inverse),
-    "multinomial": ("multinomial", _wrap(checks, "_compositions_nonneg", lambda orig: lambda t, s: list(orig(t, s))[:-1])),
+    "multinomial": ("multinomial", _wrap(checks, "_compositions", lambda orig: lambda t, s: list(orig(t, s))[:-1])),
     # the Euler ODE
     "ode-sample": ("ode", _wrap(
         intertwiner, "euler_minus_a", lambda orig: lambda f, var, a: f.d_dx(var, 1) + f.scale(a.as_scalar())

@@ -45,7 +45,7 @@ from logcalc.substitution import subst_scaled_exp, subst_x_inverse, subst_x_plus
 
 
 def _l0_shift_power(mod, shift, power):
-    m = mod.action.L0 - ExactMatrix.identity(mod.dim).scale(shift)
+    m = mod.L(0) - ExactMatrix.identity(mod.dim).scale(shift)
     out = ExactMatrix.identity(mod.dim)
     for _ in range(power):
         out = out @ m
@@ -106,8 +106,8 @@ def _ref_ty(rep, t, t_bound, var):
     samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            a = t.w1.weight(i)
-            b = t.w2.weight(j)
+            a = t.w1.weights[i]
+            b = t.w2.weights[j]
             s = t.series(i, j)
             for c in samples:
                 for tt in range(t_bound + 1):
@@ -135,8 +135,8 @@ def _ref_ty(rep, t, t_bound, var):
 
 def _ref_t00(rep, t, t_bound):
     for (i, j, n, k) in _keys(t):
-        a = t.w1.weight(i)
-        b = t.w2.weight(j)
+        a = t.w1.weights[i]
+        b = t.w2.weights[j]
         shift = (a + b - n - 1).as_scalar()
         base = t.mode(i, j, n, k)
         for tt in range(t_bound + 1):
@@ -162,8 +162,8 @@ def _ref_t00(rep, t, t_bound):
 
 def _ref_gen(rep, t, yvar="y"):
     for (i, j, n, k) in t.modes:
-        a = t.w1.weight(i)
-        b = t.w2.weight(j)
+        a = t.w1.weights[i]
+        b = t.w2.weights[j]
         shift = (a + b - n - 1).as_scalar()
         base = t.mode(i, j, n, k)
         lhs = _exp_poly(t.w3, _l0_shift_power(t.w3, shift, 1), LogSeries.vector(base), yvar)
@@ -187,8 +187,8 @@ def _ref_gen(rep, t, yvar="y"):
 
 def _ref_rt(rep, t, t_bound):
     for (i, j, n, k) in _keys(t):
-        a = t.w1.weight(i)
-        b = t.w2.weight(j)
+        a = t.w1.weights[i]
+        b = t.w2.weights[j]
         shift = (a + b - n - 1).as_scalar()
         for tt in range(t_bound + 1):
             lhs = t.mode(i, j, n, k + tt).scale(math.comb(k + tt, tt))
@@ -223,12 +223,12 @@ def _ref_bounds(rep, t, k1, k2, k3):
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
             for n in dict.fromkeys(key[2] for key in t.modes if key[0] == i and key[1] == j):
-                shift = t.w1.weight(i) + t.w2.weight(j) - n - 1
+                shift = t.w1.weights[i] + t.w2.weights[j] - n - 1
                 m_max = 0
                 for ii in range(k1):
                     for jj in range(k2):
-                        arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, t.w1.weight(i).as_scalar(), ii), t.w1.basis_vector(i))
-                        arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, t.w2.weight(j).as_scalar(), jj), t.w2.basis_vector(j))
+                        arg1 = t.w1.apply_matrix(_l0_shift_power(t.w1, t.w1.weights[i].as_scalar(), ii), t.w1.basis_vector(i))
+                        arg2 = t.w2.apply_matrix(_l0_shift_power(t.w2, t.w2.weights[j].as_scalar(), jj), t.w2.basis_vector(j))
                         for k in range(t.max_log_power() + 1):
                             mode = t.mode_map(arg1, arg2).get((n, k))
                             if mode is not None and not mode.is_zero():
@@ -250,14 +250,14 @@ def _ref_pairing_poly(rep, t, var):
             s = t.series(i, j)
             for m in range(t.w3.dim):
                 wprime = dual.basis_vector(m)
-                n3 = dual.weight(m)
+                n3 = dual.weights[m]
                 k3 = _nilpotency_on(dual, n3, wprime)
                 pair = LogSeries.zero(SCALAR)
                 for mono, vec in s.items():
                     c = pairing_value(wprime, vec)
                     if not c.is_zero():
                         pair = pair + LogSeries.monomial(mono, c)
-                want_exp = n3 - t.w1.weight(i) - t.w2.weight(j)
+                want_exp = n3 - t.w1.weights[i] - t.w2.weights[j]
                 bound = k1 + k2 + k3 - 3
                 ok = True
                 witness = None
@@ -272,8 +272,8 @@ def ref_recover_modes(t, i, j, n, var="x"):
     n = Exponent.coerce(n)
     ks = [k for (ii, jj, nn, k) in t.modes if ii == i and jj == j and nn == n]
     bigk = (max(ks) + 1) if ks else 1
-    a = t.w1.weight(i)
-    b = t.w2.weight(j)
+    a = t.w1.weights[i]
+    b = t.w2.weights[j]
     mu = a + b - n - 1
     shift = (a + b - n - 1).as_scalar()
 
