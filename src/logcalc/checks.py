@@ -40,7 +40,7 @@ from .intertwiner import (
     weight_formulas_check,
     x_t,
 )
-from .jsonio import dump_object, load_text, read_path
+from .jsonio import SchemaError, dump_object, load_text, read_path
 from .matrix import ExactMatrix
 from .mobius import conj_identity_check, validate_sl2, x_pm_L0
 from .parser import parse_expr, parse_scalar
@@ -615,7 +615,7 @@ def check_intertwiner(file: str, axioms: str = "all") -> Report:
     """The named axioms on the intertwiner table in ``file`` (``-`` for stdin)."""
     table = load_text(read_path(file))
     if not isinstance(table, IntertwinerTable):
-        raise ValueError("file does not hold an intertwiner table")
+        raise SchemaError("file does not hold an intertwiner table", "/kind")
     return axiom_check(table, axioms)
 
 

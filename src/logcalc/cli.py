@@ -4,8 +4,9 @@ Every verb is a thin shell over the library; no arithmetic happens here.
 `check NAME` runs the suite of that name in :data:`checks.SUITES`, passing
 the flags given; a flag the suite does not read is a usage error, as is a
 flag of `subst` or `derive` that its kind or op does not read.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage/IO/parse errors,
-3 internal error (its traceback goes to stderr).
+Exit codes: 0 all checks pass, 1 a check failed, 2 an error in the input
+(command line, expression or file) or in reading it, 3 internal error (its
+traceback goes to stderr; a bare ValueError is one).
 """
 
 from __future__ import annotations
@@ -19,13 +20,23 @@ import traceback
 from fractions import Fraction
 
 from . import checks
-from .intertwiner import IntertwinerTable, a_r, omega_r, shift_s1s2s3, solve_fusion_space, x_t
+from .intertwiner import (
+    AxiomError,
+    IntertwinerTable,
+    VertexTable,
+    a_r,
+    omega_r,
+    shift_s1s2s3,
+    solve_fusion_space,
+    x_t,
+)
 from .jsonio import SchemaError, dump_object, load_text, read_path, table_to_json
+from .mobius import MobiusModule
 from .parser import ParseError, parse_expr, parse_exponent
 from .printer import series_str
-from .reports import Report
+from .reports import Report, canonical_json
 from .scalars import LatticeViolation, pi_scalar
-from .series import UndefinedProduct
+from .series import UndefinedProduct, VariableCollision
 from .substitution import (
     subst_scaled_exp,
     subst_x_exp_y,
@@ -59,11 +70,15 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return _emit_series(f, args.format)
 
 
+class UsageError(ValueError):
+    """A command line that its verb cannot run."""
+
+
 def _reject(args: argparse.Namespace, what: str, *unread: str) -> None:
     """A usage error naming each flag in ``unread`` that was given: ``what`` does not read it."""
     given = ["--" + k.replace("_", "-") for k in unread if getattr(args, k) is not None]
     if given:
-        raise ValueError(f"{what} does not read {', '.join(given)}")
+        raise UsageError(f"{what} does not read {', '.join(given)}")
 
 
 def cmd_subst(args: argparse.Namespace) -> int:
@@ -146,26 +161,36 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
+def _vertex_for(args: argparse.Namespace, constraints: tuple[str, ...], mods: list) -> VertexTable | None:
+    """The vertex table of `--vertex`, which `jacobi` needs and no other constraint reads."""
+    if "jacobi" not in constraints:
+        _reject(args, f"solve fusion --axioms {args.axioms}", "vertex")
+        return None
+    if args.vertex is None:
+        raise UsageError("solve fusion --axioms with jacobi needs --vertex FILE")
+    vt = load_text(read_path(args.vertex))
+    if not isinstance(vt, VertexTable):
+        raise UsageError("--vertex needs a vertex table file")
+    differ = [f"W{s}" for s, m in zip((1, 2, 3), mods) if dump_object(vt.modules[s]) != dump_object(m)]
+    if differ:
+        raise UsageError(f"the --vertex file's {', '.join(differ)} differ from those of --modules")
+    return vt
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     mods = [load_text(read_path(p)) for p in args.modules]
-    if len(mods) != 3:
-        print("solve fusion needs exactly three module files", file=sys.stderr)
-        return 2
+    if not all(isinstance(m, MobiusModule) for m in mods):
+        raise UsageError("solve fusion --modules needs three module files")
     constraints = tuple(args.axioms.split(",")) if args.axioms else ("euler",)
+    vertex = _vertex_for(args, constraints, mods)
     window = None
     if args.window:
         window = [parse_exponent(part) for part in args.window.split(",")]
     tables = solve_fusion_space(
-        mods[0], mods[1], mods[2], constraints=constraints, max_log=args.max_log, window=window
+        mods[0], mods[1], mods[2], constraints=constraints, max_log=args.max_log, window=window, vertex=vertex
     )
     if args.format == "json":
-        print(
-            json.dumps(
-                {"dimension": len(tables), "basis": [table_to_json(t) for t in tables]},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(canonical_json({"dimension": len(tables), "basis": [table_to_json(t) for t in tables]}))
     else:
         print(f"window-relative solution dimension: {len(tables)}")
         for idx, t in enumerate(tables):
@@ -287,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[fmt], help="solve for a basis of the constrained table space")
     p.add_argument("what", choices=("fusion",))
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
-    constraints = "lminus1, euler, sl2_m1, sl2_0, sl2_1, sl2_alt_m1, sl2_alt_0, sl2_alt_1"
+    constraints = "lminus1, euler, sl2_m1, sl2_0, sl2_1, sl2_alt_m1, sl2_alt_0, sl2_alt_1, jacobi"
     p.add_argument("--axioms", default="euler", help=f"comma-separated, from {constraints} (default euler)")
     _int_flag(p, "--max-log", None, 1, 16, "number of log powers solved for, 0..N-1 (default: from the dimensions)")
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
+    p.add_argument("--vertex", metavar="FILE", help="jacobi: vertex table file whose modules are those of --modules")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("roundtrip", parents=[fmt], help="byte round-trip a data file")
@@ -312,7 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         except Exception:
             pass
         return 0
-    except (ParseError, SchemaError, LatticeViolation, UndefinedProduct, OSError, ValueError) as exc:
+    except (ParseError, SchemaError, LatticeViolation, UndefinedProduct, VariableCollision, AxiomError,
+            UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a fault of the program, not a failed check

@@ -64,6 +64,11 @@ from .substitution import (
 ModeKey = tuple[int, int, Exponent, int]
 
 
+class AxiomError(ValueError):
+    """An axiom or constraint name that names none, or a table that fails an
+    axiom that an operation needs."""
+
+
 def _rat_binom(n: int, m: int) -> int:
     """C(n, m) for integer n (possibly negative) and m >= 0."""
     return (-1) ** m * math.comb(m - n - 1, m) if n < 0 else math.comb(n, m)
@@ -285,7 +290,7 @@ def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
                     break
             rep.add("generalized-weight-purity", witness is None, witness)
         else:
-            raise ValueError(f"unknown axiom {kind!r}")
+            raise AxiomError(f"unknown axiom {kind!r}")
     return rep
 
 
@@ -779,7 +784,7 @@ def a_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
     x^(-2L(0)) w1, x^(-1)) w2> on dual bases."""
     grading = axiom_check(t, "grading")
     if not grading.passed:
-        raise ValueError("a_r needs a grading-compatible table: " + grading.to_text())
+        raise AxiomError("a_r needs a grading-compatible table: " + grading.to_text())
     w2p = contragredient(t.w2)
     w3p = contragredient(t.w3)
     a_scalar = ExactScalar.pi_power(1, 2 * r + 1)
@@ -1027,7 +1032,7 @@ def _mode_defect(
             w3_terms(jb - idx, idx, -c)
             w2_terms(jb - idx, idx, c)
     else:
-        raise ValueError(f"unknown constraint {name!r}")
+        raise AxiomError(f"unknown constraint {name!r}")
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 

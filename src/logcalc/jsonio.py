@@ -17,6 +17,7 @@ from .matrix import ExactMatrix
 from .mobius import GradingGroup, MobiusModule, module_valid, validate_sl2
 from .parser import parse_exponent, parse_scalar
 from .printer import exponent_str, scalar_str
+from .reports import canonical_json
 from .scalars import ExactScalar, Exponent
 from .series import CoeffVector
 from .intertwiner import IntertwinerTable, VertexTable
@@ -36,7 +37,7 @@ def _expect(cond: bool, message: str, pointer: str) -> None:
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return canonical_json(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
-"""Exact dense matrices over the scalar ring, with fraction-free elimination,
-and a sparse Gauss-Jordan nullspace.
+"""Exact matrices over the scalar ring: dense storage, products over nonzero
+entries, fraction-free elimination, and a sparse Gauss-Jordan nullspace.
+
+``entries`` is a list of rows.  A product walks only the nonzero entries of
+each left row, each against the nonzero ``(col, entry)`` pairs of the matching
+right row, listed once per product, so a commutator or a nilpotence test of
+the mostly-zero Jordan-block and sl(2) matrices costs in proportion to their
+nonzero entries.
 
 The ring Q(zeta)[Pi, Pi^-1] is not a field, so elimination divides only by
 invertible Pi-monomials.  Bareiss-style fraction-free elimination keeps all
@@ -43,40 +49,49 @@ class ExactMatrix:
     def transpose(self) -> ExactMatrix:
         return ExactMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
+    @staticmethod
+    def _trusted(entries: list[list[ExactScalar]]) -> ExactMatrix:
+        """The matrix on rows of scalars already built, kept as given."""
+        m = object.__new__(ExactMatrix)
+        m.entries, m.rows, m.cols = entries, len(entries), len(entries[0]) if entries else 0
+        return m
+
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         self._shape_check(other)
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: ExactMatrix) -> ExactMatrix:
         self._shape_check(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return ExactMatrix._trusted(
+            [[a if b.is_zero() else a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __neg__(self) -> ExactMatrix:
-        return ExactMatrix([[-a for a in r] for r in self.entries])
+        return ExactMatrix._trusted([[a if a.is_zero() else -a for a in r] for r in self.entries])
 
     def scale(self, s: ScalarLike) -> ExactMatrix:
         s = ExactScalar.coerce(s)
-        return ExactMatrix([[a * s for a in r] for r in self.entries])
+        return ExactMatrix._trusted([[a if a.is_zero() else a * s for a in r] for r in self.entries])
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ExactScalar.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if not a.is_zero():
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
+        right = [[(j, b) for j, b in enumerate(r) if not b.is_zero()] for r in other.entries]
+        zero, out = ExactScalar.zero(), []
+        for r in self.entries:
+            acc: dict[int, ExactScalar] = {}
+            for a, pairs in zip(r, right):
+                if pairs and not a.is_zero():
+                    for j, b in pairs:
+                        s = acc.get(j)
+                        acc[j] = a * b if s is None else s + a * b
+            row = [zero] * other.cols
+            for j, s in acc.items():
+                row[j] = s
             out.append(row)
-        return ExactMatrix(out)
+        return ExactMatrix._trusted(out)
 
     def commutator(self, other: ExactMatrix) -> ExactMatrix:
         return (self @ other) - (other @ self)

@@ -124,8 +124,8 @@ class MobiusModule:
         return self._L[j]
 
     def weight_diagonal(self) -> ExactMatrix:
-        n = self.dim
-        return ExactMatrix([[self.weights[i].as_scalar() if i == j else 0 for j in range(n)] for i in range(n)])
+        n, zero = self.dim, ExactScalar.zero()
+        return ExactMatrix([[self.weights[i].as_scalar() if i == j else zero for j in range(n)] for i in range(n)])
 
     def nilpotent_part(self) -> ExactMatrix:
         if self._nilpotent is None:  # built on first use: modules are immutable

@@ -3,13 +3,41 @@
 Every checker in the library returns a :class:`Report`: a named suite of
 :class:`CheckResult` rows, each keyed by a stable identifier for the identity
 being checked, with a first-failing-coefficient witness when it fails.  Both
-renderings (text and JSON) are deterministic.
+renderings (text and JSON) are deterministic.  :func:`canonical_json` is the
+library's one pretty JSON writer, for reports and data files alike.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+
+
+def canonical_json(value: object, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for a value
+    built of dicts with str keys, lists, strs, ints, bools and None; any other
+    type raises TypeError.  (``json.dumps`` with an indent runs the pure-Python
+    encoder; this writer does the same work in fewer calls.)"""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [inner + encode_basestring_ascii(k) + ": " + canonical_json(value[k], inner) for k in sorted(value)]
+        return "{" + ",".join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + ",".join([inner + canonical_json(v, inner) for v in value]) + newline + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -53,12 +81,6 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
-            },
-            indent=2,
-            sort_keys=True,
+        return canonical_json(
+            {"suite": self.suite, "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
         )

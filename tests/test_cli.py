@@ -296,6 +296,36 @@ class TestCheckVerbs:
         out, err = capsys.readouterr()
         assert not out and "Traceback" in err and "RuntimeError: planted fault" in err
 
+    def test_a_bare_value_error_is_internal_and_exits_3(self, monkeypatch, capsys):
+        def broken():
+            raise ValueError("planted fault")
+
+        monkeypatch.setitem(checks.SUITES, "comb", (broken, {}))
+        assert main(["check", "comb"]) == 3
+        out, err = capsys.readouterr()
+        assert not out and "Traceback" in err and "ValueError: planted fault" in err
+
+    def test_unknown_axioms_and_wrong_files_exit_2(self, tmp_path, honest_table, jordan2):
+        from logcalc.intertwiner import IntertwinerTable
+        from logcalc.mobius import GradingGroup, MobiusModule
+        from logcalc.scalars import Exponent
+
+        w = catalog.trivial_module("W")
+        graded = MobiusModule("G", w.weights, w.L(-1), w.L(0), w.L(1), [(1,)], GradingGroup(1, []))
+        table, module, mixed = tmp_path / "t.json", tmp_path / "m.json", tmp_path / "mixed.json"
+        table.write_text(dump_object(honest_table))
+        module.write_text(dump_object(jordan2))
+        mixed.write_text(dump_object(IntertwinerTable(graded, w, w, {(0, 0, Exponent(-1), 0): w.basis_vector(0)})))
+        for argv, message in (
+            (["derive", "ar", str(mixed)], "a_r needs a grading-compatible table"),
+            (["check", "intertwiner", str(table), "--axioms", "bogus"], "unknown axiom 'bogus'"),
+            (["check", "intertwiner", str(module)], "does not hold an intertwiner table"),
+            (["solve", "fusion", "--modules", *[str(module)] * 3, "--axioms", "euler,bogus"], "unknown constraint"),
+            (["solve", "fusion", "--modules", str(module), str(table), str(module)], "needs three module files"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and not out and message in err and "Traceback" not in err
+
 
 class TestDeriveAndSolve:
     def test_omega_pipeline_restores_input(self, tmp_path, jordan_tables):
@@ -338,6 +368,46 @@ class TestDeriveAndSolve:
             names.append(str(p))
         code, out, _ = run_cli("solve", "fusion", "--modules", *names, "--window", "5")
         assert code == 0 and "dimension: 0" in out
+
+
+class TestJacobiSolveFromFiles:
+    @pytest.fixture
+    def files(self, tmp_path):
+        mult, vt = checks.epsilon_instance()
+        paths = {}
+        for name, obj in (("A", vt.modules[1]), ("V", vt), ("J", catalog.jordan_module("A", 0, size=2))):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(dump_object(obj))
+        return mult, vt, {k: str(v) for k, v in paths.items()}
+
+    def test_solves_the_epsilon_instance_like_the_library(self, files, capsys):
+        from logcalc.intertwiner import solve_fusion_space
+        from logcalc.jsonio import table_to_json
+
+        mult, vt, path = files
+        want = solve_fusion_space(mult.w1, mult.w2, mult.w3, constraints=("lminus1", "jacobi"), vertex=vt, max_log=1)
+        argv = ["solve", "fusion", "--modules", *[path["A"]] * 3, "--axioms", "lminus1,jacobi", "--vertex", path["V"],
+                "--max-log", "1", "--format", "json"]
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got == {"dimension": 2, "basis": [table_to_json(t) for t in want]} and len(want) == 2
+
+    @pytest.mark.parametrize("axioms, vertex, message", [
+        ("lminus1,jacobi", None, "needs --vertex FILE"),
+        ("lminus1", "V", "does not read --vertex"),
+        ("jacobi", "A", "needs a vertex table file"),
+    ])
+    def test_a_vertex_flag_that_does_not_fit_exits_2(self, files, axioms, vertex, message):
+        _, _, path = files
+        extra = [] if vertex is None else ["--vertex", path[vertex]]
+        code, out, err = run_cli("solve", "fusion", "--modules", *[path["A"]] * 3, "--axioms", axioms, *extra)
+        assert code == 2 and not out and message in err
+
+    def test_a_vertex_file_over_other_modules_exits_2(self, files):
+        _, _, path = files
+        code, out, err = run_cli("solve", "fusion", "--modules", path["A"], path["J"], path["A"],
+                                 "--axioms", "jacobi", "--vertex", path["V"])
+        assert code == 2 and not out and "W2 differ from those of --modules" in err
 
 
 class TestRoundtripVerb:

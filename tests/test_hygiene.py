@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no orphaned top-level definitions, no
 unread parameters and no defaults that no caller sets in ``src/logcalc``,
 found by scanning the syntax trees of the repository's code; no check suite
-outside the registry and no `check` flag that no suite reads."""
+outside the registry, no `check` flag that no suite reads, and no indented
+`json.dumps` beside the one canonical writer."""
 
 import ast
 import inspect
@@ -120,6 +121,19 @@ def test_every_check_flag_is_read_by_a_suite():
     flags = set(vars(args)) - set(cli._NOT_FLAGS)
     read = set().union(*(inspect.signature(fn).parameters for fn, _ in checks.SUITES.values()))
     assert "seed" in flags and flags - read == set()
+
+
+def test_one_pretty_json_writer():
+    """No `json.dump`/`json.dumps` call in ``src/logcalc`` passes ``indent``:
+    ``reports.canonical_json`` is the one writer of indented JSON."""
+    indented = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _called_name(node) in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not indented, indented
 
 
 def _called_name(call: ast.Call) -> str | None:

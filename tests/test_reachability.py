@@ -56,6 +56,7 @@ def _commands(tmp: Path) -> dict[str, list[list[str]]]:
     files = {
         "table": jordan_fixture_tables()[1],
         "vertex": epsilon_instance()[1],
+        "A": epsilon_instance()[1].modules[1],
         "W1": trivial_module("W1"),
         "W2": trivial_module("W2"),
         "W3": jordan_module("W3", 0, size=2),
@@ -66,6 +67,7 @@ def _commands(tmp: Path) -> dict[str, list[list[str]]]:
     bad = tmp / "bad.json"
     bad.write_text("{")
     table, modules = path["table"], [path["W1"], path["W2"], path["W3"]]
+    jacobi = ["solve", "fusion", "--axioms", "lminus1,jacobi", "--max-log", "1"]
     expr = "x^(1/2)*lg(x) + e(1/3)*Pi*x^(-1)"
     return {
         "eval": _both("eval", expr) + [["eval", "x +"]],
@@ -101,7 +103,11 @@ def _commands(tmp: Path) -> dict[str, list[list[str]]]:
         "derive shift": _both("derive", "shift", table, "--s1", "1", "--s3", "-1"),
         "solve fusion": _both("solve", "fusion", "--modules", *modules)
         + [["solve", "fusion", "--modules", *modules, "--axioms", "lminus1,euler", "--max-log", "1",
-            "--window", "0,-1"]],
+            "--window", "0,-1"]]
+        + _both(*jacobi, "--modules", *[path["A"]] * 3, "--vertex", path["vertex"])
+        + [[*jacobi, "--modules", *modules], [*jacobi, "--modules", *modules, "--vertex", table],
+           [*jacobi, "--modules", *modules, "--vertex", path["vertex"]],
+           ["solve", "fusion", "--modules", *modules, "--vertex", path["vertex"]]],
         "roundtrip": [
             argv for p in (table, path["vertex"], path["W3"]) for argv in _both("roundtrip", p)
         ] + [["roundtrip", str(bad)]],
