@@ -36,7 +36,7 @@ from .parser import ParseError, parse_expr, parse_exponent
 from .printer import series_str
 from .reports import Report, canonical_json
 from .scalars import LatticeViolation, pi_scalar
-from .series import UndefinedProduct, VariableCollision
+from .series import LogSeries, UndefinedProduct, VariableCollision
 from .substitution import (
     subst_scaled_exp,
     subst_x_exp_y,
@@ -245,6 +245,16 @@ def _scale_q(text: str) -> Fraction:
     return q
 
 
+def _variable(text: str) -> str:
+    """argparse type: a name that the expression parser reads as that one variable."""
+    try:
+        if parse_expr(text) == LogSeries.variable(text):
+            return text
+    except (ParseError, LatticeViolation, UndefinedProduct, VariableCollision):  # not an expression
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a variable name")
+
+
 def _int_flag(p: argparse.ArgumentParser, flag: str, default: int | None, lo: int, hi: int, what: str) -> None:
     p.add_argument(
         flag, type=_int_in(lo, hi), default=default, metavar="N", help=f"{lo} <= N <= {hi}; {what}"
@@ -268,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff", parents=[fmt], help="formal derivative of an expression")
     p.add_argument("expr")
-    p.add_argument("--var", default="x")
+    p.add_argument("--var", type=_variable, default="x")
     _int_flag(p, "--order", 1, 0, 256, "number of derivatives (default 1)")
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("subst", parents=[fmt], help="substitution conventions")
     p.add_argument("expr")
     p.add_argument("--kind", choices=("shift", "exp", "product", "inverse", "scale"), required=True)
-    p.add_argument("--var", default="x")
-    p.add_argument("--with-var", help="shift, exp and product: the new variable (default y)")
+    p.add_argument("--var", type=_variable, default="x")
+    p.add_argument("--with-var", type=_variable, help="shift, exp and product: the new variable (default y)")
     _int_flag(p, "--order", None, 0, 64, "shift and exp: truncation order in the new variable (default 6)")
     p.add_argument("--q", type=_scale_q, help=f"scale: zeta = q*Pi, q rational, |q| <= {Q_MAX} (default 2)")
     p.set_defaults(fn=cmd_subst)

@@ -105,10 +105,12 @@ def pascal_pair(K: int) -> tuple[ExactMatrix, ExactMatrix]:
 def vandermonde_pair(S: int) -> tuple[ExactMatrix, ExactMatrix]:
     """Vandermonde matrix on the nodes 2p*Pi (p = 0..S) and its exact inverse.
 
-    V[p][t] = (2p*Pi)^t.  The nodes are distinct and all node differences are
-    Pi-monomials, so fraction-free elimination inverts V exactly over the
-    Laurent ring; the ``vandermonde(S)`` rows of `check matrices` verify the
-    inverse.  The pair is computed once per S; each call gets its own matrices.
+    V[p][t] = (2p*Pi)^t.  Every entry of V, and of each row that Gauss-Jordan
+    elimination on [V | I] builds from it, is a rational times a power of Pi,
+    so every pivot is invertible and :meth:`ExactMatrix.inverse` inverts V
+    exactly over the Laurent ring; the ``vandermonde(S)`` rows of `check
+    matrices` verify the inverse.  The pair is computed once per S; each call
+    gets its own matrices.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")

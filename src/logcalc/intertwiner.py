@@ -44,6 +44,7 @@ from .mobius import (
     MobiusModule,
     contragredient,
     e_aL0,
+    e_aL0_matrix,
     exp_L,
     exp_nilpotent_terms,
     pairing_value,
@@ -512,10 +513,9 @@ def _arg_orbits(t: IntertwinerTable, i: int, j: int, count: int) -> list[tuple[i
 
 
 def euler_precondition(t: IntertwinerTable) -> bool:
-    """Lemma hypotheses: either the L(-1)-derivative and j=0 bracket hold, or
-    their combined Euler identity does (the only option with genuine logs)."""
-    if not _table_defects(t, "lminus1") and not _table_defects(t, "sl2_0"):
-        return True
+    """Lemma hypothesis: the Euler identity holds.  Its defect is the j=0
+    bracket defect plus x times the L(-1)-derivative defect, so a table that
+    satisfies that axiom pair satisfies it too (and genuine logs need it alone)."""
     return not _table_defects(t, "euler")
 
 
@@ -737,26 +737,19 @@ def compose_with_homs(
     sigma1: ExactMatrix | None = None,
     sigma2: ExactMatrix | None = None,
 ) -> IntertwinerTable:
-    """sigma3 . Y(sigma1 ., x) sigma2 .  (module maps compose mode-wise)."""
+    """sigma3 . Y(sigma1 ., x) sigma2 .: the modes of pair (i, j) are those of
+    Y(sigma1 e_i, x) sigma2 e_j, read off :meth:`IntertwinerTable.mode_map`,
+    each mapped by sigma3."""
+
+    def image(mod: MobiusModule, sigma: ExactMatrix | None, i: int) -> CoeffVector:
+        return mod.basis_vector(i) if sigma is None else mod.apply_matrix(sigma, mod.basis_vector(i))
+
     modes: dict[ModeKey, CoeffVector] = {}
-    for (i, j, n, k), vec in t.modes.items():
-        targets1 = [(i, ExactScalar.coerce(1))] if sigma1 is None else [
-            (ii, sigma1.entries[i][ii]) for ii in range(t.w1.dim) if not sigma1.entries[i][ii].is_zero()
-        ]
-        targets2 = [(j, ExactScalar.coerce(1))] if sigma2 is None else [
-            (jj, sigma2.entries[j][jj]) for jj in range(t.w2.dim) if not sigma2.entries[j][jj].is_zero()
-        ]
-        val = vec if sigma3 is None else t.w3.apply_matrix(sigma3, vec)
-        for ii, c1 in targets1:
-            for jj, c2 in targets2:
-                key = (ii, jj, n, k)
-                addend = val.scale(c1 * c2)
-                cur = modes.get(key)
-                s = addend if cur is None else cur + addend
-                if s.is_zero():
-                    modes.pop(key, None)
-                else:
-                    modes[key] = s
+    for i in range(t.w1.dim):
+        v1 = image(t.w1, sigma1, i)
+        for j in range(t.w2.dim):
+            for (n, k), vec in t.mode_map(v1, image(t.w2, sigma2, j)).items():
+                modes[(i, j, n, k)] = vec if sigma3 is None else t.w3.apply_matrix(sigma3, vec)
     return IntertwinerTable(t.w1, t.w2, t.w3, modes)
 
 
@@ -814,8 +807,6 @@ def a_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
 
 def shift_s1s2s3(t: IntertwinerTable, s1: int, s2: int, s3: int) -> IntertwinerTable:
     """Dressing by e^(2 pi i s L(0)) factors on each slot (exact Pi-polynomials)."""
-    from .mobius import e_aL0_matrix
-
     sig3 = e_aL0_matrix(t.w3, pi_scalar(2 * s1)) if s1 else None
     sig1 = e_aL0_matrix(t.w1, pi_scalar(2 * s2)) if s2 else None
     sig2 = e_aL0_matrix(t.w2, pi_scalar(2 * s3)) if s3 else None
@@ -1065,6 +1056,10 @@ def solve_fusion_space(
     space on the given window; the dimension is window-relative and is not
     claimed to equal any intrinsic fusion rule.
     """
+    known = {name for family in _AXIOM_FAMILIES.values() for name, _ in family} | {"jacobi", "grading", "weights"}
+    bad = [name for name in constraints if name not in known]
+    if bad:
+        raise AxiomError(f"unknown constraint {bad[0]!r}")
     exps = (
         [Exponent.coerce(n) for n in window]
         if window is not None
@@ -1107,12 +1102,8 @@ def solve_fusion_space(
                 continue
             for (i, j, mono, bb), c in _mode_defect(w1, w2, w3, name, i0, j0, n, k, b, monomials).items():
                 rows.setdefault((name, i, j, mono, bb), {})[col] = c
-    basis = nullspace(list(rows.values()), len(unknowns)) if rows else [
-        [ExactScalar.coerce(1 if p == q else 0) for p in range(len(unknowns))]
-        for q in range(len(unknowns))
-    ]
     out = []
-    for coeffs in basis:
+    for coeffs in nullspace(list(rows.values()), len(unknowns)):
         modes: dict[ModeKey, CoeffVector] = {}
         for col, ((i, j, n, k, b)) in enumerate(unknowns):  # type: ignore[misc]
             c = coeffs[col]

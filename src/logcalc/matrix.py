@@ -1,5 +1,5 @@
 """Exact matrices over the scalar ring: dense storage, products over nonzero
-entries, fraction-free elimination, and a sparse Gauss-Jordan nullspace.
+entries, and one sparse Gauss-Jordan elimination for inverse and nullspace.
 
 ``entries`` is a list of rows.  A product walks only the nonzero entries of
 each left row, each against the nonzero ``(col, entry)`` pairs of the matching
@@ -7,18 +7,17 @@ right row, listed once per product, so a commutator or a nilpotence test of
 the mostly-zero Jordan-block and sl(2) matrices costs in proportion to their
 nonzero entries.
 
-The ring Q(zeta)[Pi, Pi^-1] is not a field, so elimination divides only by
-invertible Pi-monomials.  Bareiss-style fraction-free elimination keeps all
-intermediate divisions exact (each is by a previous pivot, a leading minor),
-which suffices for every matrix this library inverts: Pascal matrices have
-rational entries and Vandermonde matrices on the nodes 2p*Pi have leading
-minors that are nonzero monomials.
+The ring Q(zeta)[Pi, Pi^-1] is not a field, so elimination pivots only on
+invertible Pi-monomials.  That suffices for every matrix this library
+inverts: Pascal matrices have rational entries, and on a Vandermonde matrix
+on the nodes 2p*Pi every entry stays a rational times a power of Pi.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .printer import scalar_str
 from .scalars import ExactScalar, ScalarLike, UnsupportedDivision
 
 
@@ -117,8 +116,6 @@ class ExactMatrix:
         return self.entries == other.entries
 
     def __repr__(self) -> str:
-        from .printer import scalar_str
-
         rows = "; ".join("[" + ", ".join(scalar_str(a) for a in r) + "]" for r in self.entries)
         return f"ExactMatrix({rows})"
 
@@ -129,88 +126,50 @@ class ExactMatrix:
     # -- elimination -----------------------------------------------------------
 
     def inverse(self) -> ExactMatrix:
-        """Inverse by fraction-free (Bareiss) elimination.
-
-        Divisions are only performed by previous pivots and final diagonal
-        entries; raises :class:`UnsupportedDivision` when such a pivot is not
-        an invertible Pi-monomial, and ValueError when singular.
-        """
+        """Inverse by the elimination of :func:`nullspace` on [A | I]; ValueError when singular."""
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        a = [list(r) for r in self.entries]
-        b = [list(r) for r in ExactMatrix.identity(n).entries]
-        prev = ExactScalar.coerce(1)
-        for k in range(n):
-            if a[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not a[i][k].is_zero():
-                        a[k], a[i] = a[i], a[k]
-                        b[k], b[i] = b[i], b[k]
-                        break
-                else:
-                    raise ValueError("matrix is singular")
-            pivot = a[k][k]
-            for i in range(n):
-                if i == k:
-                    continue
-                factor = a[i][k]
-                for j in range(n):
-                    a[i][j] = (a[i][j] * pivot - factor * a[k][j]).div_monomial(prev)
-                    b[i][j] = (b[i][j] * pivot - factor * b[k][j]).div_monomial(prev)
-            prev = pivot
-        out = []
-        for i in range(n):
-            d = a[i][i]
-            out.append([b[i][j].div_monomial(d) for j in range(n)])
-        return ExactMatrix(out)
+        one, zero = ExactScalar.coerce(1), ExactScalar.zero()
+        rows = [{**{j: v for j, v in enumerate(r) if not v.is_zero()}, n + i: one} for i, r in enumerate(self.entries)]
+        rows, pivots = _eliminate(rows, n)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        # the pivot of column c is row c, reduced to e_c on the left of the bar
+        return ExactMatrix._trusted([[rows[c].get(n + j, zero) for j in range(n)] for c in range(n)])
 
 
-def nullspace(
-    rows: Sequence[Sequence[ScalarLike] | Mapping[int, ScalarLike]], ncols: int
-) -> list[list[ExactScalar]]:
-    """Exact nullspace basis of a linear system given by coefficient rows.
-
-    A row is a dense sequence of ``ncols`` scalars or a sparse mapping from
-    column to scalar.  Gauss-Jordan on sparse rows, with pivot search (column
-    by column, first remaining row) restricted to invertible (Pi-monomial)
-    entries; one inverse per pivot.  Raises :class:`UnsupportedDivision` if
-    a column has nonzero entries but no invertible pivot candidate (cannot
-    happen for rational systems).
-    """
-    a: list[dict[int, ExactScalar]] = []
-    for r in rows:
-        row = {}
-        for c, v in (r.items() if isinstance(r, Mapping) else enumerate(r)):
-            v = ExactScalar.coerce(v)
-            if not v.is_zero():
-                row[c] = v
-        if row:
-            a.append(row)
+def _eliminate(rows: list[dict[int, ExactScalar]], ncols: int) -> tuple[list[dict[int, ExactScalar]], dict[int, int]]:
+    """Gauss-Jordan, in place, on sparse rows (column -> nonzero scalar),
+    pivoting in columns 0..ncols-1 on the first remaining row whose entry is an
+    invertible Pi-monomial (one inverse per pivot); later columns ride along.
+    Returns the rows and the map pivot column -> row, the pivot rows first in
+    column order.  Raises :class:`UnsupportedDivision` if a column has nonzero
+    entries but no invertible pivot candidate (cannot happen for rational systems)."""
     pivots: dict[int, int] = {}  # column -> row
     r = 0
     for c in range(ncols):
-        if r == len(a):
+        if r == len(rows):
             break
         # find a row at index >= r with an invertible entry in column c
         pick = None
-        for i in range(r, len(a)):
-            v = a[i].get(c)
+        for i in range(r, len(rows)):
+            v = rows[i].get(c)
             if v is not None and v.is_monomial():
                 pick = i
                 break
         if pick is None:
-            if any(c in a[i] for i in range(r, len(a))):
+            if any(c in rows[i] for i in range(r, len(rows))):
                 raise UnsupportedDivision(
                     "no invertible pivot available in the remaining system; "
                     "coefficients left the monomial-invertible fragment"
                 )
             continue
-        a[r], a[pick] = a[pick], a[r]
-        inv = a[r][c].inverse()
-        prow = {col: v * inv for col, v in a[r].items()}
-        a[r] = prow
-        for i, row in enumerate(a):
+        rows[r], rows[pick] = rows[pick], rows[r]
+        inv = rows[r][c].inverse()
+        prow = {col: v * inv for col, v in rows[r].items()}
+        rows[r] = prow
+        for i, row in enumerate(rows):
             f = row.get(c)
             if f is None or i == r:
                 continue
@@ -226,6 +185,28 @@ def nullspace(
                 row[col] = s
         pivots[c] = r
         r += 1
+    return rows, pivots
+
+
+def nullspace(
+    rows: Sequence[Sequence[ScalarLike] | Mapping[int, ScalarLike]], ncols: int
+) -> list[list[ExactScalar]]:
+    """Exact nullspace basis of a linear system given by coefficient rows.
+
+    A row is a dense sequence of ``ncols`` scalars or a sparse mapping from
+    column to scalar.  The rows are reduced by :func:`_eliminate`; a system
+    with no rows has the unit vectors as its basis.
+    """
+    a: list[dict[int, ExactScalar]] = []
+    for r in rows:
+        row = {}
+        for c, v in (r.items() if isinstance(r, Mapping) else enumerate(r)):
+            v = ExactScalar.coerce(v)
+            if not v.is_zero():
+                row[c] = v
+        if row:
+            a.append(row)
+    a, pivots = _eliminate(a, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:

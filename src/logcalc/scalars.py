@@ -291,10 +291,6 @@ class ExactScalar:
         den = den if norm > 0 else -den
         return _reduced({(-k, i): v * den for (_, i), v in rest.items()}, abs(norm))
 
-    def div_monomial(self, other: ScalarLike) -> ExactScalar:
-        """Exact division by a Pi-monomial c*Pi^k (or a plain nonzero constant)."""
-        return self * ExactScalar.coerce(other).inverse()
-
     def divided_by_rational(self, q: Fraction | int) -> ExactScalar:
         if q == 0:
             raise UnsupportedDivision("division by zero")

@@ -149,6 +149,24 @@ class TestHostileFlags:
         assert proc.returncode == 2 and not proc.stdout
         assert f"does not read {flag}" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name", ["1", "a b", "Pi", "i", "e", "lg"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("diff", "x^2", "--var"), "--var"),
+            (("subst", "x^2", "--kind", "shift", "--var"), "--var"),
+            (("subst", "x^2", "--kind", "shift", "--order", "2", "--with-var"), "--with-var"),
+        ],
+    )
+    def test_non_variable_name_exits_2(self, capsys, argv, flag, name):
+        """A name the parser does not read as that one variable would print a
+        canonical form that does not read back."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, name])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        assert f"argument {flag}: {name!r} is not a variable name" in err
+
     @pytest.mark.parametrize(
         "argv, flags",
         [
@@ -321,6 +339,8 @@ class TestCheckVerbs:
             (["check", "intertwiner", str(table), "--axioms", "bogus"], "unknown axiom 'bogus'"),
             (["check", "intertwiner", str(module)], "does not hold an intertwiner table"),
             (["solve", "fusion", "--modules", *[str(module)] * 3, "--axioms", "euler,bogus"], "unknown constraint"),
+            (["solve", "fusion", "--modules", *[str(module)] * 3, "--window", "1/2", "--axioms", "bogus"],
+             "unknown constraint 'bogus'"),
             (["solve", "fusion", "--modules", str(module), str(table), str(module)], "needs three module files"),
         ):
             code, out, err = run_cli(*argv)

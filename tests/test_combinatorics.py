@@ -123,6 +123,21 @@ class TestExactMatrix:
         with pytest.raises(ValueError):
             ExactMatrix([[1, 2], [2, 4]]).inverse()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[pi_scalar(1) + 1, 1], [1, 0]],
+            [[pi_scalar(1) + 1, 1, 0], [0, 1, 1], [1, 0, 0]],
+            [[root_of_unity(Fraction(1, 3)) + pi_scalar(2), 1], [pi_scalar(1), 0]],
+        ],
+    )
+    def test_inverse_swaps_past_a_non_monomial_pivot(self, entries):
+        """The first pivot candidate of column 0 is not a Pi-monomial; a row
+        swap brings an invertible one up."""
+        a = ExactMatrix(entries)
+        assert a @ a.inverse() == ExactMatrix.identity(a.rows)
+        assert a.inverse() @ a == ExactMatrix.identity(a.rows)
+
     def test_nilpotence_probe(self):
         assert ExactMatrix([[0, 1], [0, 0]]).is_nilpotent()
         assert not ExactMatrix([[1, 0], [0, 0]]).is_nilpotent()
@@ -173,8 +188,8 @@ def _dense_nullspace(rows, ncols):
                 raise UnsupportedDivision("no invertible pivot")
             continue
         a[r], a[pick] = a[pick], a[r]
-        inv_pivot = a[r][c]
-        a[r] = [v.div_monomial(inv_pivot) for v in a[r]]
+        inv_pivot = a[r][c].inverse()
+        a[r] = [v * inv_pivot for v in a[r]]
         for i in range(len(a)):
             if i != r and not a[i][c].is_zero():
                 f = a[i][c]

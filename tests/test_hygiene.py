@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no orphaned top-level definitions, no
-unread parameters and no defaults that no caller sets in ``src/logcalc``,
-found by scanning the syntax trees of the repository's code; no check suite
+unread parameters, no defaults that no caller sets and no function-local
+import that a module-level one could replace in ``src/logcalc``, found by
+scanning the syntax trees of the repository's code; no check suite
 outside the registry, no `check` flag that no suite reads, and no indented
 `json.dumps` beside the one canonical writer."""
 
@@ -47,6 +48,41 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def _logcalc_imports(node: ast.AST) -> list[str]:
+    """The ``logcalc`` modules that a relative import statement names, by file stem."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    return []
+
+
+def test_local_imports_close_a_cycle():
+    """A function-local import of a ``logcalc`` module is allowed only where a
+    module-level import would close an import cycle: where the imported module
+    already reaches the importing one through module-level imports."""
+    graph: dict[str, set[str]] = {}
+    local = []
+    for path in PACKAGE:
+        tree = _tree(path)
+        graph[path.stem] = {m for node in tree.body for m in _logcalc_imports(node)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [(path.stem, m, node.lineno) for node in ast.walk(fn) for m in _logcalc_imports(node)]
+
+    def reaches(start: str, goal: str) -> bool:
+        seen, todo = set(), [start]
+        while todo:
+            mod = todo.pop()
+            if mod == goal:
+                return True
+            if mod not in seen:
+                seen.add(mod)
+                todo += graph.get(mod, ())
+        return False
+
+    movable = sorted({f"{mod}.py:{line} imports {target}" for mod, target, line in local if not reaches(target, mod)})
+    assert not movable, movable
 
 
 def test_every_top_level_definition_is_referenced():

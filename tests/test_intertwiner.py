@@ -12,6 +12,7 @@ from logcalc.intertwiner import (
     VertexTable,
     a_r,
     axiom_check,
+    candidate_exponents,
     compose_with_homs,
     conj_formulas_check,
     decompose,
@@ -346,6 +347,25 @@ class TestModeDefect:
         v = catalog.trivial_module("V")
         with pytest.raises(ValueError, match="unknown constraint 'sl2_2'"):
             solve_fusion_space(v, v, v, constraints=("euler", "sl2_2"))
+        # a window with no weight-compatible exponent builds no unknown to probe the name with
+        with pytest.raises(ValueError, match="unknown constraint 'bogus'"):
+            solve_fusion_space(v, v, v, constraints=("bogus",), window=[Fraction(1, 2)])
+
+    def test_constraints_without_rows_give_unit_tables(self, jordan2):
+        """``weights`` adds no row, so every unknown mode is a basis table of its
+        own: (i, j, n, b, k) in the order the solver lists its unknowns."""
+        w, exps = jordan2, candidate_exponents(jordan2, jordan2, jordan2)
+        want = [
+            IntertwinerTable(w, w, w, {(i, j, n, k): CoeffVector(w.coeff_space, {b: 1})})
+            for i in range(w.dim)
+            for j in range(w.dim)
+            for n in exps
+            for b in range(w.dim)
+            if w.weights[b] == w.weights[i] + w.weights[j] - n - 1
+            for k in range(2)
+        ]
+        got = solve_fusion_space(w, w, w, constraints=("weights",), max_log=2)
+        assert len(want) > 1 and got == want
 
 
 AXIOM_KINDS = ("all", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights")

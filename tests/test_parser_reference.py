@@ -285,7 +285,7 @@ def _divide_series(num: LogSeries, den: LogSeries, pos: int, text: str) -> LogSe
     [(m, vec)] = den.terms.items()
     c = vec.scalar_value()
     try:
-        inv = ExactScalar.from_rational(1).div_monomial(c)
+        inv = ExactScalar.from_rational(1) * c.inverse()
     except Exception as exc:
         raise ParseError(f"cannot divide: {exc}", pos, text) from exc
     minv = Monomial({v: (-e, -k) for v, e, k in m.entries}) if all(k == 0 for _, _, k in m.entries) else None

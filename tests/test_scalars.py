@@ -129,15 +129,15 @@ class TestExactScalarRing:
         assert (p + 1) * (p - 1) == p * p - ONE
 
     def test_monomial_division(self):
-        assert ExactScalar.pi_power(1, 2).div_monomial(pi_scalar()) == ExactScalar.from_rational(2)
+        assert ExactScalar.pi_power(1, 2) * pi_scalar().inverse() == ExactScalar.from_rational(2)
 
     def test_division_by_sum_rejected(self):
         with pytest.raises(UnsupportedDivision):
-            ONE.div_monomial(pi_scalar() + ONE)
+            ONE * (pi_scalar() + ONE).inverse()
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(UnsupportedDivision):
-            ONE.div_monomial(ExactScalar.zero())
+            ONE * ExactScalar.zero().inverse()
 
     def test_pi_powers_never_merge(self):
         s = pi_scalar() + pi_scalar() * pi_scalar()
@@ -196,7 +196,7 @@ class TestScalarProperties:
     @settings(max_examples=100, deadline=None)
     def test_monomial_division_inverts_multiplication(self, m, a):
         _same_value(m * m.inverse(), ONE)
-        _same_value((a * m).div_monomial(m), a)
+        _same_value((a * m) * m.inverse(), a)
 
     @given(st.integers(-12, 12), RATIONALS)
     @settings(max_examples=60, deadline=None)
