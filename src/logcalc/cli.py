@@ -7,17 +7,22 @@ flag of `subst` or `derive` that its kind or op does not read.
 Exit codes: 0 all checks pass, 1 a check failed, 2 an error in the input
 (command line, expression or file) or in reading it, 3 internal error (its
 traceback goes to stderr; a bare ValueError is one).
+`logcalc --profile VERB ...` runs the verb under cProfile and writes its self
+time (tottime) by `logcalc` module to stderr; stdout is the verb's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import inspect
 import json
+import pstats
 import re
 import sys
 import traceback
 from fractions import Fraction
+from pathlib import Path
 
 from . import checks
 from .intertwiner import (
@@ -107,7 +112,7 @@ def cmd_subst(args: argparse.Namespace) -> int:
 
 
 # the keys of a parsed `check` command line that are not flags read by a suite
-_NOT_FLAGS = ("verb", "fn", "what", "format")
+_NOT_FLAGS = ("verb", "fn", "what", "format", "profile")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -267,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact logarithmic formal calculus and intertwining-operator checks.",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
+    ap.add_argument("--profile", action="store_true", help="write self time by logcalc module to stderr")
     # every verb also takes --format after it; unset there, the value above stands
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
@@ -336,11 +342,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PACKAGE = Path(__file__).parent  # the code objects of its modules carry the same directory
+
+
+def _module_times(stats: pstats.Stats) -> str:
+    """Self time and calls by module, largest time first: `logcalc.NAME` for the
+    package's modules, `other` for the rest (the standard library and builtins)."""
+    rows: dict[str, list] = {}
+    for (filename, _, _), (_, calls, tottime, _, _) in stats.stats.items():
+        path = Path(filename)
+        row = rows.setdefault(f"logcalc.{path.stem}" if path.parent == _PACKAGE else "other", [0.0, 0])
+        row[0] += tottime
+        row[1] += calls
+    total = sum(t for t, _ in rows.values())
+    lines = ["# self time (cProfile tottime) by module"]
+    for name, (t, calls) in sorted(rows.items(), key=lambda kv: -kv[1][0]):
+        lines.append(f"{name:<22} {t:9.3f} s {100 * t / (total or 1):6.1f}% {calls:>11} calls")
+    lines.append(f"{'total':<22} {total:9.3f} s")
+    return "\n".join(lines)
+
+
+def _profiled(args: argparse.Namespace) -> int:
+    prof = cProfile.Profile()
+    try:
+        return prof.runcall(args.fn, args)
+    finally:
+        print(_module_times(pstats.Stats(prof)), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        return _profiled(args) if args.profile else args.fn(args)
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe: not an error
         try:

@@ -217,7 +217,10 @@ class _Parser:
                 acc = _product(acc, self.factor())
             elif t[1] == "/":
                 self.tk.next()
+                at = self.tk.peek()[2]
                 den = self.factor()
+                if not den:  # a zero divisor is the empty sum
+                    raise ParseError("division by zero", at, self.tk.text)
                 acc = _product(acc, _reciprocal(den, t[2], self.tk.text))
             else:
                 return acc

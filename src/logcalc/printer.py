@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import LATTICE, ExactScalar, Exponent
+from .scalars import _RATIONAL, LATTICE, ExactScalar, Exponent
 from .series import LogSeries, Monomial
 
 
@@ -38,6 +38,14 @@ def _zeta_summand(k: int, n: int, d: int) -> str:
     return f"{_ratio_str(n, d)}*{root}"
 
 
+def _joined(texts: list[str]) -> str:
+    """Summands joined by " + ", or by " - " before one that starts with a minus sign."""
+    out = [texts[0]]
+    for text in texts[1:]:
+        out.append(f" - {text[1:]}" if text.startswith("-") else f" + {text}")
+    return "".join(out)
+
+
 def scalar_str(s: ExactScalar) -> str:
     if s.is_zero():
         return "0"
@@ -61,10 +69,7 @@ def scalar_str(s: ExactScalar) -> str:
             else:
                 body = f"({' + '.join(factors)})*{pi}"
         parts.append(body)
-    text = parts[0]
-    for p in parts[1:]:
-        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return text
+    return _joined(parts)
 
 
 def _coeff_prefix(s: ExactScalar) -> str:
@@ -84,8 +89,8 @@ def _coeff_prefix(s: ExactScalar) -> str:
 def monomial_str(m: Monomial) -> str:
     factors = []
     for v, e, k in m.entries:
-        if not e.is_zero():
-            factors.append(v if e == 1 else f"{v}^({exponent_str(e)})")
+        if e.a or e.b:
+            factors.append(v if e.a == LATTICE and not e.b else f"{v}^({exponent_str(e)})")
         if k:
             factors.append(f"lg({v})" if k == 1 else f"lg({v})^{k}")
     return "*".join(factors) if factors else "1"
@@ -101,22 +106,18 @@ def series_str(f: LogSeries) -> str:
             comp = ", ".join(f"[{i}]={scalar_str(v)}" for i, v in sorted(vec.components.items()))
             parts.append(f"({comp})*{monomial_str(m)}")
         return " + ".join(parts)
-    out = ""
+    texts = []
     for m, vec in f.sorted_items():
-        c = vec.scalar_value()
+        c = vec.components[0]
         mono = monomial_str(m)
+        # c = +-1 is {(0, 0): +-1} over 1: read off the coefficient, with no scalar built
+        unit = c.num.get(_RATIONAL) if c.den == 1 and len(c.num) == 1 else None
         if mono == "1":
-            text = _coeff_prefix(c)
-        elif c == 1:
-            text = mono
-        elif c == -1:
-            text = f"-{mono}"
+            texts.append(_coeff_prefix(c))
+        elif unit == 1:
+            texts.append(mono)
+        elif unit == -1:
+            texts.append(f"-{mono}")
         else:
-            text = f"{_coeff_prefix(c)}*{mono}"
-        if not out:
-            out = text
-        elif text.startswith("-"):
-            out += f" - {text[1:]}"
-        else:
-            out += f" + {text}"
-    return out
+            texts.append(f"{_coeff_prefix(c)}*{mono}")
+    return _joined(texts)

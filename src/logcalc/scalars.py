@@ -301,6 +301,10 @@ class ExactScalar:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ExactScalar:
+            if other.__class__ is int:
+                # the canonical n/1 is {(0, 0): n} over 1, and 0 is {} over 1
+                num = self.num
+                return self.den == 1 and (num.get(_RATIONAL) == other and len(num) == 1 if other else not num)
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ExactScalar.from_rational(other)

@@ -253,7 +253,8 @@ class Monomial:
         return Monomial._trusted(tuple(out) + a[i:] + b[j:])
 
     def sort_key(self) -> tuple:
-        return tuple((v, e.sort_key(), k) for v, e, k in self.entries)
+        """Entries as flat (v, L re, L im, k): the order of (v, exponent sort key, k)."""
+        return tuple((v, e.a, e.b, k) for v, e, k in self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
@@ -404,6 +405,10 @@ class LogSeries:
                 out.pop(m, None)
             else:
                 out[m] = s
+        return self._summed(other, out)
+
+    def _summed(self, other: LogSeries, out: dict[Monomial, CoeffVector]) -> LogSeries:
+        """The series of the term map ``out`` of self +- other, under their merged truncation."""
         if self.trunc == other.trunc:
             return LogSeries._trusted(self.space, out, dict(self.trunc))
         return LogSeries(self.space, out, _merge_trunc(self.trunc, other.trunc))
@@ -412,7 +417,20 @@ class LogSeries:
         return LogSeries._trusted(self.space, {m: -v for m, v in self.terms.items()}, dict(self.trunc))
 
     def __sub__(self, other: LogSeries) -> LogSeries:
-        return self + (-other)
+        """self + (-other) in one pass: equal coefficients cancel with no arithmetic,
+        as canonical vectors are equal exactly when their values are."""
+        if self.space != other.space:
+            raise ValueError(f"adding series over {self.space!r} and {other.space!r}")
+        out = dict(self.terms)
+        for m, vec in other.terms.items():
+            cur = out.get(m)
+            if cur is None:
+                out[m] = -vec
+            elif cur == vec:
+                del out[m]
+            else:
+                out[m] = cur + (-vec)
+        return self._summed(other, out)
 
     def scale(self, s: ScalarLike) -> LogSeries:
         s = ExactScalar.coerce(s)

@@ -88,6 +88,23 @@ class TestExpressionVerbs:
             code, _, err = run_cli("eval", text)
             assert code == 2 and "zero denominator" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, column", [("1/0", 3), ("x/(x-x)", 3)])
+    def test_division_by_zero_exits_2(self, text, column):
+        code, out, err = run_cli("eval", text)
+        assert code == 2 and not out
+        assert err == f"error: division by zero at column {column}: {text!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, module", [(("check", "taylor", "--samples", "2"), "series"), (("eval", "x/(x-x)"), "parser")]
+    )
+    def test_profile_leaves_stdout_and_exit_code_alone(self, argv, module):
+        code, out, err = run_cli(*argv)
+        pcode, pout, perr = run_cli("--profile", *argv)
+        assert (pcode, pout) == (code, out) and perr.endswith(err)
+        table = perr[: len(perr) - len(err)].splitlines()
+        assert table[0] == "# self time (cProfile tottime) by module" and table[-1].startswith("total ")
+        assert any(line.startswith(f"logcalc.{module} ") for line in table[1:-1])
+
     def test_json_format(self):
         code, out, _ = run_cli("--format", "json", "eval", "x")
         assert code == 0 and json.loads(out) == {"series": "x"}

@@ -54,6 +54,12 @@ class TestParseExamples:
         assert parse_expr("x/2") == LogSeries.variable("x").scale(Fraction(1, 2))
         assert parse_expr("1/x") == LogSeries.variable("x", -1)
 
+    @pytest.mark.parametrize("text, column", [("1/0", 3), ("x/(x-x)", 3), ("x + 2/ -0", 8), ("1/(0*x)", 3)])
+    def test_division_by_zero_names_the_divisor(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value).startswith("division by zero at column") and err.value.position == column - 1
+
     def test_division_by_sum_rejected(self):
         with pytest.raises(ParseError):
             parse_expr("1/(x+1)")

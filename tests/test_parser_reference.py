@@ -3,7 +3,10 @@
 The reference below evaluates every factor as a full LogSeries: each product
 is a series product, each division a `_divide_series` call and each `+` a
 rebuilt accumulator.  The one-pass parser must agree with it on every value,
-on the order of the terms, and on every ParseError message and column.
+on the order of the terms, and on every ParseError message and column.  The
+reference gained one rule since: a zero divisor is "division by zero" at the
+divisor's column, where both parsers once said "division only by constants or
+monomials" at the column of the slash.
 """
 
 from __future__ import annotations
@@ -178,7 +181,10 @@ class _Parser:
                 acc = acc * self.factor()
             elif t and t[0] == "op" and t[1] == "/":
                 self.tk.next()
+                at = self.tk.peek()
                 den = self.factor()
+                if den.is_zero():
+                    raise ParseError("division by zero", at[2], self.tk.text)
                 acc = _divide_series(acc, den, t[2], self.tk.text)
             else:
                 return acc
@@ -451,7 +457,7 @@ class TestParseScalar:
         assert parse_scalar("-0").is_zero() and parse_scalar("007") == ExactScalar.from_rational(7)
         with pytest.raises(ParseError) as err:
             parse_scalar("1/0")
-        assert "division only by constants or monomials" in str(err.value) and err.value.position == 1
+        assert "division by zero" in str(err.value) and err.value.position == 2
 
 
 GAUSSIAN_PARTS = st.sampled_from(("0", "1", "-2", "1/2", "-5/6", "3/0", "1/7", "i", "2*i", "1/2*i", "-1/3*i", "x", ""))

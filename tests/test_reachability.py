@@ -70,7 +70,7 @@ def _commands(tmp: Path) -> dict[str, list[list[str]]]:
     jacobi = ["solve", "fusion", "--axioms", "lminus1,jacobi", "--max-log", "1"]
     expr = "x^(1/2)*lg(x) + e(1/3)*Pi*x^(-1)"
     return {
-        "eval": _both("eval", expr) + [["eval", "x +"]],
+        "eval": _both("eval", expr) + [["eval", "x +"], ["--profile", "eval", "x/(x-x)"]],
         "diff": _both("diff", expr, "--order", "2"),
         "subst shift": _both("subst", expr, "--kind", "shift", "--order", "2"),
         "subst exp": _both("subst", expr, "--kind", "exp", "--order", "2"),

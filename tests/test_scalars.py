@@ -223,6 +223,21 @@ class TestScalarProperties:
         assert q in {s} and s in {q} and {q: 1}[s] == 1
         assert ExactScalar.zero() in {0} and hash(ExactScalar.zero()) == hash(0)
 
+    @given(MIXED, st.one_of(st.integers(-3, 3), RATIONALS, st.booleans()))
+    @example(ExactScalar.from_rational(2), 2)
+    @example(ExactScalar.from_rational(Fraction(1, 2)), 1)  # numerator 1 over 2 is not 1
+    @example(ExactScalar.pi_power(1, 1), 1)  # numerator 1 at Pi^1
+    @example(ExactScalar.zero(), 0)
+    @example(ExactScalar.zero(), False)
+    @example(ExactScalar.from_rational(1), True)
+    @settings(max_examples=300, deadline=None)
+    def test_equality_with_numbers_is_that_of_the_scalar(self, a, q):
+        want = a == ExactScalar.from_rational(q)  # scalar against scalar: den and num compared
+        assert (a == q) == (q == a) == want != (a != q)
+        if a.is_rational():
+            r = a.rational_value()
+            assert a == r and (r.denominator != 1 or a == int(r))
+
     @given(RATIONALS, MIXED)
     @settings(max_examples=100, deadline=None)
     def test_equal_implies_equal_hash_across_types(self, q, a):
