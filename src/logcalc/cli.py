@@ -26,6 +26,8 @@ from pathlib import Path
 
 from . import checks
 from .intertwiner import (
+    AXIOM_KINDS,
+    CONSTRAINTS,
     AxiomError,
     IntertwinerTable,
     VertexTable,
@@ -266,8 +268,15 @@ def _int_flag(p: argparse.ArgumentParser, flag: str, default: int | None, lo: in
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-' and a digit as a value (`--q -1/3`, `--window -1,-2`): no option starts with a digit."""
+
+    def _parse_optional(self, arg_string):
+        return None if re.match("-[0-9]", arg_string) else argparse.ArgumentParser._parse_optional(self, arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="logcalc",
         description="Exact logarithmic formal calculus and intertwining-operator checks.",
     )
@@ -311,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--count", 1, 100, "modules"),
     ):
         _int_flag(p, flag, None, lo, hi, f"{what}, {_read_by(flag[2:])}")
-    axioms = "all, lminus1, sl2, sl2_alt, euler, grading or weights"
-    p.add_argument("--axioms", help=f"{axioms}; {_read_by('axioms')}")
+    p.add_argument("--axioms", help=f"one of {', '.join(('all', *AXIOM_KINDS))}; {_read_by('axioms')}")
     p.add_argument("--quick", action="store_true", default=None, help=f"smaller sample counts; {_read_by('quick')}")
     p.set_defaults(fn=cmd_check)
 
@@ -328,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[fmt], help="solve for a basis of the constrained table space")
     p.add_argument("what", choices=("fusion",))
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
-    constraints = "lminus1, euler, sl2_m1, sl2_0, sl2_1, sl2_alt_m1, sl2_alt_0, sl2_alt_1, jacobi"
-    p.add_argument("--axioms", default="euler", help=f"comma-separated, from {constraints} (default euler)")
+    p.add_argument("--axioms", default="euler", help=f"comma-separated, from {', '.join(CONSTRAINTS)} (default euler)")
     _int_flag(p, "--max-log", None, 1, 16, "number of log powers solved for, 0..N-1 (default: from the dimensions)")
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.add_argument("--vertex", metavar="FILE", help="jacobi: vertex table file whose modules are those of --modules")

@@ -18,11 +18,11 @@ equations.  Axiom identifiers:
 * ``grading``  modes of degree-homogeneous pairs land in the sum degree,
 * ``weights``  modes are generalized-weight-pure of weight n1 + n2 - n - 1.
 
-The brackets run over j = -1, 0, 1.  Checker and solver evaluate the same
-per-mode rows (:func:`_mode_defect`, and :func:`_jacobi_mode_rows` for the
-windowed Jacobi identity): :func:`axiom_check` and :func:`jacobi_check_window`
-sum them over a table's modes, :func:`solve_fusion_space` solves them for the
-modes.
+The brackets run over j = -1, 0, 1.  Each linear identity is one table of
+terms (:data:`_IDENTITIES`); checker and solver evaluate the same per-mode rows
+(:func:`_mode_defect`, and :func:`_jacobi_mode_rows` for the windowed Jacobi
+identity): :func:`axiom_check` and :func:`jacobi_check_window` sum them over a
+table's modes, :func:`solve_fusion_space` solves them for the modes.
 
 ``euler`` is exactly the identity the log-weight lemmas run on.  On a
 finite-dimensional W1 the full ``lminus1`` axiom forces Y(e_i, x)e_j into
@@ -35,7 +35,7 @@ accept ``euler`` as the precondition.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
@@ -244,21 +244,38 @@ def identity_vertex_table(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule) 
 # ---------------------------------------------------------------------------
 # axiom checking
 
-# constraint name suffix -> j of the bracket rows sl2_* and sl2_alt_*
-_BRACKETS = {"m1": -1, "0": 0, "1": 1}
+# constraint -> (axiom_check kind, check id prefix, terms).  The defect of a
+# constraint at the pair (i, j) is the sum of its terms (slot, j', s, c): for
+# slot 1, 2 or 3, c x^s times Y(e_i, x) e_j with L(j') acting on w1, on w2 or
+# on the output in w3; for slot 0, c times -x^s d/dx Y(e_i, x) e_j.
+_IDENTITIES: dict[str, tuple[str, str, tuple[tuple[int, int, int, int], ...]]] = {
+    "lminus1": ("lminus1", "L(-1)-derivative(", ((1, -1, 0, 1), (0, 0, 0, 1))),
+    "sl2_m1": ("sl2", "sl2-bracket(j=-1;", ((3, -1, 0, 1), (2, -1, 0, -1), (1, -1, 0, -1))),
+    "sl2_0": ("sl2", "sl2-bracket(j=0;", ((3, 0, 0, 1), (2, 0, 0, -1), (1, 0, 0, -1), (1, -1, 1, -1))),
+    "sl2_1": ("sl2", "sl2-bracket(j=1;", ((3, 1, 0, 1), (2, 1, 0, -1), (1, 1, 0, -1), (1, 0, 1, -2), (1, -1, 2, -1))),
+    "sl2_alt_m1": ("sl2_alt", "sl2-bracket-alt(j=-1;", ((1, -1, 0, 1), (3, -1, 0, -1), (2, -1, 0, 1))),
+    "sl2_alt_0": ("sl2_alt", "sl2-bracket-alt(j=0;", (
+        (1, 0, 0, 1), (3, 0, 0, -1), (2, 0, 0, 1), (3, -1, 1, 1), (2, -1, 1, -1))),
+    "sl2_alt_1": ("sl2_alt", "sl2-bracket-alt(j=1;", (
+        (1, 1, 0, 1), (3, 1, 0, -1), (2, 1, 0, 1), (3, 0, 1, 2), (2, 0, 1, -2), (3, -1, 2, -1), (2, -1, 2, 1))),
+    "euler": ("euler", "euler-identity(", ((3, 0, 0, 1), (2, 0, 0, -1), (0, 0, 1, 1), (1, 0, 0, -1))),
+}
 # axiom_check kind -> (constraint, check id prefix) of each row family
 _AXIOM_FAMILIES = {
-    "lminus1": (("lminus1", "L(-1)-derivative("),),
-    "sl2": tuple((f"sl2_{s}", f"sl2-bracket(j={jb};") for s, jb in _BRACKETS.items()),
-    "sl2_alt": tuple((f"sl2_alt_{s}", f"sl2-bracket-alt(j={jb};") for s, jb in _BRACKETS.items()),
-    "euler": (("euler", "euler-identity("),),
+    kind: [(name, prefix) for name, (k, prefix, _) in _IDENTITIES.items() if k == kind]
+    for kind, _, _ in _IDENTITIES.values()
 }
+# the names that axiom_check and solve_fusion_space accept
+AXIOM_KINDS = (*_AXIOM_FAMILIES, "grading", "weights")
+CONSTRAINTS = (*_IDENTITIES, "jacobi", "grading", "weights")
+# constraint -> its terms with each c as a scalar, which the rows multiply by without converting it
+_TERMS = {n: [(a, j, s, ExactScalar.from_rational(c)) for a, j, s, c in t] for n, (_, _, t) in _IDENTITIES.items()}
 
 
 def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
     """Check the selected axiom family on every basis pair, exactly."""
     rep = Report(f"intertwiner-axioms{t.type_signature()}:{which}")
-    kinds = ("lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
+    kinds = AXIOM_KINDS if which == "all" else (which,)
     zero = LogSeries.zero(t.w3.coeff_space)
     for kind in kinds:
         if kind in _AXIOM_FAMILIES:
@@ -297,24 +314,43 @@ def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
 
 def _table_defects(t: IntertwinerTable, name: str) -> dict[tuple[int, int], LogSeries]:
     """The nonzero ``name`` defects of the whole table, keyed by basis pair
-    (i, j): each mode's :func:`_mode_defect` rows, weighted by its components
-    and summed.  Coefficient vectors list their components in ascending order."""
-    sums: dict[tuple[int, int, Monomial, int], ExactScalar] = {}
+    (i, j): the :func:`_contract` of the :func:`_mode_defect` rows."""
     monomials: dict[tuple[Exponent, int, int], Monomial] = {}
+    grouped: dict[tuple[int, int], dict[Monomial, CoeffVector]] = {}
+    for (i, j, mono), vec in _contract(
+        t, lambda i0, j0, n, k, b: _mode_defect(t.w1, t.w2, t.w3, name, i0, j0, n, k, b, monomials).items()
+    ).items():
+        grouped.setdefault((i, j), {})[mono] = vec
+    return {ij: LogSeries(t.w3.coeff_space, terms) for ij, terms in grouped.items()}
+
+
+def _contract(t: IntertwinerTable, unit_rows: Callable) -> dict[tuple, CoeffVector]:
+    """Each mode's ``unit_rows(i0, j0, n, k, b)``, the (point + (component,), value) pairs of the
+    table whose only mode is (i0, j0, n, k) -> e_b, weighted by the mode's components and summed,
+    grouped by point with the components of each point in ascending order."""
+    sums: dict[tuple, ExactScalar] = {}
     for (i0, j0, n, k), vec in t.modes.items():
         for b, c in vec.components.items():
-            for key, r in _mode_defect(t.w1, t.w2, t.w3, name, i0, j0, n, k, b, monomials).items():
+            for key, r in unit_rows(i0, j0, n, k, b):
                 cur = sums.get(key)
                 sums[key] = c * r if cur is None else cur + c * r
-    grouped: dict[tuple[int, int], dict[Monomial, dict[int, ExactScalar]]] = {}
-    for (i, j, mono, bb), c in sorted(sums.items(), key=lambda kv: kv[0][3]):
-        if not c.is_zero():
-            grouped.setdefault((i, j), {}).setdefault(mono, {})[bb] = c
-    space = t.w3.coeff_space
-    return {
-        ij: LogSeries(space, {mono: CoeffVector(space, comps) for mono, comps in terms.items()})
-        for ij, terms in grouped.items()
-    }
+    grouped: dict[tuple, dict[int, ExactScalar]] = {}
+    for key, s in sorted(sums.items(), key=lambda kv: kv[0][-1]):
+        if not s.is_zero():
+            grouped.setdefault(key[:-1], {})[key[-1]] = s
+    return {point: CoeffVector._trusted(t.w3.coeff_space, comps) for point, comps in grouped.items()}
+
+
+def _slot_targets(slot: int, matrix: ExactMatrix, i0: int, j0: int, b: int) -> list[tuple[int, int, int, ExactScalar]]:
+    """(i, j, component in w3, entry) of each pair that ``matrix`` on slot 1 (w1), 2 (w2) or 3
+    (the output in w3) reaches from the table whose only mode is (i0, j0) -> e_b: row i0 on
+    slot 1, row j0 on slot 2, column b on slot 3."""
+    m = matrix.entries
+    if slot == 3:
+        return [(i0, j0, bb, row[b]) for bb, row in enumerate(m) if not row[b].is_zero()]
+    if slot == 2:
+        return [(i0, j, b, e) for j, e in enumerate(m[j0]) if not e.is_zero()]
+    return [(i, j0, b, e) for i, e in enumerate(m[i0]) if not e.is_zero()]
 
 
 def _witness(d: LogSeries) -> str | None:
@@ -381,27 +417,19 @@ def _jacobi_mode_rows(
     k, component in w3) at the window point x0^a x1^b' x2^c lg(x2)^k, for the
     pairs (i, j) with i in ``firsts`` and j in ``seconds``.
 
-    The product reaches the pair (i0, j0) through column b of the slot-3
-    modes, the reversed product the pairs (i0, j) through row j0 of the slot-2
-    modes, and the iterate the pairs (i, j0) through row i0 of the slot-1
-    modes.  A vertex mode p at fixed (a, b') reaches one term of one delta
-    function, so one x2 exponent c = s - n with s an integer; c is kept when
-    floor(c) lies in the window.
+    The product, the reversed product and the iterate reach the pairs of
+    :func:`_slot_targets` for the vertex modes of slot 3, 2 and 1.  A vertex
+    mode p at fixed (a, b') reaches one term of one delta function, so one x2
+    exponent c = s - n with s an integer; c is kept when floor(c) lies in the
+    window.
     """
     x0, x1, x2 = window
     offset = -n.a // LATTICE
     out: dict[tuple[int, int, int, int, Exponent, int, int], ExactScalar] = {}
     for slot in (3, 2, 1):
         for p in vt.support(slot, v):
-            m = vt.matrix(slot, v, p).entries
-            # (i, j, component, matrix entry) of each pair reached through the vertex mode p
-            if slot == 3:
-                targets = [(i0, j0, bb, row[b]) for bb, row in enumerate(m)] if i0 in firsts and j0 in seconds else []
-            elif slot == 2:
-                targets = [(i0, j, b, e) for j, e in enumerate(m[j0]) if j in seconds] if i0 in firsts else []
-            else:
-                targets = [(i, j0, b, e) for i, e in enumerate(m[i0]) if i in firsts] if j0 in seconds else []
-            targets = [tg for tg in targets if not tg[3].is_zero()]
+            m = vt.matrix(slot, v, p)
+            targets = [tg for tg in _slot_targets(slot, m, i0, j0, b) if tg[0] in firsts and tg[1] in seconds]
             if not targets:
                 continue
             for a in x0:
@@ -423,23 +451,12 @@ def _jacobi_defect(
     t: IntertwinerTable, vt: VertexTable, v: int, v1: CoeffVector, v2: CoeffVector, window: _Window
 ) -> dict[tuple[int, int, Exponent, int], CoeffVector]:
     """Nonzero coefficients of product - reversed product - iterate at the
-    window points x0^a x1^b x2^c lg(x2)^k: each mode's
-    :func:`_jacobi_mode_rows`, weighted by its components and by v1[i] v2[j],
-    and summed.  Coefficient vectors list their components in ascending order."""
+    window points x0^a x1^b x2^c lg(x2)^k: the :func:`_contract` of the
+    :func:`_jacobi_mode_rows`, each weighted by v1[i] v2[j]."""
     f1, f2 = v1.components, v2.components
-    sums: dict[tuple[int, int, Exponent, int, int], ExactScalar] = {}
-    for (i0, j0, n, k), vec in t.modes.items():
-        for b, c in vec.components.items():
-            for (i, j, *point, bb), r in _jacobi_mode_rows(vt, v, window, i0, j0, n, k, b, f1, f2).items():
-                key = (*point, bb)
-                val = c * r * f1[i] * f2[j]
-                cur = sums.get(key)
-                sums[key] = val if cur is None else cur + val
-    grouped: dict[tuple[int, int, Exponent, int], dict[int, ExactScalar]] = {}
-    for (*point, bb), c in sorted(sums.items(), key=lambda kv: kv[0][4]):
-        if not c.is_zero():
-            grouped.setdefault(tuple(point), {})[bb] = c
-    return {point: CoeffVector._trusted(t.w3.coeff_space, comps) for point, comps in grouped.items()}
+    return _contract(t, lambda i0, j0, n, k, b: (
+        ((*point, bb), r * f1[i] * f2[j])
+        for (i, j, *point, bb), r in _jacobi_mode_rows(vt, v, window, i0, j0, n, k, b, f1, f2).items()))
 
 
 def jacobi_check_window(t: IntertwinerTable, vt: VertexTable, v: int, v1: CoeffVector, v2: CoeffVector) -> Report:
@@ -957,17 +974,16 @@ def _mode_defect(
 ) -> dict[tuple[int, int, Monomial, int], ExactScalar]:
     """Nonzero coefficients of the ``name`` defect of the table whose only
     mode is (i0, j0, n, k) -> e_b, keyed by (i, j, monomial in x, component
-    in w3).  A defect is the left side minus the right side of an identity in
-    the module docstring: ``lminus1``, ``euler``, ``sl2_m1``/``sl2_0``/
-    ``sl2_1`` (the bracket at j = -1, 0, 1) or ``sl2_alt_m1``/``sl2_alt_0``/
-    ``sl2_alt_1`` (its inverted form).
+    in w3): the sum of the terms of ``name`` in :data:`_IDENTITIES`.
 
-    Each defect is linear in the table, and this mode reaches it through
-    row i0 of w1's L(j), row j0 of w2's L(j), column b of w3's L(j), and the
-    two-term derivative of x^m lg(x)^k with m = -n-1.
-    ``monomials`` memoises x^(-n-1+shift) lg(x)^k across the calls for one
-    table or solve, which share their exponent objects.
+    A term on slot 1, 2 or 3 reaches the pairs of :func:`_slot_targets` for
+    L(j'); a slot-0 term is the two-term derivative of x^m lg(x)^k with
+    m = -n-1.  ``monomials`` memoises x^(-n-1+shift) lg(x)^k across the calls
+    for one table or solve, which share their exponent objects.
     """
+    terms = _TERMS.get(name)
+    if terms is None:
+        raise AxiomError(f"unknown constraint {name!r}")
     out: dict[tuple[int, int, Monomial, int], ExactScalar] = {}
 
     def put(i: int, j: int, shift: int, drop: int, bb: int, c: ExactScalar) -> None:
@@ -979,51 +995,16 @@ def _mode_defect(
         cur = out.get(key)
         out[key] = c if cur is None else cur + c
 
-    def w1_terms(jb: int, shift: int, coeff: int) -> None:  # coeff x^shift Y(L(jb) e_i, x) e_j0
-        for i, c in enumerate(w1.L(jb).entries[i0]):
-            if not c.is_zero():
-                put(i, j0, shift, 0, b, c * coeff)
-
-    def w2_terms(jb: int, shift: int, coeff: int) -> None:  # coeff x^shift Y(e_i0, x) L(jb) e_j
-        for j, c in enumerate(w2.L(jb).entries[j0]):
-            if not c.is_zero():
-                put(i0, j, shift, 0, b, c * coeff)
-
-    def w3_terms(jb: int, shift: int, coeff: int) -> None:  # coeff x^shift L(jb) Y(e_i0, x) e_j0
-        for bb, row in enumerate(w3.L(jb).entries):
-            if not row[b].is_zero():
-                put(i0, j0, shift, 0, bb, row[b] * coeff)
-
-    def derivative(shift: int) -> None:  # -x^shift d/dx Y(e_i0, x) e_j0
-        minus_m = (n + 1).as_scalar()
+    for slot, jb, shift, coeff in terms:
+        if slot:
+            for i, j, bb, c in _slot_targets(slot, (w1, w2, w3)[slot - 1].L(jb), i0, j0, b):
+                put(i, j, shift, 0, bb, c * coeff)
+            continue
+        minus_m = (n + 1).as_scalar()  # -d/dx x^m lg(x)^k = -m x^(m-1) lg(x)^k - k x^(m-1) lg(x)^(k-1)
         if not minus_m.is_zero():
-            put(i0, j0, shift - 1, 0, b, minus_m)
+            put(i0, j0, shift - 1, 0, b, minus_m * coeff)
         if k:
-            put(i0, j0, shift - 1, 1, b, ExactScalar.from_rational(-k))
-
-    family, _, suffix = name.rpartition("_")
-    jb = _BRACKETS.get(suffix)
-    if name == "lminus1":
-        w1_terms(-1, 0, 1)
-        derivative(0)
-    elif name == "euler":
-        w3_terms(0, 0, 1)
-        w2_terms(0, 0, -1)
-        derivative(1)
-        w1_terms(0, 0, -1)
-    elif family == "sl2" and jb is not None:
-        w3_terms(jb, 0, 1)
-        w2_terms(jb, 0, -1)
-        for idx in range(jb + 2):
-            w1_terms(jb - idx, idx, -math.comb(jb + 1, idx))
-    elif family == "sl2_alt" and jb is not None:
-        w1_terms(jb, 0, 1)
-        for idx in range(jb + 2):
-            c = (-1) ** idx * math.comb(jb + 1, idx)
-            w3_terms(jb - idx, idx, -c)
-            w2_terms(jb - idx, idx, c)
-    else:
-        raise AxiomError(f"unknown constraint {name!r}")
+            put(i0, j0, shift - 1, 1, b, ExactScalar.from_rational(-k) * coeff)
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
@@ -1056,8 +1037,7 @@ def solve_fusion_space(
     space on the given window; the dimension is window-relative and is not
     claimed to equal any intrinsic fusion rule.
     """
-    known = {name for family in _AXIOM_FAMILIES.values() for name, _ in family} | {"jacobi", "grading", "weights"}
-    bad = [name for name in constraints if name not in known]
+    bad = [name for name in constraints if name not in CONSTRAINTS]
     if bad:
         raise AxiomError(f"unknown constraint {bad[0]!r}")
     exps = (
@@ -1081,38 +1061,34 @@ def solve_fusion_space(
                         unknowns.append((i, j, n, k, b))  # type: ignore[arg-type]
     if not unknowns:
         return []
-    if "jacobi" in constraints:
-        if vertex is None:
-            raise ValueError("jacobi constraints need a vertex table")
-        exps_used = dict.fromkeys(n for (_, _, n, _, _) in unknowns)  # type: ignore[misc]
-        windows = [_jacobi_window(exps_used, vertex, v) for v in range(len(vertex.vector_weights))]
-        firsts, seconds = range(w1.dim), range(w2.dim)
-    # row key -> {column: coefficient}, rows in first-seen order; an unknown
-    # reaches each row key of a constraint at most once
-    rows: dict[tuple, dict[int, ExactScalar]] = {}
+    if "jacobi" in constraints and vertex is None:
+        raise ValueError("jacobi constraints need a vertex table")
+    # (row key prefix, unit rows) of one constraint, or for jacobi of one algebra
+    # vector's window; grading and weights are encoded in the unknown set
     monomials: dict[tuple[Exponent, int, int], Monomial] = {}
-    for col, (i0, j0, n, k, b) in enumerate(unknowns):  # type: ignore[misc]
-        for name in constraints:
-            if name in ("grading", "weights"):
-                continue  # structural: already encoded in the unknown set
-            if name == "jacobi":
-                for v, jw in enumerate(windows):
-                    for key, c in _jacobi_mode_rows(vertex, v, jw, i0, j0, n, k, b, firsts, seconds).items():
-                        rows.setdefault(("jacobi", v, *key), {})[col] = c
-                continue
-            for (i, j, mono, bb), c in _mode_defect(w1, w2, w3, name, i0, j0, n, k, b, monomials).items():
-                rows.setdefault((name, i, j, mono, bb), {})[col] = c
+    sources: list[tuple[tuple, Callable]] = []
+    for name in dict.fromkeys(constraints):
+        if name in _IDENTITIES:
+            sources.append(((name,), partial(_mode_defect, w1, w2, w3, name, monomials=monomials)))
+        elif name == "jacobi":
+            exps_used = dict.fromkeys(n for (_, _, n, _, _) in unknowns)  # type: ignore[misc]
+            for v in range(len(vertex.vector_weights)):
+                jw = _jacobi_window(exps_used, vertex, v)
+                rows_v = partial(_jacobi_mode_rows, vertex, v, jw, firsts=range(w1.dim), seconds=range(w2.dim))
+                sources.append((("jacobi", v), rows_v))
+    # row key -> {column: coefficient}, rows in first-seen order; an unknown
+    # reaches each row key of a source at most once
+    rows: dict[tuple, dict[int, ExactScalar]] = {}
+    for col, unknown in enumerate(unknowns):
+        for prefix, unit_rows in sources:
+            for key, c in unit_rows(*unknown).items():
+                rows.setdefault(prefix + key, {})[col] = c
     out = []
     for coeffs in nullspace(list(rows.values()), len(unknowns)):
-        modes: dict[ModeKey, CoeffVector] = {}
-        for col, ((i, j, n, k, b)) in enumerate(unknowns):  # type: ignore[misc]
-            c = coeffs[col]
-            if c.is_zero():
-                continue
-            key = (i, j, n, k)
-            cur = modes.get(key, CoeffVector.zero(w3.coeff_space))
-            modes[key] = cur + CoeffVector(w3.coeff_space, {b: c})
-        table = IntertwinerTable(w1, w2, w3, modes)
-        if not table.is_zero():
-            out.append(table)
+        comps: dict[tuple, dict[int, ExactScalar]] = {}
+        for (i, j, n, k, b), c in zip(unknowns, coeffs):  # type: ignore[misc]
+            if not c.is_zero():
+                comps.setdefault((i, j, n, k), {})[b] = c
+        modes = {key: CoeffVector._trusted(w3.coeff_space, cs) for key, cs in comps.items()}
+        out.append(IntertwinerTable(w1, w2, w3, modes))
     return out

@@ -23,6 +23,8 @@ from .series import CoeffVector
 from .intertwiner import IntertwinerTable, VertexTable
 
 SCHEMA = "logcalc/1"
+# a table file's largest log power k: derived tables expand lg(x)^k into k + 1 terms
+MAX_LOG_POWER = 256
 
 
 class SchemaError(ValueError):
@@ -180,6 +182,7 @@ def table_from_json(data: Any) -> IntertwinerTable:
         _expect(_int(i) and 0 <= i < w1.dim, "bad first index", f"{p}/i")
         _expect(_int(j) and 0 <= j < w2.dim, "bad second index", f"{p}/j")
         _expect(_int(k) and k >= 0, "log power must be a natural number", f"{p}/k")
+        _expect(k <= MAX_LOG_POWER, f"log power exceeds the bound k <= {MAX_LOG_POWER}", f"{p}/k")
         n = _exponent_from(m.get("n"), f"{p}/n")
         _expect((i, j, n, k) not in modes, "repeats the (i, j, n, k) of an earlier mode", p)
         value = m.get("value")

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from logcalc import catalog, checks
 from logcalc.cli import main
-from logcalc.jsonio import dump_object
+from logcalc.jsonio import MAX_LOG_POWER, dump_object
 from logcalc.reports import Report
 
 # the suites that `check all` runs
@@ -215,6 +216,46 @@ class TestHostileFlags:
         assert code == 2 and not out
         assert "argument --max-log: 0 is outside 1..16" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            (("subst", "x", "--kind", "scale", "--q", "-1/3"), ("subst", "x", "--kind", "scale", "--q=-1/3")),
+            (("solve", "fusion", "--window", "-1,-2"), ("solve", "fusion", "--window=-1,-2")),
+            (("solve", "fusion", "--window", "-1/2"), ("solve", "fusion", "--window=-1/2")),
+        ],
+    )
+    def test_a_value_starting_with_minus_and_a_digit_is_a_value(self, tmp_path, capsys, argv, same):
+        path = tmp_path / "V.json"
+        path.write_text(dump_object(catalog.trivial_module("V")))
+        modules = ["--modules", *[str(path)] * 3] if argv[0] == "solve" else []
+        outputs = []
+        for args in (argv, same):
+            assert main([*args, *modules]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out and not outputs[0].err
+
+    def test_axioms_help_lists_exactly_the_names_each_verb_accepts(self, tmp_path, capsys, honest_table):
+        table, module = tmp_path / "t.json", tmp_path / "V.json"
+        table.write_text(dump_object(honest_table))
+        module.write_text(dump_object(catalog.trivial_module("V")))
+        verbs = {
+            "check": (r"one of ([\w, ]+);", ["check", "intertwiner", str(table)]),
+            "solve": (r"comma-separated, from ([\w, ]+) \(", ["solve", "fusion", "--modules", *[str(module)] * 3]),
+        }
+        listed = {}
+        for verb, (pattern, _) in verbs.items():
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            listed[verb] = re.search(r"--axioms AXIOMS " + pattern, text).group(1).split(", ")
+        assert {"all", "sl2", "grading"} <= set(listed["check"]) and {"sl2_0", "jacobi"} <= set(listed["solve"])
+        for verb, (_, argv) in verbs.items():
+            accepted = []
+            for name in sorted({*listed["check"], *listed["solve"], "bogus"}):
+                main([*argv, "--axioms", name])
+                accepted += [name] if "unknown" not in capsys.readouterr().err else []
+            assert accepted == sorted(listed[verb]), verb
+
     def test_help_states_each_range(self):
         code, out, _ = run_cli("check", "--help")
         assert code == 0
@@ -294,6 +335,17 @@ class TestCheckVerbs:
         code, out, err = run_cli(*argv, str(path))
         assert code == 2 and not out
         assert f"(at /modes/{len(data['modes']) - 1})" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("check", "intertwiner"), ("roundtrip",), ("derive", "omega")])
+    def test_intertwiner_file_above_the_log_power_budget_exits_2(self, tmp_path, honest_table, argv):
+        # a derived table expands lg(x)^k into k + 1 terms: the loader bounds k
+        data = json.loads(dump_object(honest_table))
+        data["modes"][0]["k"] = MAX_LOG_POWER + 1
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(*argv, str(path))
+        assert code == 2 and not out
+        assert "(at /modes/0/k)" in err and "Traceback" not in err
 
     def test_verb_is_thin_shell_over_library(self):
         # the CLI report must be exactly the library's report

@@ -268,6 +268,23 @@ class TestSolver:
         assert honest_table.max_log_power() == 0
         assert axiom_check(honest_table, "all").passed
 
+    def test_reordered_or_repeated_constraints_give_the_same_basis(self, honest_table, epsilon_pair):
+        """The solution space is the nullspace of the rows however the constraints are listed,
+        and its basis is that of the reduced row echelon form: equal tables in the same order."""
+        u, w, m = honest_table.w1, honest_table.w2, honest_table.w3
+        t, vt = epsilon_pair
+        for first, second in (
+            (
+                solve_fusion_space(u, w, m, ("lminus1", "sl2_0")),
+                solve_fusion_space(u, w, m, ("sl2_0", "lminus1", "lminus1")),
+            ),
+            (
+                solve_fusion_space(t.w1, t.w2, t.w3, ("jacobi", "lminus1"), max_log=1, vertex=vt),
+                solve_fusion_space(t.w1, t.w2, t.w3, ("lminus1", "jacobi"), max_log=1, vertex=vt),
+            ),
+        ):
+            assert first and [list(s.modes.items()) for s in first] == [list(s.modes.items()) for s in second]
+
 
 # module triples (W1, W2, W3): Jordan blocks (L(+-1) = 0), honest sl(2)
 # (all three L(j) nonzero) and a mix of both

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from logcalc import catalog
 from logcalc.intertwiner import IntertwinerTable
 from logcalc.jsonio import (
+    MAX_LOG_POWER,
     SchemaError,
     canonical_dumps,
     dump_object,
@@ -64,6 +65,15 @@ class TestTableFiles:
             back = load_text(text)
             assert dump_object(back) == text
             assert back == t
+
+    def test_log_power_budget(self, honest_table):
+        data = table_to_json(honest_table)
+        data["modes"][0]["k"] = MAX_LOG_POWER
+        assert table_from_json(data).max_log_power() == MAX_LOG_POWER
+        data["modes"][0]["k"] = MAX_LOG_POWER + 1
+        with pytest.raises(SchemaError, match=f"k <= {MAX_LOG_POWER}") as err:
+            table_from_json(data)
+        assert err.value.pointer == "/modes/0/k"
 
     def test_mode_index_guard(self, honest_table):
         data = table_to_json(honest_table)
