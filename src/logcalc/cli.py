@@ -17,7 +17,6 @@ import argparse
 import cProfile
 import inspect
 import json
-import pstats
 import re
 import sys
 import traceback
@@ -337,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("fusion",))
     p.add_argument("--modules", nargs=3, required=True, metavar=("W1", "W2", "W3"))
     p.add_argument("--axioms", default="euler", help=f"comma-separated, from {', '.join(CONSTRAINTS)} (default euler)")
-    _int_flag(p, "--max-log", None, 1, 16, "number of log powers solved for, 0..N-1 (default: from the dimensions)")
+    _int_flag(p, "--max-log", None, 1, 16, "number of log powers solved for, 0..N-1 (default: from the "
+              "nilpotency indices when the constraints imply euler, else from the dimensions)")
     p.add_argument("--window", default=None, help="comma-separated exponents n to solve over")
     p.add_argument("--vertex", metavar="FILE", help="jacobi: vertex table file whose modules are those of --modules")
     p.set_defaults(fn=cmd_solve)
@@ -352,15 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
 _PACKAGE = Path(__file__).parent  # the code objects of its modules carry the same directory
 
 
-def _module_times(stats: pstats.Stats) -> str:
-    """Self time and calls by module, largest time first: `logcalc.NAME` for the
-    package's modules, `other` for the rest (the standard library and builtins)."""
+def _module_times(prof: cProfile.Profile) -> str:
+    """Self time and calls by module, largest time first: `logcalc.NAME` for the package's modules,
+    `other` for the rest (the standard library and builtins).  Summed per code object, as pstats
+    keys entries by (file, line, name), under which two comprehensions on one line share one."""
     rows: dict[str, list] = {}
-    for (filename, _, _), (_, calls, tottime, _, _) in stats.stats.items():
-        path = Path(filename)
-        row = rows.setdefault(f"logcalc.{path.stem}" if path.parent == _PACKAGE else "other", [0.0, 0])
-        row[0] += tottime
-        row[1] += calls
+    for entry in prof.getstats():
+        path = None if isinstance(entry.code, str) else Path(entry.code.co_filename)  # a str names a builtin
+        row = rows.setdefault(f"logcalc.{path.stem}" if path and path.parent == _PACKAGE else "other", [0.0, 0])
+        row[0] += entry.inlinetime
+        row[1] += entry.callcount
     total = sum(t for t, _ in rows.values())
     lines = ["# self time (cProfile tottime) by module"]
     for name, (t, calls) in sorted(rows.items(), key=lambda kv: -kv[1][0]):
@@ -374,7 +375,7 @@ def _profiled(args: argparse.Namespace) -> int:
     try:
         return prof.runcall(args.fn, args)
     finally:
-        print(_module_times(pstats.Stats(prof)), file=sys.stderr)
+        print(_module_times(prof), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -54,6 +54,8 @@ from .reports import Report
 from .scalars import LATTICE, ExactScalar, Exponent, pi_scalar
 from .series import SCALAR, CoeffVector, LogSeries, Monomial, VarId
 from .substitution import (
+    _scaled_image,
+    pi_monomial_coefficient,
     series_log1p,
     subst_mobius_arg,
     subst_scaled_exp,
@@ -771,21 +773,31 @@ def compose_with_homs(
 
 
 def subst_table_scaled(t: IntertwinerTable, zeta: ExactScalar) -> IntertwinerTable:
-    """Y(., e^zeta x) as a table (modewise scaled-exponential substitution)."""
-    return IntertwinerTable.from_series(t.w1, t.w2, t.w3, lambda i, j: subst_scaled_exp(t.series(i, j), "x", zeta))
+    """Y(., e^zeta x) as a table: each mode (i, j, n, m) adds s times itself into mode (i, j, n, k)
+    for each term (k, s) of the image of x^(-n-1) lg(x)^m, pairs in (i, j) order."""
+    image = lru_cache(maxsize=None)(partial(_scaled_image, "x", zeta, pi_monomial_coefficient(zeta)))
+    modes: dict[ModeKey, CoeffVector] = {}
+    for (i, j, n, m), vec in sorted(t.modes.items(), key=lambda kv: kv[0][:2]):
+        for k, s in image(-n - 1, m):
+            cur = modes.get((i, j, n, k))
+            modes[(i, j, n, k)] = vec.scale(s) if cur is None else cur + vec.scale(s)
+    return IntertwinerTable(t.w1, t.w2, t.w3, modes)
 
 
 def omega_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
     """Skew transposition: Omega_r(Y)(w2, x)w1 = e^(xL(-1)) Y(w1, e^((2r+1)Pi) x) w2.
 
-    Exact: L(-1) on a finite module is nilpotent, so the dressing terminates.
+    On modes: the p-th term of the L(-1)-orbit of mode (i, j, n, k) of Y(., e^((2r+1)Pi) x) adds into mode
+    (j, i, n - p, k), pairs in (j, i) order and each pair's terms by p; L(-1) is nilpotent, so orbits end.
     """
-    zeta = ExactScalar.pi_power(1, 2 * r + 1)
-
-    def fn(j: int, i: int) -> LogSeries:
-        return exp_L(t.w3, -1, LogSeries.variable("x"), subst_scaled_exp(t.series(i, j), "x", zeta))
-
-    return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn)
+    s = subst_table_scaled(t, ExactScalar.pi_power(1, 2 * r + 1))
+    terms = sorted(((j, i, p, n - p, k, term) for (i, j, n, k), vec in s.modes.items()
+                    for p, term in enumerate(exp_nilpotent_terms(t.w3, t.w3.L(-1), vec))), key=lambda e: e[:3])
+    modes: dict[ModeKey, CoeffVector] = {}
+    for j, i, _, n, k, term in terms:
+        cur = modes.get((j, i, n, k))
+        modes[(j, i, n, k)] = term if cur is None else cur + term
+    return IntertwinerTable(t.w2, t.w1, t.w3, modes)
 
 
 def a_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
@@ -1032,10 +1044,12 @@ def solve_fusion_space(
     ``lminus1``, ``euler``, ``sl2_*`` and ``sl2_alt_*`` come from
     :func:`_mode_defect`, those of ``jacobi`` from :func:`_jacobi_mode_rows`
     on each algebra vector's window for the exponents and log powers solved for.
-    ``max_log`` is the number of log powers solved for, 0..max_log-1 (default:
-    max(dim W1 + dim W2 + dim W3 - 2, 1)).  Returns a basis of the solution
-    space on the given window; the dimension is window-relative and is not
-    claimed to equal any intrinsic fusion rule.
+    ``max_log`` is the number of log powers solved for, 0..max_log-1 (default: from the nilpotency
+    indices, max(K1 + K2 + K3 - 2, 1), when the constraints imply ``euler`` by naming it or both
+    ``lminus1`` and ``sl2_0``, as Part II bounds the log powers of such solutions by K1 + K2 + K3 - 3;
+    else from the dimensions, max(dim W1 + dim W2 + dim W3 - 2, 1)).  Returns a basis of the solution
+    space on the given window; the dimension is window-relative and is not claimed to equal any
+    intrinsic fusion rule.
     """
     bad = [name for name in constraints if name not in CONSTRAINTS]
     if bad:
@@ -1047,7 +1061,9 @@ def solve_fusion_space(
     )
     if not exps:
         raise ValueError("empty exponent window")
-    kmax = max_log if max_log is not None else max(w1.dim + w2.dim + w3.dim - 2, 1)
+    if max_log is None:
+        euler = "euler" in constraints or {"lminus1", "sl2_0"} <= set(constraints)
+        max_log = max(sum(w.nilpotency_index() if euler else w.dim for w in (w1, w2, w3)) - 2, 1)
     unknowns: list[tuple] = []
     for i in range(w1.dim):
         for j in range(w2.dim):
@@ -1057,7 +1073,7 @@ def solve_fusion_space(
                 for b in range(w3.dim):
                     if w3.weights[b] != want_wt or w3.degrees[b] != want_deg:
                         continue
-                    for k in range(kmax):
+                    for k in range(max_log):
                         unknowns.append((i, j, n, k, b))  # type: ignore[arg-type]
     if not unknowns:
         return []

@@ -119,6 +119,7 @@ class MobiusModule:
         self.coeff_space = CoeffSpace(name, self.dim)
         self._dual_of: "MobiusModule | None" = None
         self._nilpotent: ExactMatrix | None = None
+        self._nilpotency: int | None = None
 
     def L(self, j: int) -> ExactMatrix:
         return self._L[j]
@@ -134,7 +135,10 @@ class MobiusModule:
 
     def nilpotency_index(self) -> int:
         """Least K with (L(0) - L(0)_s)^K = 0 (the log-depth bound of the module)."""
-        return max(len(exp_nilpotent_terms(self, self.nilpotent_part(), self.basis_vector(j))) for j in range(self.dim))
+        if self._nilpotency is None:  # a solve needs only K: N stays uncached for modules that never use it
+            n = self._L[0] - self.weight_diagonal()
+            self._nilpotency = max(len(exp_nilpotent_terms(self, n, self.basis_vector(j))) for j in range(self.dim))
+        return self._nilpotency
 
     def basis_vector(self, i: int) -> CoeffVector:
         return CoeffVector.basis(self.coeff_space, i)

@@ -17,20 +17,23 @@ def canonical_json(value: object, newline: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for a value
     built of dicts with str keys, lists, strs, ints, bools and None; any other
     type raises TypeError.  (``json.dumps`` with an indent runs the pure-Python
-    encoder; this writer does the same work in fewer calls.)"""
+    encoder; this writer does the same work in fewer calls, and encodes a str
+    value or element, most of them matrix cells and mode strings, inline.)"""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        items = [inner + encode_basestring_ascii(k) + ": " + canonical_json(value[k], inner) for k in sorted(value)]
+        items = [inner + encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(v) if type(v) is str
+                 else canonical_json(v, inner)) for k, v in sorted(value.items())]
         return "{" + ",".join(items) + newline + "}"
     if isinstance(value, list):
         if not value:
             return "[]"
         inner = newline + "  "
-        return "[" + ",".join([inner + canonical_json(v, inner) for v in value]) + newline + "]"
+        return "[" + ",".join([inner + (encode_basestring_ascii(v) if type(v) is str else canonical_json(v, inner))
+                               for v in value]) + newline + "]"
     if value is None:
         return "null"
     if isinstance(value, bool):

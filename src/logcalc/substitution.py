@@ -181,17 +181,18 @@ def subst_scaled_exp(f: LogSeries, x: VarId, zeta: ExactScalar) -> LogSeries:
     shift.  Requires real exponents with q*n on the lattice.
     """
     q = pi_monomial_coefficient(zeta)
+    return _substitute(f, x, lambda n, m: [(Monomial.UNIT._with(x, n, k), s)
+                                           for k, s in _scaled_image(x, zeta, q, n, m)], {})
 
-    def image(n: Exponent, m: int) -> _Image:
-        if not n.is_real():
-            raise LatticeViolation(
-                f"substituting e^zeta x needs real exponents; {x}^({n.re}+{n.im}i) would leave the ring"
-            )
-        c = root_of_unity(q * n.re)
-        pairs = [(Monomial.UNIT._with(x, n, m - j), c * zeta**j * math.comb(m, j)) for j in range(m + 1)]
-        return [(head, s) for head, s in pairs if not s.is_zero()]
 
-    return _substitute(f, x, image, {})
+def _scaled_image(x: VarId, zeta: ExactScalar, q: Fraction, n: Exponent, m: int) -> list[tuple[int, ExactScalar]]:
+    """The nonzero terms (k, s) of the image sum s x^n lg(x)^k of x^n lg(x)^m under x -> e^zeta x, zeta = q*Pi:
+    s = e(qn) C(m, j) zeta^j for k = m - j.  Both scaled routes build from it, the series and the table one."""
+    if not n.is_real():
+        raise LatticeViolation(f"substituting e^zeta x needs real exponents; {x}^({n.re}+{n.im}i) would leave the ring")
+    c = root_of_unity(q * n.re)
+    terms = [(m - j, c * zeta**j * math.comb(m, j)) for j in range(m + 1)]
+    return [(k, s) for k, s in terms if not s.is_zero()]
 
 
 def subst_mobius_arg(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:

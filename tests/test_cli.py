@@ -1,3 +1,4 @@
+import cProfile
 import functools
 import inspect
 import json
@@ -5,10 +6,11 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from logcalc import catalog, checks
+from logcalc import catalog, checks, cli
 from logcalc.cli import main
 from logcalc.jsonio import MAX_LOG_POWER, dump_object
 from logcalc.reports import Report
@@ -105,6 +107,20 @@ class TestExpressionVerbs:
         table = perr[: len(perr) - len(err)].splitlines()
         assert table[0] == "# self time (cProfile tottime) by module" and table[-1].startswith("total ")
         assert any(line.startswith(f"logcalc.{module} ") for line in table[1:-1])
+
+    def test_profile_counts_two_functions_of_one_line_apart(self, monkeypatch):
+        """pstats keys an entry by (file, line, name) and keeps one of two lambdas on one line;
+        the table sums every code object, so this file's row counts 1 + 2 + 3 calls."""
+
+        def calls_two_lambdas_of_one_line():
+            first, second = (lambda: 1), (lambda: 2)
+            return first() + first() + second() + second() + second()
+
+        monkeypatch.setattr(cli, "_PACKAGE", Path(__file__).parent)
+        prof = cProfile.Profile()
+        prof.runcall(calls_two_lambdas_of_one_line)
+        rows = [line.split() for line in cli._module_times(prof).splitlines()]
+        assert [row[-2] for row in rows if row[0] == "logcalc.test_cli"] == ["6"]
 
     def test_json_format(self):
         code, out, _ = run_cli("--format", "json", "eval", "x")

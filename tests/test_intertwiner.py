@@ -36,8 +36,9 @@ from logcalc.intertwiner import (
 )
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import GradingGroup, MobiusModule
-from logcalc.scalars import ExactScalar, Exponent, pi_scalar, root_of_unity
+from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, UnsupportedDivision, pi_scalar, root_of_unity
 from logcalc.series import CoeffVector, LogSeries, Monomial
+from logcalc.substitution import subst_scaled_exp
 
 # ---------------------------------------------------------------------------
 # reference oracle: each axiom defect computed on whole series, the way the
@@ -284,6 +285,50 @@ class TestSolver:
             ),
         ):
             assert first and [list(s.modes.items()) for s in first] == [list(s.modes.items()) for s in second]
+
+
+HONEST_AXIOMS = ("lminus1", "sl2_m1", "sl2_0", "sl2_1")
+# the depth theorem's triples: 36 honest sl(2) triples (a, b <= 3, c <= 4) under the full brackets, and
+# 54 Jordan triples (block sizes 1-3, one or two blocks in W3) under euler
+HONEST_DEPTH_TRIPLES = [
+    ((catalog.sl2_irreducible("U", a), catalog.sl2_irreducible("W", b), catalog.sl2_irreducible("M", c)), HONEST_AXIOMS)
+    for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3, 4)
+]
+JORDAN_DEPTH_TRIPLES = [
+    ((catalog.jordan_module("W1", Fraction(1, 2), size=s1), catalog.jordan_module("W2", Fraction(1, 3), size=s2),
+      catalog.jordan_module("W3", Fraction(5, 6), size=s3, blocks=blocks)), ("euler",))
+    for s1 in (1, 2, 3) for s2 in (1, 2, 3) for s3 in (1, 2, 3) for blocks in (1, 2)
+]
+
+
+def _basis(w1, w2, w3, axioms, max_log=None) -> list[list]:
+    """The solved basis with each table's modes in order: equal lists are the same basis in the same order."""
+    return [list(t.modes.items()) for t in solve_fusion_space(w1, w2, w3, axioms, max_log=max_log)]
+
+
+class TestSolverDepth:
+    """Part II bounds the log powers of a solution of ``euler`` by K1 + K2 + K3 - 3 (K the nilpotency
+    index of L(0) - L_s(0)), so the default depth max(K1 + K2 + K3 - 2, 1) of constraints that imply
+    ``euler`` drops only columns that are zero in every solution.  The three tests take about 1.7 s
+    in all on 2 shared cores (Python 3.11)."""
+
+    def test_one_more_log_power_and_the_dimension_depth_give_the_same_basis(self):
+        for (w1, w2, w3), axioms in HONEST_DEPTH_TRIPLES + JORDAN_DEPTH_TRIPLES:
+            k = w1.nilpotency_index() + w2.nilpotency_index() + w3.nilpotency_index()
+            default = _basis(w1, w2, w3, axioms)
+            assert default == _basis(w1, w2, w3, axioms, max_log=k - 1), (w1, w2, w3)
+            assert default == _basis(w1, w2, w3, axioms, max_log=max(w1.dim + w2.dim + w3.dim - 2, 1)), (w1, w2, w3)
+
+    def test_a_nilpotency_index_one_too_low_loses_solutions(self, monkeypatch):
+        bases = [_basis(*mods, axioms) for mods, axioms in JORDAN_DEPTH_TRIPLES]
+        orig = MobiusModule.nilpotency_index
+        monkeypatch.setattr(MobiusModule, "nilpotency_index", lambda self: orig(self) - 1)
+        assert any(_basis(*mods, axioms) != basis for (mods, axioms), basis in zip(JORDAN_DEPTH_TRIPLES, bases))
+
+    def test_constraints_that_do_not_imply_euler_keep_the_dimension_depth(self, honest_table):
+        u, w, m = honest_table.w1, honest_table.w2, honest_table.w3
+        for axioms in (("lminus1",), ("sl2_0", "sl2_1"), ("grading", "weights")):
+            assert _basis(u, w, m, axioms) == _basis(u, w, m, axioms, max_log=u.dim + w.dim + m.dim - 2)
 
 
 # module triples (W1, W2, W3): Jordan blocks (L(+-1) = 0), honest sl(2)
@@ -836,6 +881,51 @@ class TestGradingPreservation:
                 assert axiom_check(part, "grading").passed
             ar = a_r(t, 0)
             assert axiom_check(ar, "grading").passed
+
+
+def _series_route(t: IntertwinerTable, zeta: ExactScalar) -> IntertwinerTable:
+    """Y(., e^zeta x) through the series of each basis pair and back."""
+    return IntertwinerTable.from_series(t.w1, t.w2, t.w3, lambda i, j: subst_scaled_exp(t.series(i, j), "x", zeta))
+
+
+def _outcome(fn, *args):
+    """The modes of the table ``fn`` returns, in order, or the type and text of what it raises."""
+    try:
+        return list(fn(*args).modes.items())
+    except (LatticeViolation, UnsupportedDivision) as exc:
+        return type(exc), str(exc)
+
+
+class TestScaledTableKernel:
+    """The table route of Y(., e^zeta x) against the series route it replaced: the same modes in the
+    same order (later sums and witnesses read them in that order), and the same error."""
+
+    ZETAS = [pi_scalar(2 * p) for p in range(-1, 3)] + [ExactScalar.pi_power(1, 2 * r + 1) for r in range(-2, 2)]
+
+    def test_fixtures_and_solved_tables(self, jordan_tables, honest_table):
+        solved = solve_fusion_space(*JORDAN_DEPTH_TRIPLES[-1][0], ("euler",))
+        assert len(solved) > 10
+        for t in [*jordan_tables, honest_table, *solved]:
+            for zeta in self.ZETAS:
+                assert list(subst_table_scaled(t, zeta).modes.items()) == list(_series_route(t, zeta).modes.items())
+
+    def test_random_tables_and_exponents_that_are_not_real(self):
+        rng = random.Random(29)
+        raised = 0
+        for _ in range(60):
+            t = _random_table(*MODE_DEFECT_MODULES[rng.choice(sorted(MODE_DEFECT_MODULES))], rng)
+            zeta = rng.choice(self.ZETAS)
+            got = _outcome(subst_table_scaled, t, zeta)
+            assert got == _outcome(_series_route, t, zeta)
+            raised += isinstance(got, tuple)
+        assert 0 < raised < 60
+
+    def test_a_non_real_exponent_raises_the_same_message(self, jordan_tables):
+        t = jordan_tables[0]
+        bad = t + IntertwinerTable(t.w1, t.w2, t.w3, {(0, 0, Exponent(Fraction(1, 2), 1), 0): t.w3.basis_vector(0)})
+        got = _outcome(subst_table_scaled, bad, pi_scalar(2))
+        assert got == _outcome(_series_route, bad, pi_scalar(2))
+        assert got[0] is LatticeViolation and "needs real exponents; x^(-3/2+-1i)" in got[1]
 
 
 class TestFormalInvariance:

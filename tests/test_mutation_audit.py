@@ -29,7 +29,7 @@ from logcalc.jsonio import dump_object
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import GradingGroup, MobiusModule
 from logcalc.scalars import ExactScalar, Exponent
-from logcalc.series import LogSeries, Monomial
+from logcalc.series import LogSeries
 
 
 def family(check_id: str) -> str:
@@ -120,18 +120,15 @@ def _solver_plants_half_step(orig):
 
 
 def _freshmans_binomial(mp, tmp_path):
-    """subst_scaled_exp expands (lg(x) + zeta)^m as lg(x)^m + zeta^m."""
+    """The one image builder of x -> e^zeta x expands (lg(x) + zeta)^m as
+    lg(x)^m + zeta^m, seen by the series route and the table route alike."""
 
-    def scaled(f, x, zeta):
-        q = substitution.pi_monomial_coefficient(zeta)
+    def image(x, zeta, q, n, m):
+        c = substitution.root_of_unity(q * n.re)
+        return [(m - j, c * zeta**j) for j in sorted({0, m})]
 
-        def image(n, m):
-            c = substitution.root_of_unity(q * n.re)
-            return [(Monomial.UNIT._with(x, n, m - j), c * zeta**j) for j in sorted({0, m})]
-
-        return substitution._substitute(f, x, image, {})
-
-    mp.setattr(intertwiner, "subst_scaled_exp", scaled)
+    for owner in (substitution, intertwiner):
+        mp.setattr(owner, "_scaled_image", image)
 
 
 def _wrong_inverse(mp, tmp_path):
