@@ -59,7 +59,6 @@ from .substitution import (
     series_log1p,
     subst_mobius_arg,
     subst_scaled_exp,
-    subst_x_inverse,
     subst_x_plus_y,
     subst_xy,
 )
@@ -101,6 +100,14 @@ class IntertwinerTable:
                     raise ValueError("mode value lies in the wrong space")
                 self.modes[(i, j, Exponent.coerce(n), k)] = vec
 
+    @staticmethod
+    def _trusted(w1: MobiusModule, w2: MobiusModule, w3: MobiusModule,
+                 modes: dict[ModeKey, CoeffVector]) -> IntertwinerTable:
+        """A table from in-range keys and nonzero W3 vectors (kept, not copied)."""
+        t = object.__new__(IntertwinerTable)
+        t.w1, t.w2, t.w3, t.modes = w1, w2, w3, modes
+        return t
+
     # -- bookkeeping -------------------------------------------------------
 
     def type_signature(self) -> str:
@@ -127,6 +134,8 @@ class IntertwinerTable:
         return self.modes == other.modes
 
     def __add__(self, other: IntertwinerTable) -> IntertwinerTable:
+        if (other.w1.dim, other.w2.dim, other.w3.coeff_space) != (self.w1.dim, self.w2.dim, self.w3.coeff_space):
+            raise ValueError("adding tables of different types")
         out = dict(self.modes)
         for key, vec in other.modes.items():
             cur = out.get(key)
@@ -135,12 +144,13 @@ class IntertwinerTable:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return IntertwinerTable(self.w1, self.w2, self.w3, out)
+        return IntertwinerTable._trusted(self.w1, self.w2, self.w3, out)
 
     def scale(self, s) -> IntertwinerTable:
-        return IntertwinerTable(
-            self.w1, self.w2, self.w3, {k: v.scale(s) for k, v in self.modes.items()}
-        )
+        s = ExactScalar.coerce(s)
+        # the scalar ring has no zero divisors: only s = 0 makes a mode zero
+        modes = {} if s.is_zero() else {k: v.scale(s) for k, v in self.modes.items()}
+        return IntertwinerTable._trusted(self.w1, self.w2, self.w3, modes)
 
     # -- series views ---------------------------------------------------------
 
@@ -167,25 +177,6 @@ class IntertwinerTable:
             else:
                 out[(n, k)] = s
         return out
-
-    @staticmethod
-    def from_series(
-        w1: MobiusModule,
-        w2: MobiusModule,
-        w3: MobiusModule,
-        fn: Callable[[int, int], LogSeries],
-    ) -> IntertwinerTable:
-        modes: dict[ModeKey, CoeffVector] = {}
-        for i in range(w1.dim):
-            for j in range(w2.dim):
-                f = fn(i, j)
-                for mono, vec in f.items():
-                    if mono.variables() not in ((), ("x",)):
-                        raise ValueError(f"series for ({i},{j}) involves variables besides 'x'")
-                    n = -mono.exponent("x") - 1
-                    k = mono.log_power("x")
-                    modes[(i, j, n, k)] = vec
-        return IntertwinerTable(w1, w2, w3, modes)
 
 
 class VertexTable:
@@ -803,35 +794,30 @@ def omega_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
 def a_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
     """r-contragredient operator: type (W2'; W1 W3'), built from the defining
     pairing <A_r(Y)(w1,x)w3', w2> = <w3', Y(e^(xL(1)) e^((2r+1)Pi L(0))
-    x^(-2L(0)) w1, x^(-1)) w2> on dual bases."""
+    x^(-2L(0)) w1, x^(-1)) w2> on dual bases.
+
+    On modes: x^(-2L(0)) e_i = sum_s (-2)^s x^(-2h_i) lg(x)^s u_s over the N-orbit terms u_s of e_i; the
+    q-th L(1)-orbit term v of e^((2r+1)Pi L(0)) (-2)^s u_s adds, for each mode (n, k) of Y(v, .)e_m, (-1)^k
+    times its component jp into component m of mode (i, jp, 2h_i - q - n - 2, s + k).
+    """
     grading = axiom_check(t, "grading")
     if not grading.passed:
         raise AxiomError("a_r needs a grading-compatible table: " + grading.to_text())
+    w1 = t.w1
     w2p = contragredient(t.w2)
-    w3p = contragredient(t.w3)
     a_scalar = ExactScalar.pi_power(1, 2 * r + 1)
-
-    # (i, jp) -> monomial -> component m in W2': the pairing of the dual basis
-    # vector e'_jp of W3' with the W3-valued series of (i, m), built once
-    pairings: dict[tuple[int, int], dict[Monomial, dict[int, ExactScalar]]] = {}
-    for i in range(t.w1.dim):
-        # (x^{-L(0)})^2 then e^{(2r+1)Pi L(0)} then e^{xL(1)}, as a W1-valued series
-        arg = LogSeries.vector(t.w1.basis_vector(i))
-        for _ in range(2):
-            arg = arg.apply_op(lambda vec: x_pm_L0(t.w1, vec, -1), t.w1.coeff_space)
-        arg = exp_L(t.w1, 1, LogSeries.variable("x"), arg.map_coeffs(lambda vec: e_aL0(t.w1, vec, a_scalar)))
-        for m in range(t.w2.dim):
-            e_m = t.w2.basis_vector(m)
-            inner = arg.apply_op(lambda vec: subst_x_inverse(t.series_args(vec, e_m), "x"), t.w3.coeff_space)
-            for mono, vec3 in inner.items():
-                for jp, c in vec3.components.items():
-                    pairings.setdefault((i, jp), {}).setdefault(mono, {})[m] = c
-
-    def fn(i: int, jp: int) -> LogSeries:
-        terms = pairings.get((i, jp), {})
-        return LogSeries(w2p.coeff_space, {mono: CoeffVector(w2p.coeff_space, comps) for mono, comps in terms.items()})
-
-    return IntertwinerTable.from_series(t.w1, w3p, w2p, fn)
+    comps: dict[ModeKey, dict[int, ExactScalar]] = {}
+    for i, h in enumerate(w1.weights):
+        for s, u in enumerate(exp_nilpotent_terms(w1, w1.nilpotent_part(), w1.basis_vector(i))):
+            dressed = e_aL0(w1, u.scale((-2) ** s), a_scalar)
+            for q, v in enumerate(exp_nilpotent_terms(w1, w1.L(1), dressed)):
+                for m in range(t.w2.dim):
+                    for (n, k), vec in t.mode_map(v, t.w2.basis_vector(m)).items():
+                        for jp, c in (vec if k % 2 == 0 else -vec).components.items():
+                            out = comps.setdefault((i, jp, h + h - q - n - 2, s + k), {})
+                            out[m] = out[m] + c if m in out else c
+    modes = {key: CoeffVector(w2p.coeff_space, cs) for key, cs in comps.items()}
+    return IntertwinerTable(w1, contragredient(t.w3), w2p, modes)
 
 
 def shift_s1s2s3(t: IntertwinerTable, s1: int, s2: int, s3: int) -> IntertwinerTable:

@@ -131,9 +131,9 @@ def test_criterion_11_windowed_jacobi():
 
 
 def test_criterion_12_cli_roundtrips(tmp_path):
+    # `check all --seed 0` runs check_roundtrip_fuzz(10000, 0) and check_file_roundtrip(0):
+    # their rows are in the stdout that the digest pins
     t0 = time.time()
-    fuzz = checks.check_roundtrip_fuzz(samples=10_000, seed=0)
-    files = checks.check_file_roundtrip(seed=0)
     proc = subprocess.run(
         [sys.executable, "-m", "logcalc.cli", "check", "all", "--seed", "0"],
         capture_output=True,
@@ -142,6 +142,5 @@ def test_criterion_12_cli_roundtrips(tmp_path):
     )
     elapsed = time.time() - t0
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    ok = fuzz.passed and files.passed and proc.returncode == 0
-    ok = ok and digest == "83b681dbd292372bc8e181014b065a1cb749f214db5a4f1f18b0ae862a46d907"
+    ok = proc.returncode == 0 and digest == "83b681dbd292372bc8e181014b065a1cb749f214db5a4f1f18b0ae862a46d907"
     _criterion("12-cli-roundtrips-and-check-all", ok, elapsed)

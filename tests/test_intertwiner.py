@@ -39,6 +39,7 @@ from logcalc.mobius import GradingGroup, MobiusModule
 from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, UnsupportedDivision, pi_scalar, root_of_unity
 from logcalc.series import CoeffVector, LogSeries, Monomial
 from logcalc.substitution import subst_scaled_exp
+from series_tables import table_from_series
 
 # ---------------------------------------------------------------------------
 # reference oracle: each axiom defect computed on whole series, the way the
@@ -584,16 +585,6 @@ class TestDerivedOperators:
         for r in (-2, -1, 1):
             assert a_r(table, r) == first
 
-    def test_dual_dresses_each_first_vector_once(self, jordan_tables, monkeypatch):
-        # the (1,2,4) fixture: one basis vector of W1, four dual basis vectors of W3'
-        t = jordan_tables[2]
-        assert (t.w1.dim, t.w2.dim, t.w3.dim) == (1, 2, 4)
-        calls = []
-        real = intertwiner.exp_L
-        monkeypatch.setattr(intertwiner, "exp_L", lambda *args, **kw: calls.append(1) or real(*args, **kw))
-        a_r(t, 0)
-        assert len(calls) == 1
-
     def test_dual_needs_grading_compatibility(self):
         g = GradingGroup(1)
         w = catalog.jordan_module("G", 0, size=2, degrees=[[0], [1]], group=g)
@@ -704,6 +695,18 @@ class TestDecompose:
         # slice is the table, so the slice rule is the lminus1 axiom itself
         assert decompose(honest_table, "by_logpower") == [honest_table]
         assert axiom_check(honest_table, "lminus1").passed
+
+
+class TestTableArithmetic:
+    def test_sums_and_multiples_keep_no_zero_mode(self, jordan_tables):
+        t = jordan_tables[1]
+        assert t.scale(0).modes == {} and (t + t.scale(-1)).modes == {}
+        assert t.scale(2) == t + t and t.scale(2).scale(Fraction(1, 2)).modes == t.modes
+
+    def test_tables_of_different_types_do_not_add(self, jordan_tables, honest_table):
+        for other in (jordan_tables[1], honest_table):
+            with pytest.raises(ValueError, match="adding tables of different types"):
+                jordan_tables[0] + other
 
 
 class TestRecovery:
@@ -885,7 +888,7 @@ class TestGradingPreservation:
 
 def _series_route(t: IntertwinerTable, zeta: ExactScalar) -> IntertwinerTable:
     """Y(., e^zeta x) through the series of each basis pair and back."""
-    return IntertwinerTable.from_series(t.w1, t.w2, t.w3, lambda i, j: subst_scaled_exp(t.series(i, j), "x", zeta))
+    return table_from_series(t.w1, t.w2, t.w3, lambda i, j: subst_scaled_exp(t.series(i, j), "x", zeta))
 
 
 def _outcome(fn, *args):

@@ -251,6 +251,17 @@ def _third_delta_negated(orig):
     return delta_terms
 
 
+def _dual_reads_y_at_x(orig):
+    """a_r reads each mode n of Y(v, .) as -n - 2: its exponent map loses the x -> x^(-1) step."""
+
+    def a_r(t, r):
+        read = IntertwinerTable(t.w1, t.w2, t.w3, t.modes)
+        read.mode_map = lambda v1, v2: {(-n - 2, k): vec for (n, k), vec in t.mode_map(v1, v2).items()}
+        return orig(read, r)
+
+    return a_r
+
+
 def _log_slices_from_one(orig):
     return lambda t, which: orig(t, which)[1:] if which == "by_logpower" else orig(t, which)
 
@@ -319,7 +330,7 @@ AUDIT = {
     "euler-axiom": ("fusion", _wrap(checks, "solve_fusion_space", _solver_plants_wrong_weight)),
     "weights-axiom": ("fusion", _wrap(checks, "solve_fusion_space", _solver_plants_wrong_weight)),
     "omega-involution": ("fusion", _wrap(checks, "omega_r", lambda orig: lambda t, r: orig(t, r + 1))),
-    "dual-involution": ("fusion", _wrap(intertwiner, "subst_x_inverse", lambda orig: lambda f, x: f)),
+    "dual-involution": ("fusion", _wrap(checks, "a_r", _dual_reads_y_at_x)),
     "omega-composition": ("fusion", _freshmans_binomial),
     "dual-composition": ("fusion", _wrap(checks, "shift_s1s2s3", lambda orig: lambda t, s1, s2, s3: orig(t, s2, s1, s3))),
     "mode-recovery": ("fusion", _wrap(

@@ -39,6 +39,7 @@ from logcalc.reports import Report
 from logcalc.scalars import ExactScalar, Exponent
 from logcalc.series import SCALAR, CoeffVector, LogSeries, Monomial
 from logcalc.substitution import subst_scaled_exp, subst_x_inverse, subst_x_plus_y
+from series_tables import table_from_series
 
 # ---------------------------------------------------------------------------
 # reference: one matrix power per term
@@ -311,7 +312,7 @@ def ref_omega_r(t, r, var="x"):
     def fn(j, i):
         return _exp_poly(t.w3, t.w3.L(-1), subst_scaled_exp(t.series(i, j), var, zeta), var)
 
-    return IntertwinerTable.from_series(t.w2, t.w1, t.w3, fn)
+    return table_from_series(t.w2, t.w1, t.w3, fn)
 
 
 def ref_a_r(t, r, var="x"):
@@ -344,7 +345,7 @@ def ref_a_r(t, r, var="x"):
                     out = out + scalar_part * LogSeries.vector(CoeffVector.basis(w2p.coeff_space, m), mono)
         return out
 
-    return IntertwinerTable.from_series(t.w1, w3p, w2p, fn)
+    return table_from_series(t.w1, w3p, w2p, fn)
 
 
 def ref_conj_formulas_check(t, which, order=None):
@@ -486,6 +487,18 @@ def test_derived_tables_and_conjugation_rows_equal(tables):
     for t in fixtures + solved[::8]:
         for r in (-1, 0):
             assert omega_r(t, r) == ref_omega_r(t, r)
+    # a_r on every solved table (W1 a Jordan block: the N-orbit), the honest fixture (the L(1)-orbit)
+    # and a W1 of weight 1/3, where e^(2 Pi i L(0)) is not the identity, so a wrong r shows
+    thirds = solve_fusion_space(
+        catalog.trivial_module("W1", Fraction(1, 3)),
+        catalog.jordan_module("W2", Fraction(1, 4), size=2),
+        catalog.jordan_module("W3", Fraction(7, 12), size=2, blocks=2),
+        ("euler",),
+    )
+    assert any(t.w1.L(1).nonzero_positions() for t in fixtures)
+    assert any(t.w1.nilpotent_part().nonzero_positions() for t in solved)
+    for t in fixtures + solved + thirds:
+        for r in (-2, -1, 0, 1):
             assert a_r(t, r) == ref_a_r(t, r)
     for t in fixtures:
         for which, order in (("p1", None), ("p1", 3), ("p3", 3)):
