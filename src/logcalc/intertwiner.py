@@ -10,15 +10,15 @@ equations.  Axiom identifiers:
 
 * ``lminus1``  Y(L(-1)w1, x) = d/dx Y(w1, x),
 * ``sl2``      [L(j), Y(w1,x)] = sum_i C(j+1,i) x^i Y(L(j-i)w1, x),
-* ``sl2_alt``  the inverted form of the same brackets,
-               Y(L(j)w1, x) = sum_i (-1)^i C(j+1,i) x^i [L(j-i), Y(w1,x)],
 * ``euler``    the combined L(0)/derivative identity
                L(0) Y(w1,x) w2 = Y(w1,x) L(0) w2 + x d/dx Y(w1,x) w2
                + Y(L(0)w1, x) w2,
 * ``grading``  modes of degree-homogeneous pairs land in the sum degree,
 * ``weights``  modes are generalized-weight-pure of weight n1 + n2 - n - 1.
 
-The brackets run over j = -1, 0, 1.  Each linear identity is one table of
+The brackets run over j = -1, 0, 1.  Their inverted form is no separate axiom:
+its defects are -sl2_m1, -sl2_0 + x sl2_m1 and -sl2_1 + 2x sl2_0 - x^2 sl2_m1, a
+unitriangular change of the three.  Each linear identity is one table of
 terms (:data:`_IDENTITIES`); checker and solver evaluate the same per-mode rows
 (:func:`_mode_defect`, and :func:`_jacobi_mode_rows` for the windowed Jacobi
 identity): :func:`axiom_check` and :func:`jacobi_check_window` sum them over a
@@ -246,11 +246,6 @@ _IDENTITIES: dict[str, tuple[str, str, tuple[tuple[int, int, int, int], ...]]] =
     "sl2_m1": ("sl2", "sl2-bracket(j=-1;", ((3, -1, 0, 1), (2, -1, 0, -1), (1, -1, 0, -1))),
     "sl2_0": ("sl2", "sl2-bracket(j=0;", ((3, 0, 0, 1), (2, 0, 0, -1), (1, 0, 0, -1), (1, -1, 1, -1))),
     "sl2_1": ("sl2", "sl2-bracket(j=1;", ((3, 1, 0, 1), (2, 1, 0, -1), (1, 1, 0, -1), (1, 0, 1, -2), (1, -1, 2, -1))),
-    "sl2_alt_m1": ("sl2_alt", "sl2-bracket-alt(j=-1;", ((1, -1, 0, 1), (3, -1, 0, -1), (2, -1, 0, 1))),
-    "sl2_alt_0": ("sl2_alt", "sl2-bracket-alt(j=0;", (
-        (1, 0, 0, 1), (3, 0, 0, -1), (2, 0, 0, 1), (3, -1, 1, 1), (2, -1, 1, -1))),
-    "sl2_alt_1": ("sl2_alt", "sl2-bracket-alt(j=1;", (
-        (1, 1, 0, 1), (3, 1, 0, -1), (2, 1, 0, 1), (3, 0, 1, 2), (2, 0, 1, -2), (3, -1, 2, -1), (2, -1, 2, 1))),
     "euler": ("euler", "euler-identity(", ((3, 0, 0, 1), (2, 0, 0, -1), (0, 0, 1, 1), (1, 0, 0, -1))),
 }
 # axiom_check kind -> (constraint, check id prefix) of each row family
@@ -266,7 +261,9 @@ _TERMS = {n: [(a, j, s, ExactScalar.from_rational(c)) for a, j, s, c in t] for n
 
 
 def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
-    """Check the selected axiom family on every basis pair, exactly."""
+    """Check the selected axiom family on every basis pair, exactly.  ``euler`` implies ``weights`` on a
+    finite table: at a wrong weight lambda != 0 of W3 it reads (lambda + N') m_k = (k + 1) m_(k+1), N'
+    nilpotent, so m_k = 0 from the top log power down; the ``weights`` row names the wrong weight."""
     rep = Report(f"intertwiner-axioms{t.type_signature()}:{which}")
     kinds = AXIOM_KINDS if which == "all" else (which,)
     zero = LogSeries.zero(t.w3.coeff_space)
@@ -301,7 +298,7 @@ def axiom_check(t: IntertwinerTable, which: str = "all") -> Report:
                     break
             rep.add("generalized-weight-purity", witness is None, witness)
         else:
-            raise AxiomError(f"unknown axiom {kind!r}")
+            raise AxiomError(f"unknown axiom {kind!r}; accepted: {', '.join(('all', *AXIOM_KINDS))}")
     return rep
 
 
@@ -1027,7 +1024,7 @@ def solve_fusion_space(
     """Exact nullspace of the selected axiom constraints over unknown modes.
 
     Each unknown mode contributes its own coefficient equations: those of
-    ``lminus1``, ``euler``, ``sl2_*`` and ``sl2_alt_*`` come from
+    ``lminus1``, ``euler`` and ``sl2_*`` come from
     :func:`_mode_defect`, those of ``jacobi`` from :func:`_jacobi_mode_rows`
     on each algebra vector's window for the exponents and log powers solved for.
     ``max_log`` is the number of log powers solved for, 0..max_log-1 (default: from the nilpotency
@@ -1039,7 +1036,7 @@ def solve_fusion_space(
     """
     bad = [name for name in constraints if name not in CONSTRAINTS]
     if bad:
-        raise AxiomError(f"unknown constraint {bad[0]!r}")
+        raise AxiomError(f"unknown constraint {bad[0]!r}; accepted: {', '.join(CONSTRAINTS)}")
     exps = (
         [Exponent.coerce(n) for n in window]
         if window is not None

@@ -142,5 +142,5 @@ def test_criterion_12_cli_roundtrips(tmp_path):
     )
     elapsed = time.time() - t0
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    ok = proc.returncode == 0 and digest == "83b681dbd292372bc8e181014b065a1cb749f214db5a4f1f18b0ae862a46d907"
+    ok = proc.returncode == 0 and digest == "8615f7dc209c8800ebb4a6ce7d9fb5f06a76e017d4f3bb2b81f48a2af8b120be"
     _criterion("12-cli-roundtrips-and-check-all", ok, elapsed)

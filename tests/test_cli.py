@@ -432,6 +432,22 @@ class TestCheckVerbs:
             assert code == 2 and not out and message in err and "Traceback" not in err
 
 
+    def test_retired_bracket_names_exit_2_naming_the_accepted_ones(self, tmp_path, capsys, honest_table, jordan2):
+        table, module = tmp_path / "t.json", tmp_path / "m.json"
+        table.write_text(dump_object(honest_table))
+        module.write_text(dump_object(jordan2))
+        for argv, message in (
+            (["solve", "fusion", "--modules", *[str(module)] * 3, "--axioms", "lminus1,sl2_alt_m1,sl2_alt_0,sl2_alt_1"],
+             "unknown constraint 'sl2_alt_m1'; accepted: lminus1, sl2_m1, sl2_0, sl2_1, euler, jacobi, grading, weights"),
+            (["check", "intertwiner", str(table), "--axioms", "sl2_alt"],
+             "unknown axiom 'sl2_alt'; accepted: all, lminus1, sl2, euler, grading, weights"),
+        ):
+            start = time.perf_counter()
+            code = main(argv)
+            assert time.perf_counter() - start < 1
+            out, err = capsys.readouterr()
+            assert code == 2 and not out and err == f"error: {message}\n"
+
 class TestDeriveAndSolve:
     def test_omega_pipeline_restores_input(self, tmp_path, jordan_tables):
         path = tmp_path / "table.json"

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -68,19 +69,6 @@ def sl2_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> LogSeri
     return lhs - rhs
 
 
-def sl2_alt_defect(t: IntertwinerTable, jb: int, i: int, j: int, var="x") -> LogSeries:
-    lhs = t.series_args(t.w1.apply_L(jb, t.w1.basis_vector(i)), t.w2.basis_vector(j))
-    rhs = LogSeries.zero(t.w3.coeff_space)
-    for idx in range(jb + 2):
-        s = t.series(i, j)
-        brk = _apply_module_matrix(t.w3, t.w3.L(jb - idx), s) - t.series_args(
-            t.w1.basis_vector(i), t.w2.apply_L(jb - idx, t.w2.basis_vector(j))
-        )
-        coeff = LogSeries.monomial(Monomial.var(var, idx), Fraction((-1) ** idx * math.comb(jb + 1, idx)))
-        rhs = rhs + coeff * brk
-    return lhs - rhs
-
-
 def euler_defect(t: IntertwinerTable, i: int, j: int, var="x") -> LogSeries:
     s = t.series(i, j)
     lhs = _apply_module_matrix(t.w3, t.w3.L(0), s)
@@ -106,9 +94,6 @@ MODE_DEFECT_REFERENCE = {
     "sl2_m1": lambda t, i, j: sl2_defect(t, -1, i, j),
     "sl2_0": lambda t, i, j: sl2_defect(t, 0, i, j),
     "sl2_1": lambda t, i, j: sl2_defect(t, 1, i, j),
-    "sl2_alt_m1": lambda t, i, j: sl2_alt_defect(t, -1, i, j),
-    "sl2_alt_0": lambda t, i, j: sl2_alt_defect(t, 0, i, j),
-    "sl2_alt_1": lambda t, i, j: sl2_alt_defect(t, 1, i, j),
 }
 # axiom_check kind -> (check id, constraint name) per row family; the
 # brackets run over j = -1, 0, 1
@@ -116,7 +101,6 @@ BRACKETS = ((-1, "m1"), (0, "0"), (1, "1"))
 ORACLE_FAMILIES = {
     "lminus1": [("L(-1)-derivative({i},{j})", "lminus1")],
     "sl2": [(f"sl2-bracket(j={jb};{{i}},{{j}})", f"sl2_{s}") for jb, s in BRACKETS],
-    "sl2_alt": [(f"sl2-bracket-alt(j={jb};{{i}},{{j}})", f"sl2_alt_{s}") for jb, s in BRACKETS],
     "euler": [("euler-identity({i},{j})", "euler")],
 }
 
@@ -125,7 +109,7 @@ def oracle_axiom_rows(t: IntertwinerTable, which: str) -> list[tuple[str, LogSer
     """(check id, defect) per row of ``axiom_check(t, which)``; the defect is
     None on the structural rows (grading, weights), which the oracle does
     not recompute."""
-    kinds = ("lminus1", "sl2", "sl2_alt", "euler", "grading", "weights") if which == "all" else (which,)
+    kinds = ("lminus1", "sl2", "euler", "grading", "weights") if which == "all" else (which,)
     rows = []
     for kind in kinds:
         if kind not in ORACLE_FAMILIES:
@@ -165,10 +149,6 @@ class TestAxiomCheck:
             assert axiom_check(t, "euler").passed
             assert axiom_check(t, "weights").passed
             assert axiom_check(t, "grading").passed
-
-    def test_sl2_and_alt_form_agree(self, honest_table):
-        assert axiom_check(honest_table, "sl2").passed
-        assert axiom_check(honest_table, "sl2_alt").passed
 
     def test_grading_violation_detected(self):
         g = GradingGroup(1)
@@ -367,6 +347,47 @@ def _random_table(w1, w2, w3, rng: random.Random) -> IntertwinerTable:
     return IntertwinerTable(w1, w2, w3, modes)
 
 
+# every fifth Jordan triple and every sixth honest triple of the depth theorem, each solved under euler once
+IMPLICATION_TRIPLES = [mods for mods, _ in JORDAN_DEPTH_TRIPLES[::5] + HONEST_DEPTH_TRIPLES[::6]]
+
+
+@lru_cache(maxsize=None)
+def _euler_space(idx: int) -> list[IntertwinerTable]:
+    return solve_fusion_space(*IMPLICATION_TRIPLES[idx], ("euler",))
+
+
+class TestImplications:
+    """The implications behind the rows that `check fusion` leaves out: ``euler`` implies ``weights``,
+    and at r = -1 the involution rows build the (r=-1,s=0) composition tables, whose right-hand sides
+    Y(., e^0 x) and the zero dressing are the table itself."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_wrong_weight_component_fails_euler(self, data):
+        idx = data.draw(st.integers(0, len(IMPLICATION_TRIPLES) - 1))
+        w1, w2, w3 = IMPLICATION_TRIPLES[idx]
+        t = IntertwinerTable(w1, w2, w3)
+        for s in _euler_space(idx):
+            t = t + s.scale(data.draw(st.integers(-2, 2)))
+        i, j, b = (data.draw(st.integers(0, w.dim - 1)) for w in (w1, w2, w3))
+        # wt e_b - (wt e_i + wt e_j - n - 1) is the nonzero step
+        step = data.draw(st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3))))
+        n = w1.weights[i] + w2.weights[j] - w3.weights[b] - 1 + step
+        wrong = {(i, j, n, data.draw(st.integers(0, 3))): w3.basis_vector(b).scale(data.draw(st.integers(1, 3)))}
+        bad = t + IntertwinerTable(w1, w2, w3, wrong)
+        assert axiom_check(t, "euler").passed
+        assert not axiom_check(bad, "weights").passed
+        assert not axiom_check(bad, "euler").passed
+
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(MODE_DEFECT_MODULES)))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_turns_are_the_identity(self, seed, kind):
+        t = _random_table(*MODE_DEFECT_MODULES[kind], random.Random(seed))
+        real = IntertwinerTable(t.w1, t.w2, t.w3, {key: vec for key, vec in t.modes.items() if key[2].is_real()})
+        assert subst_table_scaled(real, pi_scalar(0)) == real
+        assert shift_s1s2s3(t, 0, 0, 0) == t
+
+
 class TestModeDefect:
     """The solver's per-mode rows, summed over a table's modes, are the
     coefficient tables of the LogSeries defect functions."""
@@ -431,7 +452,7 @@ class TestModeDefect:
         assert len(want) > 1 and got == want
 
 
-AXIOM_KINDS = ("all", "lminus1", "sl2", "sl2_alt", "euler", "grading", "weights")
+AXIOM_KINDS = ("all", "lminus1", "sl2", "euler", "grading", "weights")
 
 
 class TestAxiomEngine:

@@ -8,6 +8,12 @@ replaced through monkeypatch.  The defect runs that suite alone at its
 raised exception does not count.  A family without an entry fails
 `test_every_family_is_audited`, so a new row brings its defect with it.
 
+Each family can also fail alone, as far as that is possible: for every pair of
+families of one suite, some defect (``AUDIT``'s or one of ``SPLITTERS``) fails
+one and passes the other, or ``IMPLIED`` names the tier-1 test of an
+implication between them.  Each distinct defect runs once, and both tests read
+its report.
+
 The six row families inside each ``weight-formulas-N`` row are flipped one by
 one by ``test_every_formula_can_fail`` in test_intertwiner.py.
 """
@@ -15,21 +21,23 @@ one by ``test_every_formula_can_fail`` in test_intertwiner.py.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from logcalc import catalog, checks, cli, combinatorics, intertwiner, jsonio, substitution
+from logcalc import catalog, checks, cli, combinatorics, intertwiner, jsonio, mobius, substitution
 from logcalc.checks import SUITES, honest_fixture_table
 from logcalc.intertwiner import IntertwinerTable, VertexTable
 from logcalc.jsonio import dump_object
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import GradingGroup, MobiusModule
 from logcalc.scalars import ExactScalar, Exponent
-from logcalc.series import LogSeries
+from logcalc.series import LogSeries, Monomial
 
 
 def family(check_id: str) -> str:
@@ -273,6 +281,68 @@ def _flow_drops_top_order(orig):
     return flow
 
 
+def _graded_by_index(orig):
+    """The seeded modules graded over Z by basis index: L(+-1) change the degree, and no conjugation
+    identity reads degrees."""
+
+    def seeded(name, seed, *args):
+        m = orig(name, seed, *args)
+        return MobiusModule(m.name, m.weights, m.L(-1), m.L(0), m.L(1), [[i] for i in range(m.dim)], GradingGroup(1))
+
+    return seeded
+
+
+def _exp_doubles_l1(orig):
+    """exp_L computes e^(2c L(1)) for e^(c L(1)), which holds wherever both sides exponentiate L(1)."""
+    return lambda module, j, coeff, f, order=None, var="x": orig(
+        module, j, coeff.scale(2) if j == 1 else coeff, f, order, var
+    )
+
+
+def _apply_op_reads_only_x(mp, tmp_path):
+    """LogSeries.apply_op multiplies op(vec) by the x part of each monomial only, which is all of it on a
+    series in x alone."""
+
+    def apply_op(self, op, space):
+        out = LogSeries.zero(space, self.trunc)
+        for m, vec in self.terms.items():
+            out = out + op(vec) * LogSeries.monomial(Monomial.var("x", m.exponent("x"), m.log_power("x")))
+        return out
+
+    mp.setattr(LogSeries, "apply_op", apply_op)
+
+
+def _even_turns_freshmans_binomial(orig):
+    """The image builder of x -> e^zeta x expands (lg(x) + zeta)^m as lg(x)^m + zeta^m when zeta is a nonzero
+    even multiple of Pi: Omega_r, which scales by odd multiples, never sees it."""
+
+    def image(x, zeta, q, n, m):
+        if q == 0 or q % 2:
+            return orig(x, zeta, q, n, m)
+        c = substitution.root_of_unity(q * n.re)
+        return [(m - j, c * zeta**j) for j in sorted({0, m})]
+
+    return image
+
+
+def _solver_bumps_every_unknown(orig):  # each solved basis vector gets 1 added to every coefficient
+    return lambda rows, n: [[c + 1 for c in v] for v in orig(rows, n)]
+
+
+def _euler_minus_a_drops_high_logs(orig):
+    return lambda f, var, a: _without(orig(f, var, a), lambda m: m.log_power(var) >= 3)
+
+
+# one object per distinct defect: a defect that several families share runs once
+_BUMP_L0 = _seeded_modules(_bump_l0)
+_SCALE_L1 = _seeded_modules(_scale_l1)
+_WRONG_WEIGHT = _wrap(checks, "solve_fusion_space", _solver_plants_wrong_weight)
+_THIRD_DELTA = _wrap(intertwiner, "_delta_terms", _third_delta_negated)
+_ODE_KEEPS_A = _wrap(checks, "euler_minus_a", _euler_minus_a_keeps_exponent_a)
+_FLOW_DROPS_TOP = _wrap(substitution, "_flow", _flow_drops_top_order)
+_HONEST_DOUBLED = _honest_with(_double_mode)
+_HONEST_COPIED = _honest_with(_copy_mode_to_next_exponent)
+
 # family -> (suite, defect)
 AUDIT = {
     # scalars
@@ -289,8 +359,8 @@ AUDIT = {
         checks, "subst_scaled_exp", lambda orig: lambda f, x, zeta: orig(f, x, zeta.divided_by_rational(2))
     )),
     # the formal theorems: the flow loses its top y-order
-    "taylor-sample": ("taylor", _wrap(substitution, "_flow", _flow_drops_top_order)),
-    "scaling-sample": ("scaling", _wrap(substitution, "_flow", _flow_drops_top_order)),
+    "taylor-sample": ("taylor", _FLOW_DROPS_TOP),
+    "scaling-sample": ("scaling", _FLOW_DROPS_TOP),
     "yx-substitution-differs": ("taylor-negative", _wrap(
         checks, "subst_x_plus_y", lambda orig: lambda f, x, y, order: substitution._flow(f, x, y, order, 0)
     )),
@@ -311,24 +381,23 @@ AUDIT = {
     "ode-sample": ("ode", _wrap(
         intertwiner, "euler_minus_a", lambda orig: lambda f, var, a: f.d_dx(var, 1) + f.scale(a.as_scalar())
     )),
-    "ode-perturbed": ("ode", _wrap(checks, "euler_minus_a", _euler_minus_a_keeps_exponent_a)),
-    "truncated-exponential-escapes": ("ode", _wrap(checks, "euler_minus_a", _euler_minus_a_keeps_exponent_a)),
+    "ode-perturbed": ("ode", _ODE_KEEPS_A),
+    "truncated-exponential-escapes": ("ode", _ODE_KEEPS_A),
     # sl(2) modules: a broken bracket, an off-weight L(0) entry, a shifted x^L(0)
-    "validate": ("sl2", _seeded_modules(_scale_l1)),
-    "xL0_Lj": ("sl2", _seeded_modules(_bump_l0)),
-    "xL0_expLj": ("sl2", _seeded_modules(_bump_l0)),
-    "expLm1": ("sl2", _seeded_modules(_scale_l1)),
-    "expL0": ("sl2", _seeded_modules(_bump_l0)),
-    "expL1": ("sl2", _seeded_modules(_scale_l1)),
-    "inverse_rel": ("sl2", _seeded_modules(_bump_l0)),
-    "derivative-of-x-L0": ("sl2", _seeded_modules(_bump_l0)),
+    "validate": ("sl2", _SCALE_L1),
+    "xL0_Lj": ("sl2", _BUMP_L0),
+    "xL0_expLj": ("sl2", _BUMP_L0),
+    "expLm1": ("sl2", _SCALE_L1),
+    "expL0": ("sl2", _BUMP_L0),
+    "expL1": ("sl2", _SCALE_L1),
+    "inverse_rel": ("sl2", _BUMP_L0),
+    "derivative-of-x-L0": ("sl2", _BUMP_L0),
     "x-L0-solves-euler-ode": ("sl2", _wrap(
         checks, "x_pm_L0", lambda orig: lambda mod, vec, sign, var="x": orig(mod, vec, sign, var) * LogSeries.variable(var)
     )),
     # fusion suite
     "log-depths": ("fusion", _wrap(checks, "solve_fusion_space", lambda orig: lambda *a, **kw: orig(*a, **kw, max_log=2))),
-    "euler-axiom": ("fusion", _wrap(checks, "solve_fusion_space", _solver_plants_wrong_weight)),
-    "weights-axiom": ("fusion", _wrap(checks, "solve_fusion_space", _solver_plants_wrong_weight)),
+    "euler-axiom": ("fusion", _WRONG_WEIGHT),
     "omega-involution": ("fusion", _wrap(checks, "omega_r", lambda orig: lambda t, r: orig(t, r + 1))),
     "dual-involution": ("fusion", _wrap(checks, "a_r", _dual_reads_y_at_x)),
     "omega-composition": ("fusion", _freshmans_binomial),
@@ -346,14 +415,14 @@ AUDIT = {
     "xt-identity-at-zero": ("fusion", _wrap(checks, "x_t", lambda orig: lambda t, tt: orig(t, tt + 1))),
     "xt-vandermonde-route": ("fusion", _wrong_inverse),
     # Jacobi suite
-    "delta-three-term": ("jacobi", _wrap(intertwiner, "_delta_terms", _third_delta_negated)),
+    "delta-three-term": ("jacobi", _THIRD_DELTA),
     "vertex-operator-is-intertwiner": ("jacobi", _wrap(
         catalog, "trivial_module", lambda orig: lambda name="V", weight=0: orig(name, weight + 1)
     )),
     "trivial-vacuum-instance": ("jacobi", _wrap(checks, "identity_vertex_table", _vacuum_in_mode_zero)),
     "nilpotent-multiplication-instance": ("jacobi", _wrap(checks, "epsilon_instance", _epsilon_table_mode)),
     "solver-dimension": ("jacobi", _wrap(intertwiner, "nullspace", lambda orig: lambda rows, n: orig(rows, n)[:-1])),
-    "solver-tables-pass": ("jacobi", _wrap(intertwiner, "_delta_terms", _third_delta_negated)),
+    "solver-tables-pass": ("jacobi", _THIRD_DELTA),
     "perturbation-detected": ("jacobi", _wrap(
         intertwiner, "_jacobi_window", lambda orig: lambda exps, vt, v: (range(0), range(0), range(0))
     )),
@@ -361,17 +430,56 @@ AUDIT = {
     "fuzz": ("fuzz", _wrap(checks, "series_str", _minus_to_plus)),
     "byte-roundtrip": ("file-roundtrip", _loader_drops_last_mode),
     # `check intertwiner` on a table file
-    "L": ("intertwiner", _honest_with(_double_mode)),
-    "sl2-bracket": ("intertwiner", _honest_with(_double_mode)),
-    "sl2-bracket-alt": ("intertwiner", _honest_with(_double_mode)),
-    "euler-identity": ("intertwiner", _honest_with(_copy_mode_to_next_exponent)),
+    "L": ("intertwiner", _HONEST_DOUBLED),
+    "sl2-bracket": ("intertwiner", _HONEST_DOUBLED),
+    "euler-identity": ("intertwiner", _HONEST_COPIED),
     "grading-compatibility": ("intertwiner", _wrong_degree),
-    "generalized-weight-purity": ("intertwiner", _honest_with(_copy_mode_to_next_exponent)),
+    "generalized-weight-purity": ("intertwiner", _HONEST_COPIED),
 }
+
+# (suite, defect) beyond AUDIT's, for families that AUDIT's defects only fail together; each comment
+# names the families of its suite that the defect fails
+SPLITTERS = [
+    ("sl2", _wrap(catalog, "seeded_semisimple_module", _graded_by_index)),  # validate
+    ("sl2", _wrap(mobius, "exp_L", _exp_doubles_l1)),  # expL1
+    ("sl2", _apply_op_reads_only_x),  # xL0_expLj
+    ("sl2", _wrap(mobius, "series_exp", lambda orig: lambda f, v, order: orig(f, v, order).scale(2))),  # expL0
+    ("sl2", _wrap(mobius, "e_aL0", lambda orig: lambda module, vec, a: vec)),  # inverse_rel
+    ("jacobi", _wrap(intertwiner, "nullspace", _solver_bumps_every_unknown)),  # solver-tables-pass
+    ("ode", _wrap(checks, "euler_minus_a", _euler_minus_a_drops_high_logs)),  # truncated-exponential-escapes
+    # omega-composition, formal-invariance and xt-vandermonde-route
+    ("fusion", _wrap(intertwiner, "_scaled_image", _even_turns_freshmans_binomial)),
+]
+
+# (family, a family it implies) -> the tier-1 test of the implication, which no defect can split one
+# way.  An implied family that no suite emits was dropped from its suite for the implication.
+IMPLIED = {
+    ("euler-axiom", "weights-axiom"): "test_intertwiner.py::TestImplications::test_a_wrong_weight_component_fails_euler",
+    ("euler-identity", "generalized-weight-purity"): "test_intertwiner.py::TestImplications::test_a_wrong_weight_component_fails_euler",
+}
+
+
+@pytest.fixture(scope="module")
+def run_defect(tmp_path_factory):
+    """``run_defect(suite, defect)`` is the report of ``suite`` at its `--quick` sizes under ``defect``,
+    run once per distinct (suite, defect)."""
+    reports = {}
+
+    def run(suite: str, defect):
+        if (suite, defect) not in reports:
+            with pytest.MonkeyPatch.context() as mp:
+                reports[(suite, defect)] = _run(suite, **(defect(mp, tmp_path_factory.mktemp("defect")) or {}))
+        return reports[(suite, defect)]
+
+    return run
 
 
 def _families(rep) -> set[str]:
     return {family(c.check_id) for c in rep.checks}
+
+
+def _failing(rep) -> set[str]:
+    return {family(c.check_id) for c in rep.failures}
 
 
 def test_every_family_is_audited(tmp_path):
@@ -384,10 +492,32 @@ def test_every_family_is_audited(tmp_path):
 
 
 @pytest.mark.parametrize("fam", sorted(AUDIT))
-def test_planted_defect_fails_the_family(fam, monkeypatch, tmp_path):
-    suite, defect = AUDIT[fam]
-    rep = _run(suite, **(defect(monkeypatch, tmp_path) or {}))
-    assert fam in {family(c.check_id) for c in rep.failures}, rep.to_text()[:2000]
+def test_planted_defect_fails_the_family(fam, run_defect):
+    rep = run_defect(*AUDIT[fam])
+    assert fam in _failing(rep), rep.to_text()[:2000]
+
+
+@pytest.mark.parametrize("suite", sorted({suite for suite, _ in AUDIT.values()}))
+def test_every_family_pair_is_split_or_implied(suite, run_defect):
+    """For each pair of one suite's families, some defect fails one and passes the other, or
+    :data:`IMPLIED` names the tested implication between them."""
+    fams = sorted(fam for fam, (s, _) in AUDIT.items() if s == suite)
+    defects = dict.fromkeys([AUDIT[fam][1] for fam in fams] + [d for s, d in SPLITTERS if s == suite])
+    fail_sets = [_failing(run_defect(suite, d)) for d in defects]
+    unsplit = [
+        (a, b) for a, b in itertools.combinations(fams, 2)
+        if all((a in fails) == (b in fails) for fails in fail_sets) and not {(a, b), (b, a)} & set(IMPLIED)
+    ]
+    assert not unsplit
+
+
+def test_implications_name_their_tests():
+    here = Path(__file__).parent
+    for (fam, implied), ref in IMPLIED.items():
+        path, *_, name = ref.split("::")
+        assert f"def {name}(" in (here / path).read_text(), ref
+        # the implied family is audited in the same suite, or no suite emits it any more
+        assert implied not in AUDIT or AUDIT[implied][0] == AUDIT[fam][0]
 
 
 def test_non_congruent_mode_fails_mode_recovery(monkeypatch, capsys):

@@ -17,8 +17,8 @@ from logcalc import checks
 
 DIGESTS = {
     "check_fusion_suite": (
-        "b937ab28bff135748ac76aac3c6ea602e0e86ecb419786e26d117211080b0660",
-        "c4750d0503842772f190d007cc77fc12af069759a5237426cf9f935aa0e0b0a1",
+        "b61adac72a552c6e1dfcf20d2cfaddcfaa79f193868f8496e46999808236fbdd",
+        "782c032573f03bd02a996ac910979d8eccf3e25d61a5e7d2634b68f0464c3288",
     ),
     "check_jacobi": (
         "345f082b1df99924126cc81ec6698f135e137cda0f610a358bc829c801bf3513",
@@ -34,8 +34,8 @@ def test_suite_report_digests(suite):
 
 def test_check_all_quick_digests():
     assert _digests(checks.check_all(0, quick=True)) == (
-        "0e1dc34d3fe56638adcbca3f422d0eecadd8f878ef268a7f027408eb57f4e6dd",
-        "03ab65dcbb0854262b82284b2731b155831f59171f2b3d13bb1d2f12b6fd4f58",
+        "4e68ec99c86c9ea2ce80c141f8bf3f2a3cca84ee2c14961c076d9c408ebdcd85",
+        "e559d8e280104efdeb990a7eb62b390c48c9c729046cf8431cd7f4f2895f30d6",
     )
 
 
