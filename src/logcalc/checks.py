@@ -424,8 +424,10 @@ def check_jacobi() -> Report:
     in_span = any(not s.is_zero() for s in sols)
     for s in sols:
         for vidx in (0, 1):
-            sub = jacobi_check_window(s, evt, vidx, mult.w1.basis_vector(1), mult.w2.basis_vector(1))
-            in_span = in_span and sub.passed
+            for i in range(2):
+                for j in range(2):
+                    sub = jacobi_check_window(s, evt, vidx, mult.w1.basis_vector(i), mult.w2.basis_vector(j))
+                    in_span = in_span and sub.passed
     rep.add("solver-tables-pass", in_span)
     # single perturbed mode is detected with a coefficient witness
     bad_modes = dict(mult.modes)

@@ -56,7 +56,7 @@ def matrix_from_json(data: Any, pointer: str) -> ExactMatrix:
         _expect(isinstance(row, list), "matrix row must be an array", f"{pointer}/{i}")
         _expect(len(row) == len(data[0]), "matrix rows must have equal lengths", f"{pointer}/{i}")
         rows.append([_scalar_from(cell, f"{pointer}/{i}/{j}") for j, cell in enumerate(row)])
-    return ExactMatrix(rows)
+    return ExactMatrix._trusted(rows)
 
 
 def _int(x: Any) -> bool:

@@ -19,12 +19,25 @@ expression denotes a LogSeries.  Variable exponents must lie on the
 (1/L)Z[i] lattice and may only be non-integral or carry log factors on
 variables (scalars take integer powers).
 
+A text becomes one list of token strings, ended by ``""``, which matches no
+operator.  A token's kind is read off its text: digits are an integer, an
+identifier is a name, and anything else is one of ``()+-*/^``.  One search
+for a character that starts no token runs first, so "unexpected character"
+wins over every other error; it is reported where the previous token ends.
+Columns are not kept: an error re-scans the text for the column of its token.
+
 Evaluation happens during the parse, in one pass.  A factor's value is
-either one nonzero term, held as a ``(coefficient, monomial)`` pair, or a
-``monomial -> coefficient`` dict of any other length.  A term folds a run of
-one-term factors into one pair; only a factor of several terms costs a real
-product.  A sum accumulates into one dict, and the parse builds a single
-LogSeries from it at the end.
+either one nonzero term, held as a ``(monomial, coefficient)`` pair (a dict
+item), or a ``monomial -> coefficient`` dict of any other length.  A term
+folds a run of one-term factors into one pair; only a factor of several
+terms costs a real product.  A sum accumulates into one dict, and the parse
+builds a single LogSeries from it at the end.
+
+Every product but that of two single terms, each step of ``(...)^N``
+included, charges its |a|*|b| term pairs against ``MAX_PARSE_PAIRS`` for the whole parse before it
+multiplies.  A power's step is refused as soon as the steps left, each as
+long as this one, would pass the bound, so a hostile power fails after a few
+small steps instead of at the bound.
 """
 
 from __future__ import annotations
@@ -33,13 +46,16 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .scalars import LATTICE, ExactScalar, Exponent, UnsupportedDivision, imaginary_unit, pi_scalar, root_of_unity
-from .scalars import _RATIONAL, _reduced  # n/d as a scalar, reduced once
+from .scalars import LATTICE, ExactScalar, Exponent, UnsupportedDivision, imaginary_unit, pi_scalar, zeta_power
+from .scalars import _RATIONAL, _lattice_int, _reduced  # n/d as a scalar, reduced once; the lattice check
 from .series import SCALAR, CoeffVector, LogSeries, Monomial
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()+\-*/^])|(?P<bad>\S))"
-)
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]")
+
+# a character that is neither whitespace nor the start of a token; every
+# character of a token can start one, so the first match is where a scan
+# token by token would stop
+_BAD = re.compile(r"[^\s\dA-Za-z_()+\-*/^]")
 
 # a plain rational literal, which parse_scalar reads without the grammar
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]{1,100}(?:/[1-9][0-9]{0,99})?")
@@ -51,16 +67,26 @@ _RESERVED = {"Pi", "i", "e", "lg"}
 # the result, so an unbounded N lets one expression run without end.
 MAX_INT_POWER = 64
 
+# Bound on the term pairs that the products of one parse form, |a|*|b| for
+# each product of sums: nested powers such as ((x+y)^64)^64 stay within
+# MAX_INT_POWER and would still expand without end.
+MAX_PARSE_PAIRS = 10**6
+
 # Bound on nested parentheses: each level costs a few stack frames of the
 # recursive descent, so deeper input would end in a RecursionError.
 MAX_NESTING = 100
 
 _EXPONENT_ZERO = Exponent(0)
 _EXPONENT_ONE = Exponent(1)
-_FRACTION_ONE = Fraction(1)
+_UNIT = Monomial.UNIT
+
+# shared coefficients of the atoms 1, Pi and i; scalars are never mutated
+_ONE = ExactScalar({_RATIONAL: 1})
+_PI = pi_scalar()
+_I = imaginary_unit()
 
 Terms = dict[Monomial, ExactScalar]
-Value = Union[tuple[ExactScalar, Monomial], Terms]
+Value = Union[tuple[Monomial, ExactScalar], Terms]
 
 
 class ParseError(ValueError):
@@ -69,269 +95,303 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Tokens:
-    """The tokens of a text as (kind, text, column), ended by an "end" token
-    at the text's length whose empty text matches no operator."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                # reported where the previous token ends, before the whitespace
-                raise ParseError("unexpected character", m.start(), text)
-            value = m[kind]
-            self.toks.append((kind, value, m.end() - len(value)))
-        self.toks.append(("end", "", len(text)))
-        self.idx = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.idx]
-
-    def at_end(self) -> bool:
-        return self.toks[self.idx][0] == "end"
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.toks[self.idx]
-        if t[0] == "end":
-            raise ParseError("unexpected end of input", t[2], self.text)
-        self.idx += 1
-        return t
-
-    def accept_op(self, op: str) -> bool:
-        # only operator tokens are one of ()+-*/^
-        if self.toks[self.idx][1] == op:
-            self.idx += 1
-            return True
-        return False
-
-    def expect_op(self, op: str) -> None:
-        t = self.toks[self.idx]
-        if t[1] != op:
-            raise ParseError(f"expected {op!r}", t[2], self.text)
-        self.idx += 1
-
-
-def _int_value(t: tuple[str, str, int], text: str) -> int:
-    try:
-        return int(t[1])
-    except ValueError:  # more digits than the interpreter converts
-        raise ParseError("integer literal too long", t[2], text) from None
-
-
-def _parse_int(tk: _Tokens) -> int:
-    sign = 1
-    while tk.accept_op("-"):
-        sign = -sign
-    t = tk.next()
-    if t[0] != "int":
-        raise ParseError("expected an integer", t[2], tk.text)
-    return sign * _int_value(t, tk.text)
-
-
-def _parse_rational(tk: _Tokens) -> Fraction:
-    num = _parse_int(tk)
-    if tk.accept_op("/"):
-        pos = tk.peek()[2]
-        den = _parse_int(tk)
-        if den == 0:
-            raise ParseError("zero denominator", pos, tk.text)
-        return Fraction(num, den)
-    return Fraction(num)
-
-
-def _parse_gaussian(tk: _Tokens) -> Exponent:
-    """rational, optionally followed by +/- rational*i (or i alone)."""
-
-    def part() -> tuple[Fraction, bool]:
-        t = tk.peek()
-        if t[0] == "name" and t[1] == "i":
-            tk.next()
-            return Fraction(1), True
-        q = _parse_rational(tk)
-        if tk.peek()[1] == "*":
-            nxt = tk.toks[tk.idx + 1]
-            if nxt[0] == "name" and nxt[1] == "i":
-                tk.next()
-                tk.next()
-                return q, True
-        return q, False
-
-    q, imag = part()
-    re_part, im_part = (0, q) if imag else (q, 0)
-    t = tk.peek()
-    if t[1] == "+" or t[1] == "-":
-        tk.next()
-        q, imag = part()
-        if not imag:
-            raise ParseError("second summand of a Gaussian literal must be imaginary", t[2], tk.text)
-        im_part = im_part + q if t[1] == "+" else im_part - q
-    return Exponent(re_part, im_part)
-
-
-def _parse_power_exponent(tk: _Tokens) -> Exponent:
-    if tk.accept_op("("):
-        e = _parse_gaussian(tk)
-        tk.expect_op(")")
-        return e
-    return Exponent(_parse_int(tk))
-
-
-def _parse_int_power(tk: _Tokens) -> int:
-    if tk.accept_op("("):
-        n = _parse_int(tk)
-        tk.expect_op(")")
-        return n
-    return _parse_int(tk)
+def _column(text: str, index: int) -> int:
+    """The column of token ``index`` of text; the end token's is the text's length."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return m.start()
+    return len(text)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tk = _Tokens(text)
+        bad = _BAD.search(text)
+        if bad:
+            # reported where the previous token ends, before the whitespace
+            raise ParseError("unexpected character", len(text[: bad.start()].rstrip()), text)
+        self.text = text
+        self.toks: list[str] = _TOKEN.findall(text)
+        self.toks.append("")
+        self.i = 0
         self.depth = 0
+        self.pairs = 0
+
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, _column(self.text, index), self.text)
+
+    def next(self) -> str:
+        t = self.toks[self.i]
+        if not t:
+            raise self.error("unexpected end of input", self.i)
+        self.i += 1
+        return t
+
+    def accept(self, op: str) -> bool:
+        if self.toks[self.i] == op:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, op: str) -> None:
+        if self.toks[self.i] != op:
+            raise self.error(f"expected {op!r}", self.i)
+        self.i += 1
 
     def parse(self) -> Terms:
         out = self.expr()
-        if not self.tk.at_end():
-            raise ParseError("trailing input", self.tk.peek()[2], self.tk.text)
+        if self.toks[self.i]:
+            raise self.error("trailing input", self.i)
         return out
 
     def expr(self) -> Terms:
-        acc: Terms = {}
-        _add_into(acc, self.term(), False)
+        toks = self.toks
+        first = self.term()
+        acc = first if first.__class__ is dict else dict((first,))
         while True:
-            if self.tk.accept_op("+"):
+            t = toks[self.i]
+            if t == "+":
+                self.i += 1
                 _add_into(acc, self.term(), False)
-            elif self.tk.accept_op("-"):
+            elif t == "-":
+                self.i += 1
                 _add_into(acc, self.term(), True)
             else:
                 return acc
 
     def term(self) -> Value:
+        toks = self.toks
         acc = self.factor()
         while True:
-            t = self.tk.peek()
-            if t[1] == "*":
-                self.tk.next()
-                acc = _product(acc, self.factor())
-            elif t[1] == "/":
-                self.tk.next()
-                at = self.tk.peek()[2]
+            at = self.i
+            t = toks[at]
+            if t == "*":
+                self.i += 1
+                acc = self._product(acc, self.factor(), at)
+            elif t == "/":
+                self.i += 1
+                den_at = self.i
                 den = self.factor()
                 if not den:  # a zero divisor is the empty sum
-                    raise ParseError("division by zero", at, self.tk.text)
-                acc = _product(acc, _reciprocal(den, t[2], self.tk.text))
+                    raise self.error("division by zero", den_at)
+                acc = self._product(acc, self._reciprocal(den, at), at)
             else:
                 return acc
 
     def factor(self) -> Value:
+        toks = self.toks
         sign = 1
-        while self.tk.accept_op("-"):
+        while toks[self.i] == "-":
+            self.i += 1
             sign = -sign
         f = self.atom()
-        if self.tk.accept_op("^"):
-            f = self._power(f)
+        if toks[self.i] == "^":
+            self.i += 1
+            f = self._power(f, self.i - 1)
         if sign > 0:
             return f
         if f.__class__ is tuple:
-            return -f[0], f[1]
+            return f[0], -f[1]
         return {m: -c for m, c in f.items()}
 
-    def _power(self, base: Value) -> Value:
+    def atom(self) -> Value:
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        if t.isidentifier():
+            if t in _RESERVED:
+                if t == "Pi":
+                    return _UNIT, _PI
+                if t == "i":
+                    return _UNIT, _I
+                self.expect("(")
+                if t == "e":
+                    num, den = _parse_rational(self)
+                    self.expect(")")
+                    return _UNIT, zeta_power(_lattice(num, den, "root-of-unity argument"))
+                j = self.i
+                v = self.next()
+                if not v.isidentifier() or v in _RESERVED:
+                    raise self.error("lg(...) needs a variable name", j)
+                self.expect(")")
+                return Monomial._trusted(((v, _EXPONENT_ZERO, 1),)), _ONE
+            return Monomial._trusted(((t, _EXPONENT_ONE, 0),)), _ONE
+        if t.isdecimal():
+            n = _int_value(self, t, i)
+            return (_UNIT, ExactScalar({_RATIONAL: n})) if n else {}
+        if t == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", i)
+            self.depth += 1
+            e = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return _as_value(e)
+        raise self.error("unexpected token" if t else "unexpected end of input", i)
+
+    def _power(self, base: Value, at: int) -> Value:
+        """base^power after the "^" at token ``at``."""
         var = _single_factor(base, 1, 0)
         if var is not None:
-            e = _parse_power_exponent(self.tk)
-            return _one(), Monomial.var(var, e)
-        pos = self.tk.peek()[2]
+            e = _parse_power_exponent(self)
+            return (Monomial._trusted(((var, e, 0),)) if e.a or e.b else _UNIT), _ONE
+        pos = self.i
         log = _single_factor(base, 0, 1)
         if log is not None:
-            k = _parse_int_power(self.tk)
+            k = _parse_int_power(self)
             if k < 0:
-                raise ParseError("log powers must be nonnegative", pos, self.tk.text)
-            return _one(), Monomial.log(log, k)
-        n = _parse_int_power(self.tk)
+                raise self.error("log powers must be nonnegative", pos)
+            return (Monomial._trusted(((log, _EXPONENT_ZERO, k),)) if k else _UNIT), _ONE
+        n = _parse_int_power(self)
         if abs(n) > MAX_INT_POWER:
-            raise ParseError(f"integer power {n} exceeds the bound |N| <= {MAX_INT_POWER}", pos, self.tk.text)
+            raise self.error(f"integer power {n} exceeds the bound |N| <= {MAX_INT_POWER}", pos)
         if base.__class__ is not tuple:
             if n < 0:
-                raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
-            out: Terms = {Monomial.UNIT: _one()}
-            for _ in range(n):
+                raise self.error("negative powers are only defined for invertible monomials", pos)
+            out: Terms = {_UNIT: _ONE}
+            for left in range(n, 0, -1):
+                self._charge(len(out) * len(base), at, left)
                 out = _mul_terms(out, base)
             return _as_value(out)
-        c, m = base
-        if n < 0 and m != Monomial.UNIT:
+        m, c = base
+        if n < 0 and m != _UNIT:
             # a monomial inverts only with coefficient 1 and no log factors
-            if not _is_one(c) or any(k for _, _, k in m.entries):
-                raise ParseError("negative powers are only defined for invertible monomials", pos, self.tk.text)
+            if not c == 1 or any(k for _, _, k in m.entries):
+                raise self.error("negative powers are only defined for invertible monomials", pos)
         try:
             c = c**n
         except UnsupportedDivision as exc:
-            raise ParseError(f"cannot invert: {exc}", pos, self.tk.text) from exc
-        return c, _monomial_power(m, n)
+            raise self.error(f"cannot invert: {exc}", pos) from exc
+        return _monomial_power(m, n), c
 
-    def atom(self) -> Value:
-        t = self.tk.next()
-        kind, text, pos = t
-        if kind == "op" and text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos, self.tk.text)
-            self.depth += 1
-            e = self.expr()
-            self.tk.expect_op(")")
-            self.depth -= 1
-            return _as_value(e)
-        if kind == "int":
-            n = _int_value(t, self.tk.text)
-            return (ExactScalar.from_rational(n), Monomial.UNIT) if n else {}
-        if kind == "name":
-            if text == "Pi":
-                return pi_scalar(), Monomial.UNIT
-            if text == "i":
-                return imaginary_unit(), Monomial.UNIT
-            if text == "e":
-                self.tk.expect_op("(")
-                q = _parse_rational(self.tk)
-                self.tk.expect_op(")")
-                return root_of_unity(q), Monomial.UNIT
-            if text == "lg":
-                self.tk.expect_op("(")
-                t = self.tk.next()
-                if t[0] != "name" or t[1] in _RESERVED:
-                    raise ParseError("lg(...) needs a variable name", t[2], self.tk.text)
-                self.tk.expect_op(")")
-                return _one(), Monomial._trusted(((t[1], _EXPONENT_ZERO, 1),))
-            return _one(), Monomial._trusted(((text, _EXPONENT_ONE, 0),))
-        raise ParseError("unexpected token", pos, self.tk.text)
+    def _charge(self, pairs: int, at: int, repeats: int = 1) -> None:
+        """Charge a product of ``pairs`` term pairs, refused when ``repeats`` products
+        of that size (the steps left of a power) would pass the budget."""
+        if self.pairs + pairs * repeats > MAX_PARSE_PAIRS:
+            raise self.error(f"expansion exceeds the bound of {MAX_PARSE_PAIRS} term pairs per parse", at)
+        self.pairs += pairs
+
+    def _product(self, a: Value, b: Value, at: int) -> Value:
+        if a.__class__ is tuple and b.__class__ is tuple:
+            # the scalar ring has no zero divisors: the product stays one nonzero term
+            return a[0] * b[0], a[1] * b[1]
+        a, b = _terms(a), _terms(b)
+        self._charge(len(a) * len(b), at)
+        return _as_value(_mul_terms(a, b))
+
+    def _reciprocal(self, den: Value, at: int) -> tuple[Monomial, ExactScalar]:
+        if den.__class__ is not tuple:
+            raise self.error("division only by constants or monomials", at)
+        m, c = den
+        try:
+            inv = c.inverse()
+        except UnsupportedDivision as exc:
+            raise self.error(f"cannot divide: {exc}", at) from exc
+        if any(k for _, _, k in m.entries):
+            raise self.error("cannot divide by log factors", at)
+        return _monomial_power(m, -1), inv
+
+
+def _int_value(p: _Parser, t: str, index: int) -> int:
+    try:
+        return int(t)
+    except ValueError:  # more digits than the interpreter converts
+        raise p.error("integer literal too long", index) from None
+
+
+def _parse_int(p: _Parser) -> int:
+    toks, i = p.toks, p.i
+    sign = 1
+    while toks[i] == "-":
+        i += 1
+        sign = -sign
+    t = toks[i]
+    p.i = i + 1
+    if not t.isdecimal():
+        raise p.error("expected an integer" if t else "unexpected end of input", i)
+    return sign * _int_value(p, t, i)
+
+
+def _parse_rational(p: _Parser) -> tuple[int, int]:
+    """A rational as its numerator and its nonzero, perhaps negative, denominator."""
+    num = _parse_int(p)
+    if p.accept("/"):
+        at = p.i
+        den = _parse_int(p)
+        if den == 0:
+            raise p.error("zero denominator", at)
+        return num, den
+    return num, 1
+
+
+def _lattice(num: int, den: int, what: str = "exponent") -> int:
+    """L*num/den as an int; off the lattice, the LatticeViolation of the scalar layer."""
+    a, r = divmod(num * LATTICE, den)
+    return _lattice_int(Fraction(num, den), what) if r else a
+
+
+def _parse_gaussian(p: _Parser) -> Exponent:
+    """rational, optionally followed by +/- rational*i (or i alone)."""
+    toks = p.toks
+
+    def part() -> tuple[int, int, bool]:
+        if toks[p.i] == "i":
+            p.i += 1
+            return 1, 1, True
+        num, den = _parse_rational(p)
+        if toks[p.i] == "*" and toks[p.i + 1] == "i":
+            p.i += 2
+            return num, den, True
+        return num, den, False
+
+    num, den, imag = part()
+    at = p.i
+    op = toks[at]
+    if op == "+" or op == "-":
+        p.i += 1
+        num2, den2, imag2 = part()
+        if not imag2:
+            raise p.error("second summand of a Gaussian literal must be imaginary", at)
+        if op == "-":
+            num2 = -num2
+        if not imag:
+            return Exponent._lattice(_lattice(num, den), _lattice(num2, den2))
+        num, den = num * den2 + num2 * den, den * den2
+    return Exponent._lattice(0, _lattice(num, den)) if imag else Exponent._lattice(_lattice(num, den), 0)
+
+
+def _parse_power_exponent(p: _Parser) -> Exponent:
+    if p.accept("("):
+        e = _parse_gaussian(p)
+        p.expect(")")
+        return e
+    return Exponent._lattice(_parse_int(p) * LATTICE, 0)
+
+
+def _parse_int_power(p: _Parser) -> int:
+    if p.accept("("):
+        n = _parse_int(p)
+        p.expect(")")
+        return n
+    return _parse_int(p)
 
 
 def _as_value(terms: Terms) -> Value:
-    """A sum of exactly one term as its (coefficient, monomial) pair."""
+    """A sum of exactly one term as its (monomial, coefficient) pair."""
     if len(terms) != 1:
         return terms
-    [(m, c)] = terms.items()
-    return c, m
+    return next(iter(terms.items()))
 
 
 def _terms(value: Value) -> Terms:
-    return {value[1]: value[0]} if value.__class__ is tuple else value
-
-
-def _one() -> ExactScalar:
-    return ExactScalar.from_rational(_FRACTION_ONE)
-
-
-def _is_one(c: ExactScalar) -> bool:
-    return c == 1
+    return dict((value,)) if value.__class__ is tuple else value
 
 
 def _single_factor(f: Value, exponent: int, log_power: int) -> str | None:
     """The variable v if f is exactly v^exponent * lg(v)^log_power, else None."""
     if f.__class__ is not tuple:
         return None
-    c, m = f
-    if len(m.entries) != 1 or not _is_one(c):
+    m, c = f
+    if len(m.entries) != 1 or not c == 1:
         return None
     v, e, k = m.entries[0]
     return v if e.a == exponent * LATTICE and not e.b and k == log_power else None
@@ -339,7 +399,7 @@ def _single_factor(f: Value, exponent: int, log_power: int) -> str | None:
 
 def _monomial_power(m: Monomial, n: int) -> Monomial:
     if n == 0:
-        return Monomial.UNIT
+        return _UNIT
     return Monomial._trusted(tuple((v, Exponent._lattice(e.a * n, e.b * n), k * n) for v, e, k in m.entries))
 
 
@@ -362,28 +422,8 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
     return out
 
 
-def _product(a: Value, b: Value) -> Value:
-    if a.__class__ is tuple and b.__class__ is tuple:
-        # the scalar ring has no zero divisors: the product stays one nonzero term
-        return a[0] * b[0], a[1] * b[1]
-    return _as_value(_mul_terms(_terms(a), _terms(b)))
-
-
-def _reciprocal(den: Value, pos: int, text: str) -> tuple[ExactScalar, Monomial]:
-    if den.__class__ is not tuple:
-        raise ParseError("division only by constants or monomials", pos, text)
-    c, m = den
-    try:
-        inv = c.inverse()
-    except UnsupportedDivision as exc:
-        raise ParseError(f"cannot divide: {exc}", pos, text) from exc
-    if any(k for _, _, k in m.entries):
-        raise ParseError("cannot divide by log factors", pos, text)
-    return inv, _monomial_power(m, -1)
-
-
 def _add_into(acc: Terms, value: Value, negate: bool) -> None:
-    for m, c in _terms(value).items():
+    for m, c in (value,) if value.__class__ is tuple else value.items():
         if negate:
             c = -c
         cur = acc.get(m)
@@ -412,14 +452,14 @@ def parse_scalar(text: str) -> ExactScalar:
     terms = _Parser(text).parse()
     if not terms:
         return ExactScalar.zero()
-    if set(terms) != {Monomial.UNIT}:
+    if set(terms) != {_UNIT}:
         raise ParseError("expected a scalar, found formal variables", 0, text)
-    return terms[Monomial.UNIT]
+    return terms[_UNIT]
 
 
 def parse_exponent(text: str) -> Exponent:
-    tk = _Tokens(text)
-    e = _parse_gaussian(tk)
-    if not tk.at_end():
-        raise ParseError("trailing input in exponent", tk.peek()[2], text)
+    p = _Parser(text)
+    e = _parse_gaussian(p)
+    if p.toks[p.i]:
+        raise p.error("trailing input in exponent", p.i)
     return e

@@ -217,3 +217,101 @@ def test_every_default_is_passed():
                 unpassed += [f"{path.name}:{node.lineno} {name}({p.arg})" for p, pos in defaulted
                              if not passed(name, p.arg, pos)]
     assert not unpassed, unpassed
+
+
+_SCALAR_FIELDS = {"num", "den"}
+_DICT_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__", "__ior__"}
+
+
+def _scopes(tree: ast.Module) -> list[list[ast.AST]]:
+    """The nodes of the module body and of each function, each node in its innermost scope."""
+    out = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.Lambda)))]:
+        own, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            own.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        out.append(own)
+    return out
+
+
+def _scalar_field_writes(tree: ast.Module) -> list[int]:
+    """Lines that rebind, augment or delete an attribute ``num`` or ``den``, store into
+    or mutate a ``num`` dict (read straight off ``.num`` or through a name of the same
+    function bound to it), or ``setattr`` either field; ``ExactScalar.__init__`` is exempt."""
+    exempt: set[ast.AST] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "ExactScalar":
+            exempt |= {sub for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__" for sub in ast.walk(f)}
+
+    def targets(node: ast.AST) -> list[ast.expr]:
+        if isinstance(node, ast.Assign):
+            return [t for target in node.targets for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return list(node.targets) if isinstance(node, ast.Delete) else []
+
+    lines = []
+    for own in _scopes(tree):
+        aliases: set[str] = set()
+        for node in own:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = zip(target.elts, node.value.elts) if (
+                        isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    ) else [(target, node.value)]
+                    aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_num(v, set())}
+        for node in own:
+            if node in exempt:
+                continue
+            for t in targets(node):
+                if isinstance(t, ast.Attribute) and t.attr in _SCALAR_FIELDS:
+                    lines.append(node.lineno)
+                elif isinstance(t, ast.Subscript) and _is_num(t.value, aliases):
+                    lines.append(node.lineno)
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Attribute) and f.attr in _DICT_MUTATORS and _is_num(f.value, aliases):
+                    lines.append(node.lineno)
+                elif _called_name(node) == "setattr" and any(
+                    isinstance(a, ast.Constant) and a.value in _SCALAR_FIELDS for a in node.args
+                ):
+                    lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _is_num(node: ast.AST, aliases: set[str]) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "num") or (isinstance(node, ast.Name) and node.id in aliases)
+
+
+def test_scalars_are_never_mutated():
+    """No code but ``ExactScalar``'s constructor writes a scalar's ``num`` or ``den``: scalars
+    share their ``num`` dicts, and the parser hands out one shared ``1``, ``Pi`` and ``i``."""
+    writes = [f"{path.relative_to(ROOT)}:{line}" for path in ALL_CODE for line in _scalar_field_writes(_tree(path))]
+    assert not writes, writes
+
+
+def test_the_mutation_scan_sees_each_kind_of_write():
+    code = """
+class ExactScalar:
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+def f(s, t):
+    s.num = {}
+    s.den += 1
+    del t.num
+    s.num[(0, 0)] = 1
+    a, b = s.num, t.den
+    a[(1, 0)] += 2
+    del a[(0, 0)]
+    t.num.update({})
+    a.pop((0, 0))
+    setattr(s, "den", 2)
+    c = dict(s.num)
+    c[(0, 0)] = 1
+"""
+    assert _scalar_field_writes(ast.parse(code)) == [8, 9, 10, 11, 13, 14, 15, 16, 17]

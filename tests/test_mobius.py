@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcalc import catalog
 from logcalc.matrix import ExactMatrix
@@ -19,7 +21,8 @@ from logcalc.mobius import (
     validate_sl2,
     x_pm_L0,
 )
-from logcalc.scalars import ExactScalar, LatticeViolation, imaginary_unit, pi_scalar
+from logcalc.reports import Report
+from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, imaginary_unit, pi_scalar
 from logcalc.series import SCALAR, CoeffVector, LogSeries, Monomial
 from logcalc.substitution import series_exp, series_log1p
 
@@ -93,6 +96,111 @@ class TestValidation:
         for seed in range(5):
             mod = catalog.seeded_semisimple_module(f"T{seed}", seed)
             assert validate_sl2(mod).passed
+
+
+def _product_report(module: MobiusModule) -> Report:
+    """validate_sl2 as it was when the nilpotent-part row formed N D and D N."""
+    r = Report(f"sl2-structure({module.name})")
+    Lm1, L0, L1 = (module.L(j) for j in (-1, 0, 1))
+    r.add("bracket-L0-Lm1", L0.commutator(Lm1) == Lm1)
+    r.add("bracket-L0-L1", L0.commutator(L1) == (-L1))
+    pairing_ok = L1.commutator(Lm1) == L0.scale(2)
+    r.add("bracket-L1-Lm1", pairing_ok, "2L(0) bracket fails (tolerated for Jordan actions)")
+    n, d = module.nilpotent_part(), module.weight_diagonal()
+    r.add("nilpotent-part", n.is_nilpotent() and (n @ d) == (d @ n))
+    for j in (-1, 1):
+        witness = None
+        for row, col in module.L(j).nonzero_positions():
+            if module.weights[row] != module.weights[col] - j:
+                witness = f"L({j})[{row}][{col}] shifts weight {module.weights[col]!r} badly"
+            elif module.degrees[row] != module.degrees[col]:
+                witness = f"L({j})[{row}][{col}] changes group degree"
+            if witness:
+                break
+        r.add(f"weight-shift-L({j})", witness is None, witness)
+    bad = [(row, col) for row, col in L0.nonzero_positions() if module.degrees[row] != module.degrees[col]]
+    witness = f"L(0)[{bad[0][0]}][{bad[0][1]}] changes group degree" if bad else None
+    r.add("degree-preservation-L(0)", witness is None, witness)
+    return r
+
+
+WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 3), Exponent(Fraction(1, 2), 1))
+ENTRIES = (1, -2, Fraction(1, 3), pi_scalar(1), imaginary_unit() + 1)
+POSITIONS = st.integers(0, 5)
+
+
+@st.composite
+def small_modules(draw) -> MobiusModule:
+    """L(0) = diag(weights) + N: Jordan blocks inside equal weights, off-diagonal entries
+    between unequal ones, sometimes a diagonal entry; sparse random L(-1) and L(1)."""
+    dim = draw(st.integers(1, 4))
+    weights = sorted(draw(st.lists(st.sampled_from(WEIGHTS), min_size=dim, max_size=dim)), key=str)
+    spread = draw(st.sampled_from((0, 1, 3)))  # tenths of the entries drawn nonzero off the blocks
+
+    def entry(i: int, j: int, fill: int):
+        return draw(st.sampled_from(ENTRIES)) if draw(st.integers(0, 9)) < fill else 0
+
+    n = [[entry(i, j, spread if i != j else 1) for j in range(dim)] for i in range(dim)]
+    for i in range(dim - 1):
+        if weights[i] == weights[i + 1] and draw(st.booleans()):
+            n[i][i + 1] = 1
+    diagonal = [Exponent.coerce(w).as_scalar() for w in weights]
+    l0 = ExactMatrix([[n[i][j] + (diagonal[i] if i == j else 0) for j in range(dim)] for i in range(dim)])
+    lm1, l1 = (ExactMatrix([[entry(i, j, 2) for j in range(dim)] for i in range(dim)]) for _ in range(2))
+    return MobiusModule("R", weights, lm1, l0, l1)
+
+
+def _perturbed(base: int, j: int, row: int, col: int, c) -> MobiusModule:
+    module = [
+        catalog.jordan_module("J", Fraction(1, 2), size=3),
+        catalog.sl2_irreducible("V", 3),
+        catalog.seeded_semisimple_module("S", 4, max_dim=4),
+        catalog.jordan_module("K", 0, size=2, blocks=2),
+    ][base]
+    mats = {k: module.L(k) for k in (-1, 0, 1)}
+    entries = [list(r) for r in mats[j].entries]
+    entries[row % module.dim][col % module.dim] += c
+    mats[j] = ExactMatrix(entries)
+    return MobiusModule(module.name, module.weights, *mats.values(), module.degrees, module.group)
+
+
+def _broken_modules() -> list[MobiusModule]:
+    zero2, zero3 = ExactMatrix.zeros(2, 2), ExactMatrix.zeros(3, 3)
+    tilted = [Exponent(Fraction(1, 2), 1)] * 2
+    return [
+        MobiusModule("B", [0, 1], zero2, ExactMatrix([[0, 1], [0, 1]]), zero2),
+        MobiusModule("B", [0, 0], ExactMatrix([[0, 0], [1, 0]]), zero2, zero2),
+        MobiusModule("B", [0, 1, 1], ExactMatrix([[0, 0, 0], [1, 0, 1], [0, 1, 0]]), zero3, zero3),
+        MobiusModule("D", [0, 0], ExactMatrix([[0, 0], [1, 0]]), ExactMatrix([[0, 1], [1, 0]]), zero2,
+                     [(0,), (1,)], GradingGroup(1)),
+        MobiusModule("S", [0, 0], zero2, ExactMatrix([[0, 1], [1, 0]]), zero2),
+        MobiusModule("W", [0, Fraction(1, 2)], zero2, ExactMatrix([[0, 1], [0, Fraction(1, 2)]]), zero2),
+        MobiusModule("T", tilted, zero2, ExactMatrix([[tilted[0].as_scalar(), 1], [0, tilted[0].as_scalar()]]), zero2),
+    ]
+
+
+class TestNilpotentPartRow:
+    """validate_sl2 tests [N, diag(w)] = 0 by the positions of N: (ND - DN)[i][j] = N[i][j] (w_j - w_i)."""
+
+    @given(small_modules())
+    @settings(max_examples=200, deadline=None)
+    def test_positions_agree_with_the_products(self, module):
+        n, d = module.nilpotent_part(), module.weight_diagonal()
+        links_equal_weights = all(module.weights[i] == module.weights[j] for i, j in n.nonzero_positions())
+        assert links_equal_weights == ((n @ d) == (d @ n))
+        assert validate_sl2(module).checks == _product_report(module).checks
+
+    @given(st.integers(0, 3), st.sampled_from((-1, 0, 1)), POSITIONS, POSITIONS, st.sampled_from(ENTRIES))
+    @settings(max_examples=100, deadline=None)
+    def test_perturbed_modules_report_alike(self, base, j, row, col, c):
+        module = _perturbed(base, j, row, col, c)
+        assert validate_sl2(module).checks == _product_report(module).checks
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_broken_modules_report_alike(self, index):
+        module = _broken_modules()[index]
+        report, reference = validate_sl2(module), _product_report(module)
+        assert report.suite == reference.suite and report.checks == reference.checks
 
 
 class TestExpNilpotentTerms:

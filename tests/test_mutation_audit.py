@@ -329,6 +329,10 @@ def _solver_bumps_every_unknown(orig):  # each solved basis vector gets 1 added 
     return lambda rows, n: [[c + 1 for c in v] for v in orig(rows, n)]
 
 
+def _solver_bumps_last_unknown(orig):  # each solved basis vector gets 1 added to its last coefficient
+    return lambda rows, n: [v[:-1] + [v[-1] + 1] for v in orig(rows, n)]
+
+
 def _euler_minus_a_drops_high_logs(orig):
     return lambda f, var, a: _without(orig(f, var, a), lambda m: m.log_power(var) >= 3)
 
@@ -342,6 +346,8 @@ _ODE_KEEPS_A = _wrap(checks, "euler_minus_a", _euler_minus_a_keeps_exponent_a)
 _FLOW_DROPS_TOP = _wrap(substitution, "_flow", _flow_drops_top_order)
 _HONEST_DOUBLED = _honest_with(_double_mode)
 _HONEST_COPIED = _honest_with(_copy_mode_to_next_exponent)
+# an extra mode (1, 1, -1, 0) -> e_1 in every solved table, which the basis pair (1, 1) cannot see
+_SOLVER_BUMPS_LAST = _wrap(intertwiner, "nullspace", _solver_bumps_last_unknown)
 
 # family -> (suite, defect)
 AUDIT = {
@@ -509,6 +515,11 @@ def test_every_family_pair_is_split_or_implied(suite, run_defect):
         if all((a in fails) == (b in fails) for fails in fail_sets) and not {(a, b), (b, a)} & set(IMPLIED)
     ]
     assert not unsplit
+
+
+def test_solver_tables_are_checked_at_every_basis_pair(run_defect):
+    """Solved tables that are wrong only away from the basis pair (1, 1) fail `solver-tables-pass`."""
+    assert _failing(run_defect("jacobi", _SOLVER_BUMPS_LAST)) == {"solver-tables-pass"}
 
 
 def test_implications_name_their_tests():

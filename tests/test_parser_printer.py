@@ -1,12 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcalc import catalog
-from logcalc.parser import MAX_INT_POWER, ParseError, parse_expr, parse_exponent, parse_scalar
+from logcalc import catalog, cli, parser
+from logcalc.parser import MAX_INT_POWER, MAX_PARSE_PAIRS, ParseError, parse_expr, parse_exponent, parse_scalar
 from logcalc.printer import exponent_str, scalar_str, series_str
 from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, imaginary_unit, pi_scalar, root_of_unity
 from logcalc.series import LogSeries, Monomial
@@ -101,6 +102,69 @@ class TestParseExamples:
         # powers of a bare variable or lg(variable) are single terms: not bounded
         assert parse_expr("x^100000") == LogSeries.variable("x", 100000)
         assert parse_expr("lg(x)^100") == LogSeries.log_variable("x", 100)
+
+
+SUMS = st.lists(
+    st.sampled_from(("x", "y", "z", "w", "x^(1/2)", "lg(x)", "Pi", "2", "e(1/3)", "x*y", "y^(-1)")),
+    min_size=2, max_size=6, unique=True,
+).map(lambda terms: "(" + " + ".join(terms) + ")")
+
+
+@st.composite
+def expansions(draw) -> str:
+    """Powers, powers of powers and products of sums: a few terms to millions."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return f"{draw(SUMS)}^{draw(st.integers(0, MAX_INT_POWER))}"
+    if kind == 1:
+        return f"({draw(SUMS)}^{draw(st.integers(1, 24))})^{draw(st.integers(1, 24))}"
+    return "*".join(draw(SUMS) for _ in range(draw(st.integers(2, 8))))
+
+
+class TestParseBudget:
+    HOSTILE = [("(x+y+z+w+u+v+a+b)^64", 17), ("(((x+y)^64)^64)^64", 11)]
+
+    @pytest.mark.parametrize("text, caret", HOSTILE)
+    def test_hostile_expansions_exit_2_fast(self, text, caret, capsys):
+        start = time.perf_counter()
+        assert cli.main(["eval", text]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"expansion exceeds the bound of {MAX_PARSE_PAIRS} term pairs per parse at column {caret + 1}" in (
+            capsys.readouterr().err
+        )
+
+    def test_a_product_is_charged_before_it_is_formed(self):
+        big = "(" + " + ".join(f"x^({k}/12)" for k in range(1001)) + ")"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expr(f"{big}*{big}")
+        assert time.perf_counter() - start < 1 and err.value.position == len(big)
+
+    @given(expansions())
+    @settings(max_examples=200, deadline=None)
+    def test_near_the_budget_a_result_or_exit_2(self, text):
+        """Under a budget of 2000 pairs (the bound scales the work, not the rule), an expansion
+        parses within the budget or exits 2 at a product's operator, never runs on."""
+        budget, formed = 2000, []
+        product = parser._mul_terms
+
+        def counted(a, b):
+            formed.append(len(a) * len(b))
+            return product(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parser, "MAX_PARSE_PAIRS", budget)
+            mp.setattr(parser, "_mul_terms", counted)
+            try:
+                f = parse_expr(text)
+            except ParseError as exc:
+                assert sum(formed) <= budget
+                assert f"bound of {budget} term pairs" in str(exc) and text[exc.position] in "*^"
+                assert cli.main(["eval", text]) == 2
+            else:
+                assert sum(formed) <= budget
+                mp.setattr(parser, "MAX_PARSE_PAIRS", 10**9)
+                assert parse_expr(text) == f
 
 
 class TestRoundTrip:
