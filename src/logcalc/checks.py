@@ -123,23 +123,23 @@ def check_lubell(nmax: int = 6, jmax: int = 4) -> Report:
     return rep
 
 
-def check_matrices(smax: int = 5) -> Report:
+def check_matrices() -> Report:
     rep = Report("pascal-vandermonde")
     for k in range(1, 13):
         p, pinv = pascal_pair(k)
         rep.add(f"pascal(K={k})", (p @ pinv) == ExactMatrix.identity(k))
-    for s in range(smax + 1):
+    for s in range(6):
         v, vinv = vandermonde_pair(s)
         rep.add(f"vandermonde(S={s})", (vinv @ v) == ExactMatrix.identity(s + 1))
     return rep
 
 
-def check_multinomial(seed: int = 0, smax: int = 3, tmax: int = 5) -> Report:
-    """Multinomial expansion of commuting operators on random diagonals."""
+def check_multinomial(seed: int = 0) -> Report:
+    """Multinomial expansion of commuting operators on random diagonals: s = 1..3 operators, powers t = 0..5."""
     rep = Report("multinomial-expansion")
     rng = random.Random(seed)
     dim = 3
-    for s in range(1, smax + 1):
+    for s in range(1, 4):
         mats = [
             ExactMatrix([[Fraction(rng.randint(-3, 3)) if i == j else 0 for j in range(dim)] for i in range(dim)])
             for _ in range(s)
@@ -147,7 +147,7 @@ def check_multinomial(seed: int = 0, smax: int = 3, tmax: int = 5) -> Report:
         total = mats[0]
         for m in mats[1:]:
             total = total + m
-        for t in range(tmax + 1):
+        for t in range(6):
             lhs = ExactMatrix.identity(dim)
             for _ in range(t):
                 lhs = lhs @ total
@@ -397,7 +397,7 @@ def _congruent_powers(t: IntertwinerTable) -> bool:
 
 def check_jacobi() -> Report:
     rep = Report("jacobi-window")
-    rep.extend(delta_relation_check(5))
+    rep.extend(delta_relation_check())
     # trivial-V instance on a Jordan module
     v = catalog.trivial_module("V")
     w = catalog.jordan_module("W", Fraction(1, 2), size=2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .matrix import ExactMatrix
 from .scalars import ExactScalar
@@ -105,25 +104,24 @@ def pascal_pair(K: int) -> tuple[ExactMatrix, ExactMatrix]:
 def vandermonde_pair(S: int) -> tuple[ExactMatrix, ExactMatrix]:
     """Vandermonde matrix on the nodes 2p*Pi (p = 0..S) and its exact inverse.
 
-    V[p][t] = (2p*Pi)^t.  Every entry of V, and of each row that Gauss-Jordan
-    elimination on [V | I] builds from it, is a rational times a power of Pi,
-    so every pivot is invertible and :meth:`ExactMatrix.inverse` inverts V
-    exactly over the Laurent ring; the ``vandermonde(S)`` rows of `check
-    matrices` verify the inverse.  The pair is computed once per S; each call
-    gets its own matrices.
+    V[p][t] = (2p*Pi)^t = p^t (2*Pi)^t, so V^-1[t][p] = (2*Pi)^(-t) [x^t] l_p(x)
+    with the Lagrange polynomial l_p(x) = prod_{q != p} (x - q)/(p - q) of the
+    integer nodes 0..S; the ``vandermonde(S)`` rows of `check matrices` verify
+    the inverse.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
-    v, vinv = _vandermonde_rows(S)
+    v = [[ExactScalar.pi_power(t, (2 * p) ** t) for t in range(S + 1)] for p in range(S + 1)]
+    columns = [_lagrange(p, S) for p in range(S + 1)]
+    vinv = [[ExactScalar.pi_power(-t, Fraction(num[t], den << t)) for num, den in columns] for t in range(S + 1)]
     return ExactMatrix(v), ExactMatrix(vinv)
 
 
-@lru_cache(maxsize=16)
-def _vandermonde_rows(S: int) -> tuple[tuple[tuple[ExactScalar, ...], ...], ...]:
-    """The rows of vandermonde_pair(S)."""
-    rows = []
-    for p in range(S + 1):
-        node = ExactScalar.pi_power(1, 2 * p)
-        rows.append([node**t for t in range(S + 1)])
-    v = ExactMatrix(rows)
-    return tuple(tuple(tuple(row) for row in m.entries) for m in (v, v.inverse()))
+def _lagrange(p: int, S: int) -> tuple[list[int], int]:
+    """prod_{q != p} (x - q)/(p - q) over q = 0..S, as the integer coefficients of
+    x^0..x^S of its numerator and its denominator."""
+    num = [1]
+    for q in range(S + 1):
+        if q != p:
+            num = [lo - q * hi for lo, hi in zip([0, *num], [*num, 0])]
+    return num, math.prod(p - q for q in range(S + 1) if q != p)

@@ -9,8 +9,8 @@ nonzero entries.
 
 The ring Q(zeta)[Pi, Pi^-1] is not a field, so elimination pivots only on
 invertible Pi-monomials.  That suffices for every matrix this library
-inverts: Pascal matrices have rational entries, and on a Vandermonde matrix
-on the nodes 2p*Pi every entry stays a rational times a power of Pi.
+inverts, the rational basis changes of :func:`catalog.conjugate_basis`; a
+system with a column that has no such pivot raises :class:`UnsupportedDivision`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcalc import catalog
+from logcalc import catalog, mobius
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import (
     GradingGroup,
@@ -398,6 +398,29 @@ class TestConjugationIdentities:
     @pytest.mark.parametrize("r", [-2, -1, 0, 1])
     def test_inverse_relation(self, irreducible3, r):
         assert conj_identity_check(irreducible3, "inverse_rel", r=r).passed
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_exponentials_reach_second_powers(self, dim, monkeypatch):
+        """On the irreducibles of dimension 3 and 4, L(+-1)^2 != 0, so e^(c L(+-1)) reaches c^2: every
+        identity of the ``sl2`` suite passes, and an exponential that keeps c^1 on every orbit term
+        fails each identity that exponentiates L(+-1).  (The suite's seeded modules have L(+-1)^2 = 0.)"""
+        mod = catalog.sl2_irreducible(f"V{dim}", dim)
+        assert not (mod.L(-1) @ mod.L(-1)).is_zero() and not (mod.L(1) @ mod.L(1)).is_zero()
+        cases = [("xL0_Lj", {}), ("xL0_expLj", {}), ("expLm1", {}), ("expL0", {"order": 8}), ("expL1", {})]
+        cases += [("inverse_rel", {"r": r}) for r in (-2, -1, 0, 1)]
+
+        def failing():
+            return [(which, kw) for which, kw in cases if not conj_identity_check(mod, which, **kw).passed]
+
+        assert failing() == []
+
+        def first_powers(f, terms, c):
+            for term in terms[1:]:
+                f = f + (term.scale(c) if isinstance(term, CoeffVector) else c * term)
+            return f
+
+        monkeypatch.setattr(mobius, "_exp_sum", first_powers)
+        assert failing() == [("xL0_expLj", {}), ("expLm1", {}), ("expL1", {})] + cases[5:]
 
     def test_missing_order_rejected(self, irreducible3):
         with pytest.raises(ValueError):

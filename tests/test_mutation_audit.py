@@ -25,7 +25,6 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -140,17 +139,15 @@ def _freshmans_binomial(mp, tmp_path):
 
 
 def _wrong_inverse(mp, tmp_path):
-    """ExactMatrix.inverse is off by one in entry [0][0]; the Vandermonde
-    cache starts empty so that it sees the defect."""
-    orig = ExactMatrix.inverse
+    """The closed-form Vandermonde inverse is off by one in entry [0][0]: the
+    Lagrange polynomial of the node 0 gains 1 in its constant coefficient."""
+    orig = combinatorics._lagrange
 
-    def inverse(self):
-        rows = [list(row) for row in orig(self).entries]
-        rows[0][0] = rows[0][0] + 1
-        return ExactMatrix(rows)
+    def lagrange(p, S):
+        num, den = orig(p, S)
+        return ([num[0] + den, *num[1:]] if p == 0 else num), den
 
-    mp.setattr(ExactMatrix, "inverse", inverse)
-    mp.setattr(combinatorics, "_vandermonde_rows", lru_cache(maxsize=16)(combinatorics._vandermonde_rows.__wrapped__))
+    mp.setattr(combinatorics, "_lagrange", lagrange)
 
 
 def _wrong_pascal_entry(mp, tmp_path):

@@ -36,6 +36,8 @@ ALLOWED = {
     "_p3_rhs": "reached only from conj_formulas_check",
     "subst_mobius_arg": "reached only from _p3_rhs",
     "kth_derivative_closed_form": "demo 01 shows it",
+    "Exponent.__rsub__": "keeps n - e an Exponent for a number n, as Exponent.__sub__ does for e - n; "
+    "test_exponent_reference.py pins it",
     **{f"{cls}.__hash__": "keeps a type that defines __eq__ hashable"
        for cls in ("ExactScalar", "CoeffSpace", "CoeffVector")},
     **{f"{cls}.__repr__": "for debugging"
