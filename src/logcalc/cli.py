@@ -30,6 +30,7 @@ from .intertwiner import (
     AxiomError,
     IntertwinerTable,
     VertexTable,
+    WorkBudgetError,
     a_r,
     omega_r,
     shift_s1s2s3,
@@ -391,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return 0
     except (ParseError, SchemaError, LatticeViolation, UndefinedProduct, VariableCollision, AxiomError,
-            UsageError, OSError) as exc:
+            WorkBudgetError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a fault of the program, not a failed check

@@ -71,6 +71,10 @@ class AxiomError(ValueError):
     axiom that an operation needs."""
 
 
+class WorkBudgetError(ValueError):
+    """A solve whose Jacobi rows would visit more window points than :data:`MAX_JACOBI_VISITS`."""
+
+
 def _rat_binom(n: int, m: int) -> int:
     """C(n, m) for integer n (possibly negative) and m >= 0."""
     return (-1) ** m * math.comb(m - n - 1, m) if n < 0 else math.comb(n, m)
@@ -315,7 +319,7 @@ def _table_defects(t: IntertwinerTable, name: str) -> dict[tuple[int, int], LogS
 def _contract(t: IntertwinerTable, unit_rows: Callable) -> dict[tuple, CoeffVector]:
     """Each mode's ``unit_rows(i0, j0, n, k, b)``, the (point + (component,), value) pairs of the
     table whose only mode is (i0, j0, n, k) -> e_b, weighted by the mode's components and summed,
-    grouped by point with the components of each point in ascending order."""
+    grouped by point."""
     sums: dict[tuple, ExactScalar] = {}
     for (i0, j0, n, k), vec in t.modes.items():
         for b, c in vec.components.items():
@@ -323,7 +327,7 @@ def _contract(t: IntertwinerTable, unit_rows: Callable) -> dict[tuple, CoeffVect
                 cur = sums.get(key)
                 sums[key] = c * r if cur is None else cur + c * r
     grouped: dict[tuple, dict[int, ExactScalar]] = {}
-    for key, s in sorted(sums.items(), key=lambda kv: kv[0][-1]):
+    for key, s in sums.items():
         if not s.is_zero():
             grouped.setdefault(key[:-1], {})[key[-1]] = s
     return {point: CoeffVector._trusted(t.w3.coeff_space, comps) for point, comps in grouped.items()}
@@ -357,6 +361,11 @@ def _witness(d: LogSeries) -> str | None:
 # checked at the points x0^a x1^b x2^c lg(x2)^k of a finite window: the ranges
 # of a, of b and of floor(c).
 _Window = tuple[range, range, range]
+
+# A solve's Jacobi rows visit each (x0, x1) point of each algebra vector's window once per unknown;
+# more visits than this are refused before any row is built.  At about 4-9 us a visit (Python 3.11,
+# 2 shared cores), an accepted solve builds its Jacobi rows in 1-2 s at most.
+MAX_JACOBI_VISITS = 200_000
 
 
 def _jacobi_window(exps: Iterable[Exponent], vt: VertexTable, v: int) -> _Window:
@@ -532,20 +541,15 @@ def weight_formulas_check(t: IntertwinerTable, which: str = "all") -> Report:
         rep.add("euler-precondition", False, "table satisfies neither the axiom pair nor the Euler identity")
         return rep
     rep.add("euler-precondition", True)
-    kinds = ("ty", "t00", "gen", "rt", "bound", "pairing_poly") if which == "all" else (which,)
-    k1 = t.w1.nilpotency_index()
-    k2 = t.w2.nilpotency_index()
-    k3 = t.w3.nilpotency_index()
+    kinds = ("ty", "t00", "rt", "bound", "pairing_poly") if which == "all" else (which,)
+    k1, k2, k3 = (w.nilpotency_index() for w in (t.w1, t.w2, t.w3))
     count = k1 + k2 + k3 + 1  # rows t = 0..k1+k2+k3
     keys = dict.fromkeys([*t.modes, *((i, j, n, 0) for (i, j, n, _k) in t.modes)])  # ordered, unlike a set
-    # both sides of each key's identity, long enough to hold the whole of each
-    # terminating polynomial, shared by the t00 and gen rows
-    sides = lru_cache(maxsize=None)(lambda key: _euler_sides(t, key, count + t.max_log_power() + 1))
     for kind in kinds:
         if kind == "ty":
             _check_ty(rep, t, count)
-        elif kind in ("t00", "gen"):
-            _check_sides(rep, t, kind, keys if kind == "t00" else t.modes, sides, count)
+        elif kind == "t00":
+            _check_t00(rep, t, keys, count)
         elif kind == "rt":
             _check_rt(rep, t, keys, count)
         elif kind == "bound":
@@ -572,52 +576,42 @@ def _euler_sides(t: IntertwinerTable, key: ModeKey, count: int) -> tuple[list[Co
     return lhs + [zero] * (count - len(lhs)), rhs
 
 
-def _check_sides(
-    rep: Report, t: IntertwinerTable, kind: str, keys: Sequence[ModeKey], sides: Callable, count: int
-) -> None:
-    """A ``t00`` row compares t! times each side of :func:`_euler_sides` at one
-    t < ``count``; a ``gen`` row compares the whole polynomials in y."""
+def _check_t00(rep: Report, t: IntertwinerTable, keys: Sequence[ModeKey], count: int) -> None:
+    """A ``t00`` row compares t! times each side of :func:`_euler_sides` at one t < ``count``."""
     for (i, j, n, k) in keys:
-        lhs, rhs = sides((i, j, n, k))
-        if kind == "gen":
-            f, g = (LogSeries(t.w3.coeff_space, {Monomial.var("y", p): v for p, v in enumerate(vs)})
-                    for vs in (lhs, rhs))
-            rows = [(f"mode-exp-generating({i},{j},{n!r},{k})", f == g, _witness(f - g))]
-        else:
-            rows = []
-            for tt in range(count):
-                f, g = lhs[tt].scale(math.factorial(tt)), rhs[tt].scale(math.factorial(tt))
-                rows.append((f"mode-l0-power(t={tt};{i},{j},{n!r},{k})", f == g, None if f == g else f"{f!r} != {g!r}"))
-        for row in rows:
-            rep.add(*row)
-            if not row[1]:
+        lhs, rhs = _euler_sides(t, (i, j, n, k), count)
+        for tt in range(count):
+            f, g = lhs[tt].scale(math.factorial(tt)), rhs[tt].scale(math.factorial(tt))
+            rep.add(f"mode-l0-power(t={tt};{i},{j},{n!r},{k})", f == g, None if f == g else f"{f!r} != {g!r}")
+            if f != g:
                 return
 
 
 def _check_ty(rep: Report, t: IntertwinerTable, count: int) -> None:
     """(L(0)-c)^t Y(w1,x)w2 as a multinomial in the shifted Euler operator
     D = x d/dx + a + b - c: t! times the y^t coefficients of e^(y(L(0)-c)) Y
-    and of e^(yD) Y(e^(yN1) e_i, x) e^(yN2) e_j."""
-    samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
+    and of e^(yD) Y(e^(yN1) e_i, x) e^(yN2) e_j, at c = 0.  Both sides at c are
+    e^(y(c'-c)) times those at c', and the cut at ``count`` is triangular in y,
+    so the first failing (i, j, t) is the same at every c."""
+    c = Exponent(0)
     zero = LogSeries.zero(t.w3.coeff_space)
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
-            args = [(s, t.series_args(v1, v2)) for s, v1, v2 in _arg_orbits(t, i, j, count)]
-            for c in samples:
-                shift = (t.w1.weights[i] + t.w2.weights[j] - c).as_scalar()
-                lhs = _orbit(t.w3, t.series(i, j), c, count)
-                lhs += [zero] * (count - len(lhs))
-                rhs = [zero] * count
-                for s, f in args:
-                    for ll in range(count - s):
-                        if ll:
-                            f = (f.d_dx("x", 1) + f.scale(shift)).scale(Fraction(1, ll))
-                        rhs[s + ll] = rhs[s + ll] + f
-                for tt in range(count):
-                    diff = (lhs[tt] - rhs[tt]).scale(math.factorial(tt))
-                    rep.add(f"l0-power-expansion(t={tt},c={c!r};{i},{j})", diff.is_zero(), _witness(diff))
-                    if not diff.is_zero():
-                        return
+            shift = (t.w1.weights[i] + t.w2.weights[j]).as_scalar()
+            lhs = _orbit(t.w3, t.series(i, j), c, count)
+            lhs += [zero] * (count - len(lhs))
+            rhs = [zero] * count
+            for s, v1, v2 in _arg_orbits(t, i, j, count):
+                f = t.series_args(v1, v2)
+                for ll in range(count - s):
+                    if ll:
+                        f = (f.d_dx("x", 1) + f.scale(shift)).scale(Fraction(1, ll))
+                    rhs[s + ll] = rhs[s + ll] + f
+            for tt in range(count):
+                diff = (lhs[tt] - rhs[tt]).scale(math.factorial(tt))
+                rep.add(f"l0-power-expansion(t={tt},c={c!r};{i},{j})", diff.is_zero(), _witness(diff))
+                if not diff.is_zero():
+                    return
 
 
 def _check_rt(rep: Report, t: IntertwinerTable, keys: Sequence[ModeKey], count: int) -> None:
@@ -762,10 +756,10 @@ def compose_with_homs(
 
 def subst_table_scaled(t: IntertwinerTable, zeta: ExactScalar) -> IntertwinerTable:
     """Y(., e^zeta x) as a table: each mode (i, j, n, m) adds s times itself into mode (i, j, n, k)
-    for each term (k, s) of the image of x^(-n-1) lg(x)^m, pairs in (i, j) order."""
+    for each term (k, s) of the image of x^(-n-1) lg(x)^m."""
     image = lru_cache(maxsize=None)(partial(_scaled_image, "x", zeta, pi_monomial_coefficient(zeta)))
     modes: dict[ModeKey, CoeffVector] = {}
-    for (i, j, n, m), vec in sorted(t.modes.items(), key=lambda kv: kv[0][:2]):
+    for (i, j, n, m), vec in t.modes.items():
         for k, s in image(-n - 1, m):
             cur = modes.get((i, j, n, k))
             modes[(i, j, n, k)] = vec.scale(s) if cur is None else cur + vec.scale(s)
@@ -776,15 +770,15 @@ def omega_r(t: IntertwinerTable, r: int) -> IntertwinerTable:
     """Skew transposition: Omega_r(Y)(w2, x)w1 = e^(xL(-1)) Y(w1, e^((2r+1)Pi) x) w2.
 
     On modes: the p-th term of the L(-1)-orbit of mode (i, j, n, k) of Y(., e^((2r+1)Pi) x) adds into mode
-    (j, i, n - p, k), pairs in (j, i) order and each pair's terms by p; L(-1) is nilpotent, so orbits end.
+    (j, i, n - p, k); L(-1) is nilpotent, so orbits end.
     """
     s = subst_table_scaled(t, ExactScalar.pi_power(1, 2 * r + 1))
-    terms = sorted(((j, i, p, n - p, k, term) for (i, j, n, k), vec in s.modes.items()
-                    for p, term in enumerate(exp_nilpotent_terms(t.w3, t.w3.L(-1), vec))), key=lambda e: e[:3])
     modes: dict[ModeKey, CoeffVector] = {}
-    for j, i, _, n, k, term in terms:
-        cur = modes.get((j, i, n, k))
-        modes[(j, i, n, k)] = term if cur is None else cur + term
+    for (i, j, n, k), vec in s.modes.items():
+        for p, term in enumerate(exp_nilpotent_terms(t.w3, t.w3.L(-1), vec)):
+            key = (j, i, n - p, k)
+            cur = modes.get(key)
+            modes[key] = term if cur is None else cur + term
     return IntertwinerTable(t.w2, t.w1, t.w3, modes)
 
 
@@ -1067,12 +1061,18 @@ def solve_fusion_space(
             sources.append(((name,), partial(_mode_defect, w1, w2, w3, name)))
         elif name == "jacobi":
             exps_used = dict.fromkeys(n for (_, _, n, _, _) in unknowns)  # type: ignore[misc]
-            for v in range(len(vertex.vector_weights)):
-                jw = _jacobi_window(exps_used, vertex, v)
+            windows = [_jacobi_window(exps_used, vertex, v) for v in range(len(vertex.vector_weights))]
+            visits = len(unknowns) * sum(len(x0) * len(x1) for x0, x1, _ in windows)
+            if visits > MAX_JACOBI_VISITS:
+                raise WorkBudgetError(
+                    f"the jacobi rows of ({w3.name}; {w1.name} {w2.name}) at depth {max_log} visit {visits} "
+                    f"window points, over the bound of {MAX_JACOBI_VISITS}")
+            for v, jw in enumerate(windows):
                 rows_v = partial(_jacobi_mode_rows, vertex, v, jw, firsts=range(w1.dim), seconds=range(w2.dim))
                 sources.append((("jacobi", v), rows_v))
-    # row key -> {column: coefficient}, rows in first-seen order; an unknown
-    # reaches each row key of a source at most once
+    # row key -> {column: coefficient}; an unknown reaches each row key of a source at most once.
+    # The basis does not depend on the order of the rows: nullspace ends in the reduced row
+    # echelon form, which is unique.
     rows: dict[tuple, dict[int, ExactScalar]] = {}
     for col, unknown in enumerate(unknowns):
         for prefix, unit_rows in sources:

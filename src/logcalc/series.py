@@ -15,9 +15,6 @@ with E_0 the unit vector at j = m and one Gaussian-integer table per (n, m):
 
     E_(k+1)[j] = (a + b i + k(r-1)L) E_k[j] + (j+1) L E_k[j+1].
 
-Level k+1 lists its slots (rest, n, j) as the iterated rule first puts them from
-level k, by (., j) if n + k(r-1) != 0 and by (., j+1); a slot summing to 0 is left out.
-
 Optional per-variable truncation orders support working in W{x, lg x}[[y]]:
 ``trunc[y] = N`` means the series is only known modulo terms of y-exponent
 greater than N, and all operations prune accordingly (and propagate the
@@ -74,7 +71,8 @@ SCALAR = CoeffSpace("scalar", 1)
 
 
 class CoeffVector:
-    """Sparse vector over a CoeffSpace with ExactScalar components."""
+    """Sparse vector over a CoeffSpace with ExactScalar components.  Its repr lists them by index:
+    the one place that orders them, so no kernel keeps insertion order."""
 
     __slots__ = ("space", "components", "_hash")
 
@@ -157,7 +155,7 @@ class CoeffVector:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"CoeffVector({self.space.name}, {self.components})"
+        return f"CoeffVector({self.space.name}, {dict(sorted(self.components.items()))})"
 
 
 class Monomial:
@@ -542,31 +540,31 @@ class LogSeries:
         trunc.update({v: caps[-1] // LATTICE} if v in self.trunc else {})
         cs = [None if c == 1 else c**k for k in range(order + 1)]
         out = {m: vec for m, vec in self.terms.items() if m.exponent(v).a <= caps[-1]}
-        tables, groups, slots = {}, {}, []  # a group: the terms that differ only in their power of lg(v)
+        tables, groups = {}, {}  # a group: the terms that differ only in their power of lg(v)
         for m, vec in self.terms.items():
-            n, lp, g = m.exponent(v), m.log_power(v), (m.without(v), m.exponent(v))
+            n, lp = m.exponent(v), m.log_power(v)
             rows = tables.get((n, lp)) or tables.setdefault((n, lp), _exp_table(n, lp, r, cs))
-            groups.setdefault(g, []).append((lp, vec.components, rows))
-            slots.append((g, lp))
-        # level k places each slot (group, j) where the iterated rule first puts it, scanning level k - 1
-        for k in range(1, order + 1):
-            yk, placed = Monomial.var(y, k), {}
-            for g, j in slots:
-                a, b = g[1].a + (k - 1) * step, g[1].b + (k - 1) * r.b  # L n_(k-1)
-                alive = a + step <= caps[k]  # a group that passes a level's bound stops there
-                for jj in ((j, j - 1) if a or b else (j - 1,)) if alive else ():
-                    if jj < 0 or (g, jj) in placed:
-                        continue
+            groups.setdefault((m.without(v), n), []).append((lp, vec.components, rows))
+        ys = [Monomial.var(y, k) for k in range(1, order + 1)]
+        # level k of a group sums rows[k][j] times each member's components, for j up to its top log power
+        for (rest, n), members in groups.items():
+            top = max(lp for lp, _, _ in members)
+            for k, yk in enumerate(ys, 1):
+                a, b = n.a + k * step, n.b + k * r.b  # L n_k
+                if a > caps[k]:
+                    break  # every later level lies above its bound too
+                if a > caps[-1]:
+                    continue
+                head, nk = rest * yk, Exponent._lattice(a, b)
+                for j in range(top + 1):
                     comps: dict[int, ExactScalar] = {}
-                    for lp, comps1, rows in groups[g]:
-                        s = rows[k][jj] if jj <= lp else None
+                    for lp, comps1, rows in members:
+                        s = rows[k][j] if j <= lp else None
                         for i, x in comps1.items() if s is not None else ():
                             comps[i] = comps[i] + x * s if i in comps else x * s
-                    placed[g, jj] = comps = {i: x for i, x in comps.items() if not x.is_zero()}
-                    if comps and a + step <= caps[-1]:
-                        head = (g[0] * yk)._with(v, Exponent._lattice(a + step, b + r.b), jj)
-                        out[head] = CoeffVector._trusted(self.space, comps)
-            slots = [slot for slot, comps in placed.items() if comps]
+                    comps = {i: x for i, x in comps.items() if not x.is_zero()}
+                    if comps:
+                        out[head._with(v, nk, j)] = CoeffVector._trusted(self.space, comps)
         return LogSeries._trusted(self.space, out, trunc)
 
     # -- misc ----------------------------------------------------------------------

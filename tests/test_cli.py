@@ -12,6 +12,7 @@ import pytest
 
 from logcalc import catalog, checks, cli
 from logcalc.cli import main
+from logcalc.intertwiner import VertexTable
 from logcalc.jsonio import MAX_LOG_POWER, dump_object
 from logcalc.reports import Report
 
@@ -523,6 +524,21 @@ class TestJacobiSolveFromFiles:
         extra = [] if vertex is None else ["--vertex", path[vertex]]
         code, out, err = run_cli("solve", "fusion", "--modules", *[path["A"]] * 3, "--axioms", axioms, *extra)
         assert code == 2 and not out and message in err
+
+    def test_a_solve_over_the_jacobi_work_budget_exits_2_at_once(self, files, tmp_path, capsys):
+        mult, vt, path = files
+        modes = dict(vt.modes)
+        modes[(1, 0, 80)] = modes.pop((1, 0, -1))
+        moved = tmp_path / "moved.json"
+        moved.write_text(dump_object(VertexTable(mult.w1, mult.w2, mult.w3, vt.vector_weights, modes)))
+        start = time.perf_counter()
+        code = main(["solve", "fusion", "--modules", *[path["A"]] * 3, "--axioms", "lminus1,jacobi",
+                     "--vertex", str(moved), "--max-log", "1"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and elapsed < 1.0, elapsed
+        assert err == ("error: the jacobi rows of (A; A A) at depth 1 visit 521352 window points, "
+                       "over the bound of 200000\n")
 
     def test_a_vertex_file_over_other_modules_exits_2(self, files):
         _, _, path = files

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ from logcalc import catalog, intertwiner
 from logcalc.intertwiner import (
     IntertwinerTable,
     VertexTable,
+    WorkBudgetError,
     a_r,
     axiom_check,
     candidate_exponents,
@@ -20,7 +22,6 @@ from logcalc.intertwiner import (
     euler_precondition,
     _mode_defect,
     _table_defects,
-    _witness,
     delta_relation_check,
     euler_minus_a,
     identity_vertex_table,
@@ -38,7 +39,7 @@ from logcalc.intertwiner import (
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import GradingGroup, MobiusModule
 from logcalc.scalars import ExactScalar, Exponent, LatticeViolation, UnsupportedDivision, pi_scalar, root_of_unity
-from logcalc.series import CoeffVector, LogSeries, Monomial
+from logcalc.series import CoeffSpace, CoeffVector, LogSeries, Monomial
 from logcalc.substitution import subst_scaled_exp
 from series_tables import table_from_series
 
@@ -267,6 +268,48 @@ class TestSolver:
         ):
             assert first and [list(s.modes.items()) for s in first] == [list(s.modes.items()) for s in second]
 
+    def test_jacobi_solves_over_the_work_budget_are_refused_before_any_row(self, monkeypatch, epsilon_pair):
+        """The epsilon instance with its vertex mode (slot 1, v 0) moved from n = -1 to n: at n = 80 the
+        rows would visit 8 * (255^2 + 12^2) window points, and no row is built."""
+        mult, vt = epsilon_pair
+
+        def solve(n):
+            modes = dict(vt.modes)
+            modes[(1, 0, n)] = modes.pop((1, 0, -1))
+            moved = VertexTable(mult.w1, mult.w2, mult.w3, vt.vector_weights, modes)
+            return solve_fusion_space(mult.w1, mult.w2, mult.w3, ("lminus1", "jacobi"), max_log=1, vertex=moved)
+
+        assert solve(20) == []  # 46152 visits: solved, and no nonzero table satisfies the moved mode
+        built = []
+        monkeypatch.setattr(intertwiner, "_jacobi_mode_rows", lambda *args, **kw: built.append(args) or {})
+        with pytest.raises(WorkBudgetError, match=r"^the jacobi rows of \(A; A A\) at depth 1 visit 521352 "
+                                                  r"window points, over the bound of 200000$"):
+            solve(80)
+        assert not built
+
+    def test_row_order_does_not_decide_the_basis(self, monkeypatch, jordan_tables, epsilon_pair):
+        """``nullspace`` ends in the reduced row echelon form, which is unique, so shuffled rows give
+        equal tables in the same order: on six honest triples under the four brackets, the three
+        Jordan fixture triples under ``euler`` and the epsilon instance under ``lminus1,jacobi``."""
+        sl2 = catalog.sl2_irreducible
+        systems = [((sl2("U", a), sl2("W", b), sl2("M", c)), HONEST_AXIOMS, {})
+                   for a, b, c in ((2, 2, 1), (1, 2, 2), (2, 3, 2), (3, 3, 3), (2, 2, 3), (3, 4, 4))]
+        systems += [((t.w1, t.w2, t.w3), ("euler",), {}) for t in jordan_tables]
+        mult, vt = epsilon_pair
+        systems.append(((mult.w1, mult.w2, mult.w3), ("lminus1", "jacobi"), {"max_log": 1, "vertex": vt}))
+
+        def bases():
+            return [[list(t.modes.items()) for t in solve_fusion_space(*mods, axioms, **opts)]
+                    for mods, axioms, opts in systems]
+
+        want = bases()
+        assert len(want) == 10 and all(want)
+        nullspace = intertwiner.nullspace
+        for seed in range(3):
+            rng = random.Random(seed)
+            monkeypatch.setattr(intertwiner, "nullspace", lambda rows, n: nullspace(rng.sample(rows, len(rows)), n))
+            assert bases() == want, seed
+
 
 HONEST_AXIOMS = ("lminus1", "sl2_m1", "sl2_0", "sl2_1")
 # the depth theorem's triples: 36 honest sl(2) triples (a, b <= 3, c <= 4) under the full brackets, and
@@ -425,7 +468,7 @@ class TestModeDefect:
                         key = (i, j, Monomial.var("x", Exponent._lattice(re, im), kk), bb)
                         got[key] = got.get(key, ExactScalar.zero()) + c * v
             assert {key: v for key, v in got.items() if not v.is_zero()} == want, name
-            # the same sums as axiom_check groups them, components ascending
+            # the same sums as axiom_check groups them
             engine = _table_defects(t, name)
             assert {
                 (i, j, mono, b): c
@@ -433,7 +476,6 @@ class TestModeDefect:
                 for mono, vec in d.items()
                 for b, c in vec.components.items()
             } == want, name
-            assert all(list(vec.components) == sorted(vec.components) for d in engine.values() for _, vec in d.items())
 
     def test_single_mode_rows_are_nonzero(self):
         w1, w2, w3 = MODE_DEFECT_MODULES["honest"]
@@ -491,13 +533,8 @@ class TestAxiomEngine:
             if check.passed:
                 assert check.witness is None
                 continue
-            # the oracle's first coefficient, its components listed in
-            # ascending order: the oracle's own text whenever it lists them so
-            mono, vec = d.sorted_items()[0]
-            ascending = CoeffVector(vec.space, dict(sorted(vec.components.items())))
-            assert check.witness == f"first nonzero coefficient at {mono!r}: {ascending!r}"[:200]
-            if list(vec.components) == sorted(vec.components):
-                assert check.witness == _witness(d)
+            mono, vec = d.sorted_items()[0]  # the oracle's first coefficient
+            assert check.witness == f"first nonzero coefficient at {mono!r}: {vec!r}"[:200]
 
     @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(MODE_DEFECT_MODULES)))
     @settings(max_examples=20, deadline=None)
@@ -548,6 +585,43 @@ class TestAxiomEngine:
         witnesses = {c.check_id: c.witness for c in rep.failures}
         assert witnesses["grading-compatibility"] == "mode(0,0,Exponent(-3),0) has a component of degree (1,)"
         assert witnesses["generalized-weight-purity"].startswith("mode(0,0,Exponent(-3),0) has weight")
+
+
+def _indices(text: str) -> list[int]:
+    """The component indices of every ``CoeffVector`` that ``text`` prints, in print order."""
+    return [int(i) for i in re.findall(r"(\d+): ExactScalar\(", text)]
+
+
+class TestComponentOrder:
+    """The order of a vector's components is decided in one place: ``CoeffVector.__repr__`` lists
+    them by index, so no kernel keeps insertion order for a witness's sake."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_repr_is_the_same_for_every_insertion_order(self, data):
+        dim = data.draw(st.integers(1, 6))
+        idx = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
+        values = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(idx), max_size=len(idx)))
+        space = CoeffSpace("W", dim)
+        want = repr(CoeffVector(space, dict(sorted(zip(idx, values)))))
+        order = data.draw(st.permutations(list(zip(idx, values))))
+        assert repr(CoeffVector(space, dict(order))) == want
+        assert _indices(want) == sorted(idx)
+
+    def test_failing_witnesses_list_components_by_index(self, jordan_tables, epsilon_pair):
+        # each planted mode lists its components from the highest index down, so both engines
+        # meet them in that order; the witnesses still print them ascending
+        t = jordan_tables[1]
+        i, j, n, k = next(iter(t.modes))
+        top = CoeffVector(t.w3.coeff_space, {t.w3.dim - 1: 3, 0: -2})
+        bad = t + IntertwinerTable(t.w1, t.w2, t.w3, {(i, j, n, k + 1): top})
+        euler = [c.witness for c in axiom_check(bad, "euler").failures]
+        assert euler and len(_indices(euler[0])) == 2 and _indices(euler[0]) == sorted(_indices(euler[0]))
+        mult, vt = epsilon_pair
+        planted = mult + IntertwinerTable(mult.w1, mult.w2, mult.w3,
+                                          {(1, 1, Exponent(-1), 0): CoeffVector(mult.w3.coeff_space, {1: 1, 0: 2})})
+        rep = jacobi_check_window(planted, vt, 1, mult.w1.basis_vector(0), mult.w2.basis_vector(1))
+        assert not rep.passed and _indices(rep.failures[0].witness) == [0, 1]
 
 
 def _constructions(monkeypatch) -> dict[str, int]:
@@ -862,7 +936,6 @@ class TestWeightFormulas:
     @pytest.mark.parametrize("kind, row", [
         ("ty", "l0-power-expansion("),
         ("t00", "mode-l0-power("),
-        ("gen", "mode-exp-generating("),
         ("rt", "mode-shift-combination("),
         ("bound", "global-log-power-bound"),
         ("pairing_poly", "pairing-span("),
@@ -988,16 +1061,16 @@ def _series_route(t: IntertwinerTable, zeta: ExactScalar) -> IntertwinerTable:
 
 
 def _outcome(fn, *args):
-    """The modes of the table ``fn`` returns, in order, or the type and text of what it raises."""
+    """The modes of the table ``fn`` returns, or the type and text of what it raises."""
     try:
-        return list(fn(*args).modes.items())
+        return fn(*args).modes
     except (LatticeViolation, UnsupportedDivision) as exc:
         return type(exc), str(exc)
 
 
 class TestScaledTableKernel:
-    """The table route of Y(., e^zeta x) against the series route it replaced: the same modes in the
-    same order (later sums and witnesses read them in that order), and the same error."""
+    """The table route of Y(., e^zeta x) against the series route it replaced: the same modes, and
+    the same error."""
 
     ZETAS = [pi_scalar(2 * p) for p in range(-1, 3)] + [ExactScalar.pi_power(1, 2 * r + 1) for r in range(-2, 2)]
 
@@ -1006,7 +1079,7 @@ class TestScaledTableKernel:
         assert len(solved) > 10
         for t in [*jordan_tables, honest_table, *solved]:
             for zeta in self.ZETAS:
-                assert list(subst_table_scaled(t, zeta).modes.items()) == list(_series_route(t, zeta).modes.items())
+                assert subst_table_scaled(t, zeta).modes == _series_route(t, zeta).modes
 
     def test_random_tables_and_exponents_that_are_not_real(self):
         rng = random.Random(29)

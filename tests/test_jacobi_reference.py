@@ -6,9 +6,7 @@ derives (``default_jacobi_window``), and builds the solver's rows by probing
 one unit table per unknown and basis pair.  Every defect (keys and values),
 every report (verdict and witness) and every solver row must agree with the
 library, on random tables and random vertex tables over the epsilon, vacuum
-and Jordan triples.  Two differences are deliberate: a witness lists the
-components of its coefficient vector in ascending order, where the whole-vector
-sums listed them in the order they first arose; and the reference solver gives
+and Jordan triples.  One difference is deliberate: the reference solver gives
 each algebra vector its own window, as the checker always did, where the
 solver once took vector 0's window for every vector.
 """
@@ -124,11 +122,7 @@ def reference_check(t, vt, v, v1, v2):
         for lo, hi in (window.x0, window.x1, window.x2_offset):
             checked *= hi - lo + 1
         a, b, c, k = min(defect, key=lambda p: (p[0], p[1], p[2].sort_key(), p[3]))
-        vec = defect[(a, b, c, k)]
-        # components listed in ascending order: the reference's own text
-        # whenever it lists them so
-        vec = CoeffVector(vec.space, dict(sorted(vec.components.items())))
-        first = f"x0^{a} x1^{b} x2^({c!r}) lg^{k}: {vec!r}"
+        first = f"x0^{a} x1^{b} x2^({c!r}) lg^{k}: {defect[(a, b, c, k)]!r}"
         witness = f"{len(defect)}/{checked} coefficients differ; first: {first}"
     rep.add(f"jacobi-window(v={v})", not defect, witness)
     return rep
@@ -268,7 +262,6 @@ class TestAgainstReference:
         want = reference_defect(t, vt, v, v1, v2, ref_window)
         got = _jacobi_defect(t, vt, v, v1, v2, window)
         assert {_as_exponent(point, 2): vec for point, vec in got.items()} == want
-        assert all(list(vec.components) == sorted(vec.components) for vec in got.values())
         assert jacobi_check_window(t, vt, v, v1, v2).to_json() == reference_check(t, vt, v, v1, v2).to_json()
 
     @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(TRIPLES)))

@@ -14,7 +14,7 @@ one and passes the other, or ``IMPLIED`` names the tier-1 test of an
 implication between them.  Each distinct defect runs once, and both tests read
 its report.
 
-The six row families inside each ``weight-formulas-N`` row are flipped one by
+The five row families inside each ``weight-formulas-N`` row are flipped one by
 one by ``test_every_formula_can_fail`` in test_intertwiner.py.
 """
 

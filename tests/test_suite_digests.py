@@ -6,10 +6,16 @@ fixture tables; `check_jacobi()` runs the windowed Jacobi identity;
 `check_all(0, quick=True)` runs every suite of `check all` at its `--quick`
 sizes.  A refactor of any of them that moves one byte of a report, as text
 or as JSON, changes its sha256.  The two suites together take about half a
-second, `check_all` about three seconds.
+second, `check_all` about three seconds.  No set or hash order may reach an
+output: `check all --quick --format json` gives the same bytes under two hash
+seeds.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +47,17 @@ def test_check_all_quick_digests():
 
 def _digests(rep) -> tuple[str, str]:
     return tuple(hashlib.sha256(s.encode()).hexdigest() for s in (rep.to_text(), rep.to_json()))
+
+
+def test_check_all_quick_is_the_same_under_two_hash_seeds():
+    """Two subprocesses side by side, under PYTHONHASHSEED 0 and 1 (about 2 s on 2 cores)."""
+    src = str(Path(checks.__file__).resolve().parent.parent)
+    runs = [
+        subprocess.Popen([sys.executable, "-m", "logcalc.cli", "check", "all", "--quick", "--format", "json"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        for seed in ("0", "1")
+    ]
+    (out0, err0), (out1, err1) = (run.communicate(timeout=300) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], (err0, err1)
+    assert out0 and out0 == out1

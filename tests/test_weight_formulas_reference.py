@@ -1,22 +1,22 @@
 """The log-weight formulas against the nested loops they replaced.
 
 The reference below rebuilds (L(0)-h)^p e_i by repeated matrix products
-inside each triple loop, checks the generating-function identity on its own
-series, and expands e^(y L(+-1)) term by term.  Its ``t00`` rows visit each
-mode key once.  Every report (row ids, verdicts, witnesses), every recovered
-mode and every derived table must agree with the library, on solved tables
-and on tables with a planted mode.  One difference is allowed: where the
-reference's ``gen`` raises "exponential does not terminate", the library
-reports a failing row with a witness.
+inside each triple loop and expands e^(y L(+-1)) term by term.  Its ``t00``
+rows visit each mode key once.  Every report (row ids, verdicts, witnesses),
+every recovered mode and every derived table must agree with the library, on
+solved tables and on tables with a planted mode.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcalc import catalog, intertwiner
 from logcalc.checks import honest_fixture_table, jordan_fixture_tables
@@ -80,7 +80,7 @@ def ref_weight_formulas_check(t, which="all", var="x"):
         rep.add("euler-precondition", False, "table satisfies neither the axiom pair nor the Euler identity")
         return rep
     rep.add("euler-precondition", True)
-    kinds = ("ty", "t00", "gen", "rt", "bound", "pairing_poly") if which == "all" else (which,)
+    kinds = ("ty", "t00", "rt", "bound", "pairing_poly") if which == "all" else (which,)
     k1 = t.w1.nilpotency_index()
     k2 = t.w2.nilpotency_index()
     k3 = t.w3.nilpotency_index()
@@ -90,8 +90,6 @@ def ref_weight_formulas_check(t, which="all", var="x"):
             _ref_ty(rep, t, t_bound, var)
         elif kind == "t00":
             _ref_t00(rep, t, t_bound)
-        elif kind == "gen":
-            _ref_gen(rep, t)
         elif kind == "rt":
             _ref_rt(rep, t, t_bound)
         elif kind == "bound":
@@ -103,8 +101,7 @@ def ref_weight_formulas_check(t, which="all", var="x"):
     return rep
 
 
-def _ref_ty(rep, t, t_bound, var):
-    samples = [Exponent(0), Exponent(Fraction(1, 2)), Exponent(-1)]
+def _ref_ty(rep, t, t_bound, var, samples=(Exponent(0),)):
     for i in range(t.w1.dim):
         for j in range(t.w2.dim):
             a = t.w1.weights[i]
@@ -159,31 +156,6 @@ def _ref_t00(rep, t, t_bound):
             rep.add(f"mode-l0-power(t={tt};{i},{j},{n!r},{k})", ok, None if ok else f"{lhs!r} != {rhs!r}")
             if not ok:
                 return
-
-
-def _ref_gen(rep, t, yvar="y"):
-    for (i, j, n, k) in t.modes:
-        a = t.w1.weights[i]
-        b = t.w2.weights[j]
-        shift = (a + b - n - 1).as_scalar()
-        base = t.mode(i, j, n, k)
-        lhs = _exp_poly(t.w3, _l0_shift_power(t.w3, shift, 1), LogSeries.vector(base), yvar)
-        rhs = LogSeries.zero(t.w3.coeff_space)
-        e1 = _exp_poly(t.w1, _l0_shift_power(t.w1, a.as_scalar(), 1), LogSeries.vector(t.w1.basis_vector(i)), yvar)
-        e2 = _exp_poly(t.w2, _l0_shift_power(t.w2, b.as_scalar(), 1), LogSeries.vector(t.w2.basis_vector(j)), yvar)
-        for m1, vec1 in e1.items():
-            for m2, vec2 in e2.items():
-                for ll in range(t.max_log_power() - k + 2):
-                    mode = t.mode_map(vec1, vec2).get((n, k + ll))
-                    if mode is not None:
-                        rhs = rhs + LogSeries.vector(
-                            mode.scale(math.comb(k + ll, ll)),
-                            m1 * m2 * Monomial.var(yvar, ll),
-                        )
-        ok = (lhs - rhs).is_zero()
-        rep.add(f"mode-exp-generating({i},{j},{n!r},{k})", ok, _witness(lhs - rhs))
-        if not ok:
-            return
 
 
 def _ref_rt(rep, t, t_bound):
@@ -380,8 +352,7 @@ def ref_conj_formulas_check(t, which, order=None):
 # ---------------------------------------------------------------------------
 # inputs
 
-KINDS = ("ty", "t00", "gen", "rt", "bound", "pairing_poly")
-NONTERMINATING = "exponential does not terminate"
+KINDS = ("ty", "t00", "rt", "bound", "pairing_poly")
 
 # Jordan triples (w1, w2, w3) as (weight, size, blocks) each: 42 solved tables
 TRIPLES = [
@@ -458,18 +429,12 @@ def test_reports_equal_on_planted_tables(tables, monkeypatch):
     monkeypatch.setattr(intertwiner, "euler_precondition", lambda t: True)
     fixtures, solved = tables
     rng = random.Random(11)
-    failing = nonterminating = 0
+    failing = 0
     for idx in range(60):
         t = _planted(rng, (fixtures + solved)[idx % (len(fixtures) + len(solved))])
         for kind in KINDS:
             got = _outcome(weight_formulas_check, t, kind)
             want = _outcome(ref_weight_formulas_check, t, kind)
-            if want[0] == "NonTerminating" and NONTERMINATING in want[1] and kind == "gen" and got[0] == "ok":
-                # the one allowed difference: a failing gen row instead
-                nonterminating += 1
-                gen_rows = [c for c in got[1].checks if c.check_id.startswith("mode-exp-generating")]
-                assert gen_rows and not gen_rows[-1].passed and gen_rows[-1].witness
-                continue
             if got[0] == "ok" and want[0] == "ok":
                 assert _rows(got[1]) == _rows(want[1]), (idx, kind)
                 failing += not got[1].passed
@@ -479,7 +444,52 @@ def test_reports_equal_on_planted_tables(tables, monkeypatch):
             for j in range(t.w2.dim):
                 for n in t.exponents():
                     assert _outcome(recover_modes, t, i, j, n) == _outcome(ref_recover_modes, t, i, j, n)
-    assert failing >= 60 and nonterminating
+    assert failing >= 60
+
+
+def _first_ty_failure(rep):
+    """(i, j, t) of the first failing ``l0-power-expansion`` row, or None."""
+    for c in rep.checks:
+        if not c.passed:
+            t, i, j = re.fullmatch(r"l0-power-expansion\(t=(\d+),c=.*;(\d+),(\d+)\)", c.check_id).groups()
+            return int(i), int(j), int(t)
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       c=st.sampled_from([Exponent(Fraction(1, 2)), Exponent(-1), Exponent(3), Exponent(Fraction(-5, 12), Fraction(1, 4))]))
+@settings(max_examples=25, deadline=None)
+def test_ty_rows_fail_first_at_the_same_pair_and_power_for_every_c(tables, seed, c):
+    """Both sides of the ``ty`` rows at c are e^(y(c'-c)) times those at c', and the cut is
+    triangular in y, so the library's one c = 0 finds the first failing (i, j, t) of every c."""
+    fixtures, solved = tables
+    rng = random.Random(seed)
+    t = _planted(rng, rng.choice(fixtures + solved))
+    t_bound = t.w1.nilpotency_index() + t.w2.nilpotency_index() + t.w3.nilpotency_index()
+    at = {}
+    for cc in (Exponent(0), c):
+        at[cc] = Report("ty")
+        _ref_ty(at[cc], t, t_bound, "x", samples=(cc,))
+    assert _first_ty_failure(at[c]) == _first_ty_failure(at[Exponent(0)])
+
+
+def test_keys_whose_generating_polynomials_differ_fail_a_t00_row(tables):
+    """The whole polynomials in y of :func:`intertwiner._euler_sides` differ at a key only where
+    a ``mode-l0-power`` row of that key fails: t! times their y^t coefficients, t < K1 + K2 + K3 + 1."""
+    fixtures, solved = tables
+    rng = random.Random(34)
+    differ = 0
+    for idx in range(60):
+        t = _planted(rng, (fixtures + solved)[idx % (len(fixtures) + len(solved))])
+        count = t.w1.nilpotency_index() + t.w2.nilpotency_index() + t.w3.nilpotency_index() + 1
+        for key in t.modes:
+            lhs, rhs = intertwiner._euler_sides(t, key, count + t.max_log_power() + 1)
+            if lhs != rhs:
+                differ += 1
+                rep = Report("t00")
+                intertwiner._check_t00(rep, t, [key], count)
+                assert not rep.passed, (idx, key)
+    assert differ >= 60
 
 
 def test_derived_tables_and_conjugation_rows_equal(tables):
