@@ -32,7 +32,6 @@ from .series import (
 from .substitution import (
     series_exp,
     series_log1p,
-    subst_mobius_arg,
     subst_scaled_exp,
     subst_x_exp_y,
     subst_x_inverse,
@@ -65,7 +64,6 @@ from .intertwiner import (
     a_r,
     axiom_check,
     compose_with_homs,
-    conj_formulas_check,
     decompose,
     delta_relation_check,
     identity_vertex_table,

@@ -188,10 +188,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mods = [load_text(read_path(p)) for p in args.modules]
     if not all(isinstance(m, MobiusModule) for m in mods):
         raise UsageError("solve fusion --modules needs three module files")
-    constraints = tuple(args.axioms.split(",")) if args.axioms else ("euler",)
+    constraints = tuple(args.axioms.split(","))
     vertex = _vertex_for(args, constraints, mods)
     window = None
-    if args.window:
+    if args.window is not None:
         window = [parse_exponent(part) for part in args.window.split(",")]
     tables = solve_fusion_space(
         mods[0], mods[1], mods[2], constraints=constraints, max_log=args.max_log, window=window, vertex=vertex

@@ -136,8 +136,8 @@ class MobiusModule:
 
     def nilpotency_index(self) -> int:
         """Least K with (L(0) - L(0)_s)^K = 0 (the log-depth bound of the module)."""
-        if self._nilpotency is None:  # a solve needs only K: N stays uncached for modules that never use it
-            n = self._L[0] - self.weight_diagonal()
+        if self._nilpotency is None:
+            n = self.nilpotent_part()
             self._nilpotency = max(len(exp_nilpotent_terms(self, n, self.basis_vector(j))) for j in range(self.dim))
         return self._nilpotency
 

@@ -12,17 +12,16 @@ convention           x^n              lg(x)                truncation
 ``subst_x_exp_y``    x^n e^(ny)       lg(x) + y            y-order
 ``subst_xy``         x^n y^n          lg(x) + lg(y)        --
 ``subst_scaled_exp`` e^(zeta n) x^n   lg(x) + zeta         --
-``subst_mobius_arg`` x^n (1-yx)^(-n)  lg(x) - log(1-yx)    y-order
 ``subst_x_inverse``  x^(-n)           -lg(x)               none in x
 ==================== ================ ==================== ==============================
 
-The three truncated conventions are one flow, e^(y x^(1+e) d/dx) for
-e = -1, 0, 1: with w = y x^e and the log shift S(w) = -log(1 - e w)/e (S = w at
+The two truncated conventions are one flow, e^(y x^(1+e) d/dx) for
+e = -1, 0: with w = y x^e and the log shift S(w) = -log(1 - e w)/e (S = w at
 e = 0), x goes to x e^(S(w)) and lg(x) to lg(x) + S(w), so that x^n lg(x)^m goes to
 
     sum_j C(m, j) lg(x)^(m-j) x^n P_n(w) S(w)^j,    P_n(w) = e^(n S(w)) = (1 - e w)^(-n/e),
 
-that is, P_n is (1+w)^n, e^(nw) or (1-w)^(-n), and S is log(1+w), w or -log(1-w).
+that is, P_n is (1+w)^n or e^(nw), and S is log(1+w) or w.
 The coefficients of P_n S^j come from multiplying the defining series, never
 from a derivative, so the formal Taylor and scaling theorems compare two
 independent code paths.  Each series is held as its table of k! L^k [w^k]
@@ -120,7 +119,6 @@ def _flow(f: LogSeries, x: VarId, y: VarId, order: int, e: int) -> LogSeries:
     shift = [0] + [e ** (i - 1) * math.factorial(i - 1) * LATTICE**i for i in ks[1:]]
     shift_powers = [[1] + [0] * order]  # the tables of S^j
     ys = [Monomial.var(y, k) for k in ks]
-    xcap = f.trunc[x] * LATTICE if x in f.trunc else math.inf  # only e > 0 raises x-exponents to it
 
     def image(n: Exponent, m: int) -> _Image:
         re, im = [1], [0]  # the table of P_n: p_(k+1) = p_k (a + b i + e k L)
@@ -137,7 +135,7 @@ def _flow(f: LogSeries, x: VarId, y: VarId, order: int, e: int) -> LogSeries:
             pim = _egf_product(im, shift_powers[j]) if n.b else [0] * len(ks)
             for k in ks:
                 a = n.a + e * k * LATTICE  # the x-exponent of x^n w^k, times L
-                if (pre[k] or pim[k]) and a <= xcap:
+                if pre[k] or pim[k]:
                     head = ys[k]._with(x, Exponent._lattice(a, n.b), m - j)
                     pairs.append((head, gaussian_rational(b * pre[k], b * pim[k], dens[k])))
         return pairs
@@ -193,11 +191,6 @@ def _scaled_image(x: VarId, zeta: ExactScalar, q: Fraction, n: Exponent, m: int)
     c = root_of_unity(q * n.re)
     terms = [(m - j, c * zeta**j * math.comb(m, j)) for j in range(m + 1)]
     return [(k, s) for k, s in terms if not s.is_zero()]
-
-
-def subst_mobius_arg(f: LogSeries, x: VarId, y: VarId, order: int) -> LogSeries:
-    """f(x(1-yx)^(-1)), truncated at y-order ``order``."""
-    return _flow(f, x, y, order, 1)
 
 
 def subst_x_inverse(f: LogSeries, x: VarId) -> LogSeries:

@@ -428,6 +428,11 @@ class TestCheckVerbs:
             (["solve", "fusion", "--modules", *[str(module)] * 3, "--window", "1/2", "--axioms", "bogus"],
              "unknown constraint 'bogus'"),
             (["solve", "fusion", "--modules", str(module), str(table), str(module)], "needs three module files"),
+            # an empty value is read as given, not as the default
+            (["solve", "fusion", "--modules", *[str(module)] * 3, "--axioms", ""],
+             "error: unknown constraint ''; accepted: lminus1, sl2_m1, sl2_0, sl2_1, euler, jacobi, grading, weights"),
+            (["solve", "fusion", "--modules", *[str(module)] * 3, "--window", ""],
+             "error: unexpected end of input at column 1: ''"),
         ):
             code, out, err = run_cli(*argv)
             assert code == 2 and not out and message in err and "Traceback" not in err

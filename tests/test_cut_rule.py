@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from logcalc import catalog
 from logcalc.mobius import exp_L
 from logcalc.series import SCALAR, CoeffSpace, CoeffVector, LogSeries, Monomial, cut_powers
-from logcalc.substitution import series_exp, series_log1p, subst_mobius_arg, subst_x_exp_y, subst_x_plus_y
+from logcalc.substitution import series_exp, series_log1p, subst_x_exp_y, subst_x_plus_y
 
 HALF = LogSeries.variable("x", Fraction(1, 2))
 
@@ -126,5 +126,5 @@ class TestCuttingCommutes:
     @given(arguments(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_substitutions(self, f, order):
-        for subst in (subst_x_plus_y, subst_x_exp_y, subst_mobius_arg):
+        for subst in (subst_x_plus_y, subst_x_exp_y):
             assert _cuts_commute(lambda n: subst(f, "x", "y", n), "y", order)

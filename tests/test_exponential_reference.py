@@ -21,8 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logcalc import catalog
-from logcalc.checks import honest_fixture_table, jordan_fixture_tables
-from logcalc.intertwiner import _orbit, _p3_rhs
+from logcalc.intertwiner import _orbit
 from logcalc.matrix import ExactMatrix
 from logcalc.mobius import (
     MobiusModule,
@@ -34,7 +33,7 @@ from logcalc.mobius import (
 )
 from logcalc.scalars import Exponent, LatticeViolation, pi_scalar, root_of_unity
 from logcalc.series import CoeffVector, LogSeries, Monomial
-from logcalc.substitution import pi_monomial_coefficient, series_log1p, subst_mobius_arg
+from logcalc.substitution import pi_monomial_coefficient, series_log1p
 
 # ---------------------------------------------------------------------------
 # reference: one loop per exponential
@@ -131,14 +130,6 @@ def ref_one_minus_u_power(module, m, u, f, order, var):
         power = power * -u
         out = out + power * f
     return out
-
-
-def ref_p3_rhs(t, w1v, w2v, var, y, order):
-    yx = LogSeries.variable(y) * LogSeries.variable(var)
-    arg = ref_one_minus_u_power(t.w1, t.w1.L(0).scale(-2), yx, LogSeries.vector(w1v), order, y)
-    arg = ref_exp_L(t.w1, 1, LogSeries.variable(y) - LogSeries.variable(y) * yx, arg, order, y)
-    out = arg.apply_op(lambda vec: subst_mobius_arg(t.series_args(vec, w2v), var, y, order), t.w3.coeff_space)
-    return out.with_trunc({y: order})
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +309,6 @@ class TestAgainstReference:
             full = LogSeries(f.space, {**f.terms, Monomial.var("x", f.trunc["x"] + 1): tail},
                              {v: n for v, n in f.trunc.items() if v != "x"})
             assert _same(got, exp_L(mod, 0, coeff, full, order, "y").with_trunc(got.trunc))
-
-    def test_p3_right_side(self):
-        for t in [*jordan_fixture_tables(), honest_fixture_table()]:
-            for order in range(4):
-                for i in range(t.w1.dim):
-                    for j in range(t.w2.dim):
-                        args = (t, t.w1.basis_vector(i), t.w2.basis_vector(j), "x", "y", order)
-                        assert _same(_p3_rhs(*args), ref_p3_rhs(*args))
 
     def test_errors_match(self):
         # a non-nilpotent L(0) - L(0)_s, a missing order, a non-real weight

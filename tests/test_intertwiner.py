@@ -17,7 +17,6 @@ from logcalc.intertwiner import (
     axiom_check,
     candidate_exponents,
     compose_with_homs,
-    conj_formulas_check,
     decompose,
     euler_precondition,
     _mode_defect,
@@ -964,54 +963,6 @@ class TestWeightFormulas:
         i, j, n, _k = next(iter(t.modes))
         with pytest.raises(AssertionError, match="failed to collapse"):
             recover_modes(t, i, j, n)
-
-
-class TestConjFormulas:
-    def test_p1_trivial_order_zero(self, honest_table):
-        rep = conj_formulas_check(honest_table, "p1", order=0)
-        assert rep.passed
-
-    def test_p1_full(self, honest_table):
-        assert conj_formulas_check(honest_table, "p1", order=4).passed
-
-    def test_p2_on_jordan_and_honest(self, jordan_tables, honest_table):
-        for t in (*jordan_tables, honest_table):
-            assert conj_formulas_check(t, "p2").passed
-
-    def test_p3_on_honest(self, honest_table):
-        assert conj_formulas_check(honest_table, "p3", order=3).passed
-
-    def test_p3_needs_order(self, honest_table):
-        with pytest.raises(ValueError):
-            conj_formulas_check(honest_table, "p3")
-
-    def test_exp_l0_exact(self, jordan_tables, honest_table):
-        for t in (*jordan_tables, honest_table):
-            for a in (1, 2):
-                assert conj_formulas_check(t, "aL0", a_coeff=a).passed
-
-    @pytest.mark.parametrize(
-        "which, order, failing, witness",
-        [
-            ("p1", 3, ["translate-conjugation(0,0)", "translate-substitution(0,0)"],
-             "at Monomial(x*y): CoeffVector(M, {1: ExactScalar(1)})"),
-            ("p2", None, ["scale-conjugation(0,0)"],
-             "at Monomial(x*y^(-1/2)): CoeffVector(M, {0: ExactScalar(1)})"),
-            ("p3", 3, ["special-conjugation(0,1)", "special-conjugation(1,0)"],
-             "at Monomial(x*y): CoeffVector(M, {0: ExactScalar(1)})"),
-            ("aL0", None, ["exp-l0-conjugation(0,0)"],
-             "at Monomial(x): CoeffVector(M, {0: ExactScalar(-2*e(1/2))})"),
-        ],
-    )
-    def test_broken_table_fails(self, honest_table, which, order, failing, witness):
-        # e_0 added to the first mode of the honest covariant
-        i, j, n, _k = next(iter(honest_table.modes))
-        bump = IntertwinerTable(
-            honest_table.w1, honest_table.w2, honest_table.w3, {(i, j, n, 0): honest_table.w3.basis_vector(0)}
-        )
-        rep = conj_formulas_check(honest_table + bump, which, order=order)
-        assert [c.check_id for c in rep.failures] == failing
-        assert rep.failures[0].witness == "first nonzero coefficient " + witness
 
 
 class TestOdeLemma:

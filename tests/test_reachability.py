@@ -11,7 +11,11 @@ few that stay for a stated reason, keyed by qualified name (``Class.method``
 for a method, dunders included).
 
 Run as a script with the argument ``"check all"`` or ``rest``, this file is
-one part of the scan: it prints the code that part reached as JSON.
+one part of the scan: it prints the code that part reached as JSON.  With the
+argument ``lines`` it drives both parts in one process under a line tracer and
+prints, per module, each executable line that no verb reaches, with totals::
+
+    PYTHONPATH=src python tests/test_reachability.py lines
 """
 
 from __future__ import annotations
@@ -26,15 +30,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "logcalc"
 
 ALLOWED = {
-    "conj_formulas_check": "the conjugation formulas p1, p2, p3 and aL0 join `check all` in a change "
-    "of their own, since new rows change its output",
-    "_p3_rhs": "reached only from conj_formulas_check",
-    "subst_mobius_arg": "reached only from _p3_rhs",
     "kth_derivative_closed_form": "demo 01 shows it",
     "Exponent.__rsub__": "keeps n - e an Exponent for a number n, as Exponent.__sub__ does for e - n; "
     "test_exponent_reference.py pins it",
@@ -130,21 +131,16 @@ def _choices() -> set[str]:
     return out
 
 
-def _scan(part: str) -> list[tuple[str, int, str]]:
-    """Drive the commands of one part, `check all` or every other one, and
-    list the code of src/logcalc that ran as (file name, first line, name)."""
-    reached = set()
-
-    def record(frame, event, arg, add=reached.add):
-        add(frame.f_code)
-
-    sys.settrace(record)
+def _drive(parts: tuple[str, ...], tracer) -> None:
+    """Drive the commands of the given parts, `check all` or every other one
+    (`rest`), with ``tracer`` set before ``import logcalc``."""
+    sys.settrace(tracer)
     from logcalc import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         commands = _commands(Path(tmp))
         sink = io.StringIO()
-        lines = [argv for key, argvs in commands.items() if (key == "check all") == (part == "check all")
+        lines = [argv for key, argvs in commands.items() if ("check all" if key == "check all" else "rest") in parts
                  for argv in argvs]
         for argv in lines:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -153,10 +149,71 @@ def _scan(part: str) -> list[tuple[str, int, str]]:
                 except SystemExit:  # argparse rejects the command line
                     pass
     sys.settrace(None)
+
+
+def _scan(part: str) -> list[tuple[str, int, str]]:
+    """The code of src/logcalc that one part ran, as (file name, first line, name)."""
+    reached = set()
+
+    def record(frame, event, arg, add=reached.add):
+        add(frame.f_code)
+
+    _drive((part,), record)
     return sorted(
         {(Path(c.co_filename).name, c.co_firstlineno, c.co_name) for c in reached
          if Path(c.co_filename).resolve().parent == SRC}
     )
+
+
+def _executable_lines(path: Path) -> set[int]:
+    """The lines of a module that carry bytecode, in every code object it compiles to."""
+    out, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        out |= {line for _, _, line in code.co_lines() if line is not None}
+        todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    return out
+
+
+def _report_lines() -> None:
+    """Print, per module of src/logcalc, each executable line that no verb
+    reaches, then the totals."""
+    # code object -> (its lines, the lines not yet reached); a code object
+    # outside src/logcalc has no lines, and one with none left is not traced
+    lines: dict[CodeType, tuple[set[int], set[int]]] = {}
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if code not in lines:
+            mine = Path(code.co_filename).resolve().parent == SRC
+            own = {n for _, _, n in code.co_lines() if n is not None} if mine else set()
+            lines[code] = (own, set(own))
+        left = lines[code][1]
+        if not left:
+            return None
+
+        def line(frame, event, arg):
+            left.discard(frame.f_lineno)
+            if not left:
+                frame.f_trace_lines = False
+            return line
+
+        return line(frame, event, arg)  # the call event reaches the definition line
+
+    start = time.perf_counter()
+    _drive(("check all", "rest"), record)
+    elapsed = time.perf_counter() - start
+    reached = {(Path(code.co_filename).name, n) for code, (own, left) in lines.items() for n in own - left}
+    total = missed = 0
+    for path in sorted(SRC.glob("*.py")):
+        executable = _executable_lines(path)
+        dead = sorted(n for n in executable if (path.name, n) not in reached)
+        total, missed = total + len(executable), missed + len(dead)
+        print(f"{path.name}: {len(dead)} of {len(executable)} executable lines reached by no verb")
+        text = path.read_text().splitlines()
+        for n in dead:
+            print(f"  {n:5d}  {text[n - 1].strip()}")
+    print(f"total: {missed} of {total} executable lines reached by no verb ({elapsed:.1f} s)")
 
 
 def _definitions() -> dict[tuple[str, int, str], tuple[str, ...]]:
@@ -217,4 +274,7 @@ def test_every_definition_is_reached_by_a_verb():
 
 
 if __name__ == "__main__":
-    json.dump(_scan(sys.argv[1]), sys.stdout)
+    if sys.argv[1] == "lines":
+        _report_lines()
+    else:
+        json.dump(_scan(sys.argv[1]), sys.stdout)

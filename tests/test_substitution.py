@@ -10,7 +10,6 @@ from logcalc.series import CoeffSpace, CoeffVector, LogSeries, Monomial
 from logcalc.substitution import (
     series_exp,
     series_log1p,
-    subst_mobius_arg,
     subst_scaled_exp,
     subst_x_exp_y,
     subst_x_inverse,
@@ -170,32 +169,6 @@ class TestInverseSubstitution:
             assert subst_x_inverse(subst_x_inverse(f, "x"), "x") == f
 
 
-class TestMobiusArgument:
-    def test_geometric_series(self):
-        power = subst_mobius_arg(LogSeries.variable("x"), "x", "y", 2)
-        expect = (
-            LogSeries.variable("x")
-            + LogSeries.monomial(mono(2) * Monomial.var("y", 1))
-            + LogSeries.monomial(mono(3) * Monomial.var("y", 2))
-        )
-        assert power.equal_terms(expect.with_trunc({"y": 2}))
-
-    def test_log_part(self):
-        logpart = subst_mobius_arg(LogSeries.log_variable("x"), "x", "y", 2)
-        expect = (
-            LogSeries.log_variable("x")
-            + LogSeries.monomial(mono(1) * Monomial.var("y", 1))
-            + LogSeries.monomial(mono(2) * Monomial.var("y", 2), Fraction(1, 2))
-        )
-        assert logpart.equal_terms(expect.with_trunc({"y": 2}))
-
-    def test_power_additivity(self):
-        a = subst_mobius_arg(LogSeries.variable("x", Fraction(1, 2)), "x", "y", 4)
-        b = subst_mobius_arg(LogSeries.variable("x", Fraction(1, 3)), "x", "y", 4)
-        c = subst_mobius_arg(LogSeries.variable("x", Fraction(5, 6)), "x", "y", 4)
-        assert a * b == c
-
-
 class TestHomomorphy:
     def test_substitutions_respect_products(self):
         rng = random.Random(31)
@@ -229,13 +202,13 @@ class TestTruncation:
         assert out.trunc == {"z": 1}
         assert out.equal_terms(subst_xy(parse_expr("x^(1/2)*lg(x)^2 + z*x"), "x", "y"))
 
-    def test_mobius_argument_keeps_a_bound_in_x(self):
-        # x -> x(1-yx)^(-1) only raises x-exponents, so the bound in x stays
-        # and prunes the image
-        f = parse_expr("x + x^2*lg(x)").with_trunc({"x": 2})
-        out = subst_mobius_arg(f, "x", "y", 3)
+    def test_exp_argument_keeps_a_bound_in_x(self):
+        # x -> x e^y leaves x-exponents where they are, so the bound in x stays
+        g = parse_expr("x + x^2*lg(x) + x^(5/2) + x^(-1)*lg(x)^2")
+        out = subst_x_exp_y(g.with_trunc({"x": 2}), "x", "y", 3)
         assert out.trunc == {"x": 2, "y": 3}
-        full = subst_mobius_arg(parse_expr("x + x^2*lg(x)"), "x", "y", 3)
+        full = subst_x_exp_y(g, "x", "y", 3)
+        assert len(out.terms) == 20 and len(full.terms) == 24
         assert out.equal_terms(full.with_trunc({"x": 2}))
 
     @pytest.mark.parametrize(
@@ -259,7 +232,6 @@ class TestIndependentRoutes:
         "x e^y": lambda f: subst_x_exp_y(f, "x", "y", 8),
         "xy": lambda f: subst_xy(f, "x", "y"),
         "e^zeta x": lambda f: subst_scaled_exp(f, "x", pi_scalar(Fraction(1, 2))),
-        "x(1-yx)^-1": lambda f: subst_mobius_arg(f, "x", "y", 8),
     }
 
     def test_no_product_and_no_derivative(self, monkeypatch):

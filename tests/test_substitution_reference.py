@@ -31,7 +31,6 @@ from logcalc.substitution import (
     pi_monomial_coefficient,
     series_exp,
     series_log1p,
-    subst_mobius_arg,
     subst_scaled_exp,
     subst_x_exp_y,
     subst_x_plus_y,
@@ -55,32 +54,6 @@ def log_shift_series(x, y, order):
     terms = {Monomial.var(x, -i) * Monomial.var(y, i): CoeffVector.scalar(Fraction((-1) ** (i - 1), i))
              for i in range(1, order + 1)}
     return LogSeries(SCALAR, terms, {y: order})
-
-
-def mobius_arg_powers(n, y, x, order):
-    """Expansions of (x(1-yx)^(-1))^n and log(x(1-yx)^(-1)) to y-order ``order``.
-
-    The first is sum_k C(-n,k) x^n (-yx)^k; the second is
-    lg(x) + sum_{k>=1} (yx)^k / k.
-    """
-    return _mobius_arg_power(n, y, x, order), _mobius_arg_log(y, x, order)
-
-
-def _mobius_arg_power(n, y, x, order):
-    pow_terms = {}
-    for k in range(order + 1):
-        c = binom_general((-n).as_scalar(), k) * Fraction((-1) ** k)
-        pow_terms[Monomial.var(x, n + k) * Monomial.var(y, k)] = CoeffVector.scalar(c)
-    return LogSeries(SCALAR, pow_terms, {y: order})
-
-
-def _mobius_arg_log(y, x, order):
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    log_terms = {Monomial.log(x): CoeffVector.scalar(1)}
-    for k in range(1, order + 1):
-        log_terms[Monomial.var(x, k) * Monomial.var(y, k)] = CoeffVector.scalar(Fraction(1, k))
-    return LogSeries(SCALAR, log_terms, {y: order})
 
 
 def _check_positive_valuation(h, v):
@@ -198,24 +171,6 @@ def ref_scaled_exp(f, x, zeta):
             if not c.is_zero():
                 acc = acc + LogSeries.monomial(Monomial.var(x, n, j) * rest, c * factor)
         out = out + acc * LogSeries.vector(vec)
-    return out
-
-
-def ref_mobius_arg(f, x, y, order):
-    out = LogSeries.zero(f.space, {y: order})
-    logpart_cache = {}
-    for mono, vec in f.items():
-        n = mono.exponent(x)
-        k = mono.log_power(x)
-        rest = mono.without(x)
-        power, logpart = mobius_arg_powers(n, y, x, order)
-        lp = logpart_cache.get(k)
-        if lp is None:
-            lp = LogSeries.one().with_trunc({y: order})
-            for _ in range(k):
-                lp = lp * logpart
-            logpart_cache[k] = lp
-        out = out + power * lp * LogSeries.vector(vec, rest)
     return out
 
 
@@ -368,23 +323,10 @@ class TestAgainstReference:
     def test_scaled_exp(self, f, zeta):
         assert _outcome(subst_scaled_exp, f, "x", zeta) == _outcome(ref_scaled_exp, f, "x", zeta)
 
-    @given(series(), st.integers(-1, 4))
-    @example(COLLIDING, -1)
-    @example(LOG4, 8)
-    @example(COMPLEX, 8)
-    @example(VECTOR, 8)
-    @example(Z_TRUNCATED, 8)
-    @settings(max_examples=150, deadline=None)
-    def test_mobius_arg(self, f, order):
-        assert _outcome(subst_mobius_arg, f, "x", "y", order) == _outcome(
-            _keeping_trunc(ref_mobius_arg), f, "x", "y", order
-        )
-
     def test_error_examples_raise(self):
         """The examples above reach each error kind, not only agree."""
         assert _outcome(subst_x_plus_y, COLLIDING, "x", "z", 2)[0] is VariableCollision
         assert _outcome(subst_x_exp_y, COLLIDING, "x", "y", -1)[0] is ValueError
-        assert _outcome(subst_mobius_arg, COLLIDING, "x", "y", -1)[0] is ValueError
         assert _outcome(subst_scaled_exp, NON_REAL, "x", pi_scalar(1))[0] is LatticeViolation
         assert _outcome(subst_scaled_exp, TWELFTH, "x", pi_scalar(Fraction(1, 12)))[0] is LatticeViolation
         assert _outcome(subst_scaled_exp, TWELFTH, "x", NOT_PI)[0] is UnsupportedDivision
@@ -395,10 +337,3 @@ class TestAgainstReference:
         # valuation at least 1: the powers cut_powers keeps are the first order + 1
         assert _outcome(series_exp, h, "x", order) == _outcome(ref_series_exp, h, "x", order)
         assert _outcome(series_log1p, h, "x", order) == _outcome(ref_series_log1p, h, "x", order)
-
-    def test_mobius_arg_needs_a_fresh_variable(self):
-        # the reference loop has no such check
-        assert _outcome(subst_mobius_arg, COLLIDING, "x", "z", 2) == (
-            VariableCollision,
-            "substitution variable 'z' already occurs in the series",
-        )
